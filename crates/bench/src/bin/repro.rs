@@ -91,9 +91,9 @@ fn print_usage() {
     eprintln!("                     to an uninterrupted run's (a checkpoint written with");
     eprintln!("                     different flags is discarded, not spliced)");
     eprintln!("  --backend CHOICE   simulation engine for gate-level workloads:");
-    eprintln!("                     auto (default) = batch when the delay model is");
-    eprintln!("                     batch-exact, event otherwise; results are");
-    eprintln!("                     bit-identical across backends");
+    eprintln!("                     auto (default) and batch run the batch engine,");
+    eprintln!("                     event when a netlist fails to compile; results");
+    eprintln!("                     are bit-identical across backends");
     eprintln!("  --trace MODE       live span output on stderr: off (default), pretty,");
     eprintln!("                     or json; overrides the OLA_TRACE environment variable");
     eprintln!("  --list             list experiments and exit codes, then exit");

@@ -2,11 +2,12 @@
 //! stage-wave Monte-Carlo (top row) and vs gate-level "FPGA" simulation
 //! with jittered delays (bottom row), for 8- and 12-digit multipliers.
 //!
-//! The gate-level sweep is backend-pluggable: with a batch-exact delay
-//! model the bit-parallel engine carries the load (and an automatic
-//! event-driven spot-check re-judges the first samples on both engines);
-//! the paper's jittered-delay emulation is not batch-exact, so it
-//! transparently takes the event-driven path whatever the flag says.
+//! The gate-level sweep is backend-pluggable. By default the bit-parallel
+//! engine carries the load: the paper's jittered-delay emulation is a pure
+//! function of `(seed, net)`, so it compiles to an exact batch program for
+//! its placement. An automatic event-driven spot-check then re-judges the
+//! first samples on both engines; `--backend event` runs the event engine
+//! alone.
 
 use super::Scale;
 use crate::report::{fmt_f, Table};

@@ -82,7 +82,7 @@ fn analytic_bound_holds_under_jittered_delays() {
         SimBackend::Auto,
         StaGate::On,
     );
-    assert_eq!(stats.backend, "event", "jitter is not batch-exact");
+    assert_eq!(stats.backend, "batch", "jitter is batch-exact");
     for (i, _) in ts.iter().enumerate() {
         assert!(curve.mean_abs_error[i] <= cert.error_bound(i, &weights) + 1e-12);
     }

@@ -7,32 +7,32 @@
 //! * **event** — the event-driven simulator
 //!   ([`ola_netlist::simulate`]), one vector per run, any delay model;
 //! * **batch** — the bit-parallel engine ([`ola_netlist::batch`]), 64
-//!   vectors per pass, only for
-//!   [batch-exact](ola_netlist::DelayModel::batch_exact) delay models.
+//!   vectors per lane word, for any delay model: every model is a
+//!   deterministic per-gate function, so it compiles to an exact program
+//!   (a [`JitteredDelay`](ola_netlist::JitteredDelay) to one program per
+//!   placement).
 //!
 //! [`SimBackend`] selects between them per workload; [`SimBackend::Auto`]
-//! (and an explicit `Batch` request on a non-batch-exact model, e.g. a
-//! [`JitteredDelay`](ola_netlist::JitteredDelay) emulating per-run
-//! place-and-route variation) transparently falls back to the event
-//! engine, so callers never have to special-case the delay model.
+//! and [`SimBackend::Batch`] run batch and fall back to the event engine
+//! only when a netlist fails to compile
+//! ([`crate::resilience::compile_batch_or_degrade`]).
 //! [`BackendStats`] carries the cheap counters each experiment accumulates
 //! — vectors simulated, `(vector × Ts)` sample points, word-level steps,
 //! lane utilization — which the `repro` binary surfaces in its summary.
 
-use ola_netlist::DelayModel;
 use std::fmt;
 use std::time::Duration;
 
 /// Which simulation engine an experiment should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub enum SimBackend {
-    /// Batch when the delay model permits it, event-driven otherwise.
+    /// Batch, event-driven when the netlist fails to compile.
     #[default]
     Auto,
     /// Always the event-driven simulator.
     Event,
     /// The bit-parallel batch engine; falls back to event-driven when the
-    /// delay model is not batch-exact.
+    /// netlist fails to compile.
     Batch,
 }
 
@@ -58,14 +58,12 @@ impl SimBackend {
         }
     }
 
-    /// True if this selection should *try* batch compilation under `delay`
-    /// (the compile itself may still decline, e.g. on a broken topology —
-    /// callers then fall back to the event engine).
-    pub fn wants_batch<M: DelayModel + ?Sized>(self, delay: &M) -> bool {
-        match self {
-            SimBackend::Event => false,
-            SimBackend::Auto | SimBackend::Batch => delay.batch_exact(),
-        }
+    /// True if this selection should *try* batch compilation (the compile
+    /// itself may still fail, e.g. on a broken topology — callers then fall
+    /// back to the event engine).
+    #[must_use]
+    pub fn wants_batch(self) -> bool {
+        !matches!(self, SimBackend::Event)
     }
 }
 
@@ -297,7 +295,6 @@ impl BackendStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_netlist::{JitteredDelay, UnitDelay};
 
     #[test]
     fn parse_roundtrips_labels() {
@@ -310,13 +307,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_and_batch_respect_batch_exactness() {
-        let jitter = JitteredDelay::new(UnitDelay, 10, 1);
-        assert!(SimBackend::Auto.wants_batch(&UnitDelay));
-        assert!(SimBackend::Batch.wants_batch(&UnitDelay));
-        assert!(!SimBackend::Event.wants_batch(&UnitDelay));
-        assert!(!SimBackend::Auto.wants_batch(&jitter), "jitter falls back to event");
-        assert!(!SimBackend::Batch.wants_batch(&jitter));
+    fn only_the_event_selection_declines_batch() {
+        assert!(SimBackend::Auto.wants_batch());
+        assert!(SimBackend::Batch.wants_batch());
+        assert!(!SimBackend::Event.wants_batch());
     }
 
     #[test]

@@ -407,7 +407,7 @@ where
         }
     };
 
-    let prog = if cfg.backend.wants_batch(delay) {
+    let prog = if cfg.backend.wants_batch() {
         crate::resilience::compile_batch_or_degrade(&format!("campaign.{arch}"), netlist, delay)
     } else {
         None
@@ -787,29 +787,25 @@ mod tests {
     }
 
     #[test]
-    fn campaign_batch_request_on_jitter_falls_back_to_event() {
+    fn jittered_campaigns_run_on_batch_bit_identically() {
         use ola_netlist::JitteredDelay;
         let om = online_multiplier(3, 3);
         let delay = JitteredDelay::new(UnitDelay, 15, 3);
-        let cfg = CampaignConfig { backend: SimBackend::Batch, ..quick_cfg() };
-        let (rep, stats) = online_fault_campaign_with_stats(
-            &om,
-            &delay,
-            InputModel::UniformDigits,
-            FaultClass::StuckAt0,
-            &cfg,
-        );
-        assert_eq!(stats.backend, "event", "jitter is not batch-exact");
-        assert_eq!(stats.batch_runs, 0);
-        let cfg_auto = CampaignConfig { backend: SimBackend::Auto, ..cfg };
-        let auto = online_fault_campaign(
-            &om,
-            &delay,
-            InputModel::UniformDigits,
-            FaultClass::StuckAt0,
-            &cfg_auto,
-        );
-        assert_eq!(rep, auto, "backend choice must not leak into the report");
+        let run = |backend| {
+            let cfg = CampaignConfig { backend, ..quick_cfg() };
+            online_fault_campaign_with_stats(
+                &om,
+                &delay,
+                InputModel::UniformDigits,
+                FaultClass::StuckAt0,
+                &cfg,
+            )
+        };
+        let (batch, stats) = run(SimBackend::Auto);
+        assert_eq!(stats.backend, "batch", "jitter is batch-exact");
+        assert!(stats.batch_runs > 0);
+        let (event, _) = run(SimBackend::Event);
+        assert_eq!(batch, event, "backend choice must not leak into the report");
     }
 
     #[test]

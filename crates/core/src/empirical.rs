@@ -9,14 +9,18 @@
 //! that is parameterized over a [`SimBackend`]: the event-driven simulator
 //! (one vector per run) or the bit-parallel batch engine (64 vectors per
 //! lane word, up to 512 per pass — see `OLA_LANE_WORDS` below,
-//! [`ola_netlist::batch`]). The two backends draw the *same* random
-//! stream (see [`crate::parallel::parallel_accumulate_batched`]) and judge
-//! samples in the same per-sample / per-`Ts` order with the same
-//! native-typed comparisons, so the produced [`GateLevelCurve`]s are
-//! bit-identical — batch is purely an accelerator. Delay models that are
-//! not batch-exact (e.g. [`JitteredDelay`](ola_netlist::JitteredDelay))
-//! transparently fall back to the event engine, and batch *compilation
-//! failures* degrade the same way through
+//! [`ola_netlist::batch`]). A batch pass is the bus-only streaming pass
+//! ([`BatchProgram::run_bus`]): it keeps only the sampled output bus's
+//! waveforms and drops every other net's after its last fanout, so its
+//! memory is the netlist's live frontier plus the bus. The two backends
+//! draw the *same* random stream (see
+//! [`crate::parallel::parallel_accumulate_batched`]) and judge samples in
+//! the same per-sample / per-`Ts` order with the same native-typed
+//! comparisons, so the produced [`GateLevelCurve`]s are bit-identical —
+//! batch is purely an accelerator. Every delay model compiles to an exact
+//! batch program, jittered placements
+//! ([`JitteredDelay`](ola_netlist::JitteredDelay)) included; batch
+//! *compilation failures* (a broken topology) degrade through
 //! [`crate::resilience::compile_batch_or_degrade`] (retry once, then run
 //! the event engine and annotate the manifest) — sound precisely because
 //! the backends are bit-identical. An ambient
@@ -110,8 +114,8 @@ fn merge(mut a: Acc, b: &Acc) -> Acc {
 use crate::backend::lane_words;
 
 /// The batch sampling loop, generic over the lane word `B` (64 lanes per
-/// word). One engine pass simulates up to `B::LANES` drawn vectors and
-/// sweeps the whole judged `Ts` grid over them.
+/// word). One bus-only engine pass simulates up to `B::LANES` drawn vectors
+/// and sweeps the whole judged `Ts` grid over them.
 #[allow(clippy::too_many_arguments)] // internal: mirrors curve_with's captures
 fn batch_accumulate<B, D, J>(
     prog: &BatchProgram,
@@ -143,16 +147,13 @@ where
             let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
                 .expect("group size bounded by B::LANES");
             let new = LaneInputs::<B>::pack(group).expect("draw produces full input vectors");
-            let res = match cancel {
-                Some(tok) => prog.run_cancellable(&prev, &new, tok).unwrap_or_else(|e| {
-                    if matches!(e, ola_netlist::BatchError::Cancelled) {
-                        std::panic::panic_any(Cancelled)
-                    }
-                    panic!("shapes validated above: {e}")
-                }),
-                None => prog.run(&prev, &new).expect("shapes validated above"),
-            };
-            let bus = res.bus_waves(wires).expect("output bus nets exist");
+            let res = prog.run_bus(&prev, &new, wires, cancel.as_ref()).unwrap_or_else(|e| {
+                if matches!(e, ola_netlist::BatchError::Cancelled) {
+                    std::panic::panic_any(Cancelled)
+                }
+                panic!("shapes validated above, output bus nets exist: {e}")
+            });
+            let bus = res.bus();
             let sweep = bus.sweep(&active_ts);
             for lane in 0..lanes {
                 acc.max_settle = acc.max_settle.max(res.settle_time(lane));
@@ -193,8 +194,8 @@ where
 /// with one sweep per pass. Lane order is sample order
 /// and the per-chunk accumulation order (sample-outer, `Ts`-inner) matches
 /// the event path exactly, so `f64` additions happen in the same order and
-/// the curves are bit-identical. If batch compilation declines (non
-/// batch-exact delay model, broken topology), the event path runs instead.
+/// the curves are bit-identical. If batch compilation fails (a broken
+/// topology), the event path runs instead.
 ///
 /// With [`StaGate::On`], `Ts` points at or above the bus's worst-case STA
 /// arrival are never judged: every sample at such a point is provably
@@ -237,7 +238,7 @@ where
         .filter(|&(_, t)| !(sta_gate.is_on() && t >= bus_arrival))
         .collect();
     let skipped = (ts_points.len() - judged.len()) as u64;
-    let prog = if backend.wants_batch(delay) {
+    let prog = if backend.wants_batch() {
         let _s = crate::obs::span("empirical.batch_compile");
         compile_batch_or_degrade("empirical.curve", netlist, delay)
     } else {
@@ -750,25 +751,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_request_on_jitter_falls_back_to_event() {
+    fn jittered_sweeps_run_on_batch_bit_identically() {
         let circuit = online_multiplier(5, 3);
         let delay = JitteredDelay::new(UnitDelay, 25, 13);
-        let ts = vec![analyze(&circuit.netlist, &delay).critical_path()];
-        let (curve, stats) = om_gate_level_curve_with(
-            &circuit,
-            &delay,
-            InputModel::UniformDigits,
-            &ts,
-            20,
-            6,
-            SimBackend::Batch,
-            StaGate::On,
-        );
-        assert_eq!(stats.backend, "event", "jitter is not batch-exact");
-        assert_eq!(stats.batch_runs, 0);
-        let reference =
-            om_gate_level_curve(&circuit, &delay, InputModel::UniformDigits, &ts, 20, 6);
-        assert_eq!(curve, reference);
+        let cp = analyze(&circuit.netlist, &delay).critical_path();
+        let ts = vec![cp / 3, cp * 2 / 3, cp];
+        let run = |backend| {
+            om_gate_level_curve_with(
+                &circuit,
+                &delay,
+                InputModel::UniformDigits,
+                &ts,
+                20,
+                6,
+                backend,
+                StaGate::Off,
+            )
+        };
+        let (batch, stats) = run(SimBackend::Batch);
+        assert_eq!(stats.backend, "batch", "jitter is batch-exact");
+        assert_eq!(stats.batch_runs, 1);
+        let (auto, auto_stats) = run(SimBackend::Auto);
+        assert_eq!(auto_stats.backend, "batch");
+        let (event, _) = run(SimBackend::Event);
+        assert_eq!(batch, event, "curves must be bit-identical");
+        assert_eq!(auto, event);
     }
 
     #[test]

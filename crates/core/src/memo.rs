@@ -8,8 +8,9 @@
 //! [`ContentCache`]: results are keyed by the SHA-256 of
 //! [`Netlist::canonical_bytes`] combined with [`DelayModel::cache_key`],
 //! so a hit is sound by construction (equal key ⇒ equal inputs ⇒ equal
-//! result). Models whose `cache_key()` is `None` (e.g. jittered delays)
-//! opt out and are always computed fresh.
+//! result). Models whose `cache_key()` is `None` opt out and are always
+//! computed fresh. A jittered model keys on its placement (amplitude, seed
+//! and inner model), so the memo holds one program per placement.
 //!
 //! # Determinism contract
 //!
@@ -184,7 +185,7 @@ fn replay_compile_observation(program: &BatchProgram) {
 /// # Errors
 ///
 /// Propagates [`BatchProgram::compile`] errors (e.g.
-/// [`BatchError::DelayNotBatchExact`]); failed compiles are never cached.
+/// [`BatchError::TopologyBroken`]); failed compiles are never cached.
 pub fn batch_program<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
@@ -345,15 +346,22 @@ mod tests {
     }
 
     #[test]
-    fn jittered_models_bypass_the_memo() {
+    fn jittered_models_memoize_one_program_per_placement() {
         let (nl, _outs) = sample_netlist(14);
+        let placement = JitteredDelay::new(UnitDelay, 5, 7);
         let before = stats();
-        // Jitter is not batch-exact: compile must fail, and nothing caches.
-        assert!(batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 7)).is_err());
+        let first = batch_program(&nl, &placement).unwrap();
+        // The same placement is a memo hit: the very same shared program.
+        let again = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 7)).unwrap();
         let after = stats();
-        assert_eq!(after.program_uncached, before.program_uncached + 1);
-        assert_eq!(after.program_hits, before.program_hits);
-        assert_eq!(after.program_misses, before.program_misses);
+        assert!(Arc::ptr_eq(&first, &again), "same placement must hit the memo");
+        assert!(after.program_hits > before.program_hits);
+        assert_eq!(first.to_bytes(), BatchProgram::compile(&nl, &placement).unwrap().to_bytes());
+        // Another seed or amplitude is another placement: another program.
+        let reseeded = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 8)).unwrap();
+        let wider = batch_program(&nl, &JitteredDelay::new(UnitDelay, 40, 7)).unwrap();
+        assert_ne!(reseeded.to_bytes(), first.to_bytes());
+        assert_ne!(wider.to_bytes(), first.to_bytes());
     }
 
     #[test]

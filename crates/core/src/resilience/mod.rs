@@ -199,19 +199,13 @@ pub fn is_cancel_payload(payload: &(dyn std::any::Any + Send)) -> bool {
 /// annotation `resilience.degraded.<context>`, so the lineage of every
 /// artifact produced on the fallback engine is visible.
 ///
-/// Returns `None` without compiling when the delay model is not
-/// batch-exact — choosing the event engine for a jittered model is
-/// selection, not degradation, and is not recorded as one. The chaos hook
-/// [`chaos::batch_fail_forced`] forces the degradation path for the chaos
-/// harness.
+/// The chaos hook [`chaos::batch_fail_forced`] forces the degradation path
+/// for the chaos harness.
 pub fn compile_batch_or_degrade<M: DelayModel + ?Sized>(
     context: &str,
     netlist: &Netlist,
     delay: &M,
 ) -> Option<Arc<BatchProgram>> {
-    if !delay.batch_exact() {
-        return None;
-    }
     if chaos::batch_fail_forced() {
         note_degraded(context, "forced by OLA_CHAOS_BATCH_FAIL");
         return None;
@@ -512,8 +506,8 @@ mod tests {
         assert_eq!(get("ola.resilience.batch_degraded"), 1);
         assert_eq!(get("ola.resilience.batch_retries"), 1);
 
-        // Non-batch-exact delay models choose the event engine without
-        // recording a degradation.
+        // Jittered delay models compile like any other, with no
+        // degradation recorded.
         use ola_netlist::JitteredDelay;
         let mut plain = Netlist::new();
         let x = plain.input("x");
@@ -524,13 +518,13 @@ mod tests {
             &plain,
             &JitteredDelay::new(ola_netlist::UnitDelay, 20, 1)
         )
-        .is_none());
+        .is_some());
         // Annotations are process-global, so only assert our key is absent
         // (other tests may annotate concurrently).
         let notes = crate::obs::take_annotations();
         assert!(
             !notes.iter().any(|(k, _)| k.contains("test.jitter")),
-            "selection is not degradation: {notes:?}"
+            "a jittered compile is not a degradation: {notes:?}"
         );
     }
 }

@@ -205,9 +205,9 @@ mod sta_gate_equivalence {
             match model_sel {
                 0 => curves_match(n, &UnitDelay, backend, &grid, seed)?,
                 1 => curves_match(n, &FpgaDelay::default(), backend, &grid, seed)?,
-                // Not batch-exact: exercises the event-path fallback under
-                // gating, where soundness rests on the jitter being a
-                // deterministic per-net function.
+                // Per-gate jitter: gating stays sound, and batch compiles it
+                // exactly, because the jitter is a deterministic per-net
+                // function.
                 _ => curves_match(n, &JitteredDelay::new(FpgaDelay::default(), 15, seed), backend, &grid, seed)?,
             }
         }

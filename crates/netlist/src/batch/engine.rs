@@ -30,10 +30,23 @@
 //! that does not change behaviour, or a cone that reconverges), which
 //! prunes the fanout cone early. Setting `OLA_BATCH_CHECK_INCREMENTAL=1`
 //! cross-checks every incremental run against a full recompute.
+//!
+//! # Bus-only streaming
+//!
+//! A sampling sweep reads only an output bus, so
+//! [`BatchProgram::run_bus`] runs the same settling loop but keeps only
+//! that bus's waveforms. Each net's scan products — word steps, masked
+//! transitions and the per-lane settle retire list — are folded as soon as
+//! its waveform is produced, and an interior waveform is dropped once its
+//! last consumer (recorded in the program at compile time) has been
+//! evaluated. Waveform memory is then bounded by the live frontier of the
+//! levelized DAG plus the bus, not by every net of the netlist, while the
+//! counters and settle times equal those of a full [`BatchProgram::run`].
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
 use crate::batch::program::{BatchProgram, LaneInputs};
+use crate::batch::sampler::LaneBusWaves;
 use crate::batch::wave::Wave;
 use crate::cancel::CancelToken;
 use crate::{BatchError, GateKind, NetId, NetlistError};
@@ -57,14 +70,6 @@ pub(crate) fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
         GateKind::Xnor => a.xor(b).not(),
         GateKind::Mux => a.and(b).or(a.not().and(c)),
         GateKind::Input | GateKind::Const => unreachable!("not a logic gate"),
-    }
-}
-
-fn gate_arity(kind: GateKind) -> usize {
-    match kind {
-        GateKind::Not => 1,
-        GateKind::Mux => 3,
-        _ => 2,
     }
 }
 
@@ -370,6 +375,57 @@ impl<B: LaneWord> LaneSimResult<B> {
     pub fn shared_waves(&self) -> usize {
         self.waves.iter().filter(|w| Arc::strong_count(w) > 1).count()
     }
+
+    /// Net `i`'s waveform and scan products, shared by reference with a
+    /// dirty-cone rerun.
+    fn shared(&self, i: usize) -> (Arc<Wave<B>>, Arc<NetStats<B>>) {
+        (Arc::clone(&self.waves[i]), Arc::clone(&self.net_stats[i]))
+    }
+}
+
+/// What the bus-only pass ([`BatchProgram::run_bus`]) returns: the
+/// waveforms of the requested bus, plus the per-lane settle times and
+/// engine counters of the *whole* pass — equal to what a full
+/// [`LaneSimResult`] of the same stimulus reports. Interior waveforms were
+/// released during the pass, so none can be read from it by mistake.
+#[derive(Clone, Debug)]
+pub struct LaneBusResult<B: LaneWord = u64> {
+    bus: LaneBusWaves<B>,
+    settle: Vec<u64>,
+    word_steps: u64,
+    lane_transitions: u64,
+}
+
+impl<B: LaneWord> LaneBusResult<B> {
+    /// The bus's waveforms, in the requested net order.
+    #[must_use]
+    pub fn bus(&self) -> &LaneBusWaves<B> {
+        &self.bus
+    }
+
+    /// Time of the last observed transition in `lane` across all nets.
+    #[must_use]
+    pub fn settle_time(&self, lane: u32) -> u64 {
+        self.settle[lane as usize]
+    }
+
+    /// Per-lane settle times (index = lane).
+    #[must_use]
+    pub fn settle_times(&self) -> &[u64] {
+        &self.settle
+    }
+
+    /// Total word-level steps produced across all nets.
+    #[must_use]
+    pub fn word_steps(&self) -> u64 {
+        self.word_steps
+    }
+
+    /// Total per-lane transitions across active lanes and all nets.
+    #[must_use]
+    pub fn lane_transitions(&self) -> u64 {
+        self.lane_transitions
+    }
 }
 
 impl BatchProgram {
@@ -446,6 +502,51 @@ impl BatchProgram {
     ) -> Result<LaneSimResult<B>, BatchError> {
         self.check_faults(faults)?;
         self.run_inner(prev, new, Some(faults), Some(cancel))
+    }
+
+    /// Runs the engine fault-free like [`BatchProgram::run`], but keeps
+    /// only the waveforms of `bus` (in the given order, repeats allowed):
+    /// every net's scan products are folded as its waveform is produced and
+    /// every other waveform is dropped after its last consumer, so memory
+    /// is bounded by the live frontier plus the bus (see the
+    /// [module docs](self)). The bus waveforms, settle times, word steps
+    /// and lane transitions equal those of a full run. `cancel` is polled
+    /// as in [`BatchProgram::run_cancellable`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`BatchProgram::run`], plus [`BatchError::InvalidBus`]
+    /// naming the first bus net outside the netlist, and
+    /// [`BatchError::Cancelled`] when `cancel` fires before the pass
+    /// finishes.
+    pub fn run_bus<B: LaneWord>(
+        &self,
+        prev: &LaneInputs<B>,
+        new: &LaneInputs<B>,
+        bus: &[NetId],
+        cancel: Option<&CancelToken>,
+    ) -> Result<LaneBusResult<B>, BatchError> {
+        let len = self.num_nets();
+        let mut on_bus = vec![false; len];
+        for net in bus {
+            let index = net.index();
+            *on_bus
+                .get_mut(index)
+                .ok_or(BatchError::InvalidBus(NetlistError::NetOutOfRange { index, len }))? = true;
+        }
+        let pass = self.settle(prev, new, None, None, Retain::Bus(&on_bus), cancel)?;
+        let waves = bus
+            .iter()
+            .map(|net| {
+                pass.waves[net.index()].as_deref().expect("the pass retains bus waveforms").clone()
+            })
+            .collect();
+        Ok(LaneBusResult {
+            bus: LaneBusWaves { lanes: pass.lanes, waves },
+            settle: pass.settle,
+            word_steps: pass.word_steps,
+            lane_transitions: pass.lane_transitions,
+        })
     }
 
     /// Reruns the engine against `base`, recomputing only the fanout cone
@@ -555,7 +656,8 @@ impl BatchProgram {
         (raw_init, obs_init)
     }
 
-    /// Computes the waveform of net `i` from already-settled fanin waves.
+    /// Computes the waveform of net `i` from its fanins' waveforms, which
+    /// the pass keeps until their last consumer has run.
     #[allow(clippy::too_many_arguments)]
     fn net_wave<B: LaneWord>(
         &self,
@@ -565,7 +667,7 @@ impl BatchProgram {
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
         raw_init: &[B],
-        waves: &[Arc<Wave<B>>],
+        waves: &[Option<Arc<Wave<B>>>],
     ) -> Wave<B> {
         let lane_faults = faults.map(|fs| &fs.nets[i]);
         let no_fault_groups = [(0u64, B::ONES)];
@@ -581,15 +683,15 @@ impl BatchProgram {
             GateKind::Input => input_wave(prev.words[input_slot], new.words[input_slot], groups),
             GateKind::Const => Wave::constant(B::splat(self.const_ones[i])),
             kind => {
-                // Unused slots default to net 0 — valid (any logic gate
-                // has index > 0 in a validated DAG) and ignored by
-                // `eval_word` for the gate's actual arity.
-                let ins = [
-                    waves[self.in0[i] as usize].as_ref(),
-                    waves[self.in1[i] as usize].as_ref(),
-                    waves[self.in2[i] as usize].as_ref(),
-                ];
-                gate_wave(kind, &ins[..gate_arity(kind)], raw_init[i], self.delays[i], groups)
+                let idle = Wave::constant(B::ZERO);
+                let mut ins = [&idle; 3];
+                let mut arity = 0;
+                for (slot, f) in self.fanins(i).enumerate() {
+                    ins[slot] =
+                        waves[f].as_deref().expect("a fanin's waveform outlives its readers");
+                    arity = slot + 1;
+                }
+                gate_wave(kind, &ins[..arity], raw_init[i], self.delays[i], groups)
             }
         };
         match lane_faults {
@@ -605,37 +707,8 @@ impl BatchProgram {
         faults: Option<&LaneFaultSet<B>>,
         cancel: Option<&CancelToken>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        if let Some(tok) = cancel {
-            if tok.is_cancelled() {
-                return Err(BatchError::Cancelled);
-            }
-        }
-        let n = self.num_nets();
-        let lanes = self.check_shapes(prev, new)?;
-        let (raw_init, obs_init) = self.initial_state(prev, faults);
-
-        // Settling pass: one waveform per net, in topological order.
-        let mut waves: Vec<Arc<Wave<B>>> = Vec::with_capacity(n);
-        let mut next_input = 0usize;
-        #[allow(clippy::needless_range_loop)] // indexes several program arrays, not just one slice
-        for i in 0..n {
-            if i > 0 && i % NET_CHECK_INTERVAL == 0 {
-                if let Some(tok) = cancel {
-                    if tok.is_cancelled() {
-                        return Err(BatchError::Cancelled);
-                    }
-                }
-            }
-            let slot = next_input;
-            if self.kinds[i] == GateKind::Input {
-                next_input += 1;
-            }
-            let wave = self.net_wave(i, slot, prev, new, faults, &raw_init, &waves);
-            debug_assert_eq!(wave.initial, obs_init[i], "net {i}");
-            waves.push(Arc::new(wave));
-        }
-
-        Ok(finish_run(lanes, waves, prev, new, faults, None))
+        let pass = self.settle(prev, new, faults, None, Retain::All, cancel)?;
+        Ok(pass.into_result(prev, new, faults))
     }
 
     fn run_incremental_inner<B: LaneWord>(
@@ -646,81 +719,18 @@ impl BatchProgram {
         faults: Option<&LaneFaultSet<B>>,
         cancel: Option<&CancelToken>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        if let Some(tok) = cancel {
-            if tok.is_cancelled() {
-                return Err(BatchError::Cancelled);
-            }
-        }
         let n = self.num_nets();
-        let lanes = self.check_shapes(prev, new)?;
         if let Some(fs) = faults {
             self.check_faults(fs)?;
         }
         if base.waves.len() != n || base.prev_words.len() != self.num_inputs() {
             return Err(BatchError::IncrementalBaseMismatch { expected: n, got: base.waves.len() });
         }
-        if base.lanes != lanes {
-            return Err(BatchError::LaneMismatch { prev: base.lanes, new: lanes });
+        if base.lanes != prev.lanes {
+            return Err(BatchError::LaneMismatch { prev: base.lanes, new: prev.lanes });
         }
-        let (raw_init, obs_init) = self.initial_state(prev, faults);
-
-        let default_faults = LaneFaults::default();
-        fn fault_of<'a, B: LaneWord>(
-            set: Option<&'a LaneFaultSet<B>>,
-            i: usize,
-            default: &'a LaneFaults<B>,
-        ) -> &'a LaneFaults<B> {
-            set.map_or(default, |fs| &fs.nets[i])
-        }
-
-        // Dirty-cone pass: one topological sweep that seeds dirtiness from
-        // the stimulus delta, propagates it through fanin edges, recomputes
-        // only dirty nets, and un-dirties a net whose recomputed waveform
-        // equals the base one (equality cutoff).
-        let mut dirty = vec![false; n];
-        let mut waves: Vec<Arc<Wave<B>>> = Vec::with_capacity(n);
-        let mut next_input = 0usize;
-        for i in 0..n {
-            if i > 0 && i % NET_CHECK_INTERVAL == 0 {
-                if let Some(tok) = cancel {
-                    if tok.is_cancelled() {
-                        return Err(BatchError::Cancelled);
-                    }
-                }
-            }
-            let slot = next_input;
-            let mut is_dirty = fault_of(base.faults.as_ref(), i, &default_faults)
-                != fault_of(faults, i, &default_faults);
-            match self.kinds[i] {
-                GateKind::Input => {
-                    next_input += 1;
-                    is_dirty |= prev.words[slot] != base.prev_words[slot]
-                        || new.words[slot] != base.new_words[slot];
-                }
-                GateKind::Const => {}
-                kind => {
-                    for &inp in &[self.in0[i], self.in1[i], self.in2[i]][..gate_arity(kind)] {
-                        is_dirty |= dirty[inp as usize];
-                    }
-                }
-            }
-            if !is_dirty {
-                waves.push(Arc::clone(&base.waves[i]));
-                continue;
-            }
-            let wave = self.net_wave(i, slot, prev, new, faults, &raw_init, &waves);
-            debug_assert_eq!(wave.initial, obs_init[i]);
-            if wave == *base.waves[i] {
-                // The cone reconverged: downstream nets see the base
-                // waveform, so they need not recompute because of net `i`.
-                waves.push(Arc::clone(&base.waves[i]));
-            } else {
-                dirty[i] = true;
-                waves.push(Arc::new(wave));
-            }
-        }
-
-        let result = finish_run(lanes, waves, prev, new, faults, Some(base));
+        let pass = self.settle(prev, new, faults, Some(base), Retain::All, cancel)?;
+        let result = pass.into_result(prev, new, faults);
         if incremental_check_enabled() {
             let full = self.run_inner(prev, new, faults, cancel)?;
             for i in 0..n {
@@ -731,6 +741,166 @@ impl BatchProgram {
             }
         }
         Ok(result)
+    }
+
+    /// The settling loop behind every entry point: one waveform per net in
+    /// topological order, each folded into the counters and per-lane settle
+    /// times as soon as it is produced.
+    ///
+    /// With a `base` run, a net whose own stimulus (input words, per-lane
+    /// fault state) and fanins are unchanged shares the base waveform and
+    /// scan products; a recomputed net whose waveform equals the base one is
+    /// shared too, so it dirties nothing downstream (equality cutoff).
+    /// `retain` decides which waveforms outlive their last consumer.
+    fn settle<B: LaneWord>(
+        &self,
+        prev: &LaneInputs<B>,
+        new: &LaneInputs<B>,
+        faults: Option<&LaneFaultSet<B>>,
+        base: Option<&LaneSimResult<B>>,
+        retain: Retain<'_>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Settled<B>, BatchError> {
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        if cancelled() {
+            return Err(BatchError::Cancelled);
+        }
+        let n = self.num_nets();
+        let lanes = self.check_shapes(prev, new)?;
+        let (raw_init, obs_init) = self.initial_state(prev, faults);
+        // The active mask keeps unused high lanes out of every reduction, so
+        // garbage in inactive lanes of an inverter's output can never leak
+        // into settle times or transition counts.
+        let mask = B::active_mask(lanes);
+        let default_faults = LaneFaults::default();
+        fn fault_of<'a, B: LaneWord>(
+            set: Option<&'a LaneFaultSet<B>>,
+            i: usize,
+            default: &'a LaneFaults<B>,
+        ) -> &'a LaneFaults<B> {
+            set.map_or(default, |fs| &fs.nets[i])
+        }
+
+        let mut pass = Settled {
+            lanes,
+            waves: Vec::with_capacity(n),
+            net_stats: Vec::new(),
+            settle: vec![0u64; lanes as usize],
+            word_steps: 0,
+            lane_transitions: 0,
+        };
+        let mut dirty = vec![false; n];
+        let mut next_input = 0usize;
+        for i in 0..n {
+            if i > 0 && i % NET_CHECK_INTERVAL == 0 && cancelled() {
+                return Err(BatchError::Cancelled);
+            }
+            let slot = next_input;
+            let is_input = self.kinds[i] == GateKind::Input;
+            if is_input {
+                next_input += 1;
+            }
+            let clean_base = base.filter(|b| {
+                let stimulus_changed = fault_of(b.faults.as_ref(), i, &default_faults)
+                    != fault_of(faults, i, &default_faults)
+                    || (is_input
+                        && (prev.words[slot] != b.prev_words[slot]
+                            || new.words[slot] != b.new_words[slot]));
+                !stimulus_changed && !self.fanins(i).any(|f| dirty[f])
+            });
+            let (wave, stats) = match clean_base {
+                Some(b) => b.shared(i),
+                None => {
+                    let wave = self.net_wave(i, slot, prev, new, faults, &raw_init, &pass.waves);
+                    debug_assert_eq!(wave.initial, obs_init[i], "net {i}");
+                    match base {
+                        // The cone reconverged: downstream nets see the base
+                        // waveform, so they need not recompute because of
+                        // net `i`.
+                        Some(b) if wave == *b.waves[i] => b.shared(i),
+                        _ => {
+                            dirty[i] = true;
+                            let stats = scan_wave(&wave, mask);
+                            (Arc::new(wave), Arc::new(stats))
+                        }
+                    }
+                }
+            };
+            pass.word_steps += wave.steps.len() as u64;
+            pass.lane_transitions += stats.transitions;
+            for &(t, word) in &stats.retire {
+                word.for_each_lane(|l| {
+                    let s = &mut pass.settle[l as usize];
+                    *s = (*s).max(t);
+                });
+            }
+            pass.waves.push(Some(wave));
+            match retain {
+                Retain::All => pass.net_stats.push(stats),
+                Retain::Bus(on_bus) => {
+                    // Release every waveform whose last reader was this net
+                    // (a fanin, or the net itself when nothing reads it),
+                    // unless the bus needs it.
+                    for f in self.fanins(i).chain([i]) {
+                        if self.last_use[f] as usize == i && !on_bus[f] {
+                            pass.waves[f] = None;
+                        }
+                    }
+                }
+            }
+        }
+        crate::obs::with_observer(|o| {
+            o.batch_run(u64::from(lanes), pass.word_steps, pass.lane_transitions);
+        });
+        Ok(pass)
+    }
+}
+
+/// What the settling loop keeps of the waveforms it produces.
+#[derive(Clone, Copy)]
+enum Retain<'a> {
+    /// Every waveform and its scan products: a full [`LaneSimResult`].
+    All,
+    /// Only the nets flagged here; every other waveform is dropped once its
+    /// last consumer has been evaluated.
+    Bus(&'a [bool]),
+}
+
+/// One settling pass: the waveforms it kept (`None` once released), the
+/// per-net scan products of a [`Retain::All`] pass, and the folded
+/// counters and per-lane settle times.
+struct Settled<B: LaneWord> {
+    lanes: u32,
+    waves: Vec<Option<Arc<Wave<B>>>>,
+    net_stats: Vec<Arc<NetStats<B>>>,
+    settle: Vec<u64>,
+    word_steps: u64,
+    lane_transitions: u64,
+}
+
+impl<B: LaneWord> Settled<B> {
+    /// Assembles the full result of a [`Retain::All`] pass.
+    fn into_result(
+        self,
+        prev: &LaneInputs<B>,
+        new: &LaneInputs<B>,
+        faults: Option<&LaneFaultSet<B>>,
+    ) -> LaneSimResult<B> {
+        LaneSimResult {
+            lanes: self.lanes,
+            waves: self
+                .waves
+                .into_iter()
+                .map(|w| w.expect("a full pass keeps every waveform"))
+                .collect(),
+            net_stats: self.net_stats,
+            settle: self.settle,
+            word_steps: self.word_steps,
+            lane_transitions: self.lane_transitions,
+            prev_words: prev.words.clone(),
+            new_words: new.words.clone(),
+            faults: faults.cloned(),
+        }
     }
 }
 
@@ -762,67 +932,6 @@ fn scan_wave<B: LaneWord>(w: &Wave<B>, mask: B) -> NetStats<B> {
         }
     }
     NetStats { transitions, retire }
-}
-
-/// Derives the per-lane settle times and work counters from a finished
-/// wave set and assembles the result (shared by the full and incremental
-/// paths so both stay bit-identical, counters included).
-fn finish_run<B: LaneWord>(
-    lanes: u32,
-    waves: Vec<Arc<Wave<B>>>,
-    prev: &LaneInputs<B>,
-    new: &LaneInputs<B>,
-    faults: Option<&LaneFaultSet<B>>,
-    base: Option<&LaneSimResult<B>>,
-) -> LaneSimResult<B> {
-    // Per-lane settle times and transition counts (active lanes only: the
-    // mask keeps unused high lanes out of every reduction, so garbage in
-    // inactive lanes of an inverter's output can never leak into settle
-    // times, transition counts, or anything derived from them).
-    //
-    // The forward pass only counts transitions (word ops, no per-lane
-    // work). Settle times come from a backward pass per wave: a lane's
-    // contribution is its *last* transition in that wave, so scanning
-    // from the end and retiring each lane at its first hit touches every
-    // lane at most once per net — glitchy waves would otherwise make the
-    // per-lane update the hottest loop in the engine by a wide margin.
-    let mask = B::active_mask(lanes);
-    let mut settle = vec![0u64; lanes as usize];
-    let mut word_steps = 0u64;
-    let mut lane_transitions = 0u64;
-    let mut net_stats: Vec<Arc<NetStats<B>>> = Vec::with_capacity(waves.len());
-    for (i, w) in waves.iter().enumerate() {
-        word_steps += w.steps.len() as u64;
-        // An incremental rerun's clean nets share the base waveform by
-        // pointer; their cached scan products are valid verbatim (the
-        // active mask is identical — lane counts are checked upfront).
-        let stats = match base {
-            Some(b) if Arc::ptr_eq(w, &b.waves[i]) => Arc::clone(&b.net_stats[i]),
-            _ => Arc::new(scan_wave(w, mask)),
-        };
-        lane_transitions += stats.transitions;
-        for &(t, word) in &stats.retire {
-            word.for_each_lane(|l| {
-                if settle[l as usize] < t {
-                    settle[l as usize] = t;
-                }
-            });
-        }
-        net_stats.push(stats);
-    }
-
-    crate::obs::with_observer(|o| o.batch_run(u64::from(lanes), word_steps, lane_transitions));
-    LaneSimResult {
-        lanes,
-        waves,
-        net_stats,
-        settle,
-        word_steps,
-        lane_transitions,
-        prev_words: prev.words.clone(),
-        new_words: new.words.clone(),
-        faults: faults.cloned(),
-    }
 }
 
 #[cfg(test)]
@@ -1068,6 +1177,10 @@ mod tests {
             prog.run_with_faults(&ok, &ok, &alien).unwrap_err(),
             BatchError::InvalidFault(NetlistError::NetOutOfRange { .. })
         ));
+        assert_eq!(
+            prog.run_bus(&ok, &ok, &[nl.net(0), NetId::from_index(99)], None).unwrap_err(),
+            BatchError::InvalidBus(NetlistError::NetOutOfRange { index: 99, len: nl.len() })
+        );
     }
 
     #[test]
@@ -1085,6 +1198,10 @@ mod tests {
         // Cancelled token: typed error from both entry points.
         tok.cancel();
         assert_eq!(prog.run_cancellable(&b, &b, &tok).unwrap_err(), BatchError::Cancelled);
+        assert_eq!(
+            prog.run_bus(&b, &b, nl.output("z"), Some(&tok)).unwrap_err(),
+            BatchError::Cancelled
+        );
         let fs = BatchFaultSet::compile(&[], nl.len()).unwrap();
         assert_eq!(
             prog.run_with_faults_cancellable(&b, &b, &fs, &tok).unwrap_err(),

@@ -8,9 +8,10 @@
 //!
 //! 1. [`BatchProgram::compile`] flattens a [`Netlist`](crate::Netlist)
 //!    once into a levelized struct-of-arrays program, sampling each gate's
-//!    delay from a [batch-exact](crate::DelayModel::batch_exact) model.
-//!    Programs serialize deterministically ([`BatchProgram::to_bytes`]),
-//!    so callers can memoize compiles keyed by a netlist digest;
+//!    delay from the [`DelayModel`](crate::DelayModel) once and recording
+//!    each net's last consumer. Programs serialize deterministically
+//!    ([`BatchProgram::to_bytes`]), so callers can memoize compiles keyed
+//!    by a netlist digest;
 //! 2. [`BatchProgram::run`] evaluates **one lane word of input vectors at
 //!    once**, one bit-lane per vector ([`LaneInputs`]). The word type is
 //!    any [`LaneWord`]: `u64` ([`BatchInputs`]) runs 64 lanes,
@@ -21,7 +22,11 @@
 //! 3. [`LaneSimResult::bus_waves`] + [`LaneBusWaves::sweep`] sample the
 //!    flip-flop-captured value of an output bus for an *entire* `Ts` grid
 //!    from the same run ([`LaneBusWaves::try_sweep`] also rejects grids
-//!    that would double-count an observation time);
+//!    that would double-count an observation time).
+//!    [`BatchProgram::run_bus`] is the streaming form for sweeps: it keeps
+//!    only the bus's waveforms, dropping every other net's after its last
+//!    consumer, so a pass holds the live frontier plus the bus
+//!    ([`LaneBusResult`]);
 //! 4. [`BatchProgram::run_with_faults`] additionally diverges lanes at
 //!    [`FaultPlan`](crate::FaultPlan) sites ([`BatchFaultSet`],
 //!    [`WideFaultSet`]), so a whole lane word of *different* fault
@@ -34,11 +39,10 @@
 //! Exactness is the point, not an approximation: under transport-delay
 //! semantics with per-gate constant delays, `out(t + d) = f(inputs(t))`,
 //! so the batch waveforms are bit-identical per lane to the event-driven
-//! simulator's (property-tested in `tests/proptest_netlist.rs`). Models
-//! that emulate per-run place-and-route variation
-//! ([`JitteredDelay`](crate::JitteredDelay)) decline compilation with
-//! [`BatchError::DelayNotBatchExact`](crate::BatchError::DelayNotBatchExact),
-//! and callers transparently fall back to the event engine.
+//! simulator's (property-tested in `tests/proptest_netlist.rs`). That holds
+//! for every delay model, since each is a pure per-gate function:
+//! [`JitteredDelay`](crate::JitteredDelay) depends on `(seed, net)` only,
+//! so one placement compiles to one exact program.
 //!
 //! # Example
 //!
@@ -71,7 +75,7 @@ mod sampler;
 mod wave;
 
 pub use block::{LaneBlock, LaneWord};
-pub use engine::{BatchSimResult, LaneSimResult, WideSimResult};
+pub use engine::{BatchSimResult, LaneBusResult, LaneSimResult, WideSimResult};
 pub use fault::{BatchFaultSet, LaneFaultSet, WideFaultSet};
 pub use program::{BatchInputs, BatchProgram, LaneInputs, WideInputs};
 pub use sampler::{BatchBusWaves, LaneBusWaves, LaneTsSweep, TsSweep, WideBusWaves, WideTsSweep};

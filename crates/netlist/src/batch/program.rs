@@ -2,7 +2,7 @@
 //!
 //! [`BatchProgram::compile`] freezes three things once, ahead of any number
 //! of simulation runs: the gate structure in struct-of-arrays form, the
-//! per-gate delays sampled from a batch-exact [`DelayModel`], and the
+//! per-gate delays sampled from the [`DelayModel`], and the
 //! topological levelization (validated so a single forward pass in net-id
 //! order is a correct evaluation order, and exposed as per-net levels plus
 //! a depth statistic). [`LaneInputs`] packs input vectors into lane words:
@@ -22,9 +22,9 @@ use crate::{BatchError, DelayModel, GateKind, NetId, Netlist};
 /// bit-parallel batch engine.
 ///
 /// Compilation is the expensive-once part of batch simulation: it samples
-/// every gate's delay from the [`DelayModel`] exactly once (which is why
-/// the model must be [batch-exact](DelayModel::batch_exact)), verifies the
-/// netlist is a DAG in net-id order, and computes the levelization. The
+/// every gate's delay from the [`DelayModel`] exactly once (models are
+/// deterministic per gate, so the program is exact for its model), verifies
+/// the netlist is a DAG in net-id order, and computes the levelization. The
 /// program borrows nothing, so one compile can be shared across threads and
 /// reused for any number of [`run`](BatchProgram::run) /
 /// [`run_with_faults`](BatchProgram::run_with_faults) calls — at any lane
@@ -44,6 +44,11 @@ pub struct BatchProgram {
     /// Topological level of each net (inputs/constants are 0, a gate is one
     /// more than its deepest fanin).
     pub(crate) levels: Vec<u32>,
+    /// Each net's last consumer: the highest-numbered gate that reads it,
+    /// or the net itself when none does. The bus-only pass
+    /// ([`BatchProgram::run_bus`]) drops a waveform once this net has been
+    /// evaluated. Derived from the fanin arrays, never serialized.
+    pub(crate) last_use: Vec<u32>,
     depth: u32,
 }
 
@@ -55,20 +60,13 @@ impl BatchProgram {
     ///
     /// # Errors
     ///
-    /// * [`BatchError::DelayNotBatchExact`] if the delay model declines
-    ///   batch compilation (e.g. [`JitteredDelay`](crate::JitteredDelay)
-    ///   emulating per-run place-and-route variation) — fall back to the
-    ///   event-driven simulator;
-    /// * [`BatchError::TopologyBroken`] if the netlist is not topologically
-    ///   ordered (a combinational cycle was created via
-    ///   [`Netlist::rewire_input`]).
+    /// [`BatchError::TopologyBroken`] if the netlist is not topologically
+    /// ordered (a combinational cycle was created via
+    /// [`Netlist::rewire_input`]).
     pub fn compile<M: DelayModel + ?Sized>(
         netlist: &Netlist,
         delay: &M,
     ) -> Result<BatchProgram, BatchError> {
-        if !delay.batch_exact() {
-            return Err(BatchError::DelayNotBatchExact);
-        }
         let n = netlist.len();
         let mut kinds = Vec::with_capacity(n);
         let mut in0 = vec![0u32; n];
@@ -109,7 +107,45 @@ impl BatchProgram {
 
         let input_nets = netlist.inputs().iter().map(|id| id.0).collect();
         crate::obs::with_observer(|o| o.batch_compile(n as u64, u64::from(depth) + 1));
-        Ok(BatchProgram { kinds, in0, in1, in2, delays, const_ones, input_nets, levels, depth })
+        let mut program = BatchProgram {
+            kinds,
+            in0,
+            in1,
+            in2,
+            delays,
+            const_ones,
+            input_nets,
+            levels,
+            last_use: Vec::new(),
+            depth,
+        };
+        program.last_use = program.last_consumers();
+        Ok(program)
+    }
+
+    /// The fanin nets of net `i` in slot order — none for inputs and
+    /// constants (the unused slots of the fanin arrays hold net 0).
+    pub(crate) fn fanins(&self, i: usize) -> impl Iterator<Item = usize> {
+        let arity = match self.kinds[i] {
+            GateKind::Input | GateKind::Const => 0,
+            GateKind::Not => 1,
+            GateKind::Mux => 3,
+            _ => 2,
+        };
+        [self.in0[i], self.in1[i], self.in2[i]].into_iter().take(arity).map(|f| f as usize)
+    }
+
+    /// Each net's last consumer (see [`BatchProgram::last_use`]).
+    fn last_consumers(&self) -> Vec<u32> {
+        let mut last: Vec<u32> = (0..self.num_nets() as u32).collect();
+        for i in 0..self.num_nets() {
+            for f in self.fanins(i) {
+                // Nets are visited in increasing order, so the final write
+                // is the highest-numbered reader.
+                last[f] = i as u32;
+            }
+        }
+        last
     }
 
     /// Number of nets in the compiled netlist.
@@ -240,7 +276,20 @@ impl BatchProgram {
         if !rest.is_empty() {
             return Err(fail("trailing bytes"));
         }
-        Ok(BatchProgram { kinds, in0, in1, in2, delays, const_ones, input_nets, levels, depth })
+        let mut program = BatchProgram {
+            kinds,
+            in0,
+            in1,
+            in2,
+            delays,
+            const_ones,
+            input_nets,
+            levels,
+            last_use: Vec::new(),
+            depth,
+        };
+        program.last_use = program.last_consumers();
+        Ok(program)
     }
 }
 
@@ -371,13 +420,19 @@ mod tests {
         assert_eq!(p.logic_gate_count(), 2);
         assert_eq!(p.delays[2], FpgaDelay::default().two_input);
         assert_eq!(p.delays[3], FpgaDelay::default().not);
+        // a and b are last read by the XOR; the XOR by the NOT, which
+        // nothing reads.
+        assert_eq!(p.last_use, vec![2, 2, 3, 3]);
     }
 
     #[test]
-    fn jittered_models_are_rejected() {
+    fn jittered_models_compile_their_per_gate_delays() {
         let nl = chain();
-        let err = BatchProgram::compile(&nl, &JitteredDelay::new(UnitDelay, 10, 1)).unwrap_err();
-        assert_eq!(err, BatchError::DelayNotBatchExact);
+        let jitter = JitteredDelay::new(UnitDelay, 10, 1);
+        let p = BatchProgram::compile(&nl, &jitter).unwrap();
+        for net in nl.nets() {
+            assert_eq!(p.delays[net.index()], jitter.gate_delay(nl.kind(net), net));
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::{BatchError, NetId, NetlistError};
 /// One output bus's lane waveforms, detached from the simulation result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneBusWaves<B: LaneWord = u64> {
-    lanes: u32,
-    waves: Vec<crate::batch::Wave<B>>,
+    pub(crate) lanes: u32,
+    pub(crate) waves: Vec<crate::batch::Wave<B>>,
 }
 
 /// The legacy 64-lane bus view.

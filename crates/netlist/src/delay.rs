@@ -5,24 +5,23 @@
 //! *normalized* frequency, so only ratios matter. The jittered model stands
 //! in for place-and-route variation on the FPGA: per-gate deterministic
 //! pseudo-random offsets derived from a seed, so runs are reproducible.
+//!
+//! Every model is a pure function of the gate — the jittered one of
+//! `(seed, net)` on top of its inner model — so the batch compiler
+//! ([`crate::batch::BatchProgram::compile`]) samples each delay once and
+//! bakes it into a program that is exact for that model. A jittered model
+//! compiles to one program per placement (amplitude and seed), which its
+//! [`DelayModel::cache_key`] names.
 
 use crate::{GateKind, NetId};
 
 /// Maps each gate instance to a propagation delay in time units.
+///
+/// A model must be deterministic: the same `(kind, net)` always gets the
+/// same delay. That is what lets the batch compiler sample each gate once.
 pub trait DelayModel {
     /// Delay of the gate driving `net`. Inputs and constants must be 0.
     fn gate_delay(&self, kind: GateKind, net: NetId) -> u64;
-
-    /// True if this model is a pure per-gate function that the batch
-    /// compiler ([`crate::batch::BatchProgram::compile`]) may sample once
-    /// per gate and bake into a flat program. Models that emulate
-    /// place-and-route variation ([`JitteredDelay`]) return `false`, which
-    /// makes batch compilation fail with
-    /// [`BatchError::DelayNotBatchExact`](crate::BatchError::DelayNotBatchExact)
-    /// so callers transparently fall back to the event-driven engine.
-    fn batch_exact(&self) -> bool {
-        true
-    }
 
     /// A string that, combined with a netlist digest, uniquely identifies
     /// the batch program this model compiles to — the memoization key
@@ -37,10 +36,6 @@ pub trait DelayModel {
 impl<M: DelayModel + ?Sized> DelayModel for &M {
     fn gate_delay(&self, kind: GateKind, net: NetId) -> u64 {
         (**self).gate_delay(kind, net)
-    }
-
-    fn batch_exact(&self) -> bool {
-        (**self).batch_exact()
     }
 
     fn cache_key(&self) -> Option<String> {
@@ -109,7 +104,8 @@ impl DelayModel for FpgaDelay {
 ///
 /// This emulates routing-induced delay variation after place-and-route: two
 /// structurally identical gates sit on different fabric paths. The offset
-/// depends only on `(seed, net)`, so experiments are reproducible.
+/// depends only on `(seed, net)`, so experiments are reproducible and one
+/// `(amplitude, seed)` placement compiles to one batch program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JitteredDelay<M> {
     inner: M,
@@ -132,13 +128,6 @@ impl<M: DelayModel> JitteredDelay<M> {
 }
 
 impl<M: DelayModel> DelayModel for JitteredDelay<M> {
-    /// Jitter stands in for fresh place-and-route variation, so batch
-    /// programs must not bake it in: jittered configs take the event-driven
-    /// path (see [`DelayModel::batch_exact`]).
-    fn batch_exact(&self) -> bool {
-        false
-    }
-
     fn gate_delay(&self, kind: GateKind, net: NetId) -> u64 {
         let base = self.inner.gate_delay(kind, net);
         if base == 0 || self.amplitude == 0 {
@@ -149,6 +138,11 @@ impl<M: DelayModel> DelayModel for JitteredDelay<M> {
         let offset = (h % span) as i64 - self.amplitude as i64;
         let jittered = base as i64 + offset;
         jittered.max(1) as u64
+    }
+
+    fn cache_key(&self) -> Option<String> {
+        let inner = self.inner.cache_key()?;
+        Some(format!("jitter/{}/{}/{inner}", self.amplitude, self.seed))
     }
 }
 
@@ -217,15 +211,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_distinguish_models_and_jitter_opts_out() {
+    fn cache_keys_distinguish_models_and_placements() {
         assert_eq!(UnitDelay.cache_key().unwrap(), "unit/100");
         let fpga = FpgaDelay::default();
         assert_ne!(fpga.cache_key(), UnitDelay.cache_key());
         let slow = FpgaDelay { two_input: 200, ..fpga };
         assert_ne!(slow.cache_key(), fpga.cache_key());
-        // Jitter emulates per-run variation; memoizing it would be unsound.
-        assert_eq!(JitteredDelay::new(UnitDelay, 1, 1).cache_key(), None);
+        // One program per placement: the key names amplitude, seed and the
+        // inner model, and changing any of them changes the key.
+        let placed = JitteredDelay::new(UnitDelay, 15, 2014);
+        assert_eq!(placed.cache_key().unwrap(), "jitter/15/2014/unit/100");
+        for other in [
+            JitteredDelay::new(UnitDelay, 15, 2015).cache_key(),
+            JitteredDelay::new(UnitDelay, 16, 2014).cache_key(),
+            JitteredDelay::new(fpga, 15, 2014).cache_key(),
+        ] {
+            assert_ne!(other, placed.cache_key());
+        }
+        // An inner model without a key leaves the jittered one without one.
+        struct Unkeyed;
+        impl DelayModel for Unkeyed {
+            fn gate_delay(&self, _kind: GateKind, _net: NetId) -> u64 {
+                1
+            }
+        }
+        assert_eq!(JitteredDelay::new(Unkeyed, 15, 2014).cache_key(), None);
         // The blanket &M impl forwards.
-        assert_eq!(UnitDelay.cache_key().unwrap(), "unit/100");
+        let by_ref = <&JitteredDelay<UnitDelay> as DelayModel>::cache_key(&&placed);
+        assert_eq!(by_ref, placed.cache_key());
     }
 }

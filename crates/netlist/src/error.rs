@@ -187,10 +187,6 @@ impl std::error::Error for StaError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BatchError {
-    /// The delay model declined batch compilation
-    /// ([`DelayModel::batch_exact`](crate::DelayModel::batch_exact)
-    /// returned `false`) — e.g. a jittered place-and-route emulation.
-    DelayNotBatchExact,
     /// The netlist is not topologically ordered (a combinational cycle was
     /// created via [`Netlist::rewire_input`](crate::Netlist::rewire_input)),
     /// so a single levelized pass cannot evaluate it.
@@ -224,6 +220,10 @@ pub enum BatchError {
     /// A fault plan references nets outside the compiled netlist, or a
     /// fault set was compiled against a different netlist.
     InvalidFault(NetlistError),
+    /// A bus handed to
+    /// [`BatchProgram::run_bus`](crate::batch::BatchProgram::run_bus)
+    /// names a net outside the compiled netlist.
+    InvalidBus(NetlistError),
     /// The run's [`CancelToken`](crate::CancelToken) was cancelled before
     /// the settling pass finished.
     Cancelled,
@@ -257,11 +257,6 @@ pub enum BatchError {
 impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BatchError::DelayNotBatchExact => write!(
-                f,
-                "delay model is not batch-exact (per-run variation); \
-                 use the event-driven simulator"
-            ),
             BatchError::TopologyBroken { net } => write!(
                 f,
                 "netlist is not topologically ordered at gate {net:?}: \
@@ -277,6 +272,7 @@ impl fmt::Display for BatchError {
                 write!(f, "previous inputs carry {prev} lanes but new inputs carry {new}")
             }
             BatchError::InvalidFault(e) => write!(f, "invalid batch fault set: {e}"),
+            BatchError::InvalidBus(e) => write!(f, "invalid batch output bus: {e}"),
             BatchError::Cancelled => write!(f, "batch simulation cancelled"),
             BatchError::MalformedProgram { reason } => {
                 write!(f, "malformed batch program bytes: {reason}")
@@ -296,7 +292,7 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            BatchError::InvalidFault(e) => Some(e),
+            BatchError::InvalidFault(e) | BatchError::InvalidBus(e) => Some(e),
             _ => None,
         }
     }

@@ -25,7 +25,7 @@
 //!   hanging;
 //! * [`batch`] — the levelized bit-parallel batch engine: 64 input vectors
 //!   (and 64 per-lane fault plans) per pass, with multi-`Ts` sampling,
-//!   bit-identical per lane to [`simulate`] for batch-exact delay models;
+//!   bit-identical per lane to [`simulate`] under every delay model;
 //! * [`area::estimate`] — greedy LUT covering for Table-4-style area
 //!   comparisons;
 //! * [`obs`] — coarse, deterministic observability hooks

@@ -3,8 +3,8 @@
 //!
 //! `BatchProgram::run_incremental` promises bit-identity with a full
 //! pass for *any* stimulus/fault delta against *any* base run. These
-//! tests drive that promise over random netlists, random batch-exact
-//! delay models, and random dirty sets (lane-sparse input flips,
+//! tests drive that promise over random netlists, random delay models
+//! (jittered placements included), and random dirty sets (lane-sparse input flips,
 //! added/removed fault plans, and the no-op delta), at both the legacy
 //! 64-lane word and the multi-word 128-lane block. A final block pins
 //! the memoization contract: a program decoded from its own byte image
@@ -15,7 +15,7 @@
 use ola_netlist::batch::{
     BatchProgram, LaneBlock, LaneFaultSet, LaneInputs, LaneSimResult, LaneWord,
 };
-use ola_netlist::{DelayModel, FaultPlan, FpgaDelay, NetId, Netlist, UnitDelay};
+use ola_netlist::{DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay};
 use proptest::prelude::*;
 
 /// A recipe for one random gate: (kind selector, input selectors).
@@ -52,12 +52,15 @@ fn recipes() -> impl Strategy<Value = Vec<GateRecipe>> {
     prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 1..60)
 }
 
+/// Uniform, per-gate-type and jittered (per-gate) delay models.
 fn delay_model(sel: u8) -> Box<dyn DelayModel> {
-    match sel % 4 {
+    match sel % 6 {
         0 => Box::new(UnitDelay),
         1 => Box::new(FpgaDelay::default()),
         2 => Box::new(FpgaDelay { not: 7, two_input: 120, mux: 35 }),
-        _ => Box::new(FpgaDelay { not: 1, two_input: 1, mux: 1 }),
+        3 => Box::new(FpgaDelay { not: 1, two_input: 1, mux: 1 }),
+        4 => Box::new(JitteredDelay::new(FpgaDelay::default(), 15, 2014)),
+        _ => Box::new(JitteredDelay::new(FpgaDelay::default(), 40, 7)),
     }
 }
 
@@ -176,7 +179,7 @@ proptest! {
     #[test]
     fn incremental_matches_full_u64(
         rs in recipes(),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
         base_lanes in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=16),
         flips in prop::collection::vec((any::<u8>(), any::<u32>()), 0..6),
         base_faults in fault_specs(4),
@@ -190,7 +193,7 @@ proptest! {
     #[test]
     fn incremental_matches_full_multiword(
         rs in recipes(),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
         base_lanes in prop::collection::vec((any::<u32>(), any::<u32>()), 60..=80),
         flips in prop::collection::vec((any::<u8>(), any::<u32>()), 0..6),
         base_faults in fault_specs(3),
@@ -207,7 +210,7 @@ proptest! {
     #[test]
     fn decoded_program_replays_bit_identically(
         rs in recipes(),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
         lane_bits in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=16),
     ) {
         let nl = build_random_netlist(&rs);

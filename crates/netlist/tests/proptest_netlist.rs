@@ -4,15 +4,20 @@
 //! be consistent with the recorded waveforms.
 //!
 //! The second block pins the batch (bit-parallel) engine to the
-//! event-driven ground truth: on random netlists under deterministic and
-//! per-gate-type delay models, every lane's waveform, every `Ts`-grid
-//! sample, and every per-lane fault scenario must be bit-identical to a
-//! one-vector event-driven run.
+//! event-driven ground truth: on random netlists under uniform, per-gate-type
+//! and jittered (per-gate) delay models, every lane's waveform, every
+//! `Ts`-grid sample, and every per-lane fault scenario must be bit-identical
+//! to a one-vector event-driven run; and the bus-only streaming pass must
+//! report exactly what a full pass does.
 
-use ola_netlist::batch::{BatchFaultSet, BatchInputs, BatchProgram};
+#![allow(clippy::unwrap_used)]
+
+use ola_netlist::batch::{
+    BatchFaultSet, BatchInputs, BatchProgram, LaneBlock, LaneInputs, LaneWord,
+};
 use ola_netlist::{
-    analyze, area, default_event_budget, simulate, simulate_from_zero_with_faults, DelayModel,
-    FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay,
+    analyze, area, default_event_budget, simulate, simulate_from_zero_with_faults, BatchError,
+    CancelToken, DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay,
 };
 use proptest::prelude::*;
 
@@ -95,7 +100,7 @@ proptest! {
         rs in recipes(),
         prev_bits in any::<u32>(),
         next_bits in any::<u32>(),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
         jitter in 0u64..40,
     ) {
         let inputs = 6;
@@ -103,8 +108,8 @@ proptest! {
         let base = delay_model(delay_sel);
         let prev: Vec<bool> = (0..inputs).map(|i| prev_bits >> i & 1 == 1).collect();
         let next: Vec<bool> = (0..inputs).map(|i| next_bits >> i & 1 == 1).collect();
-        // Batch-exact base model and its jittered (event-only) wrap: both
-        // are deterministic per-net functions, so STA covers both.
+        // A random model and a jittered wrap of the unit model: both are
+        // deterministic per-net functions, so STA covers both.
         let jittered = JitteredDelay::new(UnitDelay, jitter, delay_sel as u64 + 1);
         let models: [&dyn DelayModel; 2] = [base.as_ref(), &jittered];
         for delay in models {
@@ -197,19 +202,67 @@ proptest! {
     }
 }
 
-/// A randomly selected batch-exact delay model: uniform, the FPGA table,
-/// and two skewed per-gate-type tables (including an all-ones corner).
+/// A randomly selected delay model: uniform, the FPGA table, two skewed
+/// per-gate-type tables (including an all-ones corner), and two jittered
+/// placements whose delays differ gate by gate — the second with an
+/// amplitude above the inverter delay, so the clamp to 1 is exercised.
 fn delay_model(sel: u8) -> Box<dyn DelayModel> {
-    match sel % 4 {
+    match sel % 6 {
         0 => Box::new(UnitDelay),
         1 => Box::new(FpgaDelay::default()),
         2 => Box::new(FpgaDelay { not: 7, two_input: 120, mux: 35 }),
-        _ => Box::new(FpgaDelay { not: 1, two_input: 1, mux: 1 }),
+        3 => Box::new(FpgaDelay { not: 1, two_input: 1, mux: 1 }),
+        4 => Box::new(JitteredDelay::new(FpgaDelay::default(), 15, 2014)),
+        _ => Box::new(JitteredDelay::new(FpgaDelay::default(), 40, 7)),
     }
 }
 
 fn unpack(bits: u32, shift: u32, width: usize) -> Vec<bool> {
     (0..width).map(|i| bits >> (shift + i as u32) & 1 == 1).collect()
+}
+
+/// `lanes` random input vectors of `width` bits drawn from `seed`.
+fn random_vectors(lanes: usize, width: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut x = seed;
+    (0..lanes)
+        .map(|_| {
+            (0..width)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    x >> 63 == 1
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs the bus-only pass and a full pass at lane word `B` and asserts
+/// they agree on everything the bus-only pass reports; a cancelled token
+/// must stop the bus-only pass with a typed error.
+fn bus_pass_matches_full<B: LaneWord>(
+    prog: &BatchProgram,
+    prev_vecs: &[Vec<bool>],
+    new_vecs: &[Vec<bool>],
+    bus: &[NetId],
+) -> Result<(), TestCaseError> {
+    let prev = LaneInputs::<B>::pack(prev_vecs).unwrap();
+    let new = LaneInputs::<B>::pack(new_vecs).unwrap();
+    let full = prog.run(&prev, &new).unwrap();
+    let streamed = prog.run_bus(&prev, &new, bus, None).unwrap();
+    let want = full.bus_waves(bus).unwrap();
+    prop_assert_eq!(streamed.bus(), &want);
+    prop_assert_eq!(streamed.settle_times(), full.settle_times());
+    prop_assert_eq!(streamed.word_steps(), full.word_steps());
+    prop_assert_eq!(streamed.lane_transitions(), full.lane_transitions());
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    prop_assert_eq!(
+        prog.run_bus(&prev, &new, bus, Some(&cancelled)).unwrap_err(),
+        BatchError::Cancelled
+    );
+    Ok(())
 }
 
 proptest! {
@@ -222,7 +275,7 @@ proptest! {
     fn batch_lanes_match_event_waveforms(
         rs in recipes(),
         lane_bits in prop::collection::vec(any::<u32>(), 1..=64),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
     ) {
         let inputs = 6;
         let nl = build_random_netlist(inputs, &rs);
@@ -259,7 +312,7 @@ proptest! {
         lane_bits in prop::collection::vec(any::<u32>(), 1..=16),
         mut grid in prop::collection::vec(0u64..4_000, 1..12),
         ascending in any::<bool>(),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
     ) {
         let inputs = 6;
         let nl = build_random_netlist(inputs, &rs);
@@ -305,7 +358,7 @@ proptest! {
             ),
             1..8,
         ),
-        delay_sel in 0u8..4,
+        delay_sel in 0u8..6,
     ) {
         let inputs = 6;
         let nl = build_random_netlist(inputs, &rs);
@@ -361,13 +414,48 @@ proptest! {
         }
     }
 
-    /// Jittered delay models decline batch compilation — the documented
-    /// fallback contract callers rely on.
+    /// A jittered model compiles like any other, to one deterministic
+    /// program per placement, keyed by amplitude, seed and inner model.
     #[test]
-    fn jittered_models_always_decline_batch(rs in recipes(), amp in 1u64..50, seed in any::<u64>()) {
+    fn jittered_models_compile_one_program_per_placement(
+        rs in recipes(),
+        amp in 1u64..50,
+        seed in any::<u64>(),
+    ) {
         let nl = build_random_netlist(6, &rs);
         let delay = JitteredDelay::new(UnitDelay, amp, seed);
-        prop_assert!(!delay.batch_exact());
-        prop_assert!(BatchProgram::compile(&nl, &delay).is_err());
+        let prog = BatchProgram::compile(&nl, &delay).unwrap();
+        prop_assert_eq!(BatchProgram::compile(&nl, &delay).unwrap().to_bytes(), prog.to_bytes());
+        prop_assert_eq!(delay.cache_key(), Some(format!("jitter/{amp}/{seed}/unit/100")));
+        prop_assert_ne!(JitteredDelay::new(UnitDelay, amp, seed ^ 1).cache_key(), delay.cache_key());
+        prop_assert_ne!(JitteredDelay::new(UnitDelay, amp + 1, seed).cache_key(), delay.cache_key());
+    }
+
+    /// The bus-only streaming pass reports for its bus exactly what a full
+    /// pass does — waveforms, per-lane settle times, word steps and lane
+    /// transitions — on random netlists and delay models, at 1..=64 lanes
+    /// on `u64` words and 1..=256 on `LaneBlock<4>` blocks, for buses that
+    /// mix an input, a constant, interior and fanout-free nets.
+    #[test]
+    fn bus_only_pass_matches_full_run(
+        rs in recipes(),
+        lanes in 1usize..=256,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<u16>(), 0..10),
+        delay_sel in 0u8..6,
+    ) {
+        let inputs = 6;
+        let mut nl = build_random_netlist(inputs, &rs);
+        let one = nl.constant(true);
+        let nets: Vec<NetId> = nl.nets().collect();
+        let mut bus = vec![nl.inputs()[0], one];
+        bus.extend_from_slice(nl.output("z"));
+        bus.extend(picks.iter().map(|&p| nets[p as usize % nets.len()]));
+        let prog = BatchProgram::compile(&nl, delay_model(delay_sel).as_ref()).unwrap();
+        let prev_vecs = random_vectors(lanes, inputs, seed);
+        let new_vecs = random_vectors(lanes, inputs, !seed);
+        let narrow = lanes.min(64);
+        bus_pass_matches_full::<u64>(&prog, &prev_vecs[..narrow], &new_vecs[..narrow], &bus)?;
+        bus_pass_matches_full::<LaneBlock<4>>(&prog, &prev_vecs, &new_vecs, &bus)?;
     }
 }
