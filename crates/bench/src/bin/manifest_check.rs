@@ -4,7 +4,7 @@
 //! command line), this checks that:
 //!
 //! * the document parses as JSON and carries the expected
-//!   [`SCHEMA`](ola_core::obs::SCHEMA) identifier,
+//!   [`ola_core::obs::SCHEMA`] identifier,
 //! * the full top-level field set is present (golden schema),
 //! * every listed output file still exists, has the recorded size, and
 //!   re-hashes to the recorded SHA-256.

@@ -127,22 +127,11 @@ impl fmt::Display for StaGate {
     }
 }
 
-/// Lane words per batch pass, resolved once from `OLA_LANE_WORDS`.
-///
-/// `1` selects the legacy 64-lane single-word engine, `2`/`8` the narrower
-/// and wider multi-word blocks; anything else (including unset) selects the
-/// default 4-word / 256-lane engine. Lane width never changes *results* —
-/// samples fold in sample order inside fixed 256-sample chunks regardless
-/// of how many lanes one engine pass carries — only throughput.
-pub(crate) fn lane_words() -> usize {
-    static WORDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORDS.get_or_init(|| match std::env::var("OLA_LANE_WORDS").as_deref() {
-        Ok("1") => 1,
-        Ok("2") => 2,
-        Ok("8") => 8,
-        _ => 4,
-    })
-}
+/// The lane word every batch pass in this crate runs on: four 64-bit
+/// words, 256 lanes per pass. Lane width never changes *results* —
+/// samples fold in sample order inside fixed-size chunks — only
+/// throughput.
+pub(crate) type BatchLanes = ola_netlist::batch::LaneBlock<4>;
 
 /// Cheap observability counters for one experiment's simulation work.
 ///
@@ -239,7 +228,7 @@ impl BackendStats {
     }
 
     /// Publishes these counters into the global metrics registry
-    /// ([`crate::obs::registry`]) under `ola.backend.*`.
+    /// ([`crate::obs::registry()`]) under `ola.backend.*`.
     ///
     /// This is the compatibility shim between the per-experiment
     /// `BackendStats` blocks (still returned by value and printed by

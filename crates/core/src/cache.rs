@@ -26,7 +26,7 @@
 //!   `<dir>/<key>.entry` holds the payload digest on its first line and
 //!   the payload after it, written atomically.
 //!
-//! Metrics (process-global [`crate::obs::registry`], `ola.cache.*`):
+//! Metrics (process-global [`crate::obs::registry()`], `ola.cache.*`):
 //! `hits`, `misses`, `fills`, `coalesced`, `evictions`, `disk_hits`,
 //! `tamper_rejected`. These are *operational* counters — unlike the
 //! simulation-domain metrics they depend on request interleaving, so they

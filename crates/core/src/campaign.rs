@@ -5,9 +5,10 @@
 //! (stuck-at-0/1, transient SEU, or delay push — see
 //! [`ola_netlist::FaultPlan`]), and measures the numeric damage at the
 //! output registers when the circuit is clocked at its rated period.
-//! A Razor-style shadow register (sampled one timing margin later, the
-//! same detection semantics as [`crate::razor`]) classifies each erroneous
-//! sample as *detected* (main ≠ shadow) or *silent*.
+//! A Razor-style shadow register (Ernst et al., 2004: a second register
+//! sampled one timing margin later, flagging a violation whenever the two
+//! disagree) classifies each erroneous sample as *detected*
+//! (main ≠ shadow) or *silent*.
 //!
 //! The paper's resilience argument falls out of the numbers: in an online
 //! (MSD-first) multiplier every output wire carries a bounded digit weight,
@@ -23,19 +24,19 @@
 //! other Monte-Carlo experiment in this crate
 //! ([`parallel_accumulate`](crate::parallel)).
 //!
-//! Campaigns are also backend-pluggable ([`CampaignConfig::backend`]): on a
-//! batch-exact delay model the bit-parallel engine evaluates up to 64
-//! samples per pass — each lane carrying a *different* fault plan
-//! ([`ola_netlist::batch::BatchFaultSet`]) — drawing the identical random
+//! Campaigns are also backend-pluggable ([`CampaignConfig::backend`]): the
+//! bit-parallel engine evaluates up to 256 samples per pass — each lane
+//! carrying a *different* fault plan
+//! ([`ola_netlist::batch::LaneFaultSet`]) — drawing the identical random
 //! stream and folding samples in the identical order as the event-driven
 //! path, so the two backends produce bit-identical [`CampaignReport`]s.
 
-use crate::backend::{BackendStats, SimBackend};
+use crate::backend::{BackendStats, BatchLanes, SimBackend};
 use crate::montecarlo::InputModel;
 use crate::parallel::{parallel_accumulate, parallel_accumulate_batched, parallel_map};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
-use ola_netlist::batch::{BatchProgram, LaneBlock, LaneFaultSet, LaneInputs, LaneWord};
+use ola_netlist::batch::{BatchProgram, LaneFaultSet, LaneInputs, LaneWord};
 use ola_netlist::fault::logic_fault_sites;
 use ola_netlist::{
     analyze, default_event_budget, simulate_from_zero, simulate_from_zero_with_faults, DelayModel,
@@ -256,9 +257,9 @@ fn select_sites(netlist: &Netlist, cfg: &CampaignConfig) -> Vec<NetId> {
 /// `(acc, clean_bits, faulty_main_bits, faulty_shadow_bits)`.
 type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 
-/// One fault site's batch sampling loop, generic over the lane word `B`.
+/// One fault site's batch sampling loop.
 ///
-/// Each group of up to `B::LANES` samples takes two engine passes: a clean
+/// Each group of up to [`BatchLanes`] samples takes two engine passes: a clean
 /// full pass, then a faulty pass derived from it *incrementally* — the
 /// inputs are identical, so [`BatchProgram::run_incremental`] recomputes
 /// only the levelized fanout cone of each lane's fault site and shares the
@@ -266,7 +267,7 @@ type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 /// faulty recompute (the engine's equivalence tests pin that down), so the
 /// campaign report cannot depend on which path produced it.
 #[allow(clippy::too_many_arguments)] // internal: mirrors run_campaign's captures
-fn batch_site_accumulate<B, D>(
+fn batch_site_accumulate<D>(
     prog: &BatchProgram,
     wires: &[NetId],
     t_main: u64,
@@ -281,13 +282,12 @@ fn batch_site_accumulate<B, D>(
     record: &RecordFn<'_>,
 ) -> Acc
 where
-    B: LaneWord,
     D: Fn(&mut ChaCha8Rng) -> Vec<bool> + Sync,
 {
     parallel_accumulate_batched(
         cfg.samples_per_site,
         site_seed,
-        B::LANES as usize,
+        BatchLanes::LANES as usize,
         || Acc::new(n_ranks),
         // Inputs before plan — the exact rng order of the event path.
         |rng| (draw(rng), class.plan(site, rng, period, cfg)),
@@ -296,11 +296,11 @@ where
             let lanes = group.len() as u32;
             let vectors: Vec<Vec<bool>> = group.iter().map(|(v, _)| v.clone()).collect();
             let plans: Vec<FaultPlan> = group.iter().map(|(_, p)| p.clone()).collect();
-            let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
-                .expect("group size bounded by B::LANES");
-            let new = LaneInputs::<B>::pack(&vectors).expect("draw produces full vectors");
+            let prev = LaneInputs::<BatchLanes>::zeros(prog.num_inputs(), lanes)
+                .expect("group size bounded by BatchLanes::LANES");
+            let new = LaneInputs::<BatchLanes>::pack(&vectors).expect("draw produces full vectors");
             let clean = prog.run(&prev, &new).expect("shapes validated above");
-            let faults = LaneFaultSet::<B>::compile(&plans, prog.num_nets())
+            let faults = LaneFaultSet::<BatchLanes>::compile(&plans, prog.num_nets())
                 .expect("plans target in-range nets");
             let faulty = prog
                 .run_incremental(&clean, &prev, &new, Some(&faults))
@@ -321,7 +321,7 @@ where
             acc.stats.ts_points += 2 * u64::from(lanes);
             acc.stats.batch_runs += 2;
             acc.stats.lanes_used += 2 * u64::from(lanes);
-            acc.stats.lane_capacity = u64::from(B::LANES);
+            acc.stats.lane_capacity = u64::from(BatchLanes::LANES);
             acc.stats.word_steps += clean.word_steps() + faulty.word_steps();
             acc.stats.lane_transitions += clean.lane_transitions() + faulty.lane_transitions();
         },
@@ -337,8 +337,7 @@ where
 /// significance rank (0 = MSB).
 ///
 /// Per [`CampaignConfig::backend`], samples run either one at a time on
-/// the event-driven simulator or in groups of up to `B::LANES` (lane word
-/// selected by `OLA_LANE_WORDS`, see [`crate::backend::lane_words`]) on
+/// the event-driven simulator or in groups of up to 256 ([`BatchLanes`]) on
 /// the batch engine: one clean pass, then one *incremental* pass carrying
 /// a different fault plan per lane — the faulty pass shares every input
 /// with the clean pass, so only each fault's fanout cone is recomputed
@@ -418,24 +417,10 @@ where
         crate::resilience::check_cancelled();
         let site_seed = cfg.seed ^ (site_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         match &prog {
-            Some(prog) => match crate::backend::lane_words() {
-                1 => batch_site_accumulate::<u64, _>(
-                    prog, wires, t_main, t_shadow, n_ranks, site_seed, site, period, class, cfg,
-                    &draw, &record,
-                ),
-                2 => batch_site_accumulate::<LaneBlock<2>, _>(
-                    prog, wires, t_main, t_shadow, n_ranks, site_seed, site, period, class, cfg,
-                    &draw, &record,
-                ),
-                8 => batch_site_accumulate::<LaneBlock<8>, _>(
-                    prog, wires, t_main, t_shadow, n_ranks, site_seed, site, period, class, cfg,
-                    &draw, &record,
-                ),
-                _ => batch_site_accumulate::<LaneBlock<4>, _>(
-                    prog, wires, t_main, t_shadow, n_ranks, site_seed, site, period, class, cfg,
-                    &draw, &record,
-                ),
-            },
+            Some(prog) => batch_site_accumulate(
+                prog, wires, t_main, t_shadow, n_ranks, site_seed, site, period, class, cfg, &draw,
+                &record,
+            ),
             None => parallel_accumulate(
                 cfg.samples_per_site,
                 site_seed,

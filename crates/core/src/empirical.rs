@@ -5,11 +5,10 @@
 //! netlists through a timing simulator under a (jittered) delay model and
 //! sample the output registers at a sweep of clock periods.
 //!
-//! Both public curves funnel into one shared sampling engine ([`curve_with`])
+//! Both public curves funnel into one shared sampling engine (`curve_with`)
 //! that is parameterized over a [`SimBackend`]: the event-driven simulator
-//! (one vector per run) or the bit-parallel batch engine (64 vectors per
-//! lane word, up to 512 per pass — see `OLA_LANE_WORDS` below,
-//! [`ola_netlist::batch`]). A batch pass is the bus-only streaming pass
+//! (one vector per run) or the bit-parallel batch engine (256 vectors per
+//! pass, [`ola_netlist::batch`]). A batch pass is the bus-only streaming pass
 //! ([`BatchProgram::run_bus`]): it keeps only the sampled output bus's
 //! waveforms and drops every other net's after its last fanout, so its
 //! memory is the netlist's live frontier plus the bus. The two backends
@@ -24,17 +23,17 @@
 //! [`crate::resilience::compile_batch_or_degrade`] (retry once, then run
 //! the event engine and annotate the manifest) — sound precisely because
 //! the backends are bit-identical. An ambient
-//! [`CancelToken`](crate::CancelToken) (see
+//! [`crate::CancelToken`] (see
 //! [`crate::resilience::install_ambient`]) is honored per sample and
 //! inside both engines' inner loops.
 
-use crate::backend::{BackendStats, SimBackend, StaGate};
+use crate::backend::{BackendStats, BatchLanes, SimBackend, StaGate};
 use crate::montecarlo::InputModel;
 use crate::parallel::{parallel_accumulate, parallel_accumulate_batched};
 use crate::resilience::{ambient_token, check_cancelled, compile_batch_or_degrade};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
-use ola_netlist::batch::{BatchProgram, LaneBlock, LaneInputs, LaneWord};
+use ola_netlist::batch::{BatchProgram, LaneInputs, LaneWord};
 use ola_netlist::{
     analyze, default_event_budget, simulate_budgeted_cancellable, simulate_from_zero, CancelToken,
     Cancelled, DelayModel, NetId, Netlist, SimError,
@@ -111,13 +110,11 @@ fn merge(mut a: Acc, b: &Acc) -> Acc {
     a
 }
 
-use crate::backend::lane_words;
-
-/// The batch sampling loop, generic over the lane word `B` (64 lanes per
-/// word). One bus-only engine pass simulates up to `B::LANES` drawn vectors
-/// and sweeps the whole judged `Ts` grid over them.
+/// The batch sampling loop. One bus-only engine pass simulates up to
+/// [`BatchLanes`] drawn vectors and sweeps the whole judged `Ts` grid over
+/// them.
 #[allow(clippy::too_many_arguments)] // internal: mirrors curve_with's captures
-fn batch_accumulate<B, D, J>(
+fn batch_accumulate<D, J>(
     prog: &BatchProgram,
     wires: &[NetId],
     judged: &[(usize, u64)],
@@ -130,7 +127,6 @@ fn batch_accumulate<B, D, J>(
     judge: &J,
 ) -> Acc
 where
-    B: LaneWord,
     D: Fn(&mut ChaCha8Rng) -> Vec<bool> + Sync,
     J: Fn(&[bool], &[bool]) -> (bool, f64) + Sync,
 {
@@ -138,15 +134,16 @@ where
     parallel_accumulate_batched(
         samples,
         seed,
-        B::LANES as usize,
+        BatchLanes::LANES as usize,
         || Acc::new(ts_len),
         |rng| draw(rng),
         |group: &[Vec<bool>], acc: &mut Acc| {
             check_cancelled();
             let lanes = group.len() as u32;
-            let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
-                .expect("group size bounded by B::LANES");
-            let new = LaneInputs::<B>::pack(group).expect("draw produces full input vectors");
+            let prev = LaneInputs::<BatchLanes>::zeros(prog.num_inputs(), lanes)
+                .expect("group size bounded by BatchLanes::LANES");
+            let new =
+                LaneInputs::<BatchLanes>::pack(group).expect("draw produces full input vectors");
             let res = prog.run_bus(&prev, &new, wires, cancel.as_ref()).unwrap_or_else(|e| {
                 if matches!(e, ola_netlist::BatchError::Cancelled) {
                     std::panic::panic_any(Cancelled)
@@ -170,7 +167,7 @@ where
             acc.stats.sta_skipped_points += u64::from(lanes) * skipped;
             acc.stats.batch_runs += 1;
             acc.stats.lanes_used += u64::from(lanes);
-            acc.stats.lane_capacity = u64::from(B::LANES);
+            acc.stats.lane_capacity = u64::from(BatchLanes::LANES);
             acc.stats.word_steps += res.word_steps();
             acc.stats.lane_transitions += res.lane_transitions();
         },
@@ -189,9 +186,8 @@ where
 ///
 /// The event path simulates one vector per run; the batch path compiles
 /// the netlist once (memoized by content digest, see [`crate::memo`]) and
-/// runs up to `B::LANES` vectors per pass — the lane word `B` is selected
-/// by `OLA_LANE_WORDS` (see [`lane_words`]) — sampling the whole `Ts` grid
-/// with one sweep per pass. Lane order is sample order
+/// runs up to 256 vectors per pass ([`BatchLanes`]), sampling the whole
+/// `Ts` grid with one sweep per pass. Lane order is sample order
 /// and the per-chunk accumulation order (sample-outer, `Ts`-inner) matches
 /// the event path exactly, so `f64` additions happen in the same order and
 /// the curves are bit-identical. If batch compilation fails (a broken
@@ -252,20 +248,9 @@ where
     let _sample_span = crate::obs::span("empirical.sample");
     let ts_len = ts_points.len();
     let mut acc = match &prog {
-        Some(prog) => match lane_words() {
-            1 => batch_accumulate::<u64, _, _>(
-                prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
-            ),
-            2 => batch_accumulate::<LaneBlock<2>, _, _>(
-                prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
-            ),
-            8 => batch_accumulate::<LaneBlock<8>, _, _>(
-                prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
-            ),
-            _ => batch_accumulate::<LaneBlock<4>, _, _>(
-                prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
-            ),
-        },
+        Some(prog) => batch_accumulate(
+            prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
+        ),
         None => parallel_accumulate(
             samples,
             seed,

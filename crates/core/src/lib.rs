@@ -20,8 +20,6 @@
 //! * [`baseline`] — conventional ripple-carry behaviour: exact carry-chain
 //!   distribution and Monte-Carlo, showing the flat error expectation that
 //!   makes conventional overclocking catastrophic;
-//! * [`razor`] — Razor-style shadow-register error detection on top of the
-//!   stage-wave model (the related work the paper builds on);
 //! * [`sweep`] — max error-free frequency and error-budget solvers
 //!   (Tables 1–3);
 //! * [`metrics`] — MRE (Eq. 13), SNR, PSNR, geometric means;
@@ -77,7 +75,6 @@ pub mod model;
 pub mod montecarlo;
 pub mod obs;
 pub mod parallel;
-pub mod razor;
 pub mod resilience;
 pub mod sweep;
 pub mod timing;

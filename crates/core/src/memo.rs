@@ -250,7 +250,7 @@ pub fn batch_program<M: DelayModel + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates [`certify`] errors (e.g. [`StaError::NotTopological`]);
+/// Propagates [`certify()`] errors (e.g. [`StaError::NotTopological`]);
 /// failures are never cached.
 pub fn certification<M: DelayModel + ?Sized>(
     netlist: &Netlist,

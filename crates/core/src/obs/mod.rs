@@ -4,7 +4,7 @@
 //!
 //! * [`trace`] — hierarchical span guards ([`span`]) with a bounded ring
 //!   buffer and optional live emission (`OLA_TRACE=pretty|json`);
-//! * [`registry`] — the process-global typed metrics [`Registry`]
+//! * [`mod@registry`] — the process-global typed metrics [`Registry`]
 //!   ([`registry()`]): counters, gauges, and log₂ histograms updated with
 //!   relaxed atomics. Only *deterministic, simulation-domain* values are
 //!   recorded, so snapshots are bit-identical across `OLA_THREADS`

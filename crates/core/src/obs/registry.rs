@@ -183,7 +183,7 @@ enum Metric {
 /// A named family of metrics.
 ///
 /// `ola-core` keeps one process-global registry
-/// ([`crate::obs::registry`]); independent registries can be created for
+/// ([`crate::obs::registry()`]); independent registries can be created for
 /// tests.
 #[derive(Default)]
 pub struct Registry {

@@ -554,8 +554,8 @@ impl BatchProgram {
     /// algorithm). `base` must come from this program; `faults` is the
     /// *complete* fault set of the new run (not a delta), compared
     /// per net against the base run's. The result is bit-identical to a
-    /// full [`BatchProgram::run`] / [`run_with_faults`]
-    /// ([`BatchProgram::run_with_faults`]) with the same arguments —
+    /// full [`BatchProgram::run`] / [`BatchProgram::run_with_faults`]
+    /// with the same arguments —
     /// property-tested, and cross-checked on every call when
     /// `OLA_BATCH_CHECK_INCREMENTAL=1`.
     ///

@@ -304,7 +304,7 @@ pub struct LaneInputs<B: LaneWord = u64> {
     pub(crate) lanes: u32,
 }
 
-/// The legacy 64-lane input batch (up to [`MAX_LANES`] vectors).
+/// The legacy 64-lane input batch (up to [`MAX_LANES`](super::MAX_LANES) vectors).
 pub type BatchInputs = LaneInputs<u64>;
 
 /// A multi-word input batch carrying up to `64·W` vectors.

@@ -64,10 +64,8 @@ mod error;
 pub mod fault;
 mod netlist;
 pub mod obs;
-mod pipeline;
 mod sim;
 pub mod sta;
-pub mod vcd;
 
 pub use area::AreaReport;
 pub use cancel::{CancelToken, Cancelled};
@@ -79,7 +77,6 @@ pub use equiv::{
 pub use error::{BatchError, NetlistError, SimError, StaError};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use netlist::{GateKind, NetId, Netlist};
-pub use pipeline::{Pipeline, PipelineStage};
 pub use sim::{
     default_event_budget, simulate, simulate_budgeted, simulate_budgeted_cancellable,
     simulate_from_zero, simulate_from_zero_with_faults, simulate_with_faults,

@@ -11,7 +11,7 @@
 //!   deficit) against a target period;
 //! * [`paths`] — top-K critical-path enumeration with named output-bus
 //!   endpoints: *which* digit the deep logic terminates in, gate by gate;
-//! * [`certify`] — per-digit settlement certification over a `Ts` grid,
+//! * [`mod@certify`] — per-digit settlement certification over a `Ts` grid,
 //!   with the analytic error bound `Σ_{at-risk k} w_k` that must dominate
 //!   every empirical error curve;
 //! * [`lint`] — structural defect detection (combinational loops found

@@ -13,9 +13,7 @@
 //!   value is represented without rounding;
 //! * [`OnTheFlyConverter`] — carry-free MSD-first conversion back to
 //!   non-redundant form;
-//! * [`random`] — the input distributions used by the paper's experiments;
-//! * [`radix4`] — the maximally redundant radix-4 system with carry-free
-//!   (Avizienis) addition, the paper's higher-radix outlook.
+//! * [`random`] — the input distributions used by the paper's experiments.
 //!
 //! # Example
 //!
@@ -33,7 +31,6 @@ mod bs;
 mod convert;
 mod digit;
 mod q;
-pub mod radix4;
 pub mod random;
 mod sd;
 

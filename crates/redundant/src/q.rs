@@ -45,7 +45,7 @@ impl Q {
     /// Panics if `scale > 120` (guards against overflow in later products).
     #[must_use]
     pub fn new(num: i128, scale: u32) -> Self {
-        assert!(scale <= 120, "Q scale {scale} too large");
+        assert!(scale <= MAX_SCALE, "Q scale {scale} too large");
         Q { num, scale }.normalized()
     }
 
@@ -126,6 +126,50 @@ impl Q {
         cmp_aligned(self.num, self.scale, num, scale)
     }
 
+    /// `self + rhs`, or `None` when the exact sum is not representable
+    /// (its numerator overflows `i128` or its scale exceeds 120).
+    #[must_use]
+    pub fn checked_add(self, rhs: Q) -> Option<Q> {
+        let scale = self.scale.max(rhs.scale);
+        let a = shl_exact(self.num, scale - self.scale)?;
+        let b = shl_exact(rhs.num, scale - rhs.scale)?;
+        Q { num: a.checked_add(b)?, scale }.normalized().bounded()
+    }
+
+    /// `self − rhs`, or `None` when the exact difference is not
+    /// representable.
+    #[must_use]
+    pub fn checked_sub(self, rhs: Q) -> Option<Q> {
+        self.checked_add(rhs.checked_neg()?)
+    }
+
+    /// `−self`, or `None` for the one numerator (`i128::MIN`) whose
+    /// negation overflows.
+    #[must_use]
+    pub fn checked_neg(self) -> Option<Q> {
+        Some(Q { num: self.num.checked_neg()?, scale: self.scale })
+    }
+
+    /// `self · rhs`, or `None` when the exact product is not
+    /// representable.
+    ///
+    /// ```
+    /// use ola_redundant::Q;
+    ///
+    /// let big = Q::new(1 << 64, 0);
+    /// assert_eq!(big.checked_mul(Q::new(1, 1)), Some(Q::new(1 << 63, 0)));
+    /// assert_eq!(big.checked_mul(big), None); // 2^128 overflows i128
+    /// ```
+    #[must_use]
+    pub fn checked_mul(self, rhs: Q) -> Option<Q> {
+        let num = self.num.checked_mul(rhs.num)?;
+        Q { num, scale: self.scale.checked_add(rhs.scale)? }.normalized().bounded()
+    }
+
+    fn bounded(self) -> Option<Q> {
+        (self.scale <= MAX_SCALE).then_some(self)
+    }
+
     fn normalized(mut self) -> Self {
         if self.num == 0 {
             return Q::ZERO;
@@ -135,6 +179,18 @@ impl Q {
         self.scale -= tz;
         self
     }
+}
+
+/// Largest scale [`Q::new`] accepts (guards against overflow in later
+/// products).
+const MAX_SCALE: u32 = 120;
+
+/// `num · 2^k`, or `None` when bits would be shifted out of the `i128`.
+fn shl_exact(num: i128, k: u32) -> Option<i128> {
+    if num == 0 {
+        return Some(0);
+    }
+    num.checked_mul(2i128.checked_pow(k)?)
 }
 
 fn cmp_aligned(an: i128, asc: u32, bn: i128, bsc: u32) -> Ordering {
@@ -294,6 +350,25 @@ mod tests {
         assert_eq!(Q::new(3, 2) * Q::new(5, 3), Q::new(15, 5));
         assert_eq!(Q::new(-1, 1) * Q::new(1, 1), Q::new(-1, 2));
         assert_eq!(Q::from_int(4) * Q::new(1, 2), Q::ONE);
+    }
+
+    #[test]
+    fn checked_ops_agree_in_range_and_refuse_to_wrap() {
+        let (a, b) = (Q::new(3, 2), Q::new(-5, 7));
+        assert_eq!(a.checked_add(b), Some(a + b));
+        assert_eq!(a.checked_sub(b), Some(a - b));
+        assert_eq!(a.checked_mul(b), Some(a * b));
+        assert_eq!(b.checked_neg(), Some(-b));
+        assert_eq!(Q::ZERO.checked_add(Q::new(1, 120)), Some(Q::new(1, 120)));
+
+        let max = Q::new(i128::MAX, 0);
+        assert_eq!(max.checked_add(Q::ONE), None);
+        assert_eq!(Q::new(i128::MIN, 0).checked_neg(), None);
+        assert_eq!(Q::new(-max.numerator(), 0).checked_sub(Q::new(2, 0)), None);
+        // Aligning 1/2 to 2^-120 shifts the large numerator out of range.
+        assert_eq!(Q::new(1 << 100, 0).checked_add(Q::new(1, 120)), None);
+        // The scale bound of `Q::new` holds for products too.
+        assert_eq!(Q::new(1, 100).checked_mul(Q::new(1, 100)), None);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!   Per output port the bound is the *minimum* of two sound bounds:
 //!   the flat per-wire STA bound `Σ_{arrival > Ts} w_k` (an output bit
 //!   whose worst-case arrival meets the period provably equals its
-//!   settled value — the [`certify`](ola_netlist::sta::certify) theorem,
+//!   settled value — the [`certify`](ola_netlist::sta::certify()) theorem,
 //!   at single-wire granularity), and the interval clamp `hi − lo` of
 //!   the port's decodable range (any bit pattern decodes into the bus
 //!   range, so no sampling accident can escape it). No simulation runs.

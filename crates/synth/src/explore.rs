@@ -142,7 +142,7 @@ impl ExploreResult {
 /// clamped to at least 1. When `span < points` the integer division
 /// repeats values; a sweep over such a grid would silently double-count
 /// those periods, and the batch sampler's
-/// [`try_sweep`](ola_netlist::batch::TsSweep::try_sweep) rejects them
+/// [`try_sweep`](ola_netlist::batch::LaneBusWaves::try_sweep) rejects them
 /// with [`DuplicateTs`](ola_netlist::BatchError::DuplicateTs). Every
 /// grid producer in this crate routes through this helper so the
 /// duplicates never reach the engine.

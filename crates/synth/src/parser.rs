@@ -13,7 +13,9 @@
 //! * Bound names that no later statement reads become the graph outputs,
 //!   in binding order.
 //! * Numeric literals must be exact dyadic rationals (`0.25`, `2`,
-//!   `1.5`); `0.1` is rejected rather than silently rounded.
+//!   `1.5`); `0.1` is rejected rather than silently rounded. Every
+//!   constant subexpression (`2 * 0.25`, `-(1 + 1)`) must have a numerator
+//!   that fits an `i64` and at most 64 fractional bits.
 //! * `#` starts a comment running to end of line.
 
 use crate::ir::{Dfg, InputFmt, NodeId};
@@ -50,6 +52,10 @@ enum Tok {
     Eq,
     Sep,
 }
+
+/// Deepest accepted nesting of parentheses and unary minus: the parser
+/// recurses once per level, so this bounds its stack use.
+const MAX_NESTING: usize = 256;
 
 fn err<T>(msg: impl Into<String>, pos: usize) -> Result<T, ParseError> {
     Err(ParseError { msg: msg.into(), pos })
@@ -155,6 +161,17 @@ fn parse_number(text: &str, frac_digits: u32, pos: usize) -> Result<Q, ParseErro
     Ok(Q::new(num / five, frac_digits))
 }
 
+/// The largest constant a datapath may carry: numerators must fit an
+/// `i64` and scales stay within 64 fractional bits, so the exact products
+/// `constant_fold` computes always fit [`Q`]'s `i128` numerator.
+fn in_constant_range(q: Q) -> bool {
+    i64::try_from(q.numerator()).is_ok() && q.scale() <= 64
+}
+
+/// The exact value of a constant subexpression: `None` for a node that is
+/// not constant, `Some(None)` for one whose value overflows.
+type ConstValue = Option<Option<Q>>;
+
 struct Parser<'a> {
     toks: &'a [(Tok, usize)],
     i: usize,
@@ -164,6 +181,9 @@ struct Parser<'a> {
     bound_order: Vec<String>,
     inputs: HashMap<String, NodeId>,
     used: HashMap<String, bool>,
+    /// Exact value of every constant subexpression — the nodes
+    /// `constant_fold` collapses — so none can overflow there.
+    consts: HashMap<NodeId, Q>,
 }
 
 impl Parser<'_> {
@@ -185,50 +205,93 @@ impl Parser<'_> {
         t
     }
 
-    fn expr(&mut self) -> Result<NodeId, ParseError> {
-        let mut lhs = self.term()?;
+    /// Both operands' constant values combined by `op`, when both are
+    /// constant.
+    fn fold2(&self, a: NodeId, b: NodeId, op: fn(Q, Q) -> Option<Q>) -> ConstValue {
+        Some(op(*self.consts.get(&a)?, *self.consts.get(&b)?))
+    }
+
+    /// Records `id`'s constant value, rejecting one outside the constant
+    /// range (`pos` is the offending token).
+    fn record(&mut self, id: NodeId, value: ConstValue, pos: usize) -> Result<NodeId, ParseError> {
+        match value {
+            None => {}
+            Some(Some(q)) if in_constant_range(q) => {
+                self.consts.insert(id, q);
+            }
+            Some(_) => {
+                return err(
+                    "constant out of range (numerator must fit an i64, at most 64 fractional bits)",
+                    pos,
+                )
+            }
+        }
+        Ok(id)
+    }
+
+    fn expr(&mut self, depth: usize) -> Result<NodeId, ParseError> {
+        let mut lhs = self.term(depth)?;
         loop {
-            match self.peek() {
+            let pos = self.pos();
+            let (node, value) = match self.peek() {
                 Some(Tok::Plus) => {
                     self.i += 1;
-                    let rhs = self.term()?;
-                    lhs = self.dfg.add(lhs, rhs);
+                    let rhs = self.term(depth)?;
+                    (self.dfg.add(lhs, rhs), self.fold2(lhs, rhs, Q::checked_add))
                 }
                 Some(Tok::Minus) => {
                     self.i += 1;
-                    let rhs = self.term()?;
-                    lhs = self.dfg.sub(lhs, rhs);
+                    let rhs = self.term(depth)?;
+                    (self.dfg.sub(lhs, rhs), self.fold2(lhs, rhs, Q::checked_sub))
                 }
                 _ => return Ok(lhs),
-            }
+            };
+            lhs = self.record(node, value, pos)?;
         }
     }
 
-    fn term(&mut self) -> Result<NodeId, ParseError> {
-        let mut lhs = self.factor()?;
+    fn term(&mut self, depth: usize) -> Result<NodeId, ParseError> {
+        let mut lhs = self.factor(depth)?;
         while matches!(self.peek(), Some(Tok::Star)) {
+            let pos = self.pos();
             self.i += 1;
-            let rhs = self.factor()?;
-            lhs = self.dfg.mul(lhs, rhs);
+            let rhs = self.factor(depth)?;
+            let is_zero = |n: NodeId| self.consts.get(&n).is_some_and(|q| q.is_zero());
+            // `0 · x` folds to zero whether or not `x` is constant.
+            let value = if is_zero(lhs) || is_zero(rhs) {
+                Some(Some(Q::ZERO))
+            } else {
+                self.fold2(lhs, rhs, Q::checked_mul)
+            };
+            let node = self.dfg.mul(lhs, rhs);
+            lhs = self.record(node, value, pos)?;
         }
         Ok(lhs)
     }
 
-    fn factor(&mut self) -> Result<NodeId, ParseError> {
+    fn factor(&mut self, depth: usize) -> Result<NodeId, ParseError> {
         let pos = self.pos();
+        if depth == MAX_NESTING {
+            return err(format!("expression nested deeper than {MAX_NESTING} levels"), pos);
+        }
         match self.bump() {
             Some(Tok::Minus) => {
-                let inner = self.factor()?;
-                Ok(self.dfg.neg(inner))
+                let inner = self.factor(depth + 1)?;
+                let value = self.consts.get(&inner).map(|q| q.checked_neg());
+                let node = self.dfg.neg(inner);
+                self.record(node, value, pos)
             }
             Some(Tok::LParen) => {
-                let inner = self.expr()?;
+                let inner = self.expr(depth + 1)?;
                 match self.bump() {
                     Some(Tok::RParen) => Ok(inner),
                     _ => err("expected ')'", pos),
                 }
             }
-            Some(Tok::Num(q)) => Ok(self.dfg.constant(q)),
+            Some(Tok::Num(q)) => {
+                let node = self.dfg.constant(q);
+                self.record(node, Some(Some(q)), pos)
+            }
             Some(Tok::Ident(name)) => Ok(self.resolve(&name)),
             _ => err("expected an operand", pos),
         }
@@ -254,8 +317,10 @@ impl Parser<'_> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on syntax errors, non-dyadic literals,
-/// rebinding a name, shadowing an input, or a program with no statements.
+/// Returns a [`ParseError`] on syntax errors, non-dyadic literals, a
+/// constant subexpression out of the constant range, nesting
+/// deeper than 256 levels, rebinding a name, shadowing an input, or a
+/// program with no statements.
 pub fn parse_dfg(src: &str, default_fmt: InputFmt) -> Result<Dfg, ParseError> {
     let toks = tokenize(src)?;
     let mut p = Parser {
@@ -267,6 +332,7 @@ pub fn parse_dfg(src: &str, default_fmt: InputFmt) -> Result<Dfg, ParseError> {
         bound_order: Vec::new(),
         inputs: HashMap::new(),
         used: HashMap::new(),
+        consts: HashMap::new(),
     };
     loop {
         while matches!(p.peek(), Some(Tok::Sep)) {
@@ -289,7 +355,7 @@ pub fn parse_dfg(src: &str, default_fmt: InputFmt) -> Result<Dfg, ParseError> {
         if !matches!(p.bump(), Some(Tok::Eq)) {
             return err("expected '='", eq_pos);
         }
-        let node = p.expr()?;
+        let node = p.expr(0)?;
         match p.peek() {
             None | Some(Tok::Sep) => {}
             _ => return err("expected end of statement", p.pos()),
@@ -360,6 +426,30 @@ mod tests {
     fn non_dyadic_literal_is_rejected() {
         let e = parse_dfg("y = 0.1 * a", fmt4()).unwrap_err();
         assert!(e.msg.contains("dyadic"), "{e}");
+    }
+
+    #[test]
+    fn constants_out_of_the_i64_range_are_rejected() {
+        let big = "99999999999999999999999999999999999999"; // fits i128, not i64
+        let e = parse_dfg(&format!("y = a + {big}"), fmt4()).unwrap_err();
+        assert!(e.msg.contains("out of range") && e.pos == 8, "{e}");
+        // Each factor is in range; the product `constant_fold` would
+        // compute is not.
+        let e = parse_dfg("y = a + 4294967296 * 4294967296", fmt4()).unwrap_err();
+        assert_eq!(e.pos, 19, "{e}");
+        // `0 · a` folds to zero, so `(0·a + 2^32) · 2^32` folds to 2^64.
+        assert!(parse_dfg("y = (0*a + 4294967296) * 4294967296", fmt4()).is_err());
+        assert!(parse_dfg("y = (1*a + 4294967296) * 4294967296", fmt4()).is_ok());
+        assert!(parse_dfg("y = a + (9223372036854775807 - -1)", fmt4()).is_err());
+        assert!(parse_dfg("y = a + 9223372036854775807 * 1", fmt4()).is_ok());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("y = {}a{}", "-(".repeat(n), ")".repeat(n));
+        assert!(parse_dfg(&deep(MAX_NESTING / 2 - 1), fmt4()).is_ok());
+        let e = parse_dfg(&deep(MAX_NESTING), fmt4()).unwrap_err();
+        assert!(e.msg.contains("nested"), "{e}");
     }
 
     #[test]

@@ -77,6 +77,12 @@ fn copy_outputs(dfg: &Dfg, out: &mut Dfg, map: &[NodeId]) {
 /// unchanged (multiplication folds exactly — the fold is the *exact*
 /// product, which for the online style can only shrink the error budget
 /// by removing a truncating operator).
+///
+/// # Panics
+///
+/// Panics if a folded constant overflows [`Q`] — never for graphs from
+/// [`parse_dfg`](crate::parse_dfg), which bounds every constant
+/// subexpression.
 #[must_use]
 pub fn constant_fold(dfg: &Dfg) -> Dfg {
     let mut out = Dfg::new();
@@ -93,7 +99,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
             Op::Add(a, b) => match (cof(&map, &cv, a), cof(&map, &cv, b)) {
                 (Some(x), Some(y)) => {
                     folded += 1;
-                    out.constant(x + y)
+                    out.constant(exact(x.checked_add(y)))
                 }
                 (Some(x), None) if x.is_zero() => {
                     folded += 1;
@@ -108,7 +114,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
             Op::Sub(a, b) => match (cof(&map, &cv, a), cof(&map, &cv, b)) {
                 (Some(x), Some(y)) => {
                     folded += 1;
-                    out.constant(x - y)
+                    out.constant(exact(x.checked_sub(y)))
                 }
                 (None, Some(y)) if y.is_zero() => {
                     folded += 1;
@@ -124,7 +130,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
                 let na = map[a.index()];
                 if let Some(x) = cv.get(&na).copied() {
                     folded += 1;
-                    out.constant(-x)
+                    out.constant(exact(x.checked_neg()))
                 } else if let Op::Neg(inner) = *out.op(na) {
                     folded += 1;
                     inner
@@ -135,7 +141,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
             Op::Mul(a, b) => match (cof(&map, &cv, a), cof(&map, &cv, b)) {
                 (Some(x), Some(y)) => {
                     folded += 1;
-                    out.constant(x * y)
+                    out.constant(exact(x.checked_mul(y)))
                 }
                 (Some(x), None) => {
                     folded += 1;
@@ -150,7 +156,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
             Op::ConstMul(c, a) => {
                 if let Some(x) = cof(&map, &cv, a) {
                     folded += 1;
-                    out.constant(c * x)
+                    out.constant(exact(c.checked_mul(x)))
                 } else {
                     fold_const_mul(&mut out, c, map[a.index()])
                 }
@@ -166,7 +172,7 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
                     match (cof(&map, &cv, a), cof(&map, &cv, b)) {
                         (Some(x), Some(y)) => {
                             dropped = true;
-                            csum += x * y;
+                            csum = exact(x.checked_mul(y).and_then(|p| csum.checked_add(p)));
                         }
                         (Some(x), None) if x.is_zero() => dropped = true,
                         (None, Some(y)) if y.is_zero() => dropped = true,
@@ -199,6 +205,13 @@ pub fn constant_fold(dfg: &Dfg) -> Dfg {
     ola_core::obs::registry().counter("ola.synth.nodes_folded").add(folded);
     crate::verify::debug_prove_rewrite("const-fold", dfg, &out);
     out
+}
+
+/// A folded constant's exact value. Folding never wraps: `parse_dfg`
+/// rejects constant subexpressions outside the `i64` range, and the DSP
+/// generators only emit narrow dyadic coefficients.
+fn exact(value: Option<Q>) -> Q {
+    value.expect("folded constant overflows Q: constants must stay in the i64 range")
 }
 
 /// `c · x` with the multiplicative identities applied.

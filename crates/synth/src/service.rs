@@ -10,7 +10,7 @@
 //!   variant ([`variant_error_curve`]), sharing the explorer's exact
 //!   sampling discipline;
 //! * **sta** — static timing + the per-digit certification report
-//!   ([`ola_netlist::sta::certify`]);
+//!   ([`ola_netlist::sta::certify()`]);
 //! * **lint** — the netlist lint catalogue
 //!   ([`ola_netlist::sta::lint`]);
 //! * **verify** — the formal story for one variant: the optimizer
@@ -43,7 +43,8 @@ use crate::elab::{elaborate, ElabOptions, Style, SynthesizedDatapath};
 use crate::explore::{explore, variant_error_curve, ExploreConfig};
 use crate::parser::parse_dfg;
 use crate::passes::{optimize, AdderStructure};
-use crate::InputFmt;
+use crate::verify::conventional_caps_ok;
+use crate::{Dfg, InputFmt};
 use ola_core::obs::json::JsonValue;
 use ola_core::{CacheKey, SimBackend};
 use ola_netlist::sta::lint;
@@ -110,6 +111,17 @@ fn bad(msg: impl Into<String>) -> QueryError {
     QueryError::BadRequest(msg.into())
 }
 
+/// Rejects an optimized graph that `style` cannot lower: the conventional
+/// lowering caps multiplier operands at 31 bits and constants at 63
+/// ([`conventional_caps_ok`]), and elaborating past them panics.
+fn check_lowerable(opt: &Dfg, style: Style) -> Result<(), QueryError> {
+    if style == Style::Conventional && !conventional_caps_ok(opt) {
+        return Err(bad("expression too wide for the conventional lowering \
+             (multiplier operands over 31 bits or constants over 63)"));
+    }
+    Ok(())
+}
+
 /// One concrete datapath variant: the expression plus every knob that
 /// selects a single compiled netlist.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,6 +145,7 @@ impl VariantSpec {
         let fmt = InputFmt { msd_pos: self.msd_pos, digits: self.width };
         let dfg = parse_dfg(&self.expr, fmt).map_err(|e| bad(format!("expression: {e}")))?;
         let opt = optimize(&dfg, self.allocation);
+        check_lowerable(&opt, self.style)?;
         let opts = ElabOptions::new(self.style).with_frac_digits(self.frac_digits);
         Ok(elaborate(&opt, &opts))
     }
@@ -565,6 +578,12 @@ impl Query {
                     backend: *backend,
                     ..ExploreConfig::default()
                 };
+                for &width in &cfg.widths {
+                    for &allocation in &cfg.allocations {
+                        let opt = optimize(&dfg.with_input_digits(width), allocation);
+                        check_lowerable(&opt, Style::Conventional)?;
+                    }
+                }
                 let res = explore(&dfg, &cfg);
                 let points: Vec<JsonValue> = res
                     .points
@@ -706,6 +725,7 @@ impl Query {
                 let dfg =
                     parse_dfg(&spec.expr, fmt).map_err(|e| bad(format!("expression: {e}")))?;
                 let opt = optimize(&dfg, spec.allocation);
+                check_lowerable(&opt, spec.style)?;
 
                 // Pipeline proof: the optimized graph computes exactly the
                 // source graph's outputs. A mismatch is a compiler bug; the
@@ -911,6 +931,42 @@ mod tests {
         ] {
             assert!(parse_query(&body).is_err(), "must reject: {why}");
         }
+    }
+
+    #[test]
+    fn overflowing_constants_are_bad_requests_not_wrong_answers() {
+        for expr in [
+            // Fits an i128, but no datapath can carry it.
+            "y = a + 99999999999999999999999999999999999999",
+            // 2^64 · 2^64 = 2^128 does not fit an i128 numerator.
+            "y = a + 18446744073709551616 * 18446744073709551616",
+        ] {
+            for kind in ["sweep", "sta", "lint", "verify"] {
+                let q = parse_query(&format!(r#"{{"kind":"{kind}","expr":"{expr}"}}"#)).unwrap();
+                assert!(
+                    matches!(q.run(), Err(QueryError::BadRequest(_))),
+                    "{kind} query on {expr:?} must be a bad request"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conventional_width_caps_are_bad_requests_not_panics() {
+        // Two 16-digit products are 34 bits wide: past the 31-bit cap of
+        // the conventional multiplier.
+        let expr = "y = a * b * c";
+        for body in [
+            format!(r#"{{"kind":"lint","expr":"{expr}","style":"conventional","width":16}}"#),
+            format!(r#"{{"kind":"verify","expr":"{expr}","style":"conventional","width":16}}"#),
+            format!(r#"{{"kind":"pareto","expr":"{expr}","widths":[4,16]}}"#),
+        ] {
+            let q = parse_query(&body).unwrap();
+            assert!(matches!(q.run(), Err(QueryError::BadRequest(_))), "{body}");
+        }
+        // The online lowering has no such cap.
+        let q = parse_query(&format!(r#"{{"kind":"lint","expr":"{expr}","width":16}}"#)).unwrap();
+        assert!(q.run().is_ok());
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! bounded-depth DAGs must elaborate to netlists that are bit-true
 //! against the IR's reference evaluators in both styles, and every
 //! optimization pass must preserve the exact semantics of every output.
+//! Random expression text must compile or fail with a typed error, never
+//! panic.
 
 use ola_redundant::{BsVector, Q};
 use ola_synth::{
-    allocate_adders, constant_fold, cse, elaborate, eliminate_dead, optimize, AdderStructure, Dfg,
-    ElabOptions, InputFmt, NodeId, Style,
+    allocate_adders, constant_fold, conventional_caps_ok, cse, elaborate, eliminate_dead, optimize,
+    parse_dfg, AdderStructure, Dfg, ElabOptions, InputFmt, NodeId, Style,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -237,5 +239,94 @@ proptest! {
             check_conventional(&opt, &dfg, &mut rng, 2)?;
             check_online(&opt, spec.frac, &mut rng, 2)?;
         }
+    }
+}
+
+/// A random literal: an integer of 1 to 39 digits (39 is one past what an
+/// `i128` always holds), a power of two up to 2^127 or just inside the
+/// 64-bit constant range (whose products leave it), zero, or a decimal
+/// fraction that may or may not be dyadic.
+fn random_literal(rng: &mut ChaCha8Rng) -> String {
+    match rng.gen_range(0..5) {
+        0 => {
+            let len = rng.gen_range(1..=39);
+            (0..len).map(|i| char::from(b'0' + rng.gen_range(u8::from(i == 0)..10))).collect()
+        }
+        1 => (1u128 << rng.gen_range(0u32..128)).to_string(),
+        2 => (1u128 << rng.gen_range(40u32..64)).to_string(),
+        3 => "0".to_owned(),
+        _ => {
+            let frac = ["5", "25", "125", "0625", "1"][rng.gen_range(0usize..5)];
+            format!("{}.{frac}", rng.gen_range(0..4))
+        }
+    }
+}
+
+/// A random expression over the parser's alphabet. `ops` budgets binary
+/// operators so netlists stay small; unary minus and parentheses nest up
+/// to `depth` levels.
+fn random_expr(rng: &mut ChaCha8Rng, ops: &mut usize, depth: usize) -> String {
+    match rng.gen_range(0..10) {
+        0 if depth > 0 => format!("-{}", random_expr(rng, ops, depth - 1)),
+        1 if depth > 0 => format!("({})", random_expr(rng, ops, depth - 1)),
+        2..=4 if *ops > 0 => {
+            *ops -= 1;
+            let lhs = random_expr(rng, ops, depth);
+            let rhs = random_expr(rng, ops, depth);
+            format!("{lhs} {} {rhs}", ["+", "-", "*"][rng.gen_range(0usize..3)])
+        }
+        5 | 6 => ["a", "b", "c"][rng.gen_range(0usize..3)].to_owned(),
+        _ => random_literal(rng),
+    }
+}
+
+/// A one- or two-statement program, sometimes wrapped in a `-(…)` chain
+/// that crosses the parser's 256-level nesting bound.
+fn random_program(seed: u64) -> String {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut ops = rng.gen_range(0..=6);
+    let mut body = random_expr(&mut rng, &mut ops, 8);
+    if rng.gen_bool(0.2) {
+        let n = rng.gen_range(1..=160);
+        body = format!("{}{body}{}", "-(".repeat(n), ")".repeat(n));
+    }
+    if rng.gen_bool(0.3) {
+        format!("t = {body}; y = t * {}", random_expr(&mut rng, &mut 1, 2))
+    } else {
+        format!("y = {body}")
+    }
+}
+
+/// Parses, optimizes and elaborates `src` in both styles; the only way
+/// out other than success is a typed parse error, or a graph the
+/// conventional lowering declines by its documented width caps.
+fn compile_every_way(src: &str, width: usize) {
+    let Ok(dfg) = parse_dfg(src, InputFmt { msd_pos: 1, digits: width }) else {
+        return;
+    };
+    for s in
+        [AdderStructure::LinearChain, AdderStructure::BalancedTree, AdderStructure::OnlineChained]
+    {
+        let opt = optimize(&dfg, s);
+        let _ = elaborate(&opt, &ElabOptions::new(Style::Online));
+        if conventional_caps_ok(&opt) {
+            let _ = elaborate(&opt, &ElabOptions::new(Style::Conventional));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Expression text crosses a trust boundary (served queries): any
+    /// program over the grammar's alphabet — huge literals, deep nesting,
+    /// constant products past `i128` — ends in `Ok` or a `ParseError`.
+    /// The test profile keeps overflow checks on, so a silent wrap fails
+    /// here as a panic too.
+    #[test]
+    fn random_expressions_never_panic(seed in any::<u64>(), width in 1usize..=4) {
+        let src = random_program(seed);
+        let outcome = std::panic::catch_unwind(|| compile_every_way(&src, width));
+        prop_assert!(outcome.is_ok(), "panicked on {:?}", src);
     }
 }
