@@ -14,22 +14,19 @@
 //!    still completes bit-identically;
 //! 3. **tamper** — a flipped byte inside a committed frame fails its
 //!    SHA-256 check; the damaged suffix is quarantined, never replayed;
-//! 4. **degradation** — a forced batch-backend failure degrades to the
-//!    event backend: the run completes with exit 4 and the CSVs are
-//!    *still* bit-identical (the engines agree bit-for-bit);
-//! 5. **panic** — an injected panic inside one experiment yields partial
+//! 4. **panic** — an injected panic inside one experiment yields partial
 //!    results (exit 1); `--resume` completes the run bit-identically.
-//! 6. **serve panic** — a worker panic mid-request (`OLA_CHAOS_SERVE_PANIC`)
+//! 5. **serve panic** — a worker panic mid-request (`OLA_CHAOS_SERVE_PANIC`)
 //!    against a live in-process `ola-serve` answers that request with 500
 //!    and the server keeps serving;
-//! 7. **cache rot** — a tampered cache entry (`OLA_CHAOS_CACHE_TAMPER`
+//! 6. **cache rot** — a tampered cache entry (`OLA_CHAOS_CACHE_TAMPER`
 //!    flips a stored byte) fails its SHA-256 re-check on read, is
 //!    recomputed, and the served *result* matches the pre-rot answer —
 //!    rot is never served.
 //!
 //! Exit 0 when every scenario holds, 1 otherwise. CI runs this after the
 //! test suite; it needs no network (the serve scenarios bind loopback)
-//! and about as long as `repro --quick sta` five times.
+//! and about as long as a handful of `repro --quick sta` runs.
 
 use ola_serve::http::{self, HttpLimits, Request};
 use ola_serve::{Server, ServerConfig};
@@ -60,7 +57,6 @@ fn run_repro(dir: &Path, args: &[&str], env: &[(&str, &str)]) -> RunResult {
     cmd.args(args).current_dir(dir);
     // Chaos hooks must never leak between scenarios.
     for var in [
-        ola_core::resilience::chaos::BATCH_FAIL,
         ola_core::resilience::chaos::ABORT_AFTER_FRAMES,
         ola_core::resilience::chaos::TORN_FRAME,
         ola_core::resilience::chaos::PANIC,
@@ -255,23 +251,7 @@ fn main() {
         h.check("tamper: recomputed CSVs bit-identical to baseline", ok);
     }
 
-    // 4. Forced batch-backend failure: the run must degrade to the event
-    // engine (exit 4, not 1) and — because the engines are bit-identical —
-    // emit exactly the CSVs of an unforced run.
-    {
-        let clean = run_repro(&h.dir("degrade_clean"), &["--quick", "faults"], &[]);
-        h.check("degrade: clean faults run exit 0", clean.code == 0);
-        let forced = run_repro(
-            &h.dir("degrade_forced"),
-            &["--quick", "faults", "--backend", "batch"],
-            &[(ola_core::resilience::chaos::BATCH_FAIL, "1")],
-        );
-        h.check("degrade: forced batch failure exits 4 (degraded), not 1", forced.code == 4);
-        let ok = identical("degrade", &forced.csvs, &clean.csvs);
-        h.check("degrade: degraded CSVs bit-identical to clean run", ok);
-    }
-
-    // 5. Injected panic inside one experiment: partial results (exit 1),
+    // 4. Injected panic inside one experiment: partial results (exit 1),
     // the sibling experiment still completes, and resume finishes the job.
     {
         let dir = h.dir("panic");
@@ -293,7 +273,7 @@ fn main() {
         h.check("panic: resumed sta CSVs bit-identical to baseline", sta_ok);
     }
 
-    // 6. Worker panic mid-request against a live server: the poisoned
+    // 5. Worker panic mid-request against a live server: the poisoned
     // request answers 500, the worker survives, and the very next request
     // on the same pool answers 200.
     {
@@ -308,7 +288,7 @@ fn main() {
         server.drain_and_join();
     }
 
-    // 7. Cache rot: the tamper hook flips a byte inside the *stored* cache
+    // 6. Cache rot: the tamper hook flips a byte inside the *stored* cache
     // entry at fill time. The integrity re-hash on the next read must
     // reject the entry (never serve rot) and recompute; the recomputed
     // result matches the clean answer bit-for-bit (only the embedded

@@ -11,25 +11,21 @@
 //! SHA-256-framed checkpoint at `results/checkpoints/repro.ckpt`;
 //! `repro --resume` replays the valid frames and recomputes only the
 //! remainder, producing bit-identical CSVs (the `chaos_check` binary
-//! proves this under injected crashes, torn frames, and forced backend
-//! failures — see `ola_core::resilience`).
+//! proves this under injected crashes, torn frames, and panics — see
+//! `ola_core::resilience`).
 //!
 //! The exit code reflects completeness — `0` when every requested
 //! experiment (and every CSV write) succeeded, `1` for partial results,
 //! `2` for usage errors, `3` when the environment is unusable (the
-//! `results/` output directory cannot be created), `4` when everything
-//! completed but a simulation backend degraded along the way (results are
-//! still exact — the backends are bit-identical — but the configuration
-//! asked for an engine that failed), `86` when a chaos hook aborted the
-//! process on purpose. `--list` enumerates the experiments and exit
-//! codes; `--backend {auto,event,batch}` selects the simulation engine
-//! for the gate-level workloads (results are bit-identical across
-//! backends — batch-backed experiments additionally self-verify with an
-//! event-driven spot-check and report their throughput counters).
+//! `results/` output directory cannot be created), `86` when a chaos hook
+//! aborted the process on purpose. `--list` enumerates the experiments and
+//! exit codes. The gate-level workloads run on the batch engine; fig4,
+//! faults and dsp also cross-check it against the event-driven reference
+//! oracle, which must agree bit for bit.
 //!
 //! Each experiment writes its CSVs as soon as it finishes and then emits a
 //! run manifest at `results/manifests/<experiment>.json` — git revision,
-//! master seeds, backend, `OLA_THREADS` resolution, tracing spans, the
+//! master seeds, engine, `OLA_THREADS` resolution, tracing spans, the
 //! metric-registry delta the experiment produced, and a SHA-256 of every
 //! emitted CSV/PGM. `--trace {off,pretty,json}` overrides `OLA_TRACE` for
 //! live span output on stderr.
@@ -38,7 +34,7 @@ use ola_bench::experiments::{self, CaseStudyContext, Scale};
 use ola_bench::report::Table;
 use ola_bench::resume::{ExperimentCtx, RunHeader, RunState};
 use ola_core::obs::{self, OutputRecord, RunManifest, TraceMode};
-use ola_core::resilience::{chaos, is_cancel_payload, DEGRADED_PREFIX};
+use ola_core::resilience::{chaos, is_cancel_payload};
 use ola_core::SimBackend;
 use ola_netlist::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -71,8 +67,7 @@ const CANCEL_GRACE: Duration = Duration::from_secs(20);
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [EXPERIMENT ...] [--quick] [--all] [--resume] \
-         [--backend auto|event|batch] [--trace off|pretty|json]"
+        "usage: repro [EXPERIMENT ...] [--quick] [--all] [--resume] [--trace off|pretty|json]"
     );
     eprintln!("       repro --list");
     eprintln!();
@@ -90,10 +85,6 @@ fn print_usage() {
     eprintln!("                     remainder; the resumed run's CSVs are bit-identical");
     eprintln!("                     to an uninterrupted run's (a checkpoint written with");
     eprintln!("                     different flags is discarded, not spliced)");
-    eprintln!("  --backend CHOICE   simulation engine for gate-level workloads:");
-    eprintln!("                     auto (default) and batch run the batch engine,");
-    eprintln!("                     event when a netlist fails to compile; results");
-    eprintln!("                     are bit-identical across backends");
     eprintln!("  --trace MODE       live span output on stderr: off (default), pretty,");
     eprintln!("                     or json; overrides the OLA_TRACE environment variable");
     eprintln!("  --list             list experiments and exit codes, then exit");
@@ -102,10 +93,8 @@ fn print_usage() {
     eprintln!("exit codes:");
     eprintln!("  0  every requested experiment (and every CSV/manifest write) succeeded");
     eprintln!("  1  partial results: at least one experiment or output write failed");
-    eprintln!("  2  usage error (unknown experiment, flag, or backend)");
+    eprintln!("  2  usage error (unknown experiment or flag)");
     eprintln!("  3  environment error: the results/ output directory cannot be created");
-    eprintln!("  4  completed, but a simulation backend degraded (results still exact;");
-    eprintln!("     see the resilience.degraded.* annotations in the run manifests)");
     eprintln!("  86 aborted on purpose by an OLA_CHAOS_* fault-injection hook");
 }
 
@@ -189,7 +178,6 @@ fn main() {
     let mut quick = false;
     let mut all = false;
     let mut resume = false;
-    let mut backend = SimBackend::Auto;
     let mut trace_override: Option<TraceMode> = None;
     let mut what: Vec<&str> = Vec::new();
     let mut i = 0usize;
@@ -210,25 +198,9 @@ fn main() {
                 println!();
                 println!(
                     "exit codes: 0 = complete, 1 = partial results, 2 = usage error, \
-                     3 = environment error (cannot create results/), 4 = complete but \
-                     a backend degraded, 86 = chaos-hook abort"
+                     3 = environment error (cannot create results/), 86 = chaos-hook abort"
                 );
                 return;
-            }
-            "--backend" => {
-                i += 1;
-                let Some(value) = args.get(i).and_then(|v| SimBackend::parse(v)) else {
-                    eprintln!("--backend needs one of: auto, event, batch");
-                    std::process::exit(2);
-                };
-                backend = value;
-            }
-            _ if arg.starts_with("--backend=") => {
-                let Some(value) = SimBackend::parse(&arg["--backend=".len()..]) else {
-                    eprintln!("--backend needs one of: auto, event, batch");
-                    std::process::exit(2);
-                };
-                backend = value;
             }
             "--trace" => {
                 i += 1;
@@ -293,11 +265,7 @@ fn main() {
     // compute: resuming across a flag change discards it instead of
     // splicing tables from different sample counts.
     let ckpt_path = out_dir.join("checkpoints").join("repro.ckpt");
-    let header = RunHeader {
-        scale: if quick { "quick".into() } else { "full".into() },
-        backend: backend.label().to_string(),
-        all,
-    };
+    let header = RunHeader { scale: if quick { "quick".into() } else { "full".into() }, all };
     let state = if resume {
         RunState::resume(&ckpt_path, &header)
     } else {
@@ -327,16 +295,16 @@ fn main() {
         jobs.push(("lint", Box::new(move |run| experiments::lint(run, all))));
     }
     if wants("equiv") {
-        jobs.push(("equiv", Box::new(move |run| experiments::equiv(run, scale, all, backend))));
+        jobs.push(("equiv", Box::new(move |run| experiments::equiv(run, scale, all))));
     }
     if wants("synth") {
-        jobs.push(("synth", Box::new(move |run| experiments::synth(run, scale, backend))));
+        jobs.push(("synth", Box::new(move |run| experiments::synth(run, scale))));
     }
     if wants("dsp") {
         jobs.push(("dsp", Box::new(move |run| experiments::dsp(run, scale))));
     }
     if wants("fig4") {
-        jobs.push(("fig4", Box::new(move |run| experiments::fig4(run, scale, backend))));
+        jobs.push(("fig4", Box::new(move |run| experiments::fig4(run, scale))));
     }
     if wants("fig5") {
         jobs.push(("fig5", Box::new(move |run| experiments::fig5(run, scale))));
@@ -386,7 +354,7 @@ fn main() {
         jobs.push(("table4", Box::new(experiments::table4)));
     }
     if wants("faults") {
-        jobs.push(("faults", Box::new(move |run| experiments::faults(run, scale, backend))));
+        jobs.push(("faults", Box::new(move |run| experiments::faults(run, scale))));
     }
 
     if jobs.is_empty() {
@@ -397,7 +365,6 @@ fn main() {
     let git = obs::git_describe();
     let total = jobs.len();
     let mut failures: Vec<(String, String)> = Vec::new();
-    let mut degraded = false;
     for (name, job) in jobs {
         // Attribute registry deltas, spans, annotations and noted output
         // files to this experiment: snapshot + drain before, diff after.
@@ -498,7 +465,7 @@ fn main() {
             experiment: name.to_string(),
             created_unix_ms: RunManifest::now_unix_ms(),
             git: git.clone(),
-            backend: backend.label().to_string(),
+            backend: SimBackend::Batch.label().to_string(),
             // Quick scale runs a tenth of the full Monte-Carlo depth.
             scale: if quick { 0.1 } else { 1.0 },
             seeds: experiments::master_seeds(name),
@@ -509,9 +476,6 @@ fn main() {
             metrics: obs::registry().snapshot().diff(&before),
             outputs,
         };
-        if manifest.annotations.iter().any(|(k, _)| k.starts_with(DEGRADED_PREFIX)) {
-            degraded = true;
-        }
         match manifest.write(&manifest_dir) {
             Ok(p) => eprintln!("  manifest: {}", p.display()),
             Err(e) => {
@@ -523,14 +487,6 @@ fn main() {
 
     if failures.is_empty() {
         eprintln!("all {total} experiment(s) completed");
-        if degraded {
-            eprintln!(
-                "COMPLETED WITH DEGRADATION: a simulation backend failed and its \
-                 experiments fell back to the event engine (results are exact — the \
-                 engines are bit-identical); see resilience.degraded.* in the manifests"
-            );
-            std::process::exit(4);
-        }
     } else {
         eprintln!("PARTIAL RESULTS: {} of {total} experiment step(s) failed:", failures.len());
         for (name, msg) in &failures {

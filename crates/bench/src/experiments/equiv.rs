@@ -86,15 +86,10 @@ fn mac_dfg(n: usize, fusion: ola_synth::MacFusion) -> Dfg {
 /// If any rewrite proof mismatches, any settled comparison exceeds its
 /// bound, or any measured error point exceeds its abstract-interpretation
 /// bound.
-pub fn equiv(
-    run: &ExperimentCtx,
-    scale: Scale,
-    all: bool,
-    backend: SimBackend,
-) -> Result<Vec<Table>, String> {
+pub fn equiv(run: &ExperimentCtx, scale: Scale, all: bool) -> Result<Vec<Table>, String> {
     let mut tables = run.unit("rewrites", || rewrites_unit(all))?;
     tables.extend(run.unit("settled", move || settled_unit(scale, all))?);
-    tables.extend(run.unit("bounds", move || bounds_unit(scale, backend))?);
+    tables.extend(run.unit("bounds", move || bounds_unit(scale))?);
     Ok(tables)
 }
 
@@ -351,7 +346,7 @@ fn settled_unit(scale: Scale, all: bool) -> Result<Vec<Table>, String> {
     }
 }
 
-fn bounds_unit(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String> {
+fn bounds_unit(scale: Scale) -> Result<Vec<Table>, String> {
     let mut t = Table::new(
         "Equiv absint bounds",
         &["variant", "ts", "measured mean error", "absint bound", "sound"],
@@ -378,7 +373,7 @@ fn bounds_unit(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String> 
                 &ts_grid,
                 scale.gate_samples(),
                 SEED,
-                backend,
+                SimBackend::Batch,
             );
             for (i, &ts) in ts_grid.iter().enumerate() {
                 let measured = curve.mean_abs_error[i];
@@ -411,9 +406,7 @@ mod tests {
 
     #[test]
     fn quick_default_sweep_is_sound() {
-        let tables =
-            equiv(&ExperimentCtx::ephemeral("equiv"), Scale::Quick, false, SimBackend::Auto)
-                .unwrap();
+        let tables = equiv(&ExperimentCtx::ephemeral("equiv"), Scale::Quick, false).unwrap();
         assert_eq!(tables.len(), 3);
         // Every verdict row is equivalent/probably-equivalent, never
         // MISMATCH (a failure would have surfaced as Err).

@@ -21,10 +21,9 @@ use ola_netlist::UnitDelay;
 
 /// Runs the fault-sensitivity campaigns and renders the comparison tables.
 ///
-/// The campaigns run on the requested backend (the batch engine evaluates
-/// 64 fault scenarios per pass under the deterministic delay model used
-/// here); when batch ran, an automatic event-driven spot-check re-judges a
-/// small campaign on both engines and fails the experiment on any
+/// The campaigns run on the batch engine, which evaluates up to 256 fault
+/// scenarios per pass. A spot-check then re-judges a small campaign on the
+/// event-driven reference oracle as well and fails the experiment on any
 /// disagreement.
 ///
 /// The first table's CSV lands in
@@ -33,15 +32,11 @@ use ola_netlist::UnitDelay;
 /// # Errors
 ///
 /// If the batch/event spot-check campaigns disagree.
-pub fn faults(
-    run: &crate::resume::ExperimentCtx,
-    scale: Scale,
-    backend: SimBackend,
-) -> Result<Vec<Table>, String> {
-    run.unit("campaigns", || faults_inner(scale, backend))
+pub fn faults(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
+    run.unit("campaigns", || faults_inner(scale))
 }
 
-fn faults_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String> {
+fn faults_inner(scale: Scale) -> Result<Vec<Table>, String> {
     let (width, sites, samples) = match scale {
         Scale::Quick => (5usize, 24usize, 4usize),
         Scale::Full => (8, 64, 12),
@@ -54,7 +49,7 @@ fn faults_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String>
         samples_per_site: samples,
         max_sites: Some(sites),
         seed: 0xFA_517E5,
-        backend,
+        backend: SimBackend::Batch,
         ..CampaignConfig::default()
     };
     let om = ola_arith::synth::online_multiplier(width, 3);
@@ -94,9 +89,7 @@ fn faults_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String>
         stats.merge(&s);
     }
     eprintln!("  [faults] {}", stats.summary());
-    if stats.batch_runs > 0 {
-        spot_check(&om, &am, &cfg, scale)?;
-    }
+    spot_check(&om, &am, &cfg, scale)?;
     for r in &reports {
         t.push_row(vec![
             r.arch.clone(),
@@ -139,7 +132,7 @@ fn faults_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String>
 }
 
 /// Re-runs a shrunken campaign (transient class: the one whose fault plans
-/// consume per-sample randomness) on both backends and demands
+/// consume per-sample randomness) on both engines and demands
 /// bit-identical reports.
 fn spot_check(
     om: &ola_arith::synth::OnlineMultiplierCircuit,

@@ -2,12 +2,11 @@
 //! stage-wave Monte-Carlo (top row) and vs gate-level "FPGA" simulation
 //! with jittered delays (bottom row), for 8- and 12-digit multipliers.
 //!
-//! The gate-level sweep is backend-pluggable. By default the bit-parallel
-//! engine carries the load: the paper's jittered-delay emulation is a pure
-//! function of `(seed, net)`, so it compiles to an exact batch program for
-//! its placement. An automatic event-driven spot-check then re-judges the
-//! first samples on both engines; `--backend event` runs the event engine
-//! alone.
+//! The gate-level sweep runs on the bit-parallel batch engine: the
+//! paper's jittered-delay emulation is a pure function of `(seed, net)`,
+//! so it compiles to an exact batch program for its placement. A
+//! spot-check then re-judges the first samples on the event-driven
+//! reference oracle as well.
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
@@ -23,19 +22,14 @@ use ola_netlist::{analyze, FpgaDelay, JitteredDelay};
 ///
 /// # Errors
 ///
-/// If the batch engine ran and its event-driven spot-check disagreed —
-/// which would mean the two simulation backends are no longer
+/// If the event-driven spot-check disagrees with the batch engine —
+/// which would mean the two simulation engines are no longer
 /// bit-identical.
-pub fn fig4(
-    run: &crate::resume::ExperimentCtx,
-    scale: Scale,
-    backend: SimBackend,
-) -> Result<Vec<Table>, String> {
+pub fn fig4(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
     let mut tables = Vec::new();
     for n in [8usize, 12] {
         tables.extend(run.unit(&format!("stage.n{n}"), || Ok(vec![stage_domain(n, scale)]))?);
-        tables
-            .extend(run.unit(&format!("gate.n{n}"), || Ok(vec![gate_domain(n, scale, backend)?]))?);
+        tables.extend(run.unit(&format!("gate.n{n}"), || Ok(vec![gate_domain(n, scale)?]))?);
     }
     Ok(tables)
 }
@@ -78,7 +72,7 @@ fn calibrate_gamma(n: usize, mc_err: &[f64]) -> f64 {
     1.0
 }
 
-fn gate_domain(n: usize, scale: Scale, backend: SimBackend) -> Result<Table, String> {
+fn gate_domain(n: usize, scale: Scale) -> Result<Table, String> {
     let circuit = online_multiplier(n, 3);
     let delay = JitteredDelay::new(FpgaDelay::default(), 15, 2014);
     let rated = analyze(&circuit.netlist, &delay).critical_path();
@@ -95,32 +89,30 @@ fn gate_domain(n: usize, scale: Scale, backend: SimBackend) -> Result<Table, Str
         &ts,
         scale.gate_samples(),
         42,
-        backend,
+        SimBackend::Batch,
         StaGate::On,
     );
     eprintln!("  [fig4] gate level N={n}: {}", stats.summary());
-    if stats.batch_runs > 0 {
-        // Re-judge the first samples of the same deterministic stream on
-        // both engines; any disagreement poisons the experiment.
-        let spot = scale.spot_check_samples();
-        let run = |b| {
-            om_gate_level_curve_with(
-                &circuit,
-                &delay,
-                InputModel::UniformDigits,
-                &ts,
-                spot,
-                42,
-                b,
-                StaGate::On,
-            )
-            .0
-        };
-        if run(SimBackend::Event) != run(SimBackend::Batch) {
-            return Err(format!("fig4 N={n}: batch/event spot-check mismatch over {spot} samples"));
-        }
-        eprintln!("  [fig4] gate level N={n}: event spot-check of {spot} samples OK");
+    // Re-judge the first samples of the same deterministic stream on both
+    // engines; any disagreement poisons the experiment.
+    let spot = scale.spot_check_samples();
+    let run = |b| {
+        om_gate_level_curve_with(
+            &circuit,
+            &delay,
+            InputModel::UniformDigits,
+            &ts,
+            spot,
+            42,
+            b,
+            StaGate::On,
+        )
+        .0
+    };
+    if run(SimBackend::Event) != run(SimBackend::Batch) {
+        return Err(format!("fig4 N={n}: batch/event spot-check mismatch over {spot} samples"));
     }
+    eprintln!("  [fig4] gate level N={n}: event spot-check of {spot} samples OK");
     let mut t = Table::new(
         format!("Fig4 gate level N={n} (jittered-delay netlist)"),
         &["Ts", "Ts/rated", "mean |error|", "violation rate"],

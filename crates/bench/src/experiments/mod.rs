@@ -82,9 +82,9 @@ impl Scale {
         }
     }
 
-    /// Sample count for the automatic event-driven spot-check that
-    /// cross-validates batch-backend results (the first `N` samples of the
-    /// same deterministic stream are re-judged on both engines).
+    /// Sample count for the event-driven spot-check that cross-validates
+    /// batch-engine results (the first `N` samples of the same
+    /// deterministic stream are re-judged on both engines).
     #[must_use]
     pub fn spot_check_samples(self) -> usize {
         match self {
@@ -96,8 +96,8 @@ impl Scale {
 
 /// The master RNG seeds each experiment derives its sample streams from,
 /// for the run manifest. These are the *roots* of every stochastic choice
-/// an experiment makes; re-running with the same seeds (and scale and
-/// backend) reproduces the outputs bit-for-bit. Experiments without a
+/// an experiment makes; re-running with the same seeds (and scale)
+/// reproduces the outputs bit-for-bit. Experiments without a
 /// stochastic component (sta, lint, table4) report an empty list.
 #[must_use]
 pub fn master_seeds(name: &str) -> Vec<(String, u64)> {

@@ -5,8 +5,8 @@
 //! `y = a·0.25 + b·0.5 + c·0.25` through every style × adder-allocation ×
 //! width variant and the explorer evaluates each one: STA rated frequency
 //! on the FPGA delay model, LUT area, and an empirical overclocking-error
-//! curve over a shared Ts grid on the selected simulation backend. One
-//! row per design point lands in
+//! curve over a shared Ts grid on the batch engine. One row per design
+//! point lands in
 //! `results/synth_pareto_online_vs_conventional.csv`, with the `pareto`
 //! column marking the non-dominated frontier in (area, rated period,
 //! mean error).
@@ -20,7 +20,7 @@
 use super::Scale;
 use crate::report::{fmt_f, Table};
 use ola_core::obs::json::{self, JsonValue};
-use ola_core::{CacheConfig, CacheKey, ContentCache, SimBackend};
+use ola_core::{CacheConfig, CacheKey, ContentCache};
 use ola_synth::{explore, AdderStructure, ExploreConfig, InputFmt, Style};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -43,7 +43,7 @@ pub(crate) const EXPR: &str = "y = a * 0.25 + b * 0.5 + c * 0.25";
 
 /// The process-wide result cache the sweep runs through — the same
 /// [`ContentCache`] `ola-serve` uses, so a repeated `repro synth` (same
-/// scale, same backend) warm-hits instead of re-exploring. The disk tier
+/// scale) warm-hits instead of re-exploring. The disk tier
 /// activates when `OLA_CACHE_DIR` names a directory (`repro` defaults it
 /// to `results/cache`, so back-to-back CLI invocations hit across
 /// processes); unset or empty keeps the cache memory-only.
@@ -61,7 +61,7 @@ fn cache() -> &'static ContentCache {
 /// invocations share a key and any config drift misses.
 fn canonical(cfg: &ExploreConfig) -> String {
     format!(
-        "repro-synth/v1 expr={EXPR:?} widths={:?} styles={:?} allocations={:?} frac={} ts={} samples={} seed={:#x} backend={}",
+        "repro-synth/v2 expr={EXPR:?} widths={:?} styles={:?} allocations={:?} frac={} ts={} samples={} seed={:#x}",
         cfg.widths,
         cfg.styles.iter().map(|s| s.name()).collect::<Vec<_>>(),
         cfg.allocations.iter().map(|a| a.name()).collect::<Vec<_>>(),
@@ -69,7 +69,6 @@ fn canonical(cfg: &ExploreConfig) -> String {
         cfg.ts_points,
         cfg.samples,
         cfg.seed,
-        cfg.backend.label(),
     )
 }
 
@@ -84,15 +83,11 @@ fn canonical(cfg: &ExploreConfig) -> String {
 ///
 /// If the Pareto frontier has fewer than three non-dominated points, or
 /// no variant received a rated frequency at all.
-pub fn synth(
-    run: &crate::resume::ExperimentCtx,
-    scale: Scale,
-    backend: SimBackend,
-) -> Result<Vec<Table>, String> {
-    run.unit("pareto", || synth_inner(scale, backend))
+pub fn synth(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
+    run.unit("pareto", || synth_inner(scale))
 }
 
-fn synth_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String> {
+fn synth_inner(scale: Scale) -> Result<Vec<Table>, String> {
     let cfg = ExploreConfig {
         widths: widths(scale),
         styles: vec![Style::Online, Style::Conventional],
@@ -105,7 +100,6 @@ fn synth_inner(scale: Scale, backend: SimBackend) -> Result<Vec<Table>, String> 
         ts_points: scale.grid_points(),
         samples: scale.gate_samples(),
         seed: SEED,
-        backend,
     };
     ola_core::obs::annotate(
         "synth.sweep",
@@ -203,12 +197,8 @@ mod tests {
 
     #[test]
     fn quick_sweep_emits_a_nondegenerate_frontier() {
-        let tables = synth(
-            &crate::resume::ExperimentCtx::ephemeral("synth"),
-            Scale::Quick,
-            SimBackend::Auto,
-        )
-        .unwrap();
+        let tables =
+            synth(&crate::resume::ExperimentCtx::ephemeral("synth"), Scale::Quick).unwrap();
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         // 2 styles × 3 allocations × 2 widths.
@@ -232,10 +222,8 @@ mod tests {
                 .copied()
                 .unwrap_or(0)
         };
-        let run = || {
-            synth(&crate::resume::ExperimentCtx::ephemeral("synth"), Scale::Quick, SimBackend::Auto)
-                .unwrap()
-        };
+        let run =
+            || synth(&crate::resume::ExperimentCtx::ephemeral("synth"), Scale::Quick).unwrap();
         let cold = run();
         let before = hits();
         let warm = run();
@@ -254,7 +242,6 @@ mod tests {
             ts_points: 4,
             samples,
             seed: SEED,
-            backend: SimBackend::Auto,
         };
         let a = CacheKey::of(canonical(&cfg(8)).as_bytes());
         let b = CacheKey::of(canonical(&cfg(8)).as_bytes());

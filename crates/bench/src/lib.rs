@@ -15,7 +15,7 @@
 //! Runs are crash-safe: completed work units land in an append-only
 //! checkpoint under `results/checkpoints/` ([`resume`]), `repro --resume`
 //! replays them bit-identically, and the `chaos_check` binary injects
-//! crashes, torn frames, and backend failures to prove it.
+//! crashes, torn frames, byte tampering and panics to prove it.
 
 pub mod experiments;
 pub mod report;

@@ -14,10 +14,10 @@
 //!
 //! ## Frame kinds
 //!
-//! * `header` — binds the checkpoint to `(scale, backend, all)`; a
-//!   mismatched header on `--resume` discards the checkpoint (resuming a
-//!   quick run into a full run would splice tables from different sample
-//!   counts);
+//! * `header` — binds the checkpoint to `(scale, all)` under header
+//!   schema [`HEADER_SCHEMA`]; a mismatched or older header on `--resume`
+//!   discards the checkpoint (resuming a quick run into a full run would
+//!   splice tables from different sample counts);
 //! * `unit` — `{experiment, unit, tables, noted}`: one completed work
 //!   unit;
 //! * `done` — `{experiment}`: every unit of the experiment landed and the
@@ -31,14 +31,16 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// The checkpoint header schema. Schema 1 also bound a `backend` label;
+/// its checkpoints read as a mismatch and are discarded, not spliced.
+pub const HEADER_SCHEMA: u64 = 2;
+
 /// The checkpoint header: the run parameters that change what every
 /// experiment computes. A resumed run must match them exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunHeader {
     /// Scale label (`quick` / `full`).
     pub scale: String,
-    /// Backend label (`auto` / `event` / `batch`).
-    pub backend: String,
     /// Extended lint coverage flag.
     pub all: bool,
 }
@@ -47,17 +49,19 @@ impl RunHeader {
     fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
             ("kind".into(), JsonValue::str("header")),
-            ("schema".into(), JsonValue::U64(1)),
+            ("schema".into(), JsonValue::U64(HEADER_SCHEMA)),
             ("scale".into(), JsonValue::str(self.scale.clone())),
-            ("backend".into(), JsonValue::str(self.backend.clone())),
             ("all".into(), JsonValue::Bool(self.all)),
         ])
     }
 
+    /// `None` for anything but a [`HEADER_SCHEMA`] header frame.
     fn from_json(v: &JsonValue) -> Option<RunHeader> {
+        if v.get("schema")?.as_u64()? != HEADER_SCHEMA {
+            return None;
+        }
         Some(RunHeader {
             scale: v.get("scale")?.as_str()?.to_owned(),
-            backend: v.get("backend")?.as_str()?.to_owned(),
             all: matches!(v.get("all")?, JsonValue::Bool(true)),
         })
     }
@@ -389,7 +393,7 @@ mod tests {
     }
 
     fn header() -> RunHeader {
-        RunHeader { scale: "quick".into(), backend: "auto".into(), all: false }
+        RunHeader { scale: "quick".into(), all: false }
     }
 
     fn table(tag: &str) -> Table {
@@ -449,6 +453,45 @@ mod tests {
             Ok(vec![table("y")])
         })
         .unwrap();
+        assert!(recomputed);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn schema_1_checkpoints_are_discarded_not_spliced() {
+        // A checkpoint from before the header dropped its `backend` label:
+        // its scale and flags match, but it must still start fresh.
+        let path = tmp("schema_1");
+        let legacy = JsonValue::Object(vec![
+            ("kind".into(), JsonValue::str("header")),
+            ("schema".into(), JsonValue::U64(1)),
+            ("scale".into(), JsonValue::str("quick")),
+            ("backend".into(), JsonValue::str("auto")),
+            ("all".into(), JsonValue::Bool(false)),
+        ]);
+        let unit = ReplayUnit { tables: vec![table("old")], noted: Vec::new() };
+        let mut w = CheckpointWriter::create(&path).unwrap();
+        for frame in [
+            legacy,
+            unit_frame(&("demo".to_owned(), "u1".to_owned()), &unit),
+            JsonValue::Object(vec![
+                ("kind".into(), JsonValue::str("done")),
+                ("experiment".into(), JsonValue::str("demo")),
+            ]),
+        ] {
+            w.append(&frame).unwrap();
+        }
+        drop(w);
+
+        let resumed = RunState::resume(&path, &header());
+        assert!(!resumed.is_done("demo"), "a schema-1 checkpoint must not splice");
+        let mut recomputed = false;
+        ExperimentCtx::new("demo", resumed)
+            .unit("u1", || {
+                recomputed = true;
+                Ok(vec![table("new")])
+            })
+            .unwrap();
         assert!(recomputed);
         std::fs::remove_file(&path).unwrap();
     }

@@ -77,24 +77,34 @@ fn killed_run_resumes_bit_identically() {
         assert_eq!(&got[name], bytes, "{name} differs between clean and resumed run");
     }
 
-    let _ = std::fs::remove_dir_all(clean.parent().unwrap());
+    // Only this test's own directories: the tests run concurrently and
+    // share the parent.
+    let _ = std::fs::remove_dir_all(&clean);
+    let _ = std::fs::remove_dir_all(&killed);
 }
 
 #[test]
 fn resume_with_different_flags_discards_the_checkpoint() {
     // A checkpoint written by a --quick run must not splice into a resumed
-    // run with different parameters (here: a different backend label).
+    // run with different parameters (here: full scale, which analyzes one
+    // more word length and a denser Ts grid).
+    let full = scratch("mismatch_full");
+    assert_eq!(run(&full, &["sta"], &[]), 0, "clean full run must succeed");
+    let want = csvs(&full);
+
     let dir = scratch("mismatch");
     assert_eq!(run(&dir, &["--quick", "sta"], &[]), 0);
-    let want = csvs(&dir);
+    let quick = csvs(&dir);
+    assert_ne!(quick, want, "quick and full sta must differ for the test to bite");
     assert_eq!(
-        run(&dir, &["--quick", "sta", "--resume", "--backend", "event"], &[]),
+        run(&dir, &["sta", "--resume"], &[]),
         0,
         "mismatched resume still completes (fresh)"
     );
-    // STA is simulation-free, so the recomputed tables agree anyway — the
-    // invariant under test is completion without splicing, plus a fresh
-    // checkpoint being written.
-    assert_eq!(csvs(&dir), want);
+    // Spliced, the resumed run would replay the quick tables; discarded,
+    // it recomputes every full-scale table. STA is simulation-free, so the
+    // check stays fast.
+    assert_eq!(csvs(&dir), want, "resumed run must equal a clean full run");
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&full);
 }

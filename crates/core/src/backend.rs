@@ -1,21 +1,18 @@
-//! Pluggable simulation backends and their observability counters.
+//! The simulation engine selection and its observability counters.
 //!
 //! Every gate-level experiment in this crate boils down to *simulate many
-//! vectors, sample at many clock periods `Ts`*. Two engines can answer
-//! that question with bit-identical results:
+//! vectors, sample at many clock periods `Ts`*. Production sweeps and
+//! campaigns answer that question on the bit-parallel batch engine
+//! ([`ola_netlist::batch`]), 256 vectors per pass. Every
+//! delay model is a deterministic per-gate function, so it compiles to an
+//! exact program (a [`JitteredDelay`](ola_netlist::JitteredDelay) to one
+//! program per placement), and the netlists the generators and
+//! `elaborate` produce are acyclic, so compilation cannot fail on them.
 //!
-//! * **event** — the event-driven simulator
-//!   ([`ola_netlist::simulate`]), one vector per run, any delay model;
-//! * **batch** — the bit-parallel engine ([`ola_netlist::batch`]), 64
-//!   vectors per lane word, for any delay model: every model is a
-//!   deterministic per-gate function, so it compiles to an exact program
-//!   (a [`JitteredDelay`](ola_netlist::JitteredDelay) to one program per
-//!   placement).
-//!
-//! [`SimBackend`] selects between them per workload; [`SimBackend::Auto`]
-//! and [`SimBackend::Batch`] run batch and fall back to the event engine
-//! only when a netlist fails to compile
-//! ([`crate::resilience::compile_batch_or_degrade`]).
+//! The event-driven simulator ([`ola_netlist::simulate`]), one vector per
+//! run, stays as the **reference oracle**: [`SimBackend::Event`] selects
+//! it for the equivalence tests and the `repro` cross-checks, which hold
+//! the two engines to bit-identical results.
 //! [`BackendStats`] carries the cheap counters each experiment accumulates
 //! — vectors simulated, `(vector × Ts)` sample points, word-level steps,
 //! lane utilization — which the `repro` binary surfaces in its summary.
@@ -26,29 +23,17 @@ use std::time::Duration;
 /// Which simulation engine an experiment should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
 pub enum SimBackend {
-    /// Batch, event-driven when the netlist fails to compile.
+    /// The batch engine; the same engine as [`SimBackend::Batch`].
     #[default]
     Auto,
-    /// Always the event-driven simulator.
+    /// The event-driven reference oracle, for tests and cross-checks.
     Event,
-    /// The bit-parallel batch engine; falls back to event-driven when the
-    /// netlist fails to compile.
+    /// The bit-parallel batch engine.
     Batch,
 }
 
 impl SimBackend {
-    /// Parses a CLI flag value (`auto` / `event` / `batch`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<SimBackend> {
-        match s {
-            "auto" => Some(SimBackend::Auto),
-            "event" => Some(SimBackend::Event),
-            "batch" => Some(SimBackend::Batch),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this selection.
+    /// The label of this selection (`auto` / `event` / `batch`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -56,14 +41,6 @@ impl SimBackend {
             SimBackend::Event => "event",
             SimBackend::Batch => "batch",
         }
-    }
-
-    /// True if this selection should *try* batch compilation (the compile
-    /// itself may still fail, e.g. on a broken topology — callers then fall
-    /// back to the event engine).
-    #[must_use]
-    pub fn wants_batch(self) -> bool {
-        !matches!(self, SimBackend::Event)
     }
 }
 
@@ -139,8 +116,7 @@ pub(crate) type BatchLanes = ola_netlist::batch::LaneBlock<4>;
 /// reproducibility: wall time varies run to run, results must not.
 #[derive(Clone, Debug, Default)]
 pub struct BackendStats {
-    /// The engine that actually ran (`"event"`, `"batch"`, or
-    /// `"batch+event"` when an experiment mixed both).
+    /// The engine that ran (`"batch"`, or `"event"` for the oracle).
     pub backend: &'static str,
     /// Input vectors simulated.
     pub vectors: u64,
@@ -152,9 +128,7 @@ pub struct BackendStats {
     pub event_runs: u64,
     /// Sum of active lanes over all batch passes.
     pub lanes_used: u64,
-    /// Lanes one batch pass can carry (64 per lane word; 0 when no batch
-    /// pass ran — [`BackendStats::lane_utilization`] then assumes the
-    /// legacy single-word width).
+    /// Lanes one batch pass carries (256; 0 when no batch pass ran).
     pub lane_capacity: u64,
     /// Word-level waveform steps stored by the batch engine.
     pub word_steps: u64,
@@ -171,13 +145,13 @@ pub struct BackendStats {
 }
 
 impl BackendStats {
-    /// Folds another stats block into this one (wall times add).
+    /// Folds another stats block into this one (wall times add). The
+    /// engine label is the first non-empty one: callers merge blocks of
+    /// one engine.
     pub fn merge(&mut self, other: &BackendStats) {
-        self.backend = match (self.backend, other.backend) {
-            (a, b) if a == b || b.is_empty() => a,
-            ("", b) => b,
-            _ => "batch+event",
-        };
+        if self.backend.is_empty() {
+            self.backend = other.backend;
+        }
         self.vectors += other.vectors;
         self.ts_points += other.ts_points;
         self.batch_runs += other.batch_runs;
@@ -191,16 +165,13 @@ impl BackendStats {
     }
 
     /// Mean fraction of the available lanes occupied per batch pass (1.0
-    /// when every pass was full). Uses [`BackendStats::lane_capacity`];
-    /// stats merged from sources that never set it fall back to the legacy
-    /// 64-lane width.
+    /// when every pass was full; 0.0 when no batch pass ran).
     #[must_use]
     pub fn lane_utilization(&self) -> f64 {
         if self.batch_runs == 0 {
             0.0
         } else {
-            let cap = if self.lane_capacity == 0 { 64 } else { self.lane_capacity };
-            self.lanes_used as f64 / (cap as f64 * self.batch_runs as f64)
+            self.lanes_used as f64 / (self.lane_capacity as f64 * self.batch_runs as f64)
         }
     }
 
@@ -286,51 +257,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_roundtrips_labels() {
-        for b in [SimBackend::Auto, SimBackend::Event, SimBackend::Batch] {
-            assert_eq!(SimBackend::parse(b.label()), Some(b));
-            assert_eq!(format!("{b}"), b.label());
-        }
-        assert_eq!(SimBackend::parse("nope"), None);
+    fn labels_and_default() {
+        let labels: Vec<&str> =
+            [SimBackend::Auto, SimBackend::Event, SimBackend::Batch].map(SimBackend::label).into();
+        assert_eq!(labels, ["auto", "event", "batch"]);
+        assert_eq!(format!("{}", SimBackend::Batch), "batch");
         assert_eq!(SimBackend::default(), SimBackend::Auto);
     }
 
     #[test]
-    fn only_the_event_selection_declines_batch() {
-        assert!(SimBackend::Auto.wants_batch());
-        assert!(SimBackend::Batch.wants_batch());
-        assert!(!SimBackend::Event.wants_batch());
-    }
-
-    #[test]
     fn stats_merge_and_rates() {
-        let mut a = BackendStats {
+        let mut a = BackendStats::default();
+        let b = BackendStats {
             backend: "batch",
-            vectors: 64,
-            ts_points: 640,
+            vectors: 256,
+            ts_points: 2560,
             batch_runs: 1,
-            lanes_used: 64,
+            lanes_used: 256,
+            lane_capacity: 256,
             wall: Duration::from_secs(1),
             ..BackendStats::default()
         };
-        let b = BackendStats {
+        let c = BackendStats {
             backend: "batch",
-            vectors: 32,
-            ts_points: 320,
+            vectors: 128,
+            ts_points: 1280,
             batch_runs: 1,
-            lanes_used: 32,
+            lanes_used: 128,
+            lane_capacity: 256,
             ..BackendStats::default()
         };
         a.merge(&b);
-        assert_eq!(a.vectors, 96);
-        assert_eq!(a.backend, "batch");
+        a.merge(&c);
+        assert_eq!(a.vectors, 384);
+        assert_eq!(a.backend, "batch", "an empty block takes the merged engine label");
         assert!((a.lane_utilization() - 0.75).abs() < 1e-12);
-        assert!((a.vectors_per_sec() - 96.0).abs() < 1e-9);
-        let ev = BackendStats { backend: "event", event_runs: 5, ..BackendStats::default() };
-        a.merge(&ev);
-        assert_eq!(a.backend, "batch+event");
+        assert!((a.vectors_per_sec() - 384.0).abs() < 1e-9);
         assert!(a.summary().contains("batch_runs=2"));
-        assert!(a.summary().contains("event_runs=5"));
+        assert_eq!(BackendStats::default().lane_utilization(), 0.0, "no pass, no utilization");
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! other Monte-Carlo experiment in this crate
 //! ([`parallel_accumulate`](crate::parallel)).
 //!
-//! Campaigns are also backend-pluggable ([`CampaignConfig::backend`]): the
-//! bit-parallel engine evaluates up to 256 samples per pass — each lane
-//! carrying a *different* fault plan
-//! ([`ola_netlist::batch::LaneFaultSet`]) — drawing the identical random
-//! stream and folding samples in the identical order as the event-driven
-//! path, so the two backends produce bit-identical [`CampaignReport`]s.
+//! Campaigns run on the bit-parallel engine, which evaluates up to 256
+//! samples per pass — each lane carrying a *different* fault plan
+//! ([`ola_netlist::batch::LaneFaultSet`]). [`CampaignConfig::backend`]
+//! selects the event-driven reference oracle instead for tests and the
+//! `repro` cross-check; it draws the identical random stream and folds
+//! samples in the identical order, so the two engines produce
+//! bit-identical [`CampaignReport`]s.
 
 use crate::backend::{BackendStats, BatchLanes, SimBackend};
 use crate::montecarlo::InputModel;
@@ -117,9 +118,10 @@ pub struct CampaignConfig {
     /// Extra gate delay, in time units ([`DelayPush`](FaultClass::DelayPush)
     /// class only).
     pub delay_push: u64,
-    /// Which simulation engine evaluates the samples. Results are
-    /// bit-identical across backends; [`SimBackend::Auto`] uses the batch
-    /// engine whenever the delay model permits.
+    /// Which simulation engine evaluates the samples: the batch engine
+    /// ([`SimBackend::Auto`] and [`SimBackend::Batch`] alike) or the
+    /// event-driven oracle ([`SimBackend::Event`]). Results are
+    /// bit-identical across engines.
     pub backend: SimBackend,
 }
 
@@ -336,11 +338,12 @@ where
 /// `worst_error_raw`; `rank_of` maps an output-wire position to its
 /// significance rank (0 = MSB).
 ///
-/// Per [`CampaignConfig::backend`], samples run either one at a time on
-/// the event-driven simulator or in groups of up to 256 ([`BatchLanes`]) on
-/// the batch engine: one clean pass, then one *incremental* pass carrying
-/// a different fault plan per lane — the faulty pass shares every input
-/// with the clean pass, so only each fault's fanout cone is recomputed
+/// Samples run in groups of up to 256 ([`BatchLanes`]) on the batch
+/// engine, or one at a time on the event-driven oracle when
+/// [`CampaignConfig::backend`] selects it. A batch group takes one clean
+/// pass, then one *incremental* pass carrying a different fault plan per
+/// lane — the faulty pass shares every input with the clean pass, so only
+/// each fault's fanout cone is recomputed
 /// ([`BatchProgram::run_incremental`]). Both paths share the same random
 /// stream (inputs drawn before the plan, sample for sample) and the same
 /// per-sample judgement (`record`), folded in sample order — so the
@@ -406,11 +409,12 @@ where
         }
     };
 
-    let prog = if cfg.backend.wants_batch() {
-        crate::resilience::compile_batch_or_degrade(&format!("campaign.{arch}"), netlist, delay)
-    } else {
-        None
-    };
+    let prog = (cfg.backend != SimBackend::Event).then(|| {
+        crate::memo::batch_program(netlist, delay).expect(
+            "generator netlists are acyclic, and lint rejects cycles, \
+             so every campaign netlist compiles to a batch program",
+        )
+    });
     let started = Instant::now();
 
     let per_site: Vec<Acc> = parallel_map(&sites, |site_idx, &site| {

@@ -5,38 +5,35 @@
 //! netlists through a timing simulator under a (jittered) delay model and
 //! sample the output registers at a sweep of clock periods.
 //!
-//! Both public curves funnel into one shared sampling engine (`curve_with`)
-//! that is parameterized over a [`SimBackend`]: the event-driven simulator
-//! (one vector per run) or the bit-parallel batch engine (256 vectors per
-//! pass, [`ola_netlist::batch`]). A batch pass is the bus-only streaming pass
-//! ([`BatchProgram::run_bus`]): it keeps only the sampled output bus's
+//! Both public curves funnel into one shared sampling engine (`curve_with`).
+//! Production sweeps run the bit-parallel batch engine (256 vectors per
+//! pass, [`ola_netlist::batch`]). A batch pass is the bus-only streaming
+//! pass ([`BatchProgram::run_bus`]): it keeps only the sampled output bus's
 //! waveforms and drops every other net's after its last fanout, so its
-//! memory is the netlist's live frontier plus the bus. The two backends
-//! draw the *same* random stream (see
+//! memory is the netlist's live frontier plus the bus. Every delay model
+//! compiles to an exact batch program, jittered placements
+//! ([`JitteredDelay`](ola_netlist::JitteredDelay)) included, and the
+//! netlists swept here are acyclic, so compilation cannot fail.
+//!
+//! [`SimBackend::Event`] selects the event-driven simulator (one vector
+//! per run) as the reference oracle for tests and the `repro`
+//! cross-checks. The two engines draw the *same* random stream (see
 //! [`crate::parallel::parallel_accumulate_batched`]) and judge samples in
 //! the same per-sample / per-`Ts` order with the same native-typed
-//! comparisons, so the produced [`GateLevelCurve`]s are bit-identical —
-//! batch is purely an accelerator. Every delay model compiles to an exact
-//! batch program, jittered placements
-//! ([`JitteredDelay`](ola_netlist::JitteredDelay)) included; batch
-//! *compilation failures* (a broken topology) degrade through
-//! [`crate::resilience::compile_batch_or_degrade`] (retry once, then run
-//! the event engine and annotate the manifest) — sound precisely because
-//! the backends are bit-identical. An ambient
-//! [`crate::CancelToken`] (see
+//! comparisons, so the produced [`GateLevelCurve`]s are bit-identical. An
+//! ambient [`crate::CancelToken`] (see
 //! [`crate::resilience::install_ambient`]) is honored per sample and
-//! inside both engines' inner loops.
+//! inside the batch engine's settling loop.
 
 use crate::backend::{BackendStats, BatchLanes, SimBackend, StaGate};
 use crate::montecarlo::InputModel;
 use crate::parallel::{parallel_accumulate, parallel_accumulate_batched};
-use crate::resilience::{ambient_token, check_cancelled, compile_batch_or_degrade};
+use crate::resilience::{ambient_token, check_cancelled};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
 use ola_netlist::batch::{BatchProgram, LaneInputs, LaneWord};
 use ola_netlist::{
-    analyze, default_event_budget, simulate_budgeted_cancellable, simulate_from_zero, CancelToken,
-    Cancelled, DelayModel, NetId, Netlist, SimError,
+    analyze, simulate_from_zero, CancelToken, Cancelled, DelayModel, NetId, Netlist,
 };
 use ola_redundant::Digit;
 use rand::Rng;
@@ -184,14 +181,13 @@ where
 /// exact `i64` products), never pre-flattened `f64`s, so both backends run
 /// the identical comparison.
 ///
-/// The event path simulates one vector per run; the batch path compiles
-/// the netlist once (memoized by content digest, see [`crate::memo`]) and
-/// runs up to 256 vectors per pass ([`BatchLanes`]), sampling the whole
-/// `Ts` grid with one sweep per pass. Lane order is sample order
-/// and the per-chunk accumulation order (sample-outer, `Ts`-inner) matches
-/// the event path exactly, so `f64` additions happen in the same order and
-/// the curves are bit-identical. If batch compilation fails (a broken
-/// topology), the event path runs instead.
+/// The batch path compiles the netlist once (memoized by content digest,
+/// see [`crate::memo`]) and runs up to 256 vectors per pass
+/// ([`BatchLanes`]), sampling the whole `Ts` grid with one sweep per pass;
+/// the event oracle ([`SimBackend::Event`]) simulates one vector per run.
+/// Lane order is sample order and the per-chunk accumulation order
+/// (sample-outer, `Ts`-inner) matches the event path exactly, so `f64`
+/// additions happen in the same order and the curves are bit-identical.
 ///
 /// With [`StaGate::On`], `Ts` points at or above the bus's worst-case STA
 /// arrival are never judged: every sample at such a point is provably
@@ -234,12 +230,13 @@ where
         .filter(|&(_, t)| !(sta_gate.is_on() && t >= bus_arrival))
         .collect();
     let skipped = (ts_points.len() - judged.len()) as u64;
-    let prog = if backend.wants_batch() {
+    let prog = (backend != SimBackend::Event).then(|| {
         let _s = crate::obs::span("empirical.batch_compile");
-        compile_batch_or_degrade("empirical.curve", netlist, delay)
-    } else {
-        None
-    };
+        crate::memo::batch_program(netlist, delay).expect(
+            "generator and elaborate netlists are acyclic, and lint rejects cycles, \
+             so every swept netlist compiles to a batch program",
+        )
+    });
     // Captured once here and used by the sampling closures on worker
     // threads: in-run cancellation polls must not depend on each worker's
     // own thread-local stack being populated yet.
@@ -258,20 +255,7 @@ where
             |rng, acc| {
                 check_cancelled();
                 let inputs = draw(rng);
-                let res = match &cancel {
-                    Some(tok) => {
-                        let zeros = vec![false; netlist.inputs().len()];
-                        let budget = default_event_budget(netlist);
-                        simulate_budgeted_cancellable(netlist, delay, &zeros, &inputs, budget, tok)
-                            .unwrap_or_else(|e| {
-                                if matches!(e, SimError::Cancelled) {
-                                    std::panic::panic_any(Cancelled)
-                                }
-                                panic!("{e}")
-                            })
-                    }
-                    None => simulate_from_zero(netlist, delay, &inputs),
-                };
+                let res = simulate_from_zero(netlist, delay, &inputs);
                 acc.max_settle = acc.max_settle.max(res.settle_time());
                 let settled = res.final_bus(wires);
                 for &(i, t) in &judged {
@@ -392,7 +376,7 @@ pub fn om_gate_level_curve_with<M: DelayModel + Sync>(
 
 /// Sweeps a synthesized online multiplier at the given clock periods.
 ///
-/// Equivalent to [`om_gate_level_curve_with`] on [`SimBackend::Auto`],
+/// Equivalent to [`om_gate_level_curve_with`] on the batch engine,
 /// discarding the stats.
 ///
 /// # Panics
@@ -470,7 +454,7 @@ pub fn array_gate_level_curve_with<M: DelayModel + Sync>(
 /// Sweeps a synthesized two's-complement array multiplier at the given
 /// clock periods.
 ///
-/// Equivalent to [`array_gate_level_curve_with`] on [`SimBackend::Auto`],
+/// Equivalent to [`array_gate_level_curve_with`] on the batch engine,
 /// discarding the stats.
 ///
 /// # Panics
@@ -617,8 +601,8 @@ mod tests {
             assert_eq!(ev, ba, "curves must be bit-identical");
             assert_eq!(ev_stats.backend, "event");
             assert_eq!(ba_stats.backend, "batch");
-            let cap = ba_stats.lane_capacity.max(64);
-            assert_eq!(ba_stats.batch_runs, 100u64.div_ceil(cap), "one pass per {cap} lanes");
+            assert_eq!(ba_stats.lane_capacity, 256);
+            assert_eq!(ba_stats.batch_runs, 1, "100 samples fit one 256-lane pass");
             assert_eq!(ba_stats.vectors, 100);
             assert_eq!(ev_stats.ts_points, 500);
             assert_eq!(ba_stats.ts_points, 500);
@@ -691,17 +675,16 @@ mod tests {
         );
         assert_eq!(ev, ba);
         assert_eq!(stats.lanes_used, 90, "every sample occupies one lane");
-        assert_eq!(stats.batch_runs, 90u64.div_ceil(stats.lane_capacity.max(64)));
-        let expected = 90.0 / (stats.lane_capacity.max(64) * stats.batch_runs) as f64;
-        assert!((stats.lane_utilization() - expected).abs() < 1e-12);
+        assert_eq!(stats.batch_runs, 1);
+        assert!((stats.lane_utilization() - 90.0 / 256.0).abs() < 1e-12);
     }
 
-    /// Regression guard for tail-lane handling: 65 samples is one lane past
-    /// the legacy 64-lane word and far short of a full multi-word block, so
-    /// whichever lane width runs, the final batch pass carries unused high
-    /// lanes. Those lanes hold engine-internal values that must be masked
-    /// out of every reduction (violation counts, error sums, settle times)
-    /// — any leak breaks bit-identity with the event path.
+    /// Regression guard for tail-lane handling: 65 samples fill the first
+    /// 64-bit word of the 256-lane block plus one lane of the second, so
+    /// the pass carries unused high lanes in a partly used word and two
+    /// empty words. Those lanes hold engine-internal values that must be
+    /// masked out of every reduction (violation counts, error sums, settle
+    /// times) — any leak breaks bit-identity with the event path.
     #[test]
     fn tail_lanes_stay_out_of_reductions_at_population_65() {
         let circuit = online_multiplier(6, 3);
@@ -732,7 +715,7 @@ mod tests {
         assert_eq!(ev_stats.vectors, 65);
         assert_eq!(ba_stats.vectors, 65, "exactly the requested population, no phantom lanes");
         assert_eq!(ba_stats.lanes_used, 65);
-        assert_eq!(ba_stats.batch_runs, 65u64.div_ceil(ba_stats.lane_capacity.max(64)));
+        assert_eq!(ba_stats.batch_runs, 1);
     }
 
     #[test]

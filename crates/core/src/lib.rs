@@ -14,8 +14,9 @@
 //! * [`montecarlo`] — stage-wave Monte-Carlo verification (Figure 4 top);
 //! * [`empirical`] — gate-level netlist sweeps under jittered delays
 //!   (Figure 4 bottom, the "FPGA" results);
-//! * [`backend`] — pluggable simulation engine selection ([`SimBackend`]:
-//!   event-driven vs bit-parallel batch) plus the observability counters
+//! * [`backend`] — the simulation engine selection ([`SimBackend`]: the
+//!   bit-parallel batch engine, or the event-driven reference oracle for
+//!   tests and cross-checks) plus the observability counters
 //!   ([`BackendStats`]) the `repro` binary reports;
 //! * [`baseline`] — conventional ripple-carry behaviour: exact carry-chain
 //!   distribution and Monte-Carlo, showing the flat error expectation that
@@ -38,8 +39,7 @@
 //!   files with resume ([`resilience::open_resumable`]), cooperative
 //!   cancellation ([`resilience::install_ambient`] /
 //!   [`CancelToken`]), typed error taxonomy
-//!   ([`resilience::ResilienceError`]), batch→event degradation policy
-//!   ([`resilience::compile_batch_or_degrade`]), atomic artifact writes
+//!   ([`resilience::ResilienceError`]), atomic artifact writes
 //!   ([`resilience::atomic_write`]), and the chaos-injection env hooks
 //!   ([`resilience::chaos`]) the `chaos_check` harness drives.
 //!

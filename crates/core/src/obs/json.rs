@@ -246,15 +246,21 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The reader
+/// recurses once per level, and served request bodies are untrusted, so
+/// a bound keeps a body of a million `[` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Trailing whitespace is permitted;
 /// trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
 /// Returns [`JsonParseError`] on malformed input, including numbers
-/// outside `u64`/`i64` range (floats are accepted up to `f64`).
+/// outside `u64`/`i64` range (floats are accepted up to `f64`) and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -267,6 +273,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +316,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected byte {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -510,6 +531,20 @@ mod tests {
         for rendered in [doc.render(), doc.render_pretty()] {
             assert_eq!(parse(&rendered).unwrap(), doc, "{rendered}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_bound() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // A 1 MiB body of `[` (the served body limit) must fail cleanly,
+        // not overflow the stack.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

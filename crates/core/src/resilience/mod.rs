@@ -1,4 +1,4 @@
-//! # Resilience: cancellation, degradation, and crash-safe artifacts.
+//! # Resilience: cancellation and crash-safe artifacts.
 //!
 //! The paper's thesis is graceful degradation at the circuit level — an
 //! overclocked online datapath loses accuracy smoothly instead of failing
@@ -14,12 +14,6 @@
 //!   ([`check_cancelled`]); the guard thread that owns the token catches
 //!   the unwind and downcasts it back ([`is_cancel_payload`]) to tell an
 //!   orderly stop from a genuine panic.
-//! * **Graceful backend degradation** — [`compile_batch_or_degrade`]
-//!   implements the policy *retry once, then fall back to the event
-//!   engine*: a batch-compile failure is recorded (counter
-//!   `ola.resilience.batch_degraded`, annotation
-//!   `resilience.degraded.<context>`) instead of failing the experiment,
-//!   which is sound because both backends are bit-identical.
 //! * **Crash-safe artifacts** — [`atomic_write`] (write `<path>.tmp`,
 //!   then rename) so no crash point leaves a truncated CSV/PGM/manifest,
 //!   [`retry_io`] with bounded backoff for transient io errors, and the
@@ -27,22 +21,20 @@
 //!   replays.
 //! * **Chaos hooks** — the [`chaos`] submodule reads `OLA_CHAOS_*`
 //!   environment variables so the `chaos_check` harness can inject
-//!   deterministic failures (forced degradation, torn frames, aborts,
-//!   panics) into an otherwise-unmodified binary.
+//!   deterministic failures (torn frames, aborts, panics, cache rot) into
+//!   an otherwise-unmodified binary.
 
 pub mod checkpoint;
 
 pub use checkpoint::{open_resumable, read_frames, CheckpointWriter, ReadOutcome, CHAOS_EXIT};
 pub use ola_netlist::{CancelToken, Cancelled};
 
-use ola_netlist::batch::BatchProgram;
-use ola_netlist::{BatchError, DelayModel, Netlist, SimError};
+use ola_netlist::{BatchError, SimError};
 use std::cell::RefCell;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -55,7 +47,7 @@ use std::time::Duration;
 pub enum ResilienceError {
     /// The run's [`CancelToken`] fired (wall-clock budget, user abort).
     Cancelled,
-    /// A batch-engine failure that was *not* recoverable by degradation.
+    /// A batch-engine failure.
     Batch(BatchError),
     /// An event-simulation failure (oscillation past its budget, arity).
     Sim(SimError),
@@ -114,10 +106,7 @@ impl From<BatchError> for ResilienceError {
 
 impl From<SimError> for ResilienceError {
     fn from(e: SimError) -> Self {
-        match e {
-            SimError::Cancelled => ResilienceError::Cancelled,
-            e => ResilienceError::Sim(e),
-        }
+        ResilienceError::Sim(e)
     }
 }
 
@@ -186,60 +175,6 @@ pub fn check_cancelled() {
 #[must_use]
 pub fn is_cancel_payload(payload: &(dyn std::any::Any + Send)) -> bool {
     payload.is::<Cancelled>()
-}
-
-// ---------------------------------------------------------------------------
-// Graceful backend degradation
-
-/// Compiles a [`BatchProgram`], applying the degradation policy on
-/// failure: retry once, then return `None` — the caller's event-engine
-/// fallback path runs instead, which is *correct* (backends are
-/// bit-identical) just slower. A degradation is recorded in the metrics
-/// registry (`ola.resilience.batch_degraded`) and as the manifest
-/// annotation `resilience.degraded.<context>`, so the lineage of every
-/// artifact produced on the fallback engine is visible.
-///
-/// The chaos hook [`chaos::batch_fail_forced`] forces the degradation path
-/// for the chaos harness.
-pub fn compile_batch_or_degrade<M: DelayModel + ?Sized>(
-    context: &str,
-    netlist: &Netlist,
-    delay: &M,
-) -> Option<Arc<BatchProgram>> {
-    if chaos::batch_fail_forced() {
-        note_degraded(context, "forced by OLA_CHAOS_BATCH_FAIL");
-        return None;
-    }
-    // Compiles go through the content-addressed memo: sweeps over the same
-    // netlist + delay model levelize once and share the program. Failed
-    // compiles are never cached, so the retry below really recompiles.
-    match crate::memo::batch_program(netlist, delay) {
-        Ok(p) => Some(p),
-        Err(first) => {
-            // Retry once before degrading. Compilation is deterministic
-            // today, so the retry will fail identically — but the policy
-            // (retry, then degrade, never abort) is uniform across every
-            // batch failure mode, including future nondeterministic ones.
-            crate::obs::registry().counter("ola.resilience.batch_retries").inc();
-            match crate::memo::batch_program(netlist, delay) {
-                Ok(p) => Some(p),
-                Err(_) => {
-                    note_degraded(context, &first.to_string());
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// Annotation-key prefix shared by every degradation record; the `repro`
-/// driver scans experiment annotations for it to report the "completed
-/// with degradation" outcome (exit code 4).
-pub const DEGRADED_PREFIX: &str = "resilience.degraded.";
-
-fn note_degraded(context: &str, reason: &str) {
-    crate::obs::registry().counter("ola.resilience.batch_degraded").inc();
-    crate::obs::annotate(format!("{DEGRADED_PREFIX}{context}"), reason);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,9 +247,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// hooks honest about process-wide state (the variables are set before
 /// spawn and never mutated mid-run).
 pub mod chaos {
-    /// Forces [`compile_batch_or_degrade`](super::compile_batch_or_degrade)
-    /// down its degradation path (set to any non-empty value ≠ `0`).
-    pub const BATCH_FAIL: &str = "OLA_CHAOS_BATCH_FAIL";
     /// Aborts the process (exit [`CHAOS_EXIT`](super::CHAOS_EXIT)) after
     /// this many checkpoint frames have been durably appended — a
     /// SIGKILL at a clean frame boundary.
@@ -340,12 +272,6 @@ pub mod chaos {
 
     fn num(var: &str) -> Option<u64> {
         std::env::var(var).ok()?.trim().parse().ok()
-    }
-
-    /// True when [`BATCH_FAIL`] is set.
-    #[must_use]
-    pub fn batch_fail_forced() -> bool {
-        flag(BATCH_FAIL)
     }
 
     /// The [`ABORT_AFTER_FRAMES`] threshold, if set.
@@ -418,8 +344,6 @@ mod tests {
     fn error_taxonomy_wraps_and_displays() {
         let e: ResilienceError = BatchError::Cancelled.into();
         assert!(matches!(e, ResilienceError::Cancelled));
-        let e: ResilienceError = SimError::Cancelled.into();
-        assert!(matches!(e, ResilienceError::Cancelled));
         let e: ResilienceError = BatchError::TooManyLanes { got: 99, cap: 64 }.into();
         assert!(e.to_string().contains("batch backend failed"));
         assert!(std::error::Error::source(&e).is_some());
@@ -475,56 +399,5 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"second");
         assert!(!path.with_file_name("out.csv.tmp").exists(), "tmp renamed away");
         assert!(atomic_write(Path::new("/"), b"x").is_err(), "no file name");
-    }
-
-    #[test]
-    fn degradation_policy_falls_back_and_annotates() {
-        use ola_netlist::{Netlist, UnitDelay};
-        let _lock =
-            crate::obs::ANNOTATIONS_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let b = nl.not(a);
-        nl.set_output("z", vec![b]);
-
-        // Healthy compile: no degradation recorded.
-        let _ = crate::obs::take_annotations();
-        assert!(compile_batch_or_degrade("test.ok", &nl, &UnitDelay).is_some());
-
-        // Broken topology: retries once, then degrades with an annotation.
-        let n1 = nl.and(a, b);
-        nl.rewire_input(b, 0, n1).unwrap(); // cycle: batch compile must fail
-        let before = crate::obs::registry().snapshot();
-        assert!(compile_batch_or_degrade("test.broken", &nl, &UnitDelay).is_none());
-        let notes = crate::obs::take_annotations();
-        assert!(
-            notes.iter().any(|(k, _)| k == "resilience.degraded.test.broken"),
-            "degradation annotated: {notes:?}"
-        );
-        let delta = crate::obs::registry().snapshot().diff(&before);
-        let get = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
-        assert_eq!(get("ola.resilience.batch_degraded"), 1);
-        assert_eq!(get("ola.resilience.batch_retries"), 1);
-
-        // Jittered delay models compile like any other, with no
-        // degradation recorded.
-        use ola_netlist::JitteredDelay;
-        let mut plain = Netlist::new();
-        let x = plain.input("x");
-        let y = plain.not(x);
-        plain.set_output("z", vec![y]);
-        assert!(compile_batch_or_degrade(
-            "test.jitter",
-            &plain,
-            &JitteredDelay::new(ola_netlist::UnitDelay, 20, 1)
-        )
-        .is_some());
-        // Annotations are process-global, so only assert our key is absent
-        // (other tests may annotate concurrently).
-        let notes = crate::obs::take_annotations();
-        assert!(
-            !notes.iter().any(|(k, _)| k.contains("test.jitter")),
-            "a jittered compile is not a degradation: {notes:?}"
-        );
     }
 }

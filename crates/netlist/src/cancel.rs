@@ -2,13 +2,13 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between a
 //! controller (a driver enforcing a wall-clock budget, a Ctrl-C handler)
-//! and workers (the event-driven and batch simulation loops, sweep
-//! searches, Monte-Carlo folds). The controller calls
-//! [`CancelToken::cancel`]; workers poll [`CancelToken::is_cancelled`] at
-//! bounded intervals and unwind with a typed error
-//! ([`SimError::Cancelled`](crate::SimError::Cancelled),
-//! [`BatchError::Cancelled`](crate::BatchError::Cancelled)) instead of
-//! running to completion on cores nobody is waiting for.
+//! and workers (the batch simulation loop, sweep searches, Monte-Carlo
+//! folds). The controller calls [`CancelToken::cancel`]; workers poll
+//! [`CancelToken::is_cancelled`] at bounded intervals and unwind with a
+//! typed error ([`BatchError::Cancelled`](crate::BatchError::Cancelled))
+//! instead of running to completion on cores nobody is waiting for. The
+//! event-driven simulator is a single-vector reference oracle and takes
+//! no token: its callers poll between vectors.
 //!
 //! Tokens may carry a deadline ([`CancelToken::with_deadline`]): once the
 //! deadline passes, the token reports cancelled without anyone calling
@@ -17,8 +17,7 @@
 //! the latch sticks.
 //!
 //! Cancellation is *cooperative and lossless*: a worker observing the
-//! flag stops at the next check point (every [`CHECK_INTERVAL`] processed
-//! events in the event simulator, every [`CHECK_INTERVAL`] nets in the
+//! flag stops at the next check point (every few hundred nets in the
 //! batch engine), never mid-write, so any state it already published
 //! (checkpoint frames, completed folds) remains valid.
 
@@ -26,12 +25,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many units of work (processed events, evaluated nets) a
-/// simulation loop may run between cancellation polls. Small enough that
-/// cancellation latency is microseconds, large enough that the atomic
-/// load is invisible in profiles.
-pub const CHECK_INTERVAL: usize = 4096;
 
 /// The typed payload of a cancelled operation.
 ///

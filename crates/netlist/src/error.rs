@@ -105,10 +105,6 @@ pub enum SimError {
     },
     /// The supplied fault plan does not fit the netlist.
     InvalidFault(NetlistError),
-    /// The run's [`CancelToken`](crate::CancelToken) was cancelled before
-    /// the netlist settled. The partial waveforms are discarded —
-    /// cancellation is a control-flow signal, not a result.
-    Cancelled,
 }
 
 impl fmt::Display for SimError {
@@ -123,7 +119,6 @@ impl fmt::Display for SimError {
                  combinational cycle or oscillation"
             ),
             SimError::InvalidFault(e) => write!(f, "invalid fault plan: {e}"),
-            SimError::Cancelled => write!(f, "simulation cancelled"),
         }
     }
 }

@@ -78,8 +78,7 @@ pub use error::{BatchError, NetlistError, SimError, StaError};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use netlist::{GateKind, NetId, Netlist};
 pub use sim::{
-    default_event_budget, simulate, simulate_budgeted, simulate_budgeted_cancellable,
-    simulate_from_zero, simulate_from_zero_with_faults, simulate_with_faults,
-    simulate_with_faults_cancellable, BusWaveforms, SimResult,
+    default_event_budget, simulate, simulate_budgeted, simulate_from_zero,
+    simulate_from_zero_with_faults, simulate_with_faults, BusWaveforms, SimResult,
 };
 pub use sta::{analyze, try_analyze, TimingReport};

@@ -8,7 +8,6 @@
 //! [`SimResult::value_at`] then answers the overclocking question: *what
 //! would a register clocked with period `Ts` capture?*
 
-use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::fault::{FaultOverlay, FaultPlan};
 use crate::netlist::eval_gate;
 use crate::{DelayModel, GateKind, NetId, Netlist, NetlistError, SimError};
@@ -222,9 +221,7 @@ fn eval_with_overlay(
 /// The shared event-driven core. `overlay` injects faults (`None` = the
 /// fault-free fast path), `budget` bounds the number of *processed*
 /// scheduled events so oscillating (cyclic) netlists terminate with
-/// [`SimError::Unsettled`] instead of looping forever, and `cancel`
-/// (when supplied) is polled every [`CHECK_INTERVAL`] processed events
-/// so a budget-owning driver can stop a run mid-flight.
+/// [`SimError::Unsettled`] instead of looping forever.
 fn simulate_core<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
@@ -232,13 +229,7 @@ fn simulate_core<M: DelayModel + ?Sized>(
     new_inputs: &[bool],
     overlay: Option<&FaultOverlay>,
     budget: usize,
-    cancel: Option<&CancelToken>,
 ) -> Result<SimResult, SimError> {
-    if let Some(tok) = cancel {
-        if tok.is_cancelled() {
-            return Err(SimError::Cancelled);
-        }
-    }
     let arity = netlist.inputs().len();
     for got in [new_inputs.len(), prev_inputs.len()] {
         if got != arity {
@@ -294,7 +285,6 @@ fn simulate_core<M: DelayModel + ?Sized>(
     let mut settle_time = 0;
     let mut events = 0usize;
     let mut processed = 0usize;
-    let mut next_cancel_poll = CHECK_INTERVAL;
     let mut dirty: Vec<u32> = Vec::new();
     let mut dirty_flag = vec![false; n];
 
@@ -313,14 +303,6 @@ fn simulate_core<M: DelayModel + ?Sized>(
         if processed > budget {
             crate::obs::with_observer(|o| o.event_unsettled(processed as u64, budget as u64));
             return Err(SimError::Unsettled { events: processed, budget });
-        }
-        if processed >= next_cancel_poll {
-            next_cancel_poll = processed + CHECK_INTERVAL;
-            if let Some(tok) = cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled);
-                }
-            }
         }
         for (net, val) in batch {
             let idx = net as usize;
@@ -401,28 +383,7 @@ pub fn simulate_budgeted<M: DelayModel + ?Sized>(
     new_inputs: &[bool],
     budget: usize,
 ) -> Result<SimResult, SimError> {
-    simulate_core(netlist, delay, prev_inputs, new_inputs, None, budget, None)
-}
-
-/// [`simulate_budgeted`] with a cooperative [`CancelToken`]: the event
-/// loop polls the token every [`CHECK_INTERVAL`] processed events and
-/// returns [`SimError::Cancelled`] once it is set, so a driver enforcing
-/// a wall-clock budget can stop a long settling run instead of waiting
-/// for it.
-///
-/// # Errors
-///
-/// As for [`simulate_budgeted`], plus [`SimError::Cancelled`] when
-/// `cancel` fires before the netlist settles.
-pub fn simulate_budgeted_cancellable<M: DelayModel + ?Sized>(
-    netlist: &Netlist,
-    delay: &M,
-    prev_inputs: &[bool],
-    new_inputs: &[bool],
-    budget: usize,
-    cancel: &CancelToken,
-) -> Result<SimResult, SimError> {
-    simulate_core(netlist, delay, prev_inputs, new_inputs, None, budget, Some(cancel))
+    simulate_core(netlist, delay, prev_inputs, new_inputs, None, budget)
 }
 
 /// Simulates with a [`FaultPlan`] overlay and an event budget.
@@ -448,28 +409,7 @@ pub fn simulate_with_faults<M: DelayModel + ?Sized>(
 ) -> Result<SimResult, SimError> {
     plan.validate(netlist)?;
     let overlay = plan.compile(netlist.len());
-    simulate_core(netlist, delay, prev_inputs, new_inputs, Some(&overlay), budget, None)
-}
-
-/// [`simulate_with_faults`] with a cooperative [`CancelToken`] (see
-/// [`simulate_budgeted_cancellable`]).
-///
-/// # Errors
-///
-/// As for [`simulate_with_faults`], plus [`SimError::Cancelled`] when
-/// `cancel` fires before the netlist settles.
-pub fn simulate_with_faults_cancellable<M: DelayModel + ?Sized>(
-    netlist: &Netlist,
-    delay: &M,
-    prev_inputs: &[bool],
-    new_inputs: &[bool],
-    plan: &FaultPlan,
-    budget: usize,
-    cancel: &CancelToken,
-) -> Result<SimResult, SimError> {
-    plan.validate(netlist)?;
-    let overlay = plan.compile(netlist.len());
-    simulate_core(netlist, delay, prev_inputs, new_inputs, Some(&overlay), budget, Some(cancel))
+    simulate_core(netlist, delay, prev_inputs, new_inputs, Some(&overlay), budget)
 }
 
 /// Convenience wrapper: simulate from the all-zero previous input vector
@@ -740,67 +680,6 @@ mod tests {
             err,
             SimError::InvalidFault(NetlistError::NetOutOfRange { index: 999, .. })
         ));
-    }
-
-    #[test]
-    fn pre_cancelled_token_stops_before_any_work() {
-        let nl = xor_chain(4);
-        let tok = crate::CancelToken::new();
-        tok.cancel();
-        let err =
-            simulate_budgeted_cancellable(&nl, &UnitDelay, &[false; 5], &[true; 5], 1000, &tok)
-                .unwrap_err();
-        assert_eq!(err, SimError::Cancelled);
-        let err2 = simulate_with_faults_cancellable(
-            &nl,
-            &UnitDelay,
-            &[false; 5],
-            &[true; 5],
-            &FaultPlan::new(),
-            1000,
-            &tok,
-        )
-        .unwrap_err();
-        assert_eq!(err2, SimError::Cancelled);
-    }
-
-    #[test]
-    fn live_token_is_bit_identical_to_plain_simulation() {
-        let nl = xor_chain(5);
-        let prev = vec![false; 6];
-        let next = vec![true, false, true, true, false, true];
-        let tok = crate::CancelToken::new();
-        let plain = simulate(&nl, &UnitDelay, &prev, &next);
-        let cancellable = simulate_budgeted_cancellable(
-            &nl,
-            &UnitDelay,
-            &prev,
-            &next,
-            default_event_budget(&nl),
-            &tok,
-        )
-        .unwrap();
-        assert_eq!(plain, cancellable);
-    }
-
-    #[test]
-    fn oscillating_netlist_stops_on_mid_run_cancellation() {
-        // The ring oscillator from `cyclic_netlist_returns_unsettled`, but
-        // with a deadline token and a budget large enough that the poll at
-        // CHECK_INTERVAL fires first: the run ends Cancelled, not Unsettled.
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.nand(a, a);
-        let n2 = nl.not(n1);
-        let n3 = nl.not(n2);
-        nl.set_output("z", vec![n3]);
-        nl.rewire_input(n1, 1, n3).unwrap();
-        let tok = crate::CancelToken::with_deadline(std::time::Duration::from_millis(10));
-        assert!(!tok.is_cancelled(), "deadline lies in the future at entry");
-        let err =
-            simulate_budgeted_cancellable(&nl, &UnitDelay, &[false], &[true], usize::MAX, &tok)
-                .unwrap_err();
-        assert_eq!(err, SimError::Cancelled);
     }
 
     #[test]

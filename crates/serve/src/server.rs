@@ -443,6 +443,8 @@ mod tests {
 
         let bad = post(addr, "/query", r#"{"kind":"nope","expr":"y = a"}"#);
         assert_eq!(bad.status, 400);
+        let event = post(addr, "/query", r#"{"kind":"sweep","expr":"y = a","backend":"event"}"#);
+        assert_eq!(event.status, 400, "the event engine is not served");
         let missing = request(addr, "GET", "/nowhere", "");
         assert_eq!(missing.status, 404);
 

@@ -8,8 +8,7 @@
 //! ```
 //!
 //! The manifest is built **once, at fill time** — its timestamp, seeds,
-//! annotations (including any `resilience.degraded.*` recorded while the
-//! batch engine fell back to the event engine), and the SHA-256 of the
+//! the annotations recorded while the query ran, and the SHA-256 of the
 //! rendered result are frozen into the cached bytes. A cache hit
 //! therefore returns a body *bit-identical* to the cold computation,
 //! artifact hashes included; per-response state (hit/miss, the content
@@ -51,10 +50,10 @@ fn git_once() -> &'static str {
 }
 
 /// Runs `query` and renders the full cacheable response body, capturing
-/// per-request annotations (degradations included) into the embedded
-/// manifest. This is the cache's fill function: everything inside the
-/// returned bytes is deterministic except the fill timestamp, which the
-/// cache freezes by storing the bytes.
+/// per-request annotations into the embedded manifest. This is the
+/// cache's fill function: everything inside the returned bytes is
+/// deterministic except the fill timestamp, which the cache freezes by
+/// storing the bytes.
 ///
 /// # Errors
 ///
@@ -174,30 +173,6 @@ mod tests {
         let name = experiment_name(&q, &key);
         assert_eq!(name, format!("serve_sta_{}", &key.hex()[..12]));
         assert_eq!(name, experiment_name(&q, &key), "deterministic");
-    }
-
-    #[test]
-    fn degradation_annotations_land_in_the_response_manifest() {
-        // Force the batch→event degradation: the request must still
-        // succeed, carrying the `resilience.degraded.*` annotation.
-        std::env::set_var(ola_core::resilience::chaos::BATCH_FAIL, "1");
-        let q = query(
-            r#"{"kind":"sweep","expr":"y = a * 0.5 + b","width":2,
-                "ts_points":3,"samples":4,"backend":"batch"}"#,
-        );
-        let key = q.cache_key();
-        let body = fill_body(&q, &key).unwrap();
-        std::env::remove_var(ola_core::resilience::chaos::BATCH_FAIL);
-        let doc = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
-        let annotations = doc.get("manifest").unwrap().get("annotations").unwrap();
-        let keys: Vec<&str> =
-            annotations.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
-        assert!(
-            keys.iter().any(|k| k.starts_with(ola_core::resilience::DEGRADED_PREFIX)),
-            "degraded answer is annotated, not failed: {keys:?}"
-        );
-        // And the result is still a real sweep.
-        assert_eq!(doc.get("result").unwrap().get("kind").unwrap().as_str(), Some("sweep"));
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub struct ExploreConfig {
     pub samples: usize,
     /// Base RNG seed (each variant derives its own stream).
     pub seed: u64,
-    /// Simulation backend selection.
-    pub backend: SimBackend,
 }
 
 impl Default for ExploreConfig {
@@ -66,7 +64,6 @@ impl Default for ExploreConfig {
             ts_points: 12,
             samples: 48,
             seed: 2024,
-            backend: SimBackend::Auto,
         }
     }
 }
@@ -225,7 +222,7 @@ fn evaluate_variants(variants: &[Variant], cfg: &ExploreConfig) -> ExploreResult
                     &grid,
                     cfg.samples,
                     cfg.seed.wrapping_add(k as u64),
-                    cfg.backend,
+                    SimBackend::Batch,
                 );
                 let mean =
                     curve.mean_abs_error.iter().sum::<f64>() / curve.mean_abs_error.len() as f64;
@@ -346,6 +343,8 @@ pub fn explore_mac(cfg: &ExploreConfig, lens: &[usize]) -> ExploreResult {
 /// Public so single-variant consumers (the `ola-serve` sweep query) share
 /// the explorer's exact sampling discipline — same draw encoding, same
 /// judge — and therefore produce curves comparable to explorer rows.
+/// `backend` is the batch engine for every production caller;
+/// [`SimBackend::Event`] runs the event-driven reference oracle.
 ///
 /// # Panics
 ///

@@ -181,7 +181,7 @@ pub enum Query {
         samples: usize,
         /// Base RNG seed.
         seed: u64,
-        /// Simulation backend.
+        /// Engine label, `auto` or `batch` (the same batch engine).
         backend: SimBackend,
     },
     /// Error curve of a single variant over its own Ts grid.
@@ -194,7 +194,7 @@ pub enum Query {
         samples: usize,
         /// RNG seed.
         seed: u64,
-        /// Simulation backend.
+        /// Engine label, `auto` or `batch` (the same batch engine).
         backend: SimBackend,
     },
     /// Static timing + per-digit certification of a single variant.
@@ -244,7 +244,7 @@ pub enum Query {
         samples: usize,
         /// RNG seed.
         seed: u64,
-        /// Simulation backend.
+        /// Engine label, `auto` or `batch` (the same batch engine).
         backend: SimBackend,
     },
 }
@@ -289,9 +289,17 @@ fn parse_allocation(name: &str) -> Result<AdderStructure, QueryError> {
     }
 }
 
+/// Served queries run the batch engine. `auto` and `batch` name it alike
+/// and stay distinct spellings, because the canonical form (and so every
+/// cache key) hashes the label. The event engine is a test oracle and is
+/// not served.
 fn parse_backend(name: &str) -> Result<SimBackend, QueryError> {
-    SimBackend::parse(name)
-        .ok_or_else(|| bad(format!("unknown backend {name:?} (want auto|event|batch)")))
+    match name {
+        "auto" => Ok(SimBackend::Auto),
+        "batch" => Ok(SimBackend::Batch),
+        "event" => Err(bad("backend \"event\" is not served (want auto|batch)")),
+        other => Err(bad(format!("unknown backend {other:?} (want auto|batch)"))),
+    }
 }
 
 fn parse_fusion(name: &str) -> Result<MacFusion, QueryError> {
@@ -565,7 +573,7 @@ impl Query {
                 ts_points,
                 samples,
                 seed,
-                backend,
+                backend: _,
             } => {
                 let fmt = InputFmt { msd_pos: *msd_pos, digits: widths[0] };
                 let dfg = parse_dfg(expr, fmt).map_err(|e| bad(format!("expression: {e}")))?;
@@ -575,7 +583,6 @@ impl Query {
                     ts_points: *ts_points,
                     samples: *samples,
                     seed: *seed,
-                    backend: *backend,
                     ..ExploreConfig::default()
                 };
                 for &width in &cfg.widths {
@@ -915,6 +922,7 @@ mod tests {
                 "unknown allocation",
             ),
             (r#"{"kind":"sweep","expr":"y = a","backend":"gpu"}"#.to_owned(), "unknown backend"),
+            (r#"{"kind":"sweep","expr":"y = a","backend":"event"}"#.to_owned(), "event not served"),
             (r#"{"kind":"sweep","expr":"y = a","width":99}"#.to_owned(), "width over limit"),
             (r#"{"kind":"sweep","expr":"y = a","samples":0}"#.to_owned(), "zero samples"),
             (
@@ -930,6 +938,23 @@ mod tests {
             (format!(r#"{{"kind":"sweep","expr":"{}"}}"#, "a".repeat(5000)), "expr too long"),
         ] {
             assert!(parse_query(&body).is_err(), "must reject: {why}");
+        }
+    }
+
+    #[test]
+    fn served_engine_labels_keep_their_cache_keys() {
+        // `auto` and `batch` run the same engine but stay distinct
+        // spellings in the canonical form, so the keys of existing cache
+        // entries (and the benchmark's pinned serve digest) hold.
+        for (backend, key) in [
+            ("auto", "97c11786b44a0f59ad32283c9893feb6087c4ed667351de6dd85ecc0d32f7b49"),
+            ("batch", "8c73001ac1c87e8882986d9011619e963e302d57cdb99f8af9ebb3959d2590d0"),
+        ] {
+            let q = parse_query(&format!(
+                r#"{{"kind":"sweep","expr":"{EXPR}","backend":"{backend}"}}"#
+            ))
+            .unwrap();
+            assert_eq!(q.cache_key().hex(), key, "{backend}");
         }
     }
 

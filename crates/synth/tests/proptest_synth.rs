@@ -3,12 +3,14 @@
 //! against the IR's reference evaluators in both styles, and every
 //! optimization pass must preserve the exact semantics of every output.
 //! Random expression text must compile or fail with a typed error, never
-//! panic.
+//! panic, and so must random service query bodies.
 
+use ola_core::obs::json::{self, JsonValue};
 use ola_redundant::{BsVector, Q};
 use ola_synth::{
     allocate_adders, constant_fold, conventional_caps_ok, cse, elaborate, eliminate_dead, optimize,
-    parse_dfg, AdderStructure, Dfg, ElabOptions, InputFmt, NodeId, Style,
+    parse_dfg, AdderStructure, Dfg, ElabOptions, InputFmt, Limits, NodeId, Query, QueryError,
+    Style,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -328,5 +330,156 @@ proptest! {
         let src = random_program(seed);
         let outcome = std::panic::catch_unwind(|| compile_every_way(&src, width));
         prop_assert!(outcome.is_ok(), "panicked on {:?}", src);
+    }
+}
+
+/// The fields a query body may carry, with a few well-typed values each.
+const QUERY_FIELDS: [(&str, &[&str]); 15] = [
+    ("expr", &["\"y = a * 0.25 + b\"", "\"y = a\"", "\"t = a; y = t * t\"", "\"y = \""]),
+    ("msd_pos", &["1", "0", "-3", "40"]),
+    ("frac_digits", &["3", "5", "2"]),
+    ("ts_points", &["4", "12", "64"]),
+    ("samples", &["1", "48", "4096"]),
+    ("seed", &["0", "2024"]),
+    ("backend", &["\"auto\"", "\"batch\"", "\"event\"", "\"gpu\""]),
+    ("width", &["1", "4", "16"]),
+    ("style", &["\"online\"", "\"conventional\"", "\"octal\""]),
+    ("allocation", &["\"chain\"", "\"tree\"", "\"online-chain\"", "\"star\""]),
+    ("widths", &["[4,8]", "[2]", "[]", "[4,0]", "[1,2,3,4,5,6,7,8,9]"]),
+    ("kernel", &["\"fir\"", "\"conv2d\"", "\"matvec\"", "\"fft\""]),
+    ("size", &["1", "4", "16"]),
+    ("rows", &["1", "2", "16"]),
+    ("fusion", &["\"fused\"", "\"unfused\"", "\"half\""]),
+];
+
+/// Values of the wrong type or size for any field: out-of-range and
+/// boundary integers, a float, an over-long string, and the other types.
+const JUNK_VALUES: [&str; 12] = [
+    "18446744073709551615",
+    "-9223372036854775808",
+    "4294967296",
+    "-1",
+    "1.5e308",
+    "true",
+    "null",
+    "\"\"",
+    "\"\\u00e9\\n\"",
+    "{}",
+    "[null]",
+    "{\"kind\":\"sweep\"}",
+];
+
+/// A random JSON value nested up to `depth` levels.
+fn random_junk(rng: &mut ChaCha8Rng, depth: usize) -> String {
+    match rng.gen_range(0..4) {
+        0 if depth > 0 => {
+            let items: Vec<String> =
+                (0..rng.gen_range(0..3)).map(|_| random_junk(rng, depth - 1)).collect();
+            format!("[{}]", items.join(","))
+        }
+        1 if depth > 0 => {
+            let k = QUERY_FIELDS[rng.gen_range(0..QUERY_FIELDS.len())].0;
+            format!("{{\"{k}\":{}}}", random_junk(rng, depth - 1))
+        }
+        _ => JUNK_VALUES[rng.gen_range(0..JUNK_VALUES.len())].to_owned(),
+    }
+}
+
+/// A random request body as JSON text: every `kind`, plus missing,
+/// unknown and wrong-typed kinds; each field missing, well-typed,
+/// wrong-typed, huge or nested junk; sometimes deep nesting or a
+/// non-object document.
+fn random_query_body(seed: u64) -> String {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    if rng.gen_bool(0.05) {
+        return random_junk(&mut rng, 4);
+    }
+    let mut fields: Vec<String> = Vec::new();
+    match rng.gen_range(0..20) {
+        0 => {}
+        1 => fields.push(format!("\"kind\":{}", random_junk(&mut rng, 2))),
+        2 => fields.push("\"kind\":\"mystery\"".to_owned()),
+        _ => {
+            let kind =
+                ["pareto", "sweep", "sta", "lint", "verify", "dsp"][rng.gen_range(0usize..6)];
+            fields.push(format!("\"kind\":\"{kind}\""));
+        }
+    }
+    // Half the bodies are mostly well-formed, so parsing gets past the
+    // first bad field often enough to reach `canonical`.
+    let junk_rate = if rng.gen_bool(0.5) { 0.02 } else { 0.3 };
+    for (key, good) in QUERY_FIELDS {
+        let value = if key != "expr" && rng.gen_bool(0.4) {
+            continue;
+        } else if !rng.gen_bool(junk_rate) {
+            good[rng.gen_range(0..good.len())].to_owned()
+        } else if rng.gen_bool(0.5) {
+            random_junk(&mut rng, 3)
+        } else if key == "expr" {
+            format!("\"y = {}\"", "a + ".repeat(rng.gen_range(900..1100)))
+        } else {
+            JUNK_VALUES[rng.gen_range(0usize..3)].to_owned()
+        };
+        fields.push(format!("\"{key}\":{value}"));
+    }
+    if rng.gen_bool(0.2) {
+        fields.push(format!("\"extra\":{}", random_junk(&mut rng, 5)));
+    }
+    if rng.gen_bool(0.05) {
+        // Nesting around the JSON reader's depth bound, or far past it.
+        let n = if rng.gen_bool(0.5) { rng.gen_range(120..140) } else { 200_000 };
+        fields.push(format!("\"deep\":{}{}", "[".repeat(n), "]".repeat(n)));
+    }
+    if !fields.is_empty() {
+        // Field order must not matter, `kind` included.
+        let j = rng.gen_range(0..fields.len());
+        fields.swap(0, j);
+    }
+    format!("{{{}}}", fields.join(","))
+}
+
+/// Drives one body through `Query::from_json` → `canonical` →
+/// `cache_key`. A parsed query must canonicalize to a fixed point (its
+/// canonical form parses back to the same query and key) and never names
+/// the event engine.
+fn check_query_body(text: &str) -> Result<(), String> {
+    let Ok(body) = json::parse(text) else {
+        return Ok(()); // the server answers 400 "invalid JSON"
+    };
+    let asks_for_event = body.get("backend") == Some(&JsonValue::str("event"));
+    match Query::from_json(&body, &Limits::default()) {
+        Err(QueryError::BadRequest(_)) => Ok(()),
+        Ok(_) if asks_for_event => Err("the event engine was accepted".to_owned()),
+        Ok(q) => {
+            let canonical = q.canonical();
+            let key = q.cache_key();
+            let backend = canonical.get("backend").and_then(JsonValue::as_str);
+            if !matches!(backend, None | Some("auto" | "batch")) {
+                return Err(format!("canonical backend {backend:?}"));
+            }
+            let again =
+                json::parse(&canonical.render()).map_err(|e| e.to_string()).and_then(|c| {
+                    Query::from_json(&c, &Limits::default()).map_err(|e| e.to_string())
+                })?;
+            if again != q || again.cache_key() != key {
+                return Err(format!("canonical form is not a fixed point: {canonical:?}"));
+            }
+            Ok(())
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Query bodies cross the service's trust boundary: any body ends in a
+    /// parsed query or `QueryError::BadRequest`, never a panic.
+    #[test]
+    fn random_query_bodies_never_panic(seed in any::<u64>()) {
+        let text = random_query_body(seed);
+        let outcome = std::panic::catch_unwind(|| check_query_body(&text));
+        prop_assert!(outcome.is_ok(), "panicked on {}", text);
+        let verdict = outcome.unwrap_or(Ok(()));
+        prop_assert!(verdict.is_ok(), "{:?} on {}", verdict, text);
     }
 }
