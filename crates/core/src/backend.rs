@@ -294,6 +294,12 @@ mod tests {
         assert!((a.lane_utilization() - 0.75).abs() < 1e-12);
         assert!((a.vectors_per_sec() - 384.0).abs() < 1e-9);
         assert!(a.summary().contains("batch_runs=2"));
+        // The event oracle's runs fold into the same block; the first
+        // non-empty engine label wins.
+        a.merge(&BackendStats { backend: "event", event_runs: 5, ..BackendStats::default() });
+        assert_eq!(a.backend, "batch");
+        assert_eq!(a.event_runs, 5);
+        assert!(a.summary().contains("event_runs=5"));
         assert_eq!(BackendStats::default().lane_utilization(), 0.0, "no pass, no utilization");
     }
 

@@ -29,7 +29,6 @@ pub mod checkpoint;
 pub use checkpoint::{open_resumable, read_frames, CheckpointWriter, ReadOutcome, CHAOS_EXIT};
 pub use ola_netlist::{CancelToken, Cancelled};
 
-use ola_netlist::{BatchError, SimError};
 use std::cell::RefCell;
 use std::fmt;
 use std::fs;
@@ -47,10 +46,6 @@ use std::time::Duration;
 pub enum ResilienceError {
     /// The run's [`CancelToken`] fired (wall-clock budget, user abort).
     Cancelled,
-    /// A batch-engine failure.
-    Batch(BatchError),
-    /// An event-simulation failure (oscillation past its budget, arity).
-    Sim(SimError),
     /// An io failure that survived [`retry_io`]'s bounded retries.
     Io {
         /// What was being attempted (for the operator, not for matching).
@@ -74,8 +69,6 @@ impl fmt::Display for ResilienceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ResilienceError::Cancelled => write!(f, "run cancelled"),
-            ResilienceError::Batch(e) => write!(f, "batch backend failed: {e}"),
-            ResilienceError::Sim(e) => write!(f, "event simulation failed: {e}"),
             ResilienceError::Io { context, source } => write!(f, "{context}: {source}"),
             ResilienceError::CorruptFrame { path, frame, reason } => {
                 write!(f, "corrupt checkpoint frame {frame} in {}: {reason}", path.display())
@@ -87,26 +80,9 @@ impl fmt::Display for ResilienceError {
 impl std::error::Error for ResilienceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ResilienceError::Batch(e) => Some(e),
-            ResilienceError::Sim(e) => Some(e),
             ResilienceError::Io { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<BatchError> for ResilienceError {
-    fn from(e: BatchError) -> Self {
-        match e {
-            BatchError::Cancelled => ResilienceError::Cancelled,
-            e => ResilienceError::Batch(e),
-        }
-    }
-}
-
-impl From<SimError> for ResilienceError {
-    fn from(e: SimError) -> Self {
-        ResilienceError::Sim(e)
     }
 }
 
@@ -342,16 +318,14 @@ mod tests {
 
     #[test]
     fn error_taxonomy_wraps_and_displays() {
-        let e: ResilienceError = BatchError::Cancelled.into();
+        let e: ResilienceError = Cancelled.into();
         assert!(matches!(e, ResilienceError::Cancelled));
-        let e: ResilienceError = BatchError::TooManyLanes { got: 99, cap: 64 }.into();
-        assert!(e.to_string().contains("batch backend failed"));
-        assert!(std::error::Error::source(&e).is_some());
-        let e: ResilienceError = SimError::Unsettled { events: 9, budget: 5 }.into();
-        assert!(e.to_string().contains("event simulation failed"));
+        assert_eq!(e.to_string(), "run cancelled");
+        assert!(std::error::Error::source(&e).is_none());
         let e =
             ResilienceError::Io { context: "writing x".into(), source: io::Error::other("boom") };
         assert!(e.to_string().contains("writing x"));
+        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]
