@@ -42,6 +42,8 @@
 //! evaluated. Waveform memory is then bounded by the live frontier of the
 //! levelized DAG plus the bus, not by every net of the netlist, while the
 //! counters and settle times equal those of a full [`BatchProgram::run`].
+//! [`BatchProgram::run_incremental_bus`] streams a dirty-cone rerun the
+//! same way.
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
@@ -525,27 +527,9 @@ impl BatchProgram {
         bus: &[NetId],
         cancel: Option<&CancelToken>,
     ) -> Result<LaneBusResult<B>, BatchError> {
-        let len = self.num_nets();
-        let mut on_bus = vec![false; len];
-        for net in bus {
-            let index = net.index();
-            *on_bus
-                .get_mut(index)
-                .ok_or(BatchError::InvalidBus(NetlistError::NetOutOfRange { index, len }))? = true;
-        }
+        let on_bus = self.bus_mask(bus)?;
         let pass = self.settle(prev, new, None, None, Retain::Bus(&on_bus), cancel)?;
-        let waves = bus
-            .iter()
-            .map(|net| {
-                pass.waves[net.index()].as_deref().expect("the pass retains bus waveforms").clone()
-            })
-            .collect();
-        Ok(LaneBusResult {
-            bus: LaneBusWaves { lanes: pass.lanes, waves },
-            settle: pass.settle,
-            word_steps: pass.word_steps,
-            lane_transitions: pass.lane_transitions,
-        })
+        Ok(pass.into_bus_result(bus))
     }
 
     /// Reruns the engine against `base`, recomputing only the fanout cone
@@ -591,6 +575,82 @@ impl BatchProgram {
         cancel: &CancelToken,
     ) -> Result<LaneSimResult<B>, BatchError> {
         self.run_incremental_inner(base, prev, new, faults, Some(cancel))
+    }
+
+    /// The bus-only counterpart of [`BatchProgram::run_incremental`]: the
+    /// same dirty-cone rerun against `base`, keeping only the waveforms of
+    /// `bus` as [`BatchProgram::run_bus`] does. Shared clean waveforms stay
+    /// owned by `base`; every recomputed interior waveform is dropped after
+    /// its last consumer, so a faulty pass costs the fault cone's live
+    /// frontier rather than the whole cone. The bus waveforms, settle
+    /// times, word steps and lane transitions equal those of a full
+    /// [`BatchProgram::run_with_faults`] with the same arguments —
+    /// property-tested, and cross-checked on every call when
+    /// `OLA_BATCH_CHECK_INCREMENTAL=1`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BatchProgram::run_incremental`], plus
+    /// [`BatchError::InvalidBus`] naming the first bus net outside the
+    /// netlist.
+    pub fn run_incremental_bus<B: LaneWord>(
+        &self,
+        base: &LaneSimResult<B>,
+        prev: &LaneInputs<B>,
+        new: &LaneInputs<B>,
+        faults: Option<&LaneFaultSet<B>>,
+        bus: &[NetId],
+    ) -> Result<LaneBusResult<B>, BatchError> {
+        self.check_incremental(base, prev, faults)?;
+        let on_bus = self.bus_mask(bus)?;
+        let pass = self.settle(prev, new, faults, Some(base), Retain::Bus(&on_bus), None)?;
+        let result = pass.into_bus_result(bus);
+        if incremental_check_enabled() {
+            let full = self.run_inner(prev, new, faults, None)?;
+            let full_bus = full.bus_waves(bus).expect("bus validated above");
+            assert!(
+                result.bus == full_bus
+                    && result.settle == full.settle
+                    && result.word_steps == full.word_steps
+                    && result.lane_transitions == full.lane_transitions,
+                "incremental bus/full divergence (OLA_BATCH_CHECK_INCREMENTAL)"
+            );
+        }
+        Ok(result)
+    }
+
+    /// Flags the nets of `bus` for a [`Retain::Bus`] pass.
+    fn bus_mask(&self, bus: &[NetId]) -> Result<Vec<bool>, BatchError> {
+        let len = self.num_nets();
+        let mut on_bus = vec![false; len];
+        for net in bus {
+            let index = net.index();
+            *on_bus
+                .get_mut(index)
+                .ok_or(BatchError::InvalidBus(NetlistError::NetOutOfRange { index, len }))? = true;
+        }
+        Ok(on_bus)
+    }
+
+    /// Validates an incremental rerun's fault set and base against this
+    /// program and the new stimulus.
+    fn check_incremental<B: LaneWord>(
+        &self,
+        base: &LaneSimResult<B>,
+        prev: &LaneInputs<B>,
+        faults: Option<&LaneFaultSet<B>>,
+    ) -> Result<(), BatchError> {
+        if let Some(fs) = faults {
+            self.check_faults(fs)?;
+        }
+        let n = self.num_nets();
+        if base.waves.len() != n || base.prev_words.len() != self.num_inputs() {
+            return Err(BatchError::IncrementalBaseMismatch { expected: n, got: base.waves.len() });
+        }
+        if base.lanes != prev.lanes {
+            return Err(BatchError::LaneMismatch { prev: base.lanes, new: prev.lanes });
+        }
+        Ok(())
     }
 
     fn check_faults<B: LaneWord>(&self, faults: &LaneFaultSet<B>) -> Result<(), BatchError> {
@@ -718,21 +778,12 @@ impl BatchProgram {
         faults: Option<&LaneFaultSet<B>>,
         cancel: Option<&CancelToken>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        let n = self.num_nets();
-        if let Some(fs) = faults {
-            self.check_faults(fs)?;
-        }
-        if base.waves.len() != n || base.prev_words.len() != self.num_inputs() {
-            return Err(BatchError::IncrementalBaseMismatch { expected: n, got: base.waves.len() });
-        }
-        if base.lanes != prev.lanes {
-            return Err(BatchError::LaneMismatch { prev: base.lanes, new: prev.lanes });
-        }
+        self.check_incremental(base, prev, faults)?;
         let pass = self.settle(prev, new, faults, Some(base), Retain::All, cancel)?;
         let result = pass.into_result(prev, new, faults);
         if incremental_check_enabled() {
             let full = self.run_inner(prev, new, faults, cancel)?;
-            for i in 0..n {
+            for i in 0..self.num_nets() {
                 assert_eq!(
                     *result.waves[i], *full.waves[i],
                     "incremental/full divergence on net {i} (OLA_BATCH_CHECK_INCREMENTAL)"
@@ -899,6 +950,22 @@ impl<B: LaneWord> Settled<B> {
             prev_words: prev.words.clone(),
             new_words: new.words.clone(),
             faults: faults.cloned(),
+        }
+    }
+
+    /// Assembles the result of a [`Retain::Bus`] pass over `bus`.
+    fn into_bus_result(self, bus: &[NetId]) -> LaneBusResult<B> {
+        let waves = bus
+            .iter()
+            .map(|net| {
+                self.waves[net.index()].as_deref().expect("the pass retains bus waveforms").clone()
+            })
+            .collect();
+        LaneBusResult {
+            bus: LaneBusWaves { lanes: self.lanes, waves },
+            settle: self.settle,
+            word_steps: self.word_steps,
+            lane_transitions: self.lane_transitions,
         }
     }
 }

@@ -34,7 +34,8 @@
 //! 5. [`BatchProgram::run_incremental`] reruns against a previous result,
 //!    recomputing only the levelized fanout cone of the nets whose
 //!    stimulus (input words or fault state) changed — clean nets share
-//!    their waveforms with the base run by reference.
+//!    their waveforms with the base run by reference;
+//!    [`BatchProgram::run_incremental_bus`] is its bus-only form.
 //!
 //! Exactness is the point, not an approximation: under transport-delay
 //! semantics with per-gate constant delays, `out(t + d) = f(inputs(t))`,

@@ -15,7 +15,10 @@
 use ola_netlist::batch::{
     BatchProgram, LaneBlock, LaneFaultSet, LaneInputs, LaneSimResult, LaneWord,
 };
-use ola_netlist::{DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay};
+use ola_netlist::{
+    BatchError, DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, NetlistError,
+    UnitDelay,
+};
 use proptest::prelude::*;
 
 /// A recipe for one random gate: (kind selector, input selectors).
@@ -107,21 +110,32 @@ fn assert_bit_identical<B: LaneWord>(
     Ok(())
 }
 
-/// One randomized incremental-vs-full trial at lane word `B`.
-#[allow(clippy::too_many_arguments)]
-fn incremental_trial<B: LaneWord>(
+/// One random base run and the stimulus and fault-set delta applied to
+/// it.
+struct Scenario<B: LaneWord> {
+    nl: Netlist,
+    prog: BatchProgram,
+    lanes: u32,
+    prev: LaneInputs<B>,
+    base_new: LaneInputs<B>,
+    new: LaneInputs<B>,
+    base_faults: LaneFaultSet<B>,
+    new_faults: LaneFaultSet<B>,
+    base: LaneSimResult<B>,
+}
+
+fn scenario<B: LaneWord>(
     rs: &[GateRecipe],
     delay_sel: u8,
     base_lanes: &[(u32, u32)],
     flips: &[(u8, u32)],
     base_fault_specs: &[Vec<(u8, u8, u64, u64)>],
     new_fault_specs: &[Vec<(u8, u8, u64, u64)>],
-) -> Result<(), TestCaseError> {
+) -> Scenario<B> {
     let nl = build_random_netlist(rs);
     let delay = delay_model(delay_sel);
     let prog = BatchProgram::compile(&nl, delay.as_ref()).unwrap();
     let nets: Vec<NetId> = nl.nets().collect();
-    let lanes = base_lanes.len() as u32;
 
     let prev_vecs: Vec<Vec<bool>> = base_lanes.iter().map(|&(p, _)| unpack(p, 0)).collect();
     let base_new_vecs: Vec<Vec<bool>> = base_lanes.iter().map(|&(_, q)| unpack(q, 0)).collect();
@@ -145,22 +159,75 @@ fn incremental_trial<B: LaneWord>(
         new_fault_specs.iter().map(|s| plan_from_specs(s, &nets)).collect();
     let base_faults = LaneFaultSet::<B>::compile(&base_plans, nl.len()).unwrap();
     let new_faults = LaneFaultSet::<B>::compile(&new_plans, nl.len()).unwrap();
-
     let base = prog.run_with_faults(&prev, &base_new, &base_faults).unwrap();
+    Scenario {
+        nl,
+        prog,
+        lanes: base_lanes.len() as u32,
+        prev,
+        base_new,
+        new,
+        base_faults,
+        new_faults,
+        base,
+    }
+}
+
+/// One randomized incremental-vs-full trial at lane word `B`.
+fn incremental_trial<B: LaneWord>(s: &Scenario<B>) -> Result<(), TestCaseError> {
+    let Scenario { nl, prog, lanes, prev, base_new, new, base_faults, new_faults, base } = s;
 
     // Fault-set delta (and input delta) against a faulted base.
-    let inc = prog.run_incremental(&base, &prev, &new, Some(&new_faults)).unwrap();
-    let full = prog.run_with_faults(&prev, &new, &new_faults).unwrap();
-    assert_bit_identical(&nl, lanes, &inc, &full)?;
+    let inc = prog.run_incremental(base, prev, new, Some(new_faults)).unwrap();
+    let full = prog.run_with_faults(prev, new, new_faults).unwrap();
+    assert_bit_identical(nl, *lanes, &inc, &full)?;
 
     // Dropping the fault set entirely is also just a delta.
-    let inc_clean = prog.run_incremental(&base, &prev, &new, None).unwrap();
-    let full_clean = prog.run(&prev, &new).unwrap();
-    assert_bit_identical(&nl, lanes, &inc_clean, &full_clean)?;
+    let inc_clean = prog.run_incremental(base, prev, new, None).unwrap();
+    let full_clean = prog.run(prev, new).unwrap();
+    assert_bit_identical(nl, *lanes, &inc_clean, &full_clean)?;
 
     // The no-op delta must reproduce the base run exactly.
-    let noop = prog.run_incremental(&base, &prev, &base_new, Some(&base_faults)).unwrap();
-    assert_bit_identical(&nl, lanes, &noop, &base)?;
+    let noop = prog.run_incremental(base, prev, base_new, Some(base_faults)).unwrap();
+    assert_bit_identical(nl, *lanes, &noop, base)?;
+    Ok(())
+}
+
+/// One randomized bus-only trial at lane word `B`: for each delta of
+/// [`incremental_trial`], `run_incremental_bus` equals `run_incremental`
+/// restricted to the bus — its waves, and the settle times and counters
+/// of the whole pass. The bus always repeats a net; a net outside the
+/// netlist and a base of another lane count are typed errors.
+fn incremental_bus_trial<B: LaneWord>(
+    s: &Scenario<B>,
+    bus_sel: &[u8],
+) -> Result<(), TestCaseError> {
+    let Scenario { nl, prog, lanes, prev, base_new, new, base_faults, new_faults, base } = s;
+    let nets: Vec<NetId> = nl.nets().collect();
+    let mut bus: Vec<NetId> = bus_sel.iter().map(|&b| nets[b as usize % nets.len()]).collect();
+    bus.push(bus[0]);
+
+    for (stim, faults) in [(new, Some(new_faults)), (new, None), (base_new, Some(base_faults))] {
+        let got = prog.run_incremental_bus(base, prev, stim, faults, &bus).unwrap();
+        let want = prog.run_incremental(base, prev, stim, faults).unwrap();
+        prop_assert_eq!(got.bus(), &want.bus_waves(&bus).unwrap());
+        prop_assert_eq!(got.settle_times(), want.settle_times());
+        prop_assert_eq!(got.word_steps(), want.word_steps());
+        prop_assert_eq!(got.lane_transitions(), want.lane_transitions());
+    }
+
+    let outside = NetId::from_index(nl.len());
+    prop_assert_eq!(
+        prog.run_incremental_bus(base, prev, new, None, &[bus[0], outside]).unwrap_err(),
+        BatchError::InvalidBus(NetlistError::NetOutOfRange { index: nl.len(), len: nl.len() })
+    );
+    let wider = LaneInputs::<B>::zeros(prog.num_inputs(), lanes + 1).unwrap();
+    let mismatch = BatchError::LaneMismatch { prev: *lanes, new: lanes + 1 };
+    prop_assert_eq!(
+        prog.run_incremental_bus(base, &wider, &wider, None, &bus).unwrap_err(),
+        mismatch.clone()
+    );
+    prop_assert_eq!(prog.run_incremental(base, &wider, &wider, None).unwrap_err(), mismatch);
     Ok(())
 }
 
@@ -185,7 +252,8 @@ proptest! {
         base_faults in fault_specs(4),
         new_faults in fault_specs(4),
     ) {
-        incremental_trial::<u64>(&rs, delay_sel, &base_lanes, &flips, &base_faults, &new_faults)?;
+        let s = scenario::<u64>(&rs, delay_sel, &base_lanes, &flips, &base_faults, &new_faults);
+        incremental_trial(&s)?;
     }
 
     /// The same property at a two-word 128-lane block, with populations
@@ -199,9 +267,34 @@ proptest! {
         base_faults in fault_specs(3),
         new_faults in fault_specs(3),
     ) {
-        incremental_trial::<LaneBlock<2>>(
+        let s = scenario::<LaneBlock<2>>(
             &rs, delay_sel, &base_lanes, &flips, &base_faults, &new_faults,
-        )?;
+        );
+        incremental_trial(&s)?;
+    }
+
+    /// The bus-only incremental pass equals the full incremental pass
+    /// restricted to the bus, at every lane word a production group runs
+    /// on: `u64`, 128 lanes and 256 lanes, with populations that fill
+    /// each word past the previous one's width.
+    #[test]
+    fn incremental_bus_matches_incremental_across_words(
+        rs in recipes(),
+        delay_sel in 0u8..6,
+        narrow in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=16),
+        mid in prop::collection::vec((any::<u32>(), any::<u32>()), 60..=80),
+        wide in prop::collection::vec((any::<u32>(), any::<u32>()), 125..=140),
+        flips in prop::collection::vec((any::<u8>(), any::<u32>()), 0..6),
+        base_faults in fault_specs(3),
+        new_faults in fault_specs(3),
+        bus_sel in prop::collection::vec(any::<u8>(), 1..6),
+    ) {
+        let s = scenario::<u64>(&rs, delay_sel, &narrow, &flips, &base_faults, &new_faults);
+        incremental_bus_trial(&s, &bus_sel)?;
+        let s = scenario::<LaneBlock<2>>(&rs, delay_sel, &mid, &flips, &base_faults, &new_faults);
+        incremental_bus_trial(&s, &bus_sel)?;
+        let s = scenario::<LaneBlock<4>>(&rs, delay_sel, &wide, &flips, &base_faults, &new_faults);
+        incremental_bus_trial(&s, &bus_sel)?;
     }
 
     /// Memoization replay contract: a program decoded from its own byte
