@@ -2,13 +2,9 @@
 //! paper compares online arithmetic against.
 //!
 //! * [`TcFormat`] — fixed-point two's-complement encoding/decoding;
-//! * [`StagedRippleAdder`] — the carry-chain wave timing model (the
-//!   conventional analogue of the online stage-wave model);
 //! * netlists live in [`crate::synth`]: [`crate::synth::ripple_carry_adder`]
 //!   and [`crate::synth::array_multiplier`].
 
-mod behavioral;
 mod tc;
 
-pub use behavioral::StagedRippleAdder;
 pub use tc::{EncodeTcError, TcFormat};

@@ -13,7 +13,7 @@
 //! bit for bit; [`crate::synth::online_adder`] emits the same structure as a
 //! netlist.
 
-use ola_redundant::{BsVector, Digit};
+use ola_redundant::BsVector;
 
 /// One PPM cell on bits: returns `(carry_pos, sum_neg)` with
 /// `a + b − m == 2·carry_pos − sum_neg`.
@@ -98,95 +98,6 @@ pub fn bs_add(x: &BsVector, y: &BsVector) -> BsVector {
     out
 }
 
-/// A digit-serial online adder: push one digit pair per cycle MSD-first,
-/// receive one sum digit per cycle after an online delay of 2.
-///
-/// This is the streaming view of the same two-FA-level structure as
-/// [`bs_add`]: a sum digit at position `p` combines the level-2 sum of
-/// position `p` (needing the level-1 carry from `p+1`) with the level-2
-/// borrow from position `p+1` — available two digit-times after `p`'s
-/// inputs, independent of word length.
-///
-/// # Examples
-///
-/// ```
-/// use ola_arith::online::SerialAdder;
-/// use ola_redundant::{BsVector, Q, SdNumber};
-///
-/// let x = SdNumber::from_value(Q::new(5, 4), 4)?;
-/// let y = SdNumber::from_value(Q::new(-3, 4), 4)?;
-/// let mut adder = SerialAdder::new();
-/// let mut digits = Vec::new();
-/// for i in 1..=4 {
-///     digits.extend(adder.push(x.digit(i), y.digit(i)));
-/// }
-/// digits.extend(adder.finish());
-/// // Digits cover positions 0..=4 (one integer guard digit).
-/// let mut sum = BsVector::zero(0, 5);
-/// for (k, d) in digits.iter().enumerate() {
-///     sum.set_digit(k as i32, *d);
-/// }
-/// assert_eq!(sum.value(), x.value() + y.value());
-/// # Ok::<(), ola_redundant::RangeError>(())
-/// ```
-#[derive(Clone, Debug)]
-pub struct SerialAdder {
-    /// Level-1 interim sum and the negative input digit bit of the previous
-    /// position, awaiting the next position's level-1 carry.
-    pending_l1: Option<(bool, bool)>,
-    /// Level-2 positive sum bit awaiting its negative (borrow) partner from
-    /// one position below.
-    pending_sp: Option<bool>,
-}
-
-impl Default for SerialAdder {
-    fn default() -> Self {
-        SerialAdder::new()
-    }
-}
-
-impl SerialAdder {
-    /// A fresh adder (no digits consumed).
-    #[must_use]
-    pub fn new() -> Self {
-        // The integer guard position 0 has zero operand digits; seeding its
-        // neutral level-1 result lets the first real push run position 0's
-        // level-2 step, so the guard digit is emitted like any other.
-        SerialAdder { pending_l1: Some((false, false)), pending_sp: None }
-    }
-
-    /// Consumes the next (MSD-first) digit pair; returns the sum digit that
-    /// becomes available, if any (none on the first two pushes).
-    pub fn push(&mut self, x: Digit, y: Digit) -> Option<Digit> {
-        let (xp, xn) = x.to_bits();
-        let (yp, yn) = y.to_bits();
-        let (c1, s1) = ppm(xp, yp, xn);
-        // Level 2 of the previous position consumes this position's c1; its
-        // borrow completes the digit of the position before that.
-        let out = self.pending_l1.take().map(|(prev_s1, prev_yn)| {
-            let (cn, sp) = mmp(c1, prev_s1, prev_yn);
-            let emitted = self.pending_sp.take().map(|p| Digit::from_bits(p, cn));
-            self.pending_sp = Some(sp);
-            emitted
-        });
-        self.pending_l1 = Some((s1, yn));
-        out.flatten()
-    }
-
-    /// Flushes the pipeline (two zero-feed cycles) and returns the
-    /// remaining sum digits.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<Digit> {
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            if let Some(d) = self.push(Digit::Zero, Digit::Zero) {
-                out.push(d);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,37 +165,6 @@ mod tests {
         let z = bs_add(&x, &x);
         assert_eq!(z.msd_pos(), 0);
         assert_eq!(z.end_pos(), 5);
-    }
-
-    #[test]
-    fn serial_adder_matches_parallel_exhaustively() {
-        // Every 4-digit pair: the streamed digits must reproduce bs_add's
-        // positions 0..n (the extra window position is always zero-valued).
-        for x in all_sd(4) {
-            for y in all_sd(4) {
-                let mut adder = SerialAdder::new();
-                let mut digits = Vec::new();
-                for i in 1..=4 {
-                    digits.extend(adder.push(x.digit(i), y.digit(i)));
-                }
-                digits.extend(adder.finish());
-                assert_eq!(digits.len(), 5, "positions 0..=4");
-                let mut sum = BsVector::zero(0, 5);
-                for (k, d) in digits.iter().enumerate() {
-                    sum.set_digit(k as i32, *d);
-                }
-                assert_eq!(sum.value(), x.value() + y.value(), "x={x:?} y={y:?} digits={digits:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn serial_adder_emits_with_online_delay_two() {
-        // Digit for position p completes two pushes after its inputs: the
-        // guard digit (position 0) appears on push 2.
-        let mut adder = SerialAdder::new();
-        assert!(adder.push(Digit::One, Digit::One).is_none());
-        assert!(adder.push(Digit::Zero, Digit::Zero).is_some());
     }
 
     #[test]

@@ -13,18 +13,16 @@
 
 mod adder;
 mod bittrue;
-mod div;
 mod mac;
 mod mult;
 mod select;
 mod staged;
 
-pub use adder::{bs_add, mmp, ppm, SerialAdder};
+pub use adder::{bs_add, mmp, ppm};
 pub use bittrue::{
     bittrue_mult, bittrue_mult_bits, digits_value, om_stage, om_stage_bits, sdvm, sdvm_bits,
     BitTrueProduct, StageIo,
 };
-pub use div::{online_div, DivideDomainError, OnlineQuotient, DELTA_DIV};
 pub use mac::{fused_fold_depth, fused_mac_bits, fused_mac_value, fused_mac_window};
 pub use mult::{online_mult, OnlineProduct, SerialMultiplier, DELTA};
 pub use select::{estimate, select, select_exact, Selection};

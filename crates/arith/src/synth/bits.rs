@@ -58,50 +58,6 @@ pub fn add_signed(nl: &mut Netlist, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
     ripple_add(nl, &ax, &bx, zero).0
 }
 
-/// Signed addition of a constant: result width `|a| + 1`.
-pub fn add_const(nl: &mut Netlist, a: &[NetId], k: i64) -> Vec<NetId> {
-    let width = a.len() + 1;
-    let kb = encode_const(nl, k, width);
-    let ax = sign_extend(nl, a, width);
-    let zero = nl.constant(false);
-    ripple_add(nl, &ax, &kb, zero).0
-}
-
-/// `a ≥ k` for a signed vector and constant: the sign of `a − k` negated.
-pub fn is_ge_const(nl: &mut Netlist, a: &[NetId], k: i64) -> NetId {
-    let d = add_const(nl, a, -k);
-    let sign = *d.last().expect("non-empty");
-    nl.not(sign)
-}
-
-/// `a ≤ k` for a signed vector and constant: the sign of `a − (k+1)`.
-pub fn is_le_const(nl: &mut Netlist, a: &[NetId], k: i64) -> NetId {
-    let d = add_const(nl, a, -(k + 1));
-    *d.last().expect("non-empty")
-}
-
-/// Per-bit three-way select: `sel_p ? a : (sel_n ? b : c)`, sign-extending
-/// all operands to a common width.
-pub fn mux3(
-    nl: &mut Netlist,
-    sel_p: NetId,
-    a: &[NetId],
-    sel_n: NetId,
-    b: &[NetId],
-    c: &[NetId],
-) -> Vec<NetId> {
-    let width = a.len().max(b.len()).max(c.len());
-    let ax = sign_extend(nl, a, width);
-    let bx = sign_extend(nl, b, width);
-    let cx = sign_extend(nl, c, width);
-    (0..width)
-        .map(|i| {
-            let inner = nl.mux(sel_n, bx[i], cx[i]);
-            nl.mux(sel_p, ax[i], inner)
-        })
-        .collect()
-}
-
 /// Decodes a signed vector from simulated values (test/debug helper).
 #[must_use]
 pub fn decode_signed(bits: &[bool]) -> i64 {
@@ -152,48 +108,6 @@ mod tests {
                 }
                 assert_eq!(eval_vec(&nl, &inputs, &s), a + b, "a={a} b={b}");
             }
-        }
-    }
-
-    #[test]
-    fn add_const_and_comparators() {
-        for a in -8i64..8 {
-            for k in -6i64..7 {
-                let mut nl = Netlist::new();
-                let av = nl.input_bus("a", 4);
-                let s = add_const(&mut nl, &av, k);
-                let ge = is_ge_const(&mut nl, &av, k);
-                let le = is_le_const(&mut nl, &av, k);
-                let inputs: Vec<bool> = (0..4).map(|i| a >> i & 1 == 1).collect();
-                let vals = nl.eval(&inputs);
-                assert_eq!(eval_vec(&nl, &inputs, &s), a + k);
-                assert_eq!(vals[ge.index()], a >= k, "a={a} k={k}");
-                assert_eq!(vals[le.index()], a <= k, "a={a} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn mux3_selects_with_priority() {
-        for code in 0..3u8 {
-            let mut nl = Netlist::new();
-            let sp = nl.input("sp");
-            let sn = nl.input("sn");
-            let a = encode_const(&mut nl, 3, 4);
-            let b = encode_const(&mut nl, -3, 4);
-            let c = encode_const(&mut nl, 0, 4);
-            let m = mux3(&mut nl, sp, &a, sn, &b, &c);
-            let (spv, snv) = match code {
-                0 => (true, false),
-                1 => (false, true),
-                _ => (false, false),
-            };
-            let expect = match code {
-                0 => 3,
-                1 => -3,
-                _ => 0,
-            };
-            assert_eq!(eval_vec(&nl, &[spv, snv], &m), expect);
         }
     }
 

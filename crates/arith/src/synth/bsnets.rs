@@ -108,17 +108,6 @@ impl BsSignals {
         v
     }
 
-    /// Reads the settled bus out of a simulation as a [`BsVector`].
-    #[must_use]
-    pub fn sample_settled(&self, res: &SimResult) -> BsVector {
-        let mut v = BsVector::zero(self.msd_pos, self.len());
-        for i in 0..self.len() {
-            let pos = self.msd_pos + i as i32;
-            v.set_bits(pos, res.final_value(self.p[i]), res.final_value(self.n[i]));
-        }
-        v
-    }
-
     /// Reads the bus from a functional evaluation.
     #[must_use]
     pub fn eval(&self, vals: &[bool]) -> BsVector {

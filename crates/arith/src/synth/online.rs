@@ -13,7 +13,7 @@ use crate::synth::bsnets::{bs_add_gates, sdvm_gates, BsSignals};
 use ola_netlist::cells::{and_tree, or_tree};
 use ola_netlist::sta::prune_dead;
 use ola_netlist::{NetId, Netlist};
-use ola_redundant::{Digit, SdNumber};
+use ola_redundant::SdNumber;
 
 /// A synthesized digit-parallel online adder with its I/O bookkeeping.
 #[derive(Clone, Debug)]
@@ -82,13 +82,6 @@ impl OnlineMultiplierCircuit {
         out.extend_from_slice(yp);
         out.extend(y.iter().map(|d| d.to_bits().1));
         out
-    }
-
-    /// Decodes sampled `zp`/`zn` bus values into result digits
-    /// `z_{−δ} ..= z_{n−1}`.
-    #[must_use]
-    pub fn decode_digits(&self, zp: &[bool], zn: &[bool]) -> Vec<Digit> {
-        zp.iter().zip(zn).map(|(&p, &n)| Digit::from_bits(p, n)).collect()
     }
 }
 
@@ -293,7 +286,7 @@ mod tests {
     use super::*;
     use crate::online::{bittrue_mult, bs_add, Selection};
     use ola_netlist::{analyze, simulate_from_zero, UnitDelay};
-    use ola_redundant::{random, BsVector, Q};
+    use ola_redundant::{random, BsVector, Digit, Q};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -358,12 +351,17 @@ mod tests {
         }
     }
 
+    /// Decodes sampled `zp`/`zn` bus values into result digits.
+    fn decode(zp: &[bool], zn: &[bool]) -> Vec<Digit> {
+        zp.iter().zip(zn).map(|(&p, &n)| Digit::from_bits(p, n)).collect()
+    }
+
     fn check_equivalence(circuit: &OnlineMultiplierCircuit, x: &SdNumber, y: &SdNumber) {
         let inputs = circuit.encode_inputs(x, y);
         let vals = circuit.netlist.eval(&inputs);
         let zp: Vec<bool> = circuit.netlist.output("zp").iter().map(|b| vals[b.index()]).collect();
         let zn: Vec<bool> = circuit.netlist.output("zn").iter().map(|b| vals[b.index()]).collect();
-        let got = circuit.decode_digits(&zp, &zn);
+        let got = decode(&zp, &zn);
         let want = bittrue_mult(x, y, Selection::Estimate { frac_digits: circuit.frac_digits });
         assert_eq!(got, want.digits, "x={x:?} y={y:?}");
     }
@@ -382,7 +380,7 @@ mod tests {
                 circuit.netlist.output("zp").iter().map(|&b| res.final_value(b)).collect();
             let zn: Vec<bool> =
                 circuit.netlist.output("zn").iter().map(|&b| res.final_value(b)).collect();
-            let got = circuit.decode_digits(&zp, &zn);
+            let got = decode(&zp, &zn);
             let want = bittrue_mult(&x, &y, Selection::default());
             assert_eq!(got, want.digits);
         }

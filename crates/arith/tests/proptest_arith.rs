@@ -2,7 +2,7 @@
 //! online adder, accuracy invariants of every multiplier model, and the
 //! conventional baselines.
 
-use ola_arith::conventional::{StagedRippleAdder, TcFormat};
+use ola_arith::conventional::TcFormat;
 use ola_arith::online::{bittrue_mult, bs_add, online_mult, Selection, StagedMultiplier};
 use ola_redundant::{BsVector, Digit, SdNumber, Q};
 use proptest::prelude::*;
@@ -107,23 +107,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn ripple_adder_wave_settles_to_sum(a in 0u64..65536, b in 0u64..65536) {
-        let adder = StagedRippleAdder::new(a, b, 16);
-        prop_assert_eq!(adder.sample(16), (a + b) & 0xFFFF);
-        prop_assert_eq!(adder.settled(), (a + b) & 0xFFFF);
-        // Monotone settling: once correct, stays correct.
-        let settle = adder.settling_ticks();
-        for t in settle..=16 {
-            prop_assert_eq!(adder.sample(t), adder.settled());
-        }
-    }
-
-    #[test]
-    fn carry_chain_bounds_settling(a in 0u64..65536, b in 0u64..65536) {
-        let adder = StagedRippleAdder::new(a, b, 16);
-        prop_assert!(adder.settling_ticks() <= adder.longest_carry_chain() + 1);
-    }
 }
 
 /// Every generated netlist family must come out of its generator

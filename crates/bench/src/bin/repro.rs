@@ -35,7 +35,6 @@ use ola_bench::report::Table;
 use ola_bench::resume::{ExperimentCtx, RunHeader, RunState};
 use ola_core::obs::{self, OutputRecord, RunManifest, TraceMode};
 use ola_core::resilience::{chaos, is_cancel_payload};
-use ola_core::SimBackend;
 use ola_netlist::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -461,11 +460,12 @@ fn main() {
             }
         }
 
+        let metrics = obs::registry().snapshot().diff(&before);
         let manifest = RunManifest {
             experiment: name.to_string(),
             created_unix_ms: RunManifest::now_unix_ms(),
             git: git.clone(),
-            backend: SimBackend::Batch.label().to_string(),
+            backend: obs::engine_label(&metrics).to_string(),
             // Quick scale runs a tenth of the full Monte-Carlo depth.
             scale: if quick { 0.1 } else { 1.0 },
             seeds: experiments::master_seeds(name),
@@ -473,7 +473,7 @@ fn main() {
             trace: obs::mode().label().to_string(),
             annotations: obs::take_annotations(),
             spans: obs::drain_spans(),
-            metrics: obs::registry().snapshot().diff(&before),
+            metrics,
             outputs,
         };
         match manifest.write(&manifest_dir) {

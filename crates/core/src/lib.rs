@@ -7,7 +7,7 @@
 //! that degrades so much more gracefully than conventional arithmetic.
 //!
 //! * [`timing`] — stage budgets `b = ⌈Ts/μ⌉`, structural vs chain-analysis
-//!   worst-case delay (the overclocking headroom);
+//!   worst-case delay (the overclocking headroom), normalized frequencies;
 //! * [`model`] — the paper's probabilistic model: chain scenarios,
 //!   violation probability (Algorithm 2), per-delay profile (Figure 5) and
 //!   expected overclocking error (Eq. 12);
@@ -18,12 +18,7 @@
 //!   bit-parallel batch engine, or the event-driven reference oracle for
 //!   tests and cross-checks) plus the observability counters
 //!   ([`BackendStats`]) the `repro` binary reports;
-//! * [`baseline`] — conventional ripple-carry behaviour: exact carry-chain
-//!   distribution and Monte-Carlo, showing the flat error expectation that
-//!   makes conventional overclocking catastrophic;
-//! * [`sweep`] — max error-free frequency and error-budget solvers
-//!   (Tables 1–3);
-//! * [`metrics`] — MRE (Eq. 13), SNR, PSNR, geometric means;
+//! * [`metrics`] — MRE (Eq. 13), SNR, geometric means;
 //! * [`obs`] — the observability layer: tracing spans ([`obs::span`]), the
 //!   process-global metrics registry ([`obs::registry()`]) fed by the
 //!   simulation engines, and per-experiment run manifests
@@ -65,7 +60,6 @@
 //! ```
 
 pub mod backend;
-pub mod baseline;
 pub mod cache;
 pub mod campaign;
 pub mod empirical;
@@ -76,7 +70,6 @@ pub mod montecarlo;
 pub mod obs;
 pub mod parallel;
 pub mod resilience;
-pub mod sweep;
 pub mod timing;
 
 pub use backend::{BackendStats, SimBackend, StaGate};

@@ -131,16 +131,6 @@ pub fn stats() -> MemoStats {
     }
 }
 
-/// Content digest of a netlist — SHA-256 over [`Netlist::canonical_bytes`].
-///
-/// Two netlists share a digest iff they have identical structure (gates,
-/// wiring, constants, output buses), which is exactly the compile- and
-/// certification-relevant content.
-#[must_use]
-pub fn netlist_digest(netlist: &Netlist) -> CacheKey {
-    CacheKey::of(&netlist.canonical_bytes())
-}
-
 fn program_key(netlist: &Netlist, delay_key: &str) -> CacheKey {
     let mut buf = netlist.canonical_bytes();
     buf.extend_from_slice(b"\nprogram/");
@@ -339,7 +329,7 @@ mod tests {
     fn distinct_netlists_and_models_get_distinct_entries() {
         let (nl1, _o1) = sample_netlist(12);
         let (nl2, _o2) = sample_netlist(13);
-        assert_ne!(netlist_digest(&nl1).hex(), netlist_digest(&nl2).hex());
+        assert_ne!(nl1.canonical_bytes(), nl2.canonical_bytes());
         let unit = batch_program(&nl1, &UnitDelay).unwrap();
         let fpga = batch_program(&nl1, &FpgaDelay::default()).unwrap();
         assert_ne!(unit.to_bytes(), fpga.to_bytes(), "delay key must split the memo");

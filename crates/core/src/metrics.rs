@@ -1,11 +1,11 @@
 //! Error metrics used by the paper's evaluation.
 //!
 //! All comparison metrics return `Result` instead of panicking on
-//! degenerate input (empty sample sets, mismatched lengths, non-positive
-//! peaks): experiment drivers feed these functions with data of run-time
-//! provenance (CSV rows, image buffers), so shape errors are *conditions
-//! to report*, not programmer bugs. [`MetricsError`] carries enough
-//! context to point at the offending input.
+//! degenerate input (empty sample sets, mismatched lengths): experiment
+//! drivers feed these functions with data of run-time provenance (CSV
+//! rows, image buffers), so shape errors are *conditions to report*, not
+//! programmer bugs. [`MetricsError`] carries enough context to point at
+//! the offending input.
 
 use std::fmt;
 
@@ -21,12 +21,6 @@ pub enum MetricsError {
         /// Length of the test (actual) set.
         test: usize,
     },
-    /// [`psnr_db`] was given a peak amplitude that is zero, negative, or
-    /// non-finite.
-    NonPositivePeak {
-        /// The offending peak value.
-        peak: f64,
-    },
 }
 
 impl fmt::Display for MetricsError {
@@ -35,9 +29,6 @@ impl fmt::Display for MetricsError {
             MetricsError::Empty => write!(f, "empty sample set"),
             MetricsError::LengthMismatch { reference, test } => {
                 write!(f, "length mismatch: {reference} reference vs {test} test samples")
-            }
-            MetricsError::NonPositivePeak { peak } => {
-                write!(f, "peak must be positive and finite, got {peak}")
             }
         }
     }
@@ -112,26 +103,6 @@ pub fn snr_db(reference: &[f64], test: &[f64]) -> Result<f64, MetricsError> {
     Ok(if noise == 0.0 { f64::INFINITY } else { 10.0 * (signal / noise).log10() })
 }
 
-/// Peak signal-to-noise ratio in dB for a given peak amplitude.
-///
-/// Follows the same zero-noise policy as [`snr_db`]: identical signals
-/// return `f64::INFINITY`.
-///
-/// # Errors
-///
-/// [`MetricsError::LengthMismatch`] / [`MetricsError::Empty`] on
-/// degenerate input; [`MetricsError::NonPositivePeak`] when `peak` is not
-/// a positive finite number.
-pub fn psnr_db(reference: &[f64], test: &[f64], peak: f64) -> Result<f64, MetricsError> {
-    check_pair(reference, test)?;
-    if !(peak > 0.0 && peak.is_finite()) {
-        return Err(MetricsError::NonPositivePeak { peak });
-    }
-    let mse: f64 = reference.iter().zip(test).map(|(&r, &t)| (r - t) * (r - t)).sum::<f64>()
-        / reference.len() as f64;
-    Ok(if mse == 0.0 { f64::INFINITY } else { 10.0 * (peak * peak / mse).log10() })
-}
-
 /// Eq. (14): the relative reduction of MRE achieved by online arithmetic,
 /// `(MRE_trad − MRE_ol) / MRE_trad × 100`.
 #[must_use]
@@ -185,7 +156,6 @@ mod tests {
     fn degenerate_inputs_are_errors_not_panics() {
         assert_eq!(mre_percent(&[], &[]), Err(MetricsError::Empty));
         assert_eq!(snr_db(&[], &[]), Err(MetricsError::Empty));
-        assert_eq!(psnr_db(&[], &[], 1.0), Err(MetricsError::Empty));
         assert_eq!(
             mre_percent(&[1.0, 2.0], &[1.0]),
             Err(MetricsError::LengthMismatch { reference: 2, test: 1 })
@@ -193,15 +163,6 @@ mod tests {
         assert_eq!(
             snr_db(&[1.0], &[1.0, 2.0]),
             Err(MetricsError::LengthMismatch { reference: 1, test: 2 })
-        );
-        assert_eq!(psnr_db(&[1.0], &[2.0], 0.0), Err(MetricsError::NonPositivePeak { peak: 0.0 }));
-        assert!(matches!(
-            psnr_db(&[1.0], &[2.0], f64::NAN),
-            Err(MetricsError::NonPositivePeak { peak }) if peak.is_nan()
-        ));
-        assert_eq!(
-            psnr_db(&[1.0], &[2.0], f64::INFINITY),
-            Err(MetricsError::NonPositivePeak { peak: f64::INFINITY })
         );
         // Errors render with context.
         let msg = MetricsError::LengthMismatch { reference: 2, test: 1 }.to_string();
@@ -223,16 +184,6 @@ mod tests {
         let r = [1.0];
         let t = [0.9];
         assert!((snr_db(&r, &t).unwrap() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn psnr_uses_peak() {
-        let r = [0.0, 0.0];
-        let t = [0.1, -0.1];
-        let p255 = psnr_db(&r, &t, 255.0).unwrap();
-        let p1 = psnr_db(&r, &t, 1.0).unwrap();
-        assert!(p255 > p1);
-        assert_eq!(psnr_db(&r, &r, 1.0), Ok(f64::INFINITY));
     }
 
     #[test]

@@ -39,18 +39,13 @@ pub struct ChainScenario {
 }
 
 impl ChainScenario {
-    /// The stage at which this chain annihilates, `λ = τ + d − 1`.
-    #[must_use]
-    pub fn annihilation_stage(&self) -> i32 {
-        self.tau + self.length as i32 - 1
-    }
-
-    /// The modelled error magnitude if this chain is cut off: digits
-    /// `λ..N−1` may be wrong, dominated by digit `λ` of weight `2^-(λ+1)`
-    /// (Eq. (11)).
+    /// The modelled error magnitude if this chain is cut off at its
+    /// annihilation stage `λ = τ + d − 1`: digits `λ..N−1` may be wrong,
+    /// dominated by digit `λ` of weight `2^-(λ+1)` (Eq. (11)).
     #[must_use]
     pub fn error_magnitude(&self) -> f64 {
-        (-(self.annihilation_stage() as f64 + 1.0)).exp2()
+        let lambda = self.tau + self.length as i32 - 1;
+        (-(lambda as f64 + 1.0)).exp2()
     }
 }
 

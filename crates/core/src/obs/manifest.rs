@@ -69,7 +69,9 @@ pub struct RunManifest {
     pub created_unix_ms: u64,
     /// `git describe --always --dirty` of the working tree, or `unknown`.
     pub git: String,
-    /// Backend label (`auto`, `event`, `batch`).
+    /// The engine that ran: [`engine_label`] of the experiment's metric
+    /// delta in `repro` runs, the query's engine label (or `none`) in
+    /// served ones.
     pub backend: String,
     /// The `--scale` factor the run used.
     pub scale: f64,
@@ -196,6 +198,21 @@ impl RunManifest {
     }
 }
 
+/// The engines a run used, read from its metric delta: `batch` or `event`
+/// when only that engine's run counter (`ola.batch.runs`,
+/// `ola.sim.event.runs`) moved, `batch+event` when both did, and `none`
+/// when neither did.
+#[must_use]
+pub fn engine_label(metrics: &MetricSnapshot) -> &'static str {
+    let ran = |name: &str| metrics.counters.get(name).is_some_and(|&runs| runs > 0);
+    match (ran("ola.batch.runs"), ran("ola.sim.event.runs")) {
+        (true, false) => "batch",
+        (false, true) => "event",
+        (true, true) => "batch+event",
+        (false, false) => "none",
+    }
+}
+
 /// `git describe --always --dirty` of the current working tree, or
 /// `"unknown"` when git is unavailable (e.g. a source tarball).
 #[must_use]
@@ -310,5 +327,18 @@ mod tests {
     fn git_describe_never_panics() {
         let s = git_describe();
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn engine_label_names_the_engines_whose_runs_moved() {
+        let delta = |batch: u64, event: u64| MetricSnapshot {
+            counters: [("ola.batch.runs".into(), batch), ("ola.sim.event.runs".into(), event)]
+                .into(),
+            ..MetricSnapshot::default()
+        };
+        assert_eq!(engine_label(&delta(3, 0)), "batch");
+        assert_eq!(engine_label(&delta(0, 5)), "event");
+        assert_eq!(engine_label(&delta(3, 5)), "batch+event");
+        assert_eq!(engine_label(&delta(0, 0)), "none");
     }
 }

@@ -21,9 +21,8 @@
 //! ## Metric naming
 //!
 //! Dotted, lowercase, subsystem-first: `ola.<subsystem>.<what>` (e.g.
-//! `ola.sim.event.runs`, `ola.batch.lane_transitions`,
-//! `ola.sweep.probes`). Histograms expand in snapshots to
-//! `name/count`, `name/sum`, `name/bl<k>`.
+//! `ola.sim.event.runs`, `ola.batch.lane_transitions`). Histograms
+//! expand in snapshots to `name/count`, `name/sum`, `name/bl<k>`.
 
 pub mod json;
 pub mod manifest;
@@ -31,7 +30,7 @@ pub mod registry;
 pub mod sha256;
 pub mod trace;
 
-pub use manifest::{git_describe, OutputRecord, RunManifest, ThreadsRecord, SCHEMA};
+pub use manifest::{engine_label, git_describe, OutputRecord, RunManifest, ThreadsRecord, SCHEMA};
 pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, Registry};
 pub use trace::{drain_spans, mode, set_mode, set_recording, span, Span, SpanRecord, TraceMode};
 

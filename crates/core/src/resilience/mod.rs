@@ -7,7 +7,7 @@
 //!
 //! * **Cooperative cancellation** — an *ambient* (thread-local)
 //!   [`CancelToken`] that the sampling engines ([`crate::empirical`],
-//!   [`crate::campaign`], [`crate::montecarlo`], [`crate::sweep`]) and the
+//!   [`crate::campaign`], [`crate::montecarlo`]) and the
 //!   [`crate::parallel`] work-stealing pool poll between work units.
 //!   Because most of those APIs are infallible by design, cancellation
 //!   propagates as an unwind carrying the typed [`Cancelled`] payload

@@ -71,6 +71,18 @@ pub fn period_for_normalized_frequency(t0: u64, nf: f64) -> u64 {
     ((t0 as f64 / nf).round() as u64).max(1)
 }
 
+/// Relative frequency improvement in percent when the period shrinks from
+/// `t_base` to `t_fast`: `(t_base/t_fast − 1) × 100`.
+///
+/// # Panics
+///
+/// Panics if `t_fast == 0`.
+#[must_use]
+pub fn frequency_speedup_percent(t_base: u64, t_fast: u64) -> f64 {
+    assert!(t_fast > 0, "period must be positive");
+    (t_base as f64 / t_fast as f64 - 1.0) * 100.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,5 +131,12 @@ mod tests {
             let back = normalized_frequency(ts, t0);
             assert!((back - nf).abs() < 0.01, "nf={nf} back={back}");
         }
+    }
+
+    #[test]
+    fn speedup_percent() {
+        assert!((frequency_speedup_percent(110, 100) - 10.0).abs() < 1e-9);
+        assert_eq!(frequency_speedup_percent(100, 100), 0.0);
+        assert!(frequency_speedup_percent(90, 100) < 0.0);
     }
 }

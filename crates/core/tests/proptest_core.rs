@@ -1,6 +1,6 @@
 //! Property-based tests of the overclocking analysis layer.
 
-use ola_core::{baseline, metrics, model, sweep, timing};
+use ola_core::{metrics, model, timing};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,28 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn carry_cdf_is_monotone_distribution(w in 1u32..64) {
-        let mut last = 0.0f64;
-        for l in 0..=w {
-            let p = baseline::carry_chain_cdf(w, l);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&p));
-            prop_assert!(p >= last - 1e-12);
-            last = p;
-        }
-        prop_assert!((baseline::carry_chain_cdf(w, w) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn carry_violation_decreases_in_budget(w in 4u32..48) {
-        let mut last = 1.0f64 + 1e-12;
-        for b in 0..=w {
-            let p = baseline::rca_violation_probability(w, b);
-            prop_assert!(p <= last + 1e-12);
-            last = p;
-        }
-    }
-
-    #[test]
     fn snr_and_mre_agree_on_perfection(vals in prop::collection::vec(-1.0f64..1.0, 1..50)) {
         prop_assert_eq!(metrics::mre_percent(&vals, &vals), Ok(0.0));
         prop_assert_eq!(metrics::snr_db(&vals, &vals), Ok(f64::INFINITY));
@@ -109,30 +87,12 @@ proptest! {
     }
 
     #[test]
-    fn budget_search_finds_the_frontier(threshold in 10u64..1000, budget in 0.0f64..50.0) {
-        // Metric: max(0, threshold − ts), strictly decreasing until 0.
-        let metric = |ts: u64| (threshold.saturating_sub(ts)) as f64;
-        let got = sweep::min_period_within_budget(1, 2000, budget, metric);
-        let expect = threshold.saturating_sub(budget as u64).max(1);
-        prop_assert_eq!(got, Some(expect));
-    }
-
-    #[test]
     fn normalized_frequency_round_trip(t0 in 100u64..100_000, nf in 1.0f64..2.0) {
         let ts = timing::period_for_normalized_frequency(t0, nf);
         let back = timing::normalized_frequency(ts, t0);
         prop_assert!((back - nf).abs() / nf < 0.02);
     }
 
-    #[test]
-    fn certified_period_search_matches_unanchored(threshold in 1u64..500) {
-        // Anywhere the Option-returning search succeeds, the STA-anchored
-        // search gives the same frontier without probing the anchor.
-        let metric = |ts: u64| (threshold.saturating_sub(ts)) as f64;
-        let want = sweep::min_error_free_period(1, 1000, metric).unwrap();
-        let got = sweep::min_error_free_period_certified(1, 1000, metric);
-        prop_assert_eq!(got, want);
-    }
 }
 
 /// The STA fast path must be invisible in results: for any delay model in

@@ -443,7 +443,7 @@ fn to_image(width: usize, height: usize, values: &[f64]) -> Image {
 }
 
 /// The ideal (infinite-precision settled) Gaussian filter, for reference
-/// images and PSNR-vs-ideal comparisons.
+/// images and SNR-vs-ideal comparisons.
 #[must_use]
 pub fn filter_exact(img: &Image, kernel: &Kernel) -> Image {
     let half = (kernel.size() / 2) as isize;

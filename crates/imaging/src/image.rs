@@ -133,12 +133,6 @@ impl Image {
         }
     }
 
-    /// Pixels as normalized `f64` values in `[0, 1)` (divided by 256).
-    #[must_use]
-    pub fn to_normalized(&self) -> Vec<f64> {
-        self.pixels.iter().map(|&p| f64::from(p) / 256.0).collect()
-    }
-
     /// Writes the image as a binary PGM (P5).
     ///
     /// # Errors

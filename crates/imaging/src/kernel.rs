@@ -66,27 +66,6 @@ impl Kernel {
         Kernel { size: 3, coeffs: vec![c(-1), c(0), c(1), c(-2), c(0), c(2), c(-1), c(0), c(1)] }
     }
 
-    /// A mild unsharp-masking kernel, `[0 −1 0; −1 6 −1; 0 −1 0] / 8`
-    /// (DC gain 1/4): mixed-sign taps with a dominant positive centre.
-    #[must_use]
-    pub fn sharpen() -> Self {
-        let c = |v: i128| Q::new(v, 3);
-        Kernel { size: 3, coeffs: vec![c(0), c(-1), c(0), c(-1), c(6), c(-1), c(0), c(-1), c(0)] }
-    }
-
-    /// Builds a kernel from explicit coefficients (row-major).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coefficient count is not an odd perfect square.
-    #[must_use]
-    pub fn from_coefficients(coeffs: Vec<Q>) -> Self {
-        let size = (coeffs.len() as f64).sqrt().round() as usize;
-        assert_eq!(size * size, coeffs.len(), "kernel must be square");
-        assert!(size % 2 == 1, "kernel size must be odd");
-        Kernel { size, coeffs }
-    }
-
     /// Kernel side length.
     #[must_use]
     pub fn size(&self) -> usize {
@@ -172,15 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_kernel_round_trips() {
-        let coeffs: Vec<Q> = (0..9).map(|i| Q::new(i, 5)).collect();
-        let k = Kernel::from_coefficients(coeffs.clone());
-        assert_eq!(k.coefficients(), &coeffs[..]);
-        assert_eq!(k.at(-1, -1), coeffs[0]);
-        assert_eq!(k.at(1, 1), coeffs[8]);
-    }
-
-    #[test]
     #[should_panic(expected = "odd")]
     fn even_kernel_rejected() {
         let _ = Kernel::gaussian(4, 1.0, 8);
@@ -193,13 +163,5 @@ mod tests {
         assert_eq!(k.at(-1, 0), -k.at(1, 0));
         assert_eq!(k.at(-1, -1), Q::new(-1, 3));
         assert_eq!(k.at(0, 0), Q::ZERO);
-    }
-
-    #[test]
-    fn sharpen_has_quarter_gain_and_negative_surround() {
-        let k = Kernel::sharpen();
-        assert_eq!(k.dc_gain().to_f64(), 0.25); // (6 − 4)/8
-        assert!(k.at(0, 0) > Q::ZERO);
-        assert!(k.at(0, 1) < Q::ZERO);
     }
 }

@@ -104,18 +104,15 @@ impl Benchmark {
     #[must_use]
     pub fn generate(self, width: usize, height: usize, seed: u64) -> Image {
         match self.spec() {
-            None => uniform_noise(width, height, seed),
+            // I.i.d. uniform pixels — the "UI inputs".
+            None => {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let pixels = (0..width * height).map(|_| rng.gen::<u8>()).collect();
+                Image::from_pixels(width, height, pixels)
+            }
             Some(spec) => synthesize(width, height, seed, spec),
         }
     }
-}
-
-/// I.i.d. uniform pixels — the "UI inputs".
-#[must_use]
-pub fn uniform_noise(width: usize, height: usize, seed: u64) -> Image {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let pixels = (0..width * height).map(|_| rng.gen::<u8>()).collect();
-    Image::from_pixels(width, height, pixels)
 }
 
 /// Multi-octave value noise with optional hard edges, normalized to the
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn all_pixels_exercised_by_noise() {
-        let img = uniform_noise(64, 64, 9);
+        let img = Benchmark::Uniform.generate(64, 64, 9);
         let mut seen = [false; 256];
         for &p in img.pixels() {
             seen[p as usize] = true;

@@ -22,21 +22,6 @@ pub struct AreaReport {
     pub inputs: usize,
 }
 
-impl AreaReport {
-    /// The LUT overhead of `self` relative to `baseline` (e.g. online vs
-    /// traditional arithmetic — 2.08 in the paper's Table 4).
-    #[must_use]
-    pub fn lut_overhead(&self, baseline: &AreaReport) -> f64 {
-        self.luts as f64 / baseline.luts as f64
-    }
-
-    /// The slice overhead of `self` relative to `baseline`.
-    #[must_use]
-    pub fn slice_overhead(&self, baseline: &AreaReport) -> f64 {
-        self.slices as f64 / baseline.slices as f64
-    }
-}
-
 /// Estimates area when mapped onto `k`-input LUTs (use `k = 4` to mirror the
 /// paper's device generation, `k = 6` for modern fabrics).
 ///
@@ -197,14 +182,6 @@ mod tests {
         nl.set_output("mid", vec![m]);
         nl.set_output("z", vec![z]);
         assert_eq!(estimate(&nl, 4).luts, 2);
-    }
-
-    #[test]
-    fn overheads_are_ratios() {
-        let small = AreaReport { luts: 100, slices: 25, gates: 150, inputs: 8 };
-        let big = AreaReport { luts: 208, slices: 52, gates: 400, inputs: 8 };
-        assert!((big.lut_overhead(&small) - 2.08).abs() < 1e-12);
-        assert!((big.slice_overhead(&small) - 2.08).abs() < 1e-12);
     }
 
     #[test]

@@ -349,12 +349,6 @@ impl<B: LaneWord> LaneSimResult<B> {
         &self.settle
     }
 
-    /// The latest settle time of any lane.
-    #[must_use]
-    pub fn max_settle_time(&self) -> u64 {
-        self.settle.iter().copied().max().unwrap_or(0)
-    }
-
     /// Total word-level steps stored (engine work: one step covers a whole
     /// lane word).
     #[must_use]
@@ -446,25 +440,7 @@ impl BatchProgram {
         prev: &LaneInputs<B>,
         new: &LaneInputs<B>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        self.run_inner(prev, new, None, None)
-    }
-
-    /// [`BatchProgram::run`] with a cooperative
-    /// [`CancelToken`](crate::CancelToken): the settling pass polls the
-    /// token every [`NET_CHECK_INTERVAL`] nets and returns
-    /// [`BatchError::Cancelled`] once it is set.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchProgram::run`], plus [`BatchError::Cancelled`] when
-    /// `cancel` fires before the pass finishes.
-    pub fn run_cancellable<B: LaneWord>(
-        &self,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        cancel: &CancelToken,
-    ) -> Result<LaneSimResult<B>, BatchError> {
-        self.run_inner(prev, new, None, Some(cancel))
+        self.run_inner(prev, new, None)
     }
 
     /// Runs the batch engine with one [`FaultPlan`](crate::FaultPlan) per
@@ -482,27 +458,7 @@ impl BatchProgram {
         faults: &LaneFaultSet<B>,
     ) -> Result<LaneSimResult<B>, BatchError> {
         self.check_faults(faults)?;
-        self.run_inner(prev, new, Some(faults), None)
-    }
-
-    /// [`BatchProgram::run_with_faults`] with a cooperative
-    /// [`CancelToken`](crate::CancelToken) (see
-    /// [`BatchProgram::run_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchProgram::run_with_faults`], plus
-    /// [`BatchError::Cancelled`] when `cancel` fires before the pass
-    /// finishes.
-    pub fn run_with_faults_cancellable<B: LaneWord>(
-        &self,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        faults: &LaneFaultSet<B>,
-        cancel: &CancelToken,
-    ) -> Result<LaneSimResult<B>, BatchError> {
-        self.check_faults(faults)?;
-        self.run_inner(prev, new, Some(faults), Some(cancel))
+        self.run_inner(prev, new, Some(faults))
     }
 
     /// Runs the engine fault-free like [`BatchProgram::run`], but keeps
@@ -511,8 +467,8 @@ impl BatchProgram {
     /// every other waveform is dropped after its last consumer, so memory
     /// is bounded by the live frontier plus the bus (see the
     /// [module docs](self)). The bus waveforms, settle times, word steps
-    /// and lane transitions equal those of a full run. `cancel` is polled
-    /// as in [`BatchProgram::run_cancellable`].
+    /// and lane transitions equal those of a full run. The settling pass
+    /// polls `cancel` before it starts and every `NET_CHECK_INTERVAL` nets.
     ///
     /// # Errors
     ///
@@ -554,27 +510,19 @@ impl BatchProgram {
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        self.run_incremental_inner(base, prev, new, faults, None)
-    }
-
-    /// [`BatchProgram::run_incremental`] with a cooperative
-    /// [`CancelToken`](crate::CancelToken) (see
-    /// [`BatchProgram::run_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchProgram::run_incremental`], plus
-    /// [`BatchError::Cancelled`] when `cancel` fires before the pass
-    /// finishes.
-    pub fn run_incremental_cancellable<B: LaneWord>(
-        &self,
-        base: &LaneSimResult<B>,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        faults: Option<&LaneFaultSet<B>>,
-        cancel: &CancelToken,
-    ) -> Result<LaneSimResult<B>, BatchError> {
-        self.run_incremental_inner(base, prev, new, faults, Some(cancel))
+        self.check_incremental(base, prev, faults)?;
+        let pass = self.settle(prev, new, faults, Some(base), Retain::All, None)?;
+        let result = pass.into_result(prev, new, faults);
+        if incremental_check_enabled() {
+            let full = self.run_inner(prev, new, faults)?;
+            for i in 0..self.num_nets() {
+                assert_eq!(
+                    *result.waves[i], *full.waves[i],
+                    "incremental/full divergence on net {i} (OLA_BATCH_CHECK_INCREMENTAL)"
+                );
+            }
+        }
+        Ok(result)
     }
 
     /// The bus-only counterpart of [`BatchProgram::run_incremental`]: the
@@ -606,7 +554,7 @@ impl BatchProgram {
         let pass = self.settle(prev, new, faults, Some(base), Retain::Bus(&on_bus), None)?;
         let result = pass.into_bus_result(bus);
         if incremental_check_enabled() {
-            let full = self.run_inner(prev, new, faults, None)?;
+            let full = self.run_inner(prev, new, faults)?;
             let full_bus = full.bus_waves(bus).expect("bus validated above");
             assert!(
                 result.bus == full_bus
@@ -764,33 +712,9 @@ impl BatchProgram {
         prev: &LaneInputs<B>,
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
-        cancel: Option<&CancelToken>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        let pass = self.settle(prev, new, faults, None, Retain::All, cancel)?;
+        let pass = self.settle(prev, new, faults, None, Retain::All, None)?;
         Ok(pass.into_result(prev, new, faults))
-    }
-
-    fn run_incremental_inner<B: LaneWord>(
-        &self,
-        base: &LaneSimResult<B>,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        faults: Option<&LaneFaultSet<B>>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<LaneSimResult<B>, BatchError> {
-        self.check_incremental(base, prev, faults)?;
-        let pass = self.settle(prev, new, faults, Some(base), Retain::All, cancel)?;
-        let result = pass.into_result(prev, new, faults);
-        if incremental_check_enabled() {
-            let full = self.run_inner(prev, new, faults, cancel)?;
-            for i in 0..self.num_nets() {
-                assert_eq!(
-                    *result.waves[i], *full.waves[i],
-                    "incremental/full divergence on net {i} (OLA_BATCH_CHECK_INCREMENTAL)"
-                );
-            }
-        }
-        Ok(result)
     }
 
     /// The settling loop behind every entry point: one waveform per net in
@@ -1254,29 +1178,16 @@ mod tests {
         let nl = xor_chain(4);
         let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
         let b = BatchInputs::zeros(5, 8).unwrap();
+        let bus = nl.output("z");
         let tok = crate::CancelToken::new();
         // Live token: bit-identical to the plain run.
         let plain = prog.run(&b, &b).unwrap();
-        let live = prog.run_cancellable(&b, &b, &tok).unwrap();
-        for net in nl.nets() {
-            assert_eq!(plain.wave(net), live.wave(net));
-        }
-        // Cancelled token: typed error from both entry points.
+        let live = prog.run_bus(&b, &b, bus, Some(&tok)).unwrap();
+        assert_eq!(*live.bus(), plain.bus_waves(bus).unwrap());
+        assert_eq!(live.settle_times(), plain.settle_times());
+        // Cancelled token: typed error.
         tok.cancel();
-        assert_eq!(prog.run_cancellable(&b, &b, &tok).unwrap_err(), BatchError::Cancelled);
-        assert_eq!(
-            prog.run_bus(&b, &b, nl.output("z"), Some(&tok)).unwrap_err(),
-            BatchError::Cancelled
-        );
-        let fs = BatchFaultSet::compile(&[], nl.len()).unwrap();
-        assert_eq!(
-            prog.run_with_faults_cancellable(&b, &b, &fs, &tok).unwrap_err(),
-            BatchError::Cancelled
-        );
-        assert_eq!(
-            prog.run_incremental_cancellable(&plain, &b, &b, None, &tok).unwrap_err(),
-            BatchError::Cancelled
-        );
+        assert_eq!(prog.run_bus(&b, &b, bus, Some(&tok)).unwrap_err(), BatchError::Cancelled);
     }
 
     #[test]
@@ -1287,7 +1198,7 @@ mod tests {
         let res = prog.run(&b, &b).unwrap();
         assert_eq!(res.lanes(), 0);
         assert_eq!(res.lane_transitions(), 0);
-        assert_eq!(res.max_settle_time(), 0);
+        assert!(res.settle_times().is_empty());
     }
 
     #[test]

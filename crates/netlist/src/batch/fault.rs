@@ -52,11 +52,6 @@ impl<B: LaneWord> LaneFaults<B> {
         self.stuck_mask.is_zero() && self.windows.is_empty()
     }
 
-    /// True if this net carries no fault of any kind on any lane.
-    pub(crate) fn is_identity(&self) -> bool {
-        self.observe_is_identity() && self.pushes.is_empty()
-    }
-
     /// The delay-group partition of the full lane word: `(push, mask)`
     /// pairs whose masks are disjoint and together cover every lane, sorted
     /// by push (so the zero-push group comes first).
@@ -181,13 +176,6 @@ impl<B: LaneWord> LaneFaultSet<B> {
         !self.any
     }
 
-    /// The nets touched by at least one lane's plan, ascending — the dirty
-    /// seeds of an incremental rerun against a fault-free base.
-    #[must_use]
-    pub fn touched_nets(&self) -> Vec<usize> {
-        self.nets.iter().enumerate().filter(|(_, f)| !f.is_identity()).map(|(i, _)| i).collect()
-    }
-
     /// The observed initial lane word of net `idx` given its raw word
     /// (before `t = 0`: transients inactive, only stuck bits apply).
     pub(crate) fn observe_initial(&self, idx: usize, raw: B) -> B {
@@ -218,7 +206,6 @@ mod tests {
         assert_eq!(f.pushes, vec![(15, 0b010)], "pushes accumulate");
         assert!(f.windows.is_empty(), "later zero-duration transient clears the window");
         assert_eq!(fs.observe_initial(2, 0b110), 0b111);
-        assert_eq!(fs.touched_nets(), vec![2]);
     }
 
     #[test]
@@ -248,7 +235,6 @@ mod tests {
         assert!(fs2.is_identity());
         assert!(fs2.nets[0].observe_is_identity());
         assert_eq!(fs2.nets[0].delay_groups(), vec![(0, u64::MAX)]);
-        assert!(fs2.touched_nets().is_empty());
     }
 
     #[test]
@@ -261,7 +247,6 @@ mod tests {
         assert!(!fs.is_identity());
         assert!(fs.nets[1].stuck_mask.bit(69));
         assert_eq!(fs.nets[1].stuck_mask.count_ones(), 1);
-        assert_eq!(fs.touched_nets(), vec![1]);
         // The same plans exceed the 64-lane set's capacity.
         assert_eq!(
             BatchFaultSet::compile(&plans, 2).unwrap_err(),

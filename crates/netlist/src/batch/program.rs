@@ -351,22 +351,6 @@ impl<B: LaneWord> LaneInputs<B> {
         Ok(LaneInputs { words: vec![B::ZERO; num_inputs], lanes })
     }
 
-    /// Wraps pre-packed lane words. Bits above `lanes` are cleared.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::TooManyLanes`] if `lanes > B::LANES`.
-    pub fn from_words(mut words: Vec<B>, lanes: u32) -> Result<LaneInputs<B>, BatchError> {
-        if lanes > B::LANES {
-            return Err(BatchError::TooManyLanes { got: lanes as usize, cap: B::LANES });
-        }
-        let mask = B::active_mask(lanes);
-        for w in &mut words {
-            *w = w.and(mask);
-        }
-        Ok(LaneInputs { words, lanes })
-    }
-
     /// Number of lanes (vectors) carried.
     #[must_use]
     pub fn lanes(&self) -> u32 {
@@ -486,12 +470,6 @@ mod tests {
         assert!(BatchInputs::zeros(4, 65).is_err());
         assert!(WideInputs::<2>::zeros(4, 128).is_ok());
         assert!(WideInputs::<2>::zeros(4, 129).is_err());
-    }
-
-    #[test]
-    fn from_words_masks_unused_lanes() {
-        let b = BatchInputs::from_words(vec![u64::MAX], 4).unwrap();
-        assert_eq!(b.words()[0], 0b1111);
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl<B: LaneWord> Wave<B> {
         self.steps.last().map(|&(t, _)| t)
     }
 
-    /// Samples a whole (ascending or not) `ts` grid in one pass per point.
-    #[must_use]
-    pub fn sample_grid(&self, ts: &[u64]) -> Vec<B> {
-        ts.iter().map(|&t| self.word_at(t)).collect()
-    }
-
     /// Extracts the scalar transition history of one lane, in the
     /// event-driven simulator's `(time, new_value)` format, dropping steps
     /// that do not change this lane's bit.
@@ -96,12 +90,6 @@ impl<B: LaneWord> Wave<B> {
     #[must_use]
     pub fn lane_value_at(&self, lane: u32, t: u64) -> bool {
         self.word_at(t).bit(lane)
-    }
-
-    /// Number of word-level steps (engine work, not per-lane transitions).
-    #[must_use]
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
     }
 }
 
@@ -134,16 +122,6 @@ mod tests {
         assert_eq!(w.lane_waveform(1), vec![(10, true), (35, false)]);
         assert!(w.lane_value_at(1, 10));
         assert!(!w.lane_value_at(1, 9));
-    }
-
-    #[test]
-    fn grid_sampling_matches_pointwise() {
-        let w = wave();
-        let ts = [0u64, 10, 15, 20, 35, 99];
-        let grid = w.sample_grid(&ts);
-        for (i, &t) in ts.iter().enumerate() {
-            assert_eq!(grid[i], w.word_at(t));
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between a
 //! controller (a driver enforcing a wall-clock budget, a Ctrl-C handler)
-//! and workers (the batch simulation loop, sweep searches, Monte-Carlo
-//! folds). The controller calls [`CancelToken::cancel`]; workers poll
+//! and workers (the batch simulation loop, Monte-Carlo folds). The
+//! controller calls [`CancelToken::cancel`]; workers poll
 //! [`CancelToken::is_cancelled`] at bounded intervals and unwind with a
 //! typed error ([`BatchError::Cancelled`](crate::BatchError::Cancelled))
 //! instead of running to completion on cores nobody is waiting for. The

@@ -17,7 +17,7 @@
 //! bit-identical to the fault-free simulator (property-tested in
 //! `ola-arith`'s fault proptests).
 
-use crate::{GateKind, NetId, Netlist, NetlistError};
+use crate::{NetId, Netlist, NetlistError};
 
 /// What goes wrong on a faulted net.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,13 +216,6 @@ pub fn logic_fault_sites(netlist: &Netlist) -> Vec<NetId> {
     netlist.nets().filter(|&n| netlist.kind(n).is_logic()).collect()
 }
 
-/// Enumerates every net as a fault site, including primary inputs (but not
-/// constants), for campaigns that also model faulty operand buses.
-#[must_use]
-pub fn all_fault_sites(netlist: &Netlist) -> Vec<NetId> {
-    netlist.nets().filter(|&n| netlist.kind(n) != GateKind::Const).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +275,5 @@ mod tests {
     fn site_enumeration_skips_non_logic() {
         let (nl, z) = tiny();
         assert_eq!(logic_fault_sites(&nl), vec![z]);
-        assert_eq!(all_fault_sites(&nl).len(), 3, "two inputs + one gate");
     }
 }

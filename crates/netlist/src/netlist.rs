@@ -443,16 +443,6 @@ impl Netlist {
         Ok(vals)
     }
 
-    /// Number of gates of each kind.
-    #[must_use]
-    pub fn gate_counts(&self) -> BTreeMap<GateKind, usize> {
-        let mut m = BTreeMap::new();
-        for g in &self.gates {
-            *m.entry(g.kind).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Number of logic gates (excluding inputs and constants).
     #[must_use]
     pub fn logic_gate_count(&self) -> usize {
@@ -698,17 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn gate_counts_by_kind() {
+    fn logic_gate_count_excludes_inputs() {
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let b = nl.input("b");
         let _ = nl.and(a, b);
         let _ = nl.and(a, b);
         let _ = nl.xor(a, b);
-        let counts = nl.gate_counts();
-        assert_eq!(counts[&GateKind::And], 2);
-        assert_eq!(counts[&GateKind::Xor], 1);
-        assert_eq!(counts[&GateKind::Input], 2);
         assert_eq!(nl.logic_gate_count(), 3);
     }
 

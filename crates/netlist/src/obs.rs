@@ -75,12 +75,6 @@ pub fn install_observer(observer: &'static dyn SimObserver) -> bool {
     won
 }
 
-/// True once an observer has been installed.
-#[must_use]
-pub fn observer_installed() -> bool {
-    INSTALLED.load(Ordering::Relaxed)
-}
-
 /// Runs `f` with the installed observer, if any.
 ///
 /// The uninstalled fast path is a single relaxed atomic load.
@@ -116,7 +110,7 @@ mod tests {
         // particular call wins depends on test ordering, but afterwards an
         // observer is definitely installed.
         let _ = install_observer(&TEST_OBSERVER);
-        assert!(observer_installed());
+        assert!(INSTALLED.load(Ordering::Relaxed));
         // Second install is rejected.
         assert!(!install_observer(&TEST_OBSERVER));
 

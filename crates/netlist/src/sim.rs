@@ -10,7 +10,7 @@
 
 use crate::fault::{FaultOverlay, FaultPlan};
 use crate::netlist::eval_gate;
-use crate::{DelayModel, GateKind, NetId, Netlist, NetlistError, SimError};
+use crate::{DelayModel, GateKind, NetId, Netlist, SimError};
 
 /// The settling history of one simulation run.
 ///
@@ -35,32 +35,6 @@ impl SimResult {
             0 => self.initial[net.index()],
             k => wf[k - 1].1,
         }
-    }
-
-    /// Like [`SimResult::value_at`], but validates the net reference (for
-    /// sampling paths driven by external/untrusted net indices).
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::NetOutOfRange`] if `net` is not a net of the
-    /// simulated netlist.
-    pub fn try_value_at(&self, net: NetId, t: u64) -> Result<bool, NetlistError> {
-        if net.index() >= self.waveforms.len() {
-            return Err(NetlistError::NetOutOfRange {
-                index: net.index(),
-                len: self.waveforms.len(),
-            });
-        }
-        Ok(self.value_at(net, t))
-    }
-
-    /// Like [`SimResult::sample_bus`], but validates every net reference.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::NetOutOfRange`] naming the first invalid net.
-    pub fn try_sample_bus(&self, nets: &[NetId], t: u64) -> Result<Vec<bool>, NetlistError> {
-        nets.iter().map(|&n| self.try_value_at(n, t)).collect()
     }
 
     /// The fully settled (correct) value of `net`.
@@ -443,7 +417,7 @@ pub fn simulate_from_zero_with_faults<M: DelayModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UnitDelay;
+    use crate::{NetlistError, UnitDelay};
 
     const U: u64 = UnitDelay::UNIT;
 
@@ -680,16 +654,6 @@ mod tests {
             err,
             SimError::InvalidFault(NetlistError::NetOutOfRange { index: 999, .. })
         ));
-    }
-
-    #[test]
-    fn try_sampling_validates_net_indices() {
-        let nl = xor_chain(2);
-        let res = simulate_from_zero(&nl, &UnitDelay, &[true, false, true]);
-        let out = nl.output("z")[0];
-        assert_eq!(res.try_value_at(out, 0).unwrap(), res.value_at(out, 0));
-        assert!(res.try_value_at(NetId(500), 0).is_err());
-        assert!(res.try_sample_bus(&[out, NetId(500)], 0).is_err());
     }
 
     #[test]

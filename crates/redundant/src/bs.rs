@@ -160,16 +160,6 @@ impl BsVector {
         out
     }
 
-    /// True if every digit of `self` lying outside
-    /// `msd_pos ..= msd_pos+len-1` is zero (so `rewindowed` is lossless).
-    #[must_use]
-    pub fn fits_window(&self, msd_pos: i32, len: usize) -> bool {
-        (0..self.len()).all(|i| {
-            let pos = self.msd_pos + i as i32;
-            pos >= msd_pos && pos < msd_pos + len as i32 || self.p[i] == self.n[i]
-        })
-    }
-
     /// Iterates `(pos, digit)` pairs, MSD first.
     pub fn iter_digits(&self) -> impl Iterator<Item = (i32, Digit)> + '_ {
         (0..self.len())
@@ -254,10 +244,8 @@ mod tests {
     #[test]
     fn rewindow_round_trips_when_it_fits() {
         let x = BsVector::from_sd(&SdNumber::from_value(Q::new(5, 3), 3).unwrap());
-        assert!(x.fits_window(0, 6));
         let y = x.rewindowed(0, 6);
         assert_eq!(y.value(), x.value());
-        assert!(!x.fits_window(2, 2));
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl OnTheFlyConverter {
         self.ndigits += 1;
     }
 
-    /// Number of digits consumed so far.
-    #[must_use]
-    pub fn digits_consumed(&self) -> u32 {
-        self.ndigits
-    }
-
     /// The exact value of the digits consumed so far.
     #[must_use]
     pub fn value(&self) -> Q {
@@ -121,7 +115,6 @@ mod tests {
     #[test]
     fn empty_converter_is_zero() {
         assert_eq!(OnTheFlyConverter::new().value(), Q::ZERO);
-        assert_eq!(OnTheFlyConverter::new().digits_consumed(), 0);
     }
 
     #[test]

@@ -148,13 +148,6 @@ impl SdNumber {
         Ok(SdNumber { digits })
     }
 
-    /// Re-encodes to the canonical form of the same value and width.
-    #[must_use]
-    pub fn to_canonical(&self) -> Self {
-        SdNumber::from_value(self.value(), self.len())
-            .expect("every SD number's value is representable at its own width")
-    }
-
     /// True if `self` and `other` denote the same value (possibly through
     /// different digit encodings).
     #[must_use]
@@ -272,16 +265,6 @@ mod tests {
         let e = SdNumber::from_value(Q::ONE, 4).unwrap_err();
         assert_eq!(e.digits, 4);
         assert!(e.to_string().contains("4 signed digits"));
-    }
-
-    #[test]
-    fn canonicalization_preserves_value() {
-        let x = sd(&[1, 1, 1, 1]);
-        let c = x.to_canonical();
-        assert_eq!(c.value(), x.value());
-        // Canonical form of 15/16 is 1.0 0 0 -1 … but we only have fractional
-        // digits, so it is the greedy encoding 1, 0, 0, 1 → check exactness only.
-        assert_eq!(c.len(), 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ola-loadgen --addr HOST:PORT [--clients N] [--requests N]
-//!             [--out FILE] [--min-qps N] [--materialize DIR]
+//!             [--min-qps N] [--materialize DIR]
 //! ```
 //!
 //! Each client thread holds one keep-alive connection and sends queries
@@ -14,7 +14,7 @@
 //! warmup numbers.
 //!
 //! Three invariants are enforced while measuring, any violation is an
-//! error counted in the summary (and a non-zero exit):
+//! error counted in the summary line (and a non-zero exit):
 //!
 //! * every response is `200` with parseable `{"manifest":..,"result":..}`,
 //! * **bit-identity**: all bodies for one `X-Ola-Key` are byte-identical
@@ -29,8 +29,8 @@
 //! unmodified `manifest_check` binary validates — CI closes the loop by
 //! running it against these files.
 //!
-//! The summary (sustained QPS, latency percentiles, error counts) is
-//! written to `--out` (default `BENCH_serve.json`).
+//! The summary line on stderr gives sustained QPS, latency percentiles and
+//! cache hits and misses.
 
 use ola_core::obs::json::{parse, JsonValue};
 use ola_core::obs::sha256;
@@ -79,7 +79,6 @@ fn usage() -> ! {
     eprintln!("flags:");
     eprintln!("  --clients N       concurrent closed-loop clients (default 4)");
     eprintln!("  --requests N      total measured requests (default 2000)");
-    eprintln!("  --out FILE        summary JSON (default BENCH_serve.json)");
     eprintln!("  --min-qps N       exit 1 if sustained QPS falls below N");
     eprintln!("  --materialize DIR write result files + manifests for manifest_check");
     eprintln!("exit codes: 0 ok, 1 errors or below --min-qps, 2 usage");
@@ -172,7 +171,6 @@ fn main() {
     let mut addr = String::new();
     let mut clients = 4usize;
     let mut requests = 2000usize;
-    let mut out = PathBuf::from("BENCH_serve.json");
     let mut min_qps = 0.0f64;
     let mut materialize: Option<PathBuf> = None;
     let mut i = 0;
@@ -189,10 +187,6 @@ fn main() {
             "--requests" => {
                 i += 1;
                 requests = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).cloned().unwrap_or_else(|| usage()));
             }
             "--min-qps" => {
                 i += 1;
@@ -297,7 +291,6 @@ fn main() {
 
     // Materialize one result document + manifest per unique key, in the
     // exact layout `manifest_check` validates.
-    let mut materialized = 0usize;
     if let Some(root) = &materialize {
         let serve_dir = root.join("results/serve");
         let manifest_dir = root.join("results/manifests");
@@ -318,34 +311,12 @@ fn main() {
             let manifest_path = manifest_dir.join(format!("{exp}.json"));
             let wrote = std::fs::write(&result_path, result.render())
                 .and_then(|()| std::fs::write(&manifest_path, manifest.render()));
-            match wrote {
-                Ok(()) => materialized += 1,
-                Err(e) => errors.push(format!("materialize {exp}: {e}")),
+            if let Err(e) = wrote {
+                errors.push(format!("materialize {exp}: {e}"));
             }
         }
     }
 
-    #[allow(clippy::cast_precision_loss)]
-    let summary = JsonValue::Object(vec![
-        ("bench".into(), JsonValue::str("ola-serve cached-query throughput")),
-        ("clients".into(), JsonValue::U64(clients as u64)),
-        ("requests_completed".into(), JsonValue::U64(completed as u64)),
-        ("elapsed_secs".into(), JsonValue::F64(elapsed)),
-        ("sustained_qps".into(), JsonValue::F64(qps)),
-        ("latency_us_p50".into(), JsonValue::U64(p50)),
-        ("latency_us_p90".into(), JsonValue::U64(p90)),
-        ("latency_us_p99".into(), JsonValue::U64(p99)),
-        ("cache_hits".into(), JsonValue::U64(hits)),
-        ("cache_misses".into(), JsonValue::U64(misses)),
-        ("unique_queries".into(), JsonValue::U64(QUERIES.len() as u64)),
-        ("warmup_secs".into(), JsonValue::F64(warmup_secs)),
-        ("errors".into(), JsonValue::U64(errors.len() as u64)),
-        ("bit_identity_checked".into(), JsonValue::Bool(true)),
-        ("materialized_manifests".into(), JsonValue::U64(materialized as u64)),
-    ]);
-    if let Err(e) = std::fs::write(&out, format!("{}\n", summary.render())) {
-        eprintln!("ola-loadgen: cannot write {}: {e}", out.display());
-    }
     eprintln!(
         "ola-loadgen: {completed} requests in {elapsed:.3}s = {qps:.0} req/s \
          (p50 {p50}us p90 {p90}us p99 {p99}us; {hits} hits / {misses} misses)"

@@ -104,7 +104,8 @@ impl RateLimiter {
         });
     }
 
-    /// Number of tracked peers (for the `ola.serve.peers` gauge).
+    /// Number of peers with a tracked bucket; [`RateLimiter::prune`]
+    /// drops the full ones.
     #[must_use]
     pub fn peers(&self) -> usize {
         self.buckets.lock().unwrap_or_else(PoisonError::into_inner).len()

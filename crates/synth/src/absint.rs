@@ -65,13 +65,6 @@ impl ValueForm {
     pub fn mag(&self) -> Q {
         qmax(self.lo.abs(), self.hi.abs())
     }
-
-    /// Largest absolute value of the *computed* (online) node value:
-    /// the exact magnitude inflated by the settled error bound.
-    #[must_use]
-    pub fn computed_mag(&self) -> Q {
-        self.mag() + self.err
-    }
 }
 
 /// The result of abstractly interpreting a [`Dfg`].
@@ -283,12 +276,6 @@ impl SamplingBounds {
     #[must_use]
     pub fn ts_grid(&self) -> &[u64] {
         &self.ts
-    }
-
-    /// The certified bound for output `port` at grid point `ts_index`.
-    #[must_use]
-    pub fn port_bound(&self, port: usize, ts_index: usize) -> Q {
-        self.per_port[port][ts_index]
     }
 
     /// The certified bound on the total decoded error

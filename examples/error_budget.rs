@@ -7,7 +7,7 @@
 
 use ola::arith::synth::{array_multiplier, online_multiplier};
 use ola::core::empirical::{array_gate_level_curve, om_gate_level_curve};
-use ola::core::{sweep, InputModel};
+use ola::core::{timing, InputModel};
 use ola::netlist::{analyze, JitteredDelay, UnitDelay};
 
 fn main() {
@@ -41,8 +41,8 @@ fn main() {
     println!("error-free periods: online {om_f0}  traditional {am_f0}");
     println!(
         "free headroom vs rated: online {:.1}%  traditional {:.1}%",
-        sweep::frequency_speedup_percent(om_rated, om_f0),
-        sweep::frequency_speedup_percent(am_rated, am_f0),
+        timing::frequency_speedup_percent(om_rated, om_f0),
+        timing::frequency_speedup_percent(am_rated, am_f0),
     );
 
     println!("\nmax frequency speedup (vs own error-free f0) within error budget:");
@@ -51,7 +51,7 @@ fn main() {
         let within = |ts: &[u64], err: &[f64], base: u64| -> String {
             ts.iter().zip(err).find(|(_, &e)| e <= budget).map_or_else(
                 || "N/A".to_owned(),
-                |(&t, _)| format!("{:+.2}%", sweep::frequency_speedup_percent(base, t)),
+                |(&t, _)| format!("{:+.2}%", timing::frequency_speedup_percent(base, t)),
             )
         };
         println!(
