@@ -11,9 +11,9 @@
 //! * `lanes256_full` — `LaneBlock<4>` words (256 lanes), full faulty
 //!   passes: isolates the wide-lane contribution.
 //! * `lanes256_incremental` — 256 lanes plus
-//!   [`BatchProgram::run_incremental`] for the faulty passes, which
-//!   recomputes only each site's fanout cone: the shipping
-//!   configuration.
+//!   [`BatchProgram::run_incremental_bus`] for the faulty passes, which
+//!   recomputes only each site's fanout cone and keeps only the output
+//!   bus: the shipping configuration, as fault campaigns run it.
 //!
 //! Every arm folds its swept sample bits into a lane-order-canonical
 //! digest, so bit-identity across lane widths and resimulation
@@ -71,9 +71,10 @@ fn position_hash(sample: usize, pass: usize, ti: usize, bits: &[bool]) -> u64 {
 }
 
 /// One full workload pass at lane word `B`: per batch a clean run +
-/// sweep, then per fault site a faulty resimulation (incremental when
-/// asked) + sweep. Returns the lane-order-canonical digest of every
-/// swept sample bit, which must not depend on `B` or on `incremental`.
+/// sweep, then per fault site a faulty resimulation (an incremental,
+/// bus-only rerun when asked) + sweep. Returns the lane-order-canonical
+/// digest of every swept sample bit, which must not depend on `B` or on
+/// `incremental`.
 fn workload<B: LaneWord>(
     prog: &BatchProgram,
     nl: &Netlist,
@@ -103,16 +104,16 @@ fn workload<B: LaneWord>(
             let plan = FaultPlan::new().transient(site, grid[k % grid.len()] / 2, 3);
             let plans = vec![plan; lanes as usize];
             let faults = LaneFaultSet::<B>::compile(&plans, nl.len()).expect("sites are in range");
-            let faulty = if incremental {
-                prog.run_incremental(&clean, &prev, &new, Some(&faults)).expect("faulty pass")
+            let sweep = if incremental {
+                let faulty = prog
+                    .run_incremental_bus(&clean, &prev, &new, Some(&faults), bus)
+                    .expect("faulty pass");
+                faulty.bus().try_sweep(grid)
             } else {
-                prog.run_with_faults(&prev, &new, &faults).expect("faulty pass")
-            };
-            let sweep = faulty
-                .bus_waves(bus)
-                .expect("bus")
-                .try_sweep(grid)
-                .expect("grid has no duplicates");
+                let faulty = prog.run_with_faults(&prev, &new, &faults).expect("faulty pass");
+                faulty.bus_waves(bus).expect("bus").try_sweep(grid)
+            }
+            .expect("grid has no duplicates");
             for lane in 0..lanes {
                 for ti in 0..grid.len() {
                     let bits = sweep.lane_bits(ti, lane);

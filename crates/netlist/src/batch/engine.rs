@@ -18,6 +18,31 @@
 //! pushes split a gate's output into delay groups that are shifted
 //! independently and re-merged.
 //!
+//! # The per-step work
+//!
+//! Almost all of a pass is spent producing word steps, so each step is
+//! touched as few times as possible:
+//!
+//! * **Per-kind kernels.** Every 2-input kind runs a two-way merge of its
+//!   fanin steps, monomorphized for its word function; only `Mux` uses the
+//!   generic 3-slot merge. An inverter copies its fanin's steps, inverted.
+//!   With one delay for every lane, a step's time is shifted by the gate's
+//!   `(base + push).max(1)` as it is emitted; per-lane delay pushes merge
+//!   the unshifted stream once per delay group instead.
+//! * **Transitions counted on emission.** Every waveform is built through
+//!   one sink that drops unchanged words and, while the step's words are
+//!   in registers, adds its masked transitions and ORs the lanes it
+//!   changed into a tally. An inverter flips on every fanin step, so it
+//!   inherits its fanin's tally and counts nothing.
+//! * **A bounded retire scan.** Settle times come from a backward scan of
+//!   each fresh waveform that retires every lane at its last change. It
+//!   starts from the active lanes that changed at all, so a lane that is
+//!   quiet on this net never holds it open. A bus-only pass also stops at
+//!   the least settle time over all lanes, since no earlier step can
+//!   raise any lane's settle time. A full pass keeps its retire lists
+//!   complete, because an incremental rerun folds them into settle times
+//!   of its own.
+//!
 //! # Dirty-cone incremental resimulation
 //!
 //! [`BatchProgram::run_incremental`] reruns against a *base* result when
@@ -60,7 +85,7 @@ use std::sync::Arc;
 const NET_CHECK_INTERVAL: usize = 256;
 
 /// Word-parallel gate evaluation: every bit position is one lane.
-pub(crate) fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
+fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
     match kind {
         GateKind::Not => a.not(),
         GateKind::And => a.and(b),
@@ -74,49 +99,104 @@ pub(crate) fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
     }
 }
 
-/// The input waveform: lanes switch from their previous to their new bit at
-/// their delay-push time (0 without faults). Groups are sorted by push.
-fn input_wave<B: LaneWord>(prev: B, new: B, groups: &[(u64, B)]) -> Wave<B> {
-    let mut steps = Vec::new();
-    let mut word = prev;
-    let mut i = 0;
-    while i < groups.len() {
-        let t = groups[i].0;
-        let mut mask = B::ZERO;
-        while i < groups.len() && groups[i].0 == t {
-            mask = mask.or(groups[i].1);
-            i += 1;
-        }
-        let next = word.and(mask.not()).or(new.and(mask));
-        if next != word {
-            word = next;
-            steps.push((t, word));
-        }
-    }
-    Wave { initial: prev, steps }
+/// What a waveform's emitter tallied while the words were in registers:
+/// the masked transitions, and every lane that changed at all.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally<B: LaneWord> {
+    transitions: u64,
+    changed: B,
 }
 
-/// One gate's raw output waveform from its fanin waveforms.
+/// The sink every waveform is built through. A word equal to the last one
+/// is dropped (word-level change detection); a kept step is shifted by
+/// `delay` as it is stored and counted into the [`Tally`], so no later
+/// pass re-reads the waveform to count its transitions.
 ///
-/// First the deduplicated *function stream* — `f(inputs(t))` at every time
-/// any fanin changes — then each delay group `g` shifts that stream by its
-/// effective delay `(base + push_g).max(1)` and contributes its lanes; the
-/// group streams are k-way merged back into one waveform.
-fn gate_wave<B: LaneWord>(
-    kind: GateKind,
-    ins: &[&Wave<B>],
-    init: B,
-    base_delay: u64,
-    groups: &[(u64, B)],
-) -> Wave<B> {
-    // Function stream.
-    let mut cur = [B::ZERO; 3];
-    let mut idx = [0usize; 3];
-    for (j, w) in ins.iter().enumerate() {
-        cur[j] = w.initial;
+/// The step vector starts at a caller's capacity hint, so most
+/// waveforms never reallocate, and grows by a quarter when full, so one
+/// that outgrows its hint overshoots by at most a quarter rather than
+/// doubling.
+struct Emit<B: LaneWord> {
+    delay: u64,
+    mask: B,
+    initial: B,
+    last: B,
+    steps: Vec<(u64, B)>,
+    tally: Tally<B>,
+}
+
+impl<B: LaneWord> Emit<B> {
+    fn new(initial: B, delay: u64, mask: B, capacity: usize) -> Self {
+        Emit {
+            delay,
+            mask,
+            initial,
+            last: initial,
+            steps: Vec::with_capacity(capacity),
+            tally: Tally::default(),
+        }
     }
-    let mut f_prev = init;
-    let mut fstream: Vec<(u64, B)> = Vec::new();
+
+    #[inline]
+    fn push(&mut self, t: u64, word: B) {
+        let flips = word.xor(self.last);
+        if !flips.is_zero() {
+            self.last = word;
+            self.tally.transitions += u64::from(flips.and(self.mask).count_ones());
+            self.tally.changed = self.tally.changed.or(flips);
+            if self.steps.len() == self.steps.capacity() {
+                self.steps.reserve_exact(self.steps.len() / 4 + 8);
+            }
+            self.steps.push((t.saturating_add(self.delay), word));
+        }
+    }
+
+    fn finish(self) -> (Wave<B>, Tally<B>) {
+        (Wave { initial: self.initial, steps: self.steps }, self.tally)
+    }
+}
+
+/// An inverter's waveform: every fanin step, inverted and shifted by
+/// `delay`. Each fanin step differs from the one before it, so each one
+/// flips the output: the inverter's tally is its fanin's, and needs no
+/// counting.
+fn invert<B: LaneWord>(a: &Wave<B>, initial: B, delay: u64) -> Wave<B> {
+    let steps = a.steps.iter().map(|&(t, w)| (t.saturating_add(delay), w.not())).collect();
+    Wave { initial, steps }
+}
+
+/// A 2-input gate's function stream: a two-way merge of the fanin steps
+/// that evaluates `f` once per distinct time. Steps at equal times are
+/// consumed together, one from each fanin.
+fn binary<B: LaneWord>(a: &Wave<B>, b: &Wave<B>, f: impl Fn(B, B) -> B, out: &mut Emit<B>) {
+    let (sa, sb) = (&a.steps[..], &b.steps[..]);
+    let (mut wa, mut wb) = (a.initial, b.initial);
+    let (mut i, mut j) = (0, 0);
+    while i < sa.len() && j < sb.len() {
+        let ((ta, xa), (tb, xb)) = (sa[i], sb[j]);
+        let t = ta.min(tb);
+        if ta == t {
+            wa = xa;
+            i += 1;
+        }
+        if tb == t {
+            wb = xb;
+            j += 1;
+        }
+        out.push(t, f(wa, wb));
+    }
+    for &(t, xa) in &sa[i..] {
+        out.push(t, f(xa, wb));
+    }
+    for &(t, xb) in &sb[j..] {
+        out.push(t, f(wa, xb));
+    }
+}
+
+/// The generic 3-slot merge, kept for `Mux`, the one 3-input kind.
+fn mux<B: LaneWord>(ins: [&Wave<B>; 3], out: &mut Emit<B>) {
+    let mut cur = ins.map(|w| w.initial);
+    let mut idx = [0usize; 3];
     loop {
         let mut t_next = u64::MAX;
         let mut any = false;
@@ -137,27 +217,87 @@ fn gate_wave<B: LaneWord>(
                 }
             }
         }
-        let f = eval_word(kind, cur[0], cur[1], cur[2]);
-        if f != f_prev {
-            f_prev = f;
-            fstream.push((t_next, f));
+        out.push(t_next, eval_word(GateKind::Mux, cur[0], cur[1], cur[2]));
+    }
+}
+
+/// A gate's waveform with every lane shifted by `delay`, and its tally.
+/// `fanin_tally` is the tally of the first fanin, which an inverter
+/// inherits. Each kind runs a kernel monomorphized for its function and
+/// arity. The capacity hint is the busiest fanin's step count: a gate's
+/// output usually changes about as often as that fanin.
+fn kernel<B: LaneWord>(
+    kind: GateKind,
+    ins: &[&Wave<B>],
+    init: B,
+    delay: u64,
+    mask: B,
+    fanin_tally: Tally<B>,
+) -> (Wave<B>, Tally<B>) {
+    if let (GateKind::Not, &[a]) = (kind, ins) {
+        return (invert(a, init, delay), fanin_tally);
+    }
+    let hint = ins.iter().map(|w| w.steps.len()).max().unwrap_or(0);
+    let mut out = Emit::new(init, delay, mask, hint);
+    match (kind, ins) {
+        (GateKind::And, &[a, b]) => binary(a, b, B::and, &mut out),
+        (GateKind::Or, &[a, b]) => binary(a, b, B::or, &mut out),
+        (GateKind::Xor, &[a, b]) => binary(a, b, B::xor, &mut out),
+        (GateKind::Nand, &[a, b]) => binary(a, b, |x, y| x.and(y).not(), &mut out),
+        (GateKind::Nor, &[a, b]) => binary(a, b, |x, y| x.or(y).not(), &mut out),
+        (GateKind::Xnor, &[a, b]) => binary(a, b, |x, y| x.xor(y).not(), &mut out),
+        (GateKind::Mux, &[s, a, b]) => mux([s, a, b], &mut out),
+        _ => unreachable!("{kind:?} gate with {} fanins", ins.len()),
+    }
+    out.finish()
+}
+
+/// The input waveform: lanes switch from their previous to their new bit at
+/// their delay-push time (0 without faults). Groups are sorted by push.
+fn input_wave<B: LaneWord>(prev: B, new: B, groups: &[(u64, B)], mask: B) -> (Wave<B>, Tally<B>) {
+    let mut out = Emit::new(prev, 0, mask, groups.len());
+    let mut word = prev;
+    let mut i = 0;
+    while i < groups.len() {
+        let t = groups[i].0;
+        let mut lanes = B::ZERO;
+        while i < groups.len() && groups[i].0 == t {
+            lanes = lanes.or(groups[i].1);
+            i += 1;
         }
+        word = word.and(lanes.not()).or(new.and(lanes));
+        out.push(t, word);
+    }
+    out.finish()
+}
+
+/// One gate's raw output waveform from its fanin waveforms.
+///
+/// With one delay for every lane (the fault-free case) the function stream
+/// is emitted already shifted by `(base + push).max(1)`. Per-lane delay
+/// pushes first build the unshifted function stream; each delay group `g`
+/// then shifts it by its own effective delay and contributes its lanes,
+/// and the group streams are k-way merged back into one waveform.
+fn gate_wave<B: LaneWord>(
+    kind: GateKind,
+    ins: &[&Wave<B>],
+    init: B,
+    base_delay: u64,
+    groups: &[(u64, B)],
+    mask: B,
+    fanin_tally: Tally<B>,
+) -> (Wave<B>, Tally<B>) {
+    let delay = |push: u64| base_delay.saturating_add(push).max(1);
+    if let [(push, _)] = groups {
+        return kernel(kind, ins, init, delay(*push), mask, fanin_tally);
     }
 
-    if let [(push, _mask)] = groups {
-        // Fast path: one delay for every lane (the fault-free case).
-        let d = base_delay.saturating_add(*push).max(1);
-        let steps = fstream.into_iter().map(|(t, f)| (t.saturating_add(d), f)).collect();
-        return Wave { initial: init, steps };
-    }
-
-    // Per-lane delays: merge the per-group shifted streams.
-    let ds: Vec<u64> =
-        groups.iter().map(|&(push, _)| base_delay.saturating_add(push).max(1)).collect();
+    let (fstream, _) = kernel(kind, ins, init, 0, mask, fanin_tally);
+    let fstream = fstream.steps;
+    let ds: Vec<u64> = groups.iter().map(|&(push, _)| delay(push)).collect();
     let mut cursors = vec![0usize; groups.len()];
-    let mut words: Vec<B> = groups.iter().map(|&(_, mask)| init.and(mask)).collect();
-    let mut last = init;
-    let mut steps = Vec::new();
+    let mut words: Vec<B> = groups.iter().map(|&(_, lanes)| init.and(lanes)).collect();
+    let mut out = Emit::new(init, 0, mask, fstream.len());
     loop {
         let mut t_next = u64::MAX;
         let mut any = false;
@@ -180,20 +320,16 @@ fn gate_wave<B: LaneWord>(
                 }
             }
         }
-        let word = words.iter().fold(B::ZERO, |acc, &w| acc.or(w));
-        if word != last {
-            last = word;
-            steps.push((t_next, word));
-        }
+        out.push(t_next, words.iter().fold(B::ZERO, |acc, &w| acc.or(w)));
     }
-    Wave { initial: init, steps }
+    out.finish()
 }
 
 /// Applies the per-lane observation transform (stuck bits, transient
 /// windows) to a raw waveform: candidate change times are the raw step
 /// times plus the window boundaries, and at each the observed word is
 /// `((raw ^ flips) & !stuck_mask) | stuck_vals`.
-fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>) -> Wave<B> {
+fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, mask: B) -> (Wave<B>, Tally<B>) {
     let init = raw.initial.and(f.stuck_mask.not()).or(f.stuck_vals);
     let mut times: Vec<u64> = raw.steps.iter().map(|&(t, _)| t).collect();
     for &(start, end, _) in &f.windows {
@@ -203,8 +339,7 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>) -> Wave<B> {
     times.sort_unstable();
     times.dedup();
 
-    let mut steps = Vec::new();
-    let mut last = init;
+    let mut out = Emit::new(init, 0, mask, times.len());
     let mut cur_raw = raw.initial;
     let mut ci = 0usize;
     for &t in &times {
@@ -217,18 +352,14 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>) -> Wave<B> {
             }
         }
         let mut flips = B::ZERO;
-        for &(start, end, mask) in &f.windows {
+        for &(start, end, lanes) in &f.windows {
             if t >= start && t < end {
-                flips = flips.or(mask);
+                flips = flips.or(lanes);
             }
         }
-        let word = cur_raw.xor(flips).and(f.stuck_mask.not()).or(f.stuck_vals);
-        if word != last {
-            last = word;
-            steps.push((t, word));
-        }
+        out.push(t, cur_raw.xor(flips).and(f.stuck_mask.not()).or(f.stuck_vals));
     }
-    Wave { initial: init, steps }
+    out.finish()
 }
 
 /// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every incremental run to
@@ -243,13 +374,14 @@ fn incremental_check_enabled() -> bool {
 
 /// Per-net scan products cached in a result so an incremental rerun can
 /// fold a clean (`Arc`-shared) net's contribution into its counters and
-/// settle times without rescanning the waveform: the masked transition
-/// count, and the "retire list" — backward-ordered `(t, lanes)` entries
+/// settle times without rescanning the waveform: the [`Tally`] its
+/// emitter counted (an inverter reading the net inherits it too), and the
+/// complete "retire list" — backward-ordered `(t, lanes)` entries
 /// recording each lane's *last* transition time, the compressed form of
 /// this net's per-lane settle contribution.
 #[derive(Clone, Debug)]
 struct NetStats<B: LaneWord> {
-    transitions: u64,
+    tally: Tally<B>,
     retire: Vec<(u64, B)>,
 }
 
@@ -664,7 +796,8 @@ impl BatchProgram {
     }
 
     /// Computes the waveform of net `i` from its fanins' waveforms, which
-    /// the pass keeps until their last consumer has run.
+    /// the pass keeps until their last consumer has run, together with the
+    /// tally its emitter counted under the active-lane `mask`.
     #[allow(clippy::too_many_arguments)]
     fn net_wave<B: LaneWord>(
         &self,
@@ -674,8 +807,9 @@ impl BatchProgram {
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
         raw_init: &[B],
-        waves: &[Option<Arc<Wave<B>>>],
-    ) -> Wave<B> {
+        mask: B,
+        pass: &Settled<B>,
+    ) -> (Wave<B>, Tally<B>) {
         let lane_faults = faults.map(|fs| &fs.nets[i]);
         let no_fault_groups = [(0u64, B::ONES)];
         let groups_storage;
@@ -686,24 +820,35 @@ impl BatchProgram {
             }
             _ => &no_fault_groups,
         };
-        let raw = match self.kinds[i] {
-            GateKind::Input => input_wave(prev.words[input_slot], new.words[input_slot], groups),
-            GateKind::Const => Wave::constant(B::splat(self.const_ones[i])),
+        let (raw, tally) = match self.kinds[i] {
+            GateKind::Input => {
+                input_wave(prev.words[input_slot], new.words[input_slot], groups, mask)
+            }
+            GateKind::Const => (Wave::constant(B::splat(self.const_ones[i])), Tally::default()),
             kind => {
                 let idle = Wave::constant(B::ZERO);
                 let mut ins = [&idle; 3];
                 let mut arity = 0;
                 for (slot, f) in self.fanins(i).enumerate() {
                     ins[slot] =
-                        waves[f].as_deref().expect("a fanin's waveform outlives its readers");
+                        pass.waves[f].as_deref().expect("a fanin's waveform outlives its readers");
                     arity = slot + 1;
                 }
-                gate_wave(kind, &ins[..arity], raw_init[i], self.delays[i], groups)
+                let fanin_tally = pass.tallies[self.in0[i] as usize];
+                gate_wave(
+                    kind,
+                    &ins[..arity],
+                    raw_init[i],
+                    self.delays[i],
+                    groups,
+                    mask,
+                    fanin_tally,
+                )
             }
         };
         match lane_faults {
-            Some(f) if !f.observe_is_identity() => observe_wave(&raw, f),
-            _ => raw,
+            Some(f) if !f.observe_is_identity() => observe_wave(&raw, f, mask),
+            _ => (raw, tally),
         }
     }
 
@@ -758,8 +903,9 @@ impl BatchProgram {
         let mut pass = Settled {
             lanes,
             waves: Vec::with_capacity(n),
+            tallies: Vec::with_capacity(n),
             net_stats: Vec::new(),
-            settle: vec![0u64; lanes as usize],
+            settle: SettleTimes::new(lanes),
             word_steps: 0,
             lane_transitions: 0,
         };
@@ -782,43 +928,35 @@ impl BatchProgram {
                             || new.words[slot] != b.new_words[slot]));
                 !stimulus_changed && !self.fanins(i).any(|f| dirty[f])
             });
-            let (wave, stats) = match clean_base {
-                Some(b) => b.shared(i),
-                None => {
-                    let wave = self.net_wave(i, slot, prev, new, faults, &raw_init, &pass.waves);
-                    debug_assert_eq!(wave.initial, obs_init[i], "net {i}");
-                    match base {
-                        // The cone reconverged: downstream nets see the base
-                        // waveform, so they need not recompute because of
-                        // net `i`.
-                        Some(b) if wave == *b.waves[i] => b.shared(i),
-                        _ => {
-                            dirty[i] = true;
-                            let stats = scan_wave(&wave, mask);
-                            (Arc::new(wave), Arc::new(stats))
-                        }
-                    }
+            // `None` when net `i` shares the base run's waveform: its own
+            // stimulus and its fanins are clean, or its recomputed waveform
+            // equals the base one (the cone reconverged, so downstream nets
+            // need not recompute because of net `i`).
+            let fresh = if clean_base.is_some() {
+                None
+            } else {
+                let (wave, tally) =
+                    self.net_wave(i, slot, prev, new, faults, &raw_init, mask, &pass);
+                debug_assert_eq!(wave.initial, obs_init[i], "net {i}");
+                (!base.is_some_and(|b| wave == *b.waves[i])).then_some((wave, tally))
+            };
+            let wave = match (fresh, base) {
+                (Some((wave, tally)), _) => {
+                    dirty[i] = true;
+                    pass.fold_fresh(wave, tally, mask, retain)
                 }
+                (None, Some(b)) => pass.fold_shared(b, i, retain),
+                (None, None) => unreachable!("only a rerun shares waveforms"),
             };
             pass.word_steps += wave.steps.len() as u64;
-            pass.lane_transitions += stats.transitions;
-            for &(t, word) in &stats.retire {
-                word.for_each_lane(|l| {
-                    let s = &mut pass.settle[l as usize];
-                    *s = (*s).max(t);
-                });
-            }
             pass.waves.push(Some(wave));
-            match retain {
-                Retain::All => pass.net_stats.push(stats),
-                Retain::Bus(on_bus) => {
-                    // Release every waveform whose last reader was this net
-                    // (a fanin, or the net itself when nothing reads it),
-                    // unless the bus needs it.
-                    for f in self.fanins(i).chain([i]) {
-                        if self.last_use[f] as usize == i && !on_bus[f] {
-                            pass.waves[f] = None;
-                        }
+            if let Retain::Bus(on_bus) = retain {
+                // Release every waveform whose last reader was this net (a
+                // fanin, or the net itself when nothing reads it), unless
+                // the bus needs it.
+                for f in self.fanins(i).chain([i]) {
+                    if self.last_use[f] as usize == i && !on_bus[f] {
+                        pass.waves[f] = None;
                     }
                 }
             }
@@ -840,19 +978,73 @@ enum Retain<'a> {
     Bus(&'a [bool]),
 }
 
-/// One settling pass: the waveforms it kept (`None` once released), the
-/// per-net scan products of a [`Retain::All`] pass, and the folded
-/// counters and per-lane settle times.
+/// One settling pass: the waveforms it kept (`None` once released), every
+/// net's tally, the per-net scan products of a [`Retain::All`] pass, and
+/// the folded counters and per-lane settle times.
 struct Settled<B: LaneWord> {
     lanes: u32,
     waves: Vec<Option<Arc<Wave<B>>>>,
+    tallies: Vec<Tally<B>>,
     net_stats: Vec<Arc<NetStats<B>>>,
-    settle: Vec<u64>,
+    settle: SettleTimes,
     word_steps: u64,
     lane_transitions: u64,
 }
 
 impl<B: LaneWord> Settled<B> {
+    /// Folds net `i` of `base`, shared by reference, into the pass: its
+    /// cached transition count and its complete retire list.
+    fn fold_shared(
+        &mut self,
+        base: &LaneSimResult<B>,
+        i: usize,
+        retain: Retain<'_>,
+    ) -> Arc<Wave<B>> {
+        let (wave, stats) = base.shared(i);
+        self.tallies.push(stats.tally);
+        self.lane_transitions += stats.tally.transitions;
+        for &(t, lanes) in &stats.retire {
+            self.settle.raise(t, lanes);
+        }
+        if let Retain::All = retain {
+            self.net_stats.push(stats);
+        }
+        wave
+    }
+
+    /// Folds a freshly computed waveform into the pass: the transitions its
+    /// emitter counted, then a backward retire scan over the active lanes
+    /// that changed. A [`Retain::All`] pass keeps the complete retire list,
+    /// since a later incremental rerun folds it into *its* settle times. A
+    /// [`Retain::Bus`] pass folds as it scans and stops at the settle floor.
+    fn fold_fresh(
+        &mut self,
+        wave: Wave<B>,
+        tally: Tally<B>,
+        mask: B,
+        retain: Retain<'_>,
+    ) -> Arc<Wave<B>> {
+        self.tallies.push(tally);
+        self.lane_transitions += tally.transitions;
+        let lanes = mask.and(tally.changed);
+        match retain {
+            Retain::All => {
+                let mut retire = Vec::new();
+                retire_scan(&wave, lanes, None, |t, l| retire.push((t, l)));
+                for &(t, l) in &retire {
+                    self.settle.raise(t, l);
+                }
+                let stats = NetStats { tally, retire };
+                self.net_stats.push(Arc::new(stats));
+            }
+            Retain::Bus(_) => {
+                let floor = self.settle.floor();
+                retire_scan(&wave, lanes, Some(floor), |t, l| self.settle.raise(t, l));
+            }
+        }
+        Arc::new(wave)
+    }
+
     /// Assembles the full result of a [`Retain::All`] pass.
     fn into_result(
         self,
@@ -868,7 +1060,7 @@ impl<B: LaneWord> Settled<B> {
                 .map(|w| w.expect("a full pass keeps every waveform"))
                 .collect(),
             net_stats: self.net_stats,
-            settle: self.settle,
+            settle: self.settle.times,
             word_steps: self.word_steps,
             lane_transitions: self.lane_transitions,
             prev_words: prev.words.clone(),
@@ -887,41 +1079,80 @@ impl<B: LaneWord> Settled<B> {
             .collect();
         LaneBusResult {
             bus: LaneBusWaves { lanes: self.lanes, waves },
-            settle: self.settle,
+            settle: self.settle.times,
             word_steps: self.word_steps,
             lane_transitions: self.lane_transitions,
         }
     }
 }
 
-/// One net's scan products: the masked transition count (a forward scan
-/// of word ops only) and the retire list for settle times. The retire
-/// list comes from a backward scan that retires each lane at its first
-/// hit — every lane is touched at most once per net, where a forward
-/// per-transition update would make the per-lane loop scale with total
-/// lane transitions and dominate the whole engine on glitchy waves.
-fn scan_wave<B: LaneWord>(w: &Wave<B>, mask: B) -> NetStats<B> {
-    let mut transitions = 0u64;
-    let mut prev_word = w.initial;
-    for &(_, word) in &w.steps {
-        transitions += u64::from(prev_word.xor(word).and(mask).count_ones());
-        prev_word = word;
+/// Per-lane settle times, and their minimum: the settle floor. No step at
+/// or before the floor can raise any lane's settle time, so a bus pass's
+/// retire scan stops there. The floor is recomputed only after a lane that
+/// sat on it was raised.
+struct SettleTimes {
+    times: Vec<u64>,
+    floor: u64,
+    stale: bool,
+}
+
+impl SettleTimes {
+    fn new(lanes: u32) -> Self {
+        SettleTimes { times: vec![0; lanes as usize], floor: 0, stale: false }
     }
-    let mut retire = Vec::new();
-    let mut remaining = mask;
+
+    /// Raises the settle time of every lane in `lanes` to at least `t`.
+    fn raise<B: LaneWord>(&mut self, t: u64, lanes: B) {
+        let (times, floor, stale) = (&mut self.times, self.floor, &mut self.stale);
+        lanes.for_each_lane(|l| {
+            let s = &mut times[l as usize];
+            if t > *s {
+                *stale |= *s == floor;
+                *s = t;
+            }
+        });
+    }
+
+    /// The least settle time over all lanes.
+    fn floor(&mut self) -> u64 {
+        if self.stale {
+            self.floor = self.times.iter().copied().min().unwrap_or(0);
+            self.stale = false;
+        }
+        self.floor
+    }
+}
+
+/// The backward retire scan behind one net's settle contribution: walking
+/// the steps from the last, each lane of `lanes` retires at its latest
+/// change, reported once as `retire(t, lanes_retiring_at_t)`. Every lane
+/// is touched at most once per net, where a forward per-transition update
+/// would make the per-lane loop scale with total lane transitions.
+///
+/// The scan stops when every lane has retired, so `lanes` should hold only
+/// lanes that change at all: one that never changes would keep it walking
+/// to the first step. Given a `floor`, it also stops at the first step at
+/// or before it, which is exact only for folding into settle times that
+/// are all at least `floor`.
+fn retire_scan<B: LaneWord>(
+    w: &Wave<B>,
+    lanes: B,
+    floor: Option<u64>,
+    mut retire: impl FnMut(u64, B),
+) {
+    let mut remaining = lanes;
     for k in (0..w.steps.len()).rev() {
-        if remaining.is_zero() {
+        let (t, word) = w.steps[k];
+        if remaining.is_zero() || floor.is_some_and(|f| t <= f) {
             break;
         }
         let before = if k == 0 { w.initial } else { w.steps[k - 1].1 };
-        let (t, word) = w.steps[k];
         let changed = before.xor(word).and(remaining);
         if !changed.is_zero() {
-            retire.push((t, changed));
+            retire(t, changed);
             remaining = remaining.and(changed.not());
         }
     }
-    NetStats { transitions, retire }
 }
 
 #[cfg(test)]
@@ -1214,6 +1445,225 @@ mod tests {
             assert_eq!(clean.wave(net), faulty.wave(net));
         }
         assert_eq!(clean.settle_times(), faulty.settle_times());
+    }
+
+    /// Asserts a bus-only pass over `bus` matches the full run it streams:
+    /// the same bus waveforms, per-lane settle times and counters.
+    fn assert_bus_matches_run<B: LaneWord>(
+        prog: &BatchProgram,
+        prev: &LaneInputs<B>,
+        new: &LaneInputs<B>,
+        bus: &[NetId],
+    ) -> LaneBusResult<B> {
+        let full = prog.run(prev, new).unwrap();
+        let streamed = prog.run_bus(prev, new, bus, None).unwrap();
+        assert_eq!(*streamed.bus(), full.bus_waves(bus).unwrap());
+        assert_eq!(streamed.settle_times(), full.settle_times());
+        assert_eq!(streamed.word_steps(), full.word_steps());
+        assert_eq!(streamed.lane_transitions(), full.lane_transitions());
+        streamed
+    }
+
+    /// One gate of every kind, each fed by fanins whose steps fall at equal
+    /// times (all inputs switch at `t = 0`, and the inverters `na`, `nb`
+    /// switch together at `U`), plus gates mixing fanins of both depths.
+    fn every_kind() -> Netlist {
+        let mut nl = Netlist::new();
+        let (a, b, c) = (nl.input("a"), nl.input("b"), nl.input("c"));
+        let (na, nb) = (nl.not(a), nl.not(b));
+        let gates = [
+            nl.and(a, b),
+            nl.or(na, nb),
+            nl.xor(a, nb),
+            nl.nand(na, b),
+            nl.nor(a, c),
+            nl.xnor(na, nb),
+            nl.mux(a, b, c),
+            nl.mux(na, nb, c),
+        ];
+        let z = nl.xor(gates[2], gates[5]);
+        let m = nl.mux(gates[0], z, gates[7]);
+        let mut outs = gates.to_vec();
+        outs.extend([z, m]);
+        nl.set_output("z", outs);
+        nl
+    }
+
+    #[test]
+    fn every_gate_kind_matches_event_sim_at_equal_fanin_times() {
+        let nl = every_kind();
+        let kinds: std::collections::BTreeSet<_> = nl.nets().map(|n| nl.kind(n)).collect();
+        assert_eq!(kinds.len(), 9, "every kind but Const: {kinds:?}");
+        let news = all_vectors(3);
+        let mut prevs = news.clone();
+        prevs.rotate_left(3);
+        // All 64 (prev, new) pairs of 3-bit vectors, as 64 lanes.
+        let prevs: Vec<Vec<bool>> = (0..64).map(|l| prevs[l / 8].clone()).collect();
+        let news: Vec<Vec<bool>> = (0..64).map(|l| news[l % 8].clone()).collect();
+        for delay in [&UnitDelay as &dyn crate::DelayModel, &FpgaDelay::default()] {
+            let narrow = assert_equiv(&nl, &delay, &prevs, &news, &[]);
+            let wide = assert_equiv_generic::<crate::batch::LaneBlock<2>, _>(
+                &nl,
+                &delay,
+                &prevs,
+                &news,
+                &[],
+            );
+            assert_eq!(narrow.lane_transitions(), wide.lane_transitions());
+            let prog = BatchProgram::compile(&nl, &delay).unwrap();
+            let bus = nl.output("z");
+            let (prev, new) =
+                (BatchInputs::pack(&prevs).unwrap(), BatchInputs::pack(&news).unwrap());
+            assert_bus_matches_run(&prog, &prev, &new, bus);
+        }
+    }
+
+    /// `UnitDelay`, except that the two named nets take delays within a few
+    /// units of `u64::MAX`.
+    struct NearMax(NetId, NetId);
+
+    impl crate::DelayModel for NearMax {
+        fn gate_delay(&self, kind: crate::GateKind, net: NetId) -> u64 {
+            match net {
+                n if n == self.0 => u64::MAX - 10,
+                n if n == self.1 => u64::MAX - 8,
+                _ => UnitDelay.gate_delay(kind, net),
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_step_times_collapse_but_keep_every_step() {
+        // The event simulator's time-indexed queue cannot hold times near
+        // `u64::MAX`, so this pins the waveforms by hand: both inverters
+        // fire within 2 units of the end of time, so every later gate's
+        // shifted steps saturate onto `u64::MAX` and share that time, and
+        // each step is still kept, counted and read back in order.
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.input("a"), nl.input("b"));
+        let (na, nb) = (nl.not(a), nl.not(b));
+        let z = nl.xor(na, nb);
+        let nz = nl.not(z);
+        let y = nl.and(na, b);
+        nl.set_output("z", vec![z, nz, y]);
+        let delay = NearMax(na, nb);
+        let prog = BatchProgram::compile(&nl, &delay).unwrap();
+        // Lane 0: both inputs rise; lane 1: only `a` rises; lane 2: quiet.
+        let prevs = vec![vec![false, false]; 3];
+        let news = vec![vec![true, true], vec![true, false], vec![false, false]];
+        let (prev, new) = (BatchInputs::pack(&prevs).unwrap(), BatchInputs::pack(&news).unwrap());
+        let res = prog.run(&prev, &new).unwrap();
+        let max = u64::MAX;
+        assert_eq!(res.lane_waveform(na, 0), vec![(max - 10, false)]);
+        assert_eq!(res.lane_waveform(z, 0), vec![(max, true), (max, false)]);
+        assert_eq!(res.lane_waveform(nz, 0), vec![(max, false), (max, true)]);
+        assert_eq!(res.lane_waveform(z, 1), vec![(max, true)]);
+        assert_eq!(res.lane_waveform(y, 0), vec![(U, true), (max, false)]);
+        assert!(res.lane_waveform(z, 2).is_empty());
+        assert_eq!(res.wave(z).steps().len(), 2);
+        assert!(res.final_bus(&[z, nz, y], 0) == [false, true, false]);
+        assert_eq!(res.settle_times(), [max, max, 0]);
+        // The inputs flip 3 lanes, the inverters `na` and `nb` 2 and 1, `z`
+        // and `nz` flip lane 0 twice and lane 1 once, `y` flips lane 0 twice.
+        assert_eq!(res.lane_transitions(), 3 + 2 + 1 + 3 + 3 + 2);
+        // Every lane equals its own single-lane run.
+        for lane in 0..3 {
+            let one = |v: &Vec<bool>| BatchInputs::pack(std::slice::from_ref(v)).unwrap();
+            let alone = prog.run(&one(&prevs[lane]), &one(&news[lane])).unwrap();
+            for net in nl.nets() {
+                assert_eq!(res.lane_waveform(net, lane as u32), alone.lane_waveform(net, 0));
+            }
+        }
+        assert_bus_matches_run(&prog, &prev, &new, &[z, nz, y]);
+        let wide = WideInputs::<2>::pack(&prevs).unwrap();
+        let wide_new = WideInputs::<2>::pack(&news).unwrap();
+        let wide_res = prog.run(&wide, &wide_new).unwrap();
+        assert_eq!(wide_res.settle_times(), res.settle_times());
+        assert_eq!(wide_res.lane_transitions(), res.lane_transitions());
+    }
+
+    #[test]
+    fn inactive_lanes_stay_out_of_counters_through_inverters() {
+        // Three active lanes in a 64-lane word. Lanes 3 and 4 carry fault
+        // plans but no vectors: their transient windows flip only inactive
+        // lanes of `n1`, which the inverter `n2` passes on with the rest of
+        // its fanin's tally. None of it may reach a counter or settle time.
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.input("a"), nl.input("b"));
+        let n1 = nl.not(a);
+        let n2 = nl.not(n1);
+        let n3 = nl.not(n2);
+        let z = nl.xor(n3, b);
+        nl.set_output("z", vec![z, n2]);
+        let prevs = vec![vec![false, true], vec![true, true], vec![false, false]];
+        let news = vec![vec![true, true], vec![false, true], vec![false, true]];
+        let mut plans = vec![FaultPlan::new(); 3];
+        plans.push(FaultPlan::new().transient(n1, 2 * U, 7 * U));
+        plans.push(FaultPlan::new().transient(n1, U, 2 * U).transient(z, 0, 9 * U));
+        let res = assert_equiv(&nl, &UnitDelay, &prevs, &news, &plans);
+        let clean = assert_equiv(&nl, &UnitDelay, &prevs, &news, &plans[..3]);
+        assert_eq!(res.lanes(), 3);
+        assert_eq!(res.settle_times(), clean.settle_times());
+        assert_eq!(res.lane_transitions(), clean.lane_transitions());
+        let listed: usize = nl
+            .nets()
+            .flat_map(|net| (0..3).map(move |l| (net, l)))
+            .map(|(net, l)| res.lane_waveform(net, l).len())
+            .sum();
+        assert_eq!(res.lane_transitions(), listed as u64);
+        // The same through a 128-lane word and a bus-only dirty-cone rerun.
+        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
+        let (prev, new) =
+            (WideInputs::<2>::pack(&prevs).unwrap(), WideInputs::<2>::pack(&news).unwrap());
+        let fs = WideFaultSet::<2>::compile(&plans, nl.len()).unwrap();
+        let base = prog.run(&prev, &new).unwrap();
+        let rerun = prog.run_incremental_bus(&base, &prev, &new, Some(&fs), &[z]).unwrap();
+        assert_eq!(rerun.settle_times(), clean.settle_times());
+        assert_eq!(rerun.lane_transitions(), clean.lane_transitions());
+    }
+
+    #[test]
+    fn bus_pass_stops_retire_scans_at_the_settle_floor() {
+        // z = a ^ !!b: lane 0 toggles `a` and settles at U; lane 1 toggles
+        // `b` and settles at 3U; lane 2 toggles both and glitches at U and
+        // 3U. By the time the last net `w = !a` is scanned every lane has
+        // settled at U or later, so the scan of `w` stops at its step at U.
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.input("a"), nl.input("b"));
+        let n1 = nl.not(b);
+        let n2 = nl.not(n1);
+        let z = nl.xor(a, n2);
+        let w = nl.not(a);
+        nl.set_output("z", vec![z, w]);
+        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
+        let prevs = vec![vec![false, false]; 3];
+        let news = vec![vec![true, false], vec![false, true], vec![true, true]];
+        assert_equiv(&nl, &UnitDelay, &prevs, &news, &[]);
+        let (prev, new) = (BatchInputs::pack(&prevs).unwrap(), BatchInputs::pack(&news).unwrap());
+        let streamed = assert_bus_matches_run(&prog, &prev, &new, &[z]);
+        assert_eq!(streamed.settle_times(), [U, 3 * U, 3 * U]);
+        assert_eq!(streamed.bus().waves[0].steps(), [(U, 0b101), (3 * U, 0b011)]);
+
+        // The cut itself: a wave whose lanes last change at U and 3U. With
+        // every lane settled at least at U, the scan retires lane 1 and
+        // stops before the step at U, yet folds the same settle times as a
+        // full scan.
+        let wave = Wave { initial: 0b00u64, steps: vec![(U, 0b11), (3 * U, 0b01)] };
+        let mut floored = SettleTimes::new(2);
+        floored.raise(U, 0b11u64);
+        let mut full = SettleTimes::new(2);
+        full.raise(U, 0b11u64);
+        let mut seen = Vec::new();
+        let floor = floored.floor();
+        assert_eq!(floor, U);
+        retire_scan(&wave, 0b11, Some(floor), |t, l| {
+            seen.push((t, l));
+            floored.raise(t, l);
+        });
+        assert_eq!(seen, [(3 * U, 0b10)], "the scan stopped at the floor");
+        retire_scan(&wave, 0b11, None, |t, l| full.raise(t, l));
+        assert_eq!(floored.times, full.times);
+        assert_eq!(floored.floor(), U);
     }
 
     /// Asserts an incremental rerun is bit-identical to the full recompute

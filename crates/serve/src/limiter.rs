@@ -106,6 +106,7 @@ impl RateLimiter {
 
     /// Number of peers with a tracked bucket; [`RateLimiter::prune`]
     /// drops the full ones.
+    #[cfg(test)]
     #[must_use]
     pub fn peers(&self) -> usize {
         self.buckets.lock().unwrap_or_else(PoisonError::into_inner).len()
