@@ -2,7 +2,7 @@
 //! nets instead of bits, plus the gate-level online adder and SDVM.
 
 use ola_netlist::cells::{mmp_cell, ppm_cell};
-use ola_netlist::{NetId, Netlist, SimResult};
+use ola_netlist::{NetId, Netlist};
 use ola_redundant::BsVector;
 
 /// A borrow-save bus: one `(p, n)` net pair per weight position, mirroring
@@ -95,17 +95,6 @@ impl BsSignals {
     #[must_use]
     pub fn flat_nets(&self) -> (Vec<NetId>, Vec<NetId>) {
         (self.p.clone(), self.n.clone())
-    }
-
-    /// Reads the bus out of a simulation at time `t` as a [`BsVector`].
-    #[must_use]
-    pub fn sample(&self, res: &SimResult, t: u64) -> BsVector {
-        let mut v = BsVector::zero(self.msd_pos, self.len());
-        for i in 0..self.len() {
-            let pos = self.msd_pos + i as i32;
-            v.set_bits(pos, res.value_at(self.p[i], t), res.value_at(self.n[i], t));
-        }
-        v
     }
 
     /// Reads the bus from a functional evaluation.

@@ -14,6 +14,7 @@
 
 use crate::online::fused_mac_window;
 use crate::synth::bsnets::{bs_add_gates, sdvm_gates, BsSignals};
+use crate::synth::mac::decode_planes_value;
 use ola_netlist::sta::prune_dead;
 use ola_netlist::{NetId, Netlist};
 use ola_redundant::{SdNumber, Q};
@@ -125,11 +126,7 @@ impl FusedMacCircuit {
     /// Decodes sampled `sump`/`sumn` values into the exact sum value.
     #[must_use]
     pub fn decode_sum(&self, sump: &[bool], sumn: &[bool]) -> Q {
-        let mut v = ola_redundant::BsVector::zero(self.sum_msd_pos, sump.len());
-        for (i, (&p, &n)) in sump.iter().zip(sumn).enumerate() {
-            v.set_bits(self.sum_msd_pos + i as i32, p, n);
-        }
-        v.value()
+        decode_planes_value(self.sum_msd_pos, sump, sumn)
     }
 }
 

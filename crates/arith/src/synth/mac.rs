@@ -60,11 +60,7 @@ impl OnlineMacCircuit {
     /// Decodes sampled `sump`/`sumn` values into the exact sum value.
     #[must_use]
     pub fn decode_sum(&self, sump: &[bool], sumn: &[bool]) -> Q {
-        let mut v = ola_redundant::BsVector::zero(self.sum_msd_pos, sump.len());
-        for (i, (&p, &n)) in sump.iter().zip(sumn).enumerate() {
-            v.set_bits(self.sum_msd_pos + i as i32, p, n);
-        }
-        v.value()
+        decode_planes_value(self.sum_msd_pos, sump, sumn)
     }
 }
 
@@ -199,6 +195,17 @@ pub fn traditional_mac(coefficients: &[i64], width: usize) -> TraditionalMacCirc
     nl.set_output("sum", sum);
     let nl = prune_dead(&nl).expect("generated netlists are DAGs");
     TraditionalMacCircuit { netlist: nl, width, coefficients: coefficients.to_vec() }
+}
+
+/// Decodes sampled `p`/`n` digit planes, MSD first at weight position
+/// `msd_pos`, into their exact value.
+#[must_use]
+pub fn decode_planes_value(msd_pos: i32, p: &[bool], n: &[bool]) -> Q {
+    let mut v = ola_redundant::BsVector::zero(msd_pos, p.len());
+    for (i, (&p, &n)) in p.iter().zip(n).enumerate() {
+        v.set_bits(msd_pos + i as i32, p, n);
+    }
+    v.value()
 }
 
 /// Decodes a sampled online-MAC digit plane pair into digits (helper for

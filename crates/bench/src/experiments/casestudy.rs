@@ -9,9 +9,7 @@
 use super::Scale;
 use crate::report::{fmt_f, fmt_pct, Table};
 use ola_core::metrics;
-use ola_imaging::filter::{
-    FilterConfig, FilterRun, OnlineFilter, OverclockedFilter, TraditionalFilter,
-};
+use ola_imaging::filter::{Filter, FilterConfig, FilterRun, FilterSweep};
 use ola_imaging::synthetic::Benchmark;
 use ola_imaging::Image;
 use std::collections::HashMap;
@@ -36,8 +34,8 @@ struct DesignRun {
 
 /// Shared runner and cache for the case-study experiments.
 pub struct CaseStudyContext {
-    online: OnlineFilter,
-    trad: TraditionalFilter,
+    online: Filter,
+    trad: Filter,
     scale: Scale,
     cache: Mutex<HashMap<(&'static str, Benchmark), std::sync::Arc<DesignRun>>>,
 }
@@ -47,8 +45,8 @@ impl CaseStudyContext {
     #[must_use]
     pub fn new(scale: Scale) -> Self {
         CaseStudyContext {
-            online: OnlineFilter::new(FilterConfig::paper_default()),
-            trad: TraditionalFilter::new(FilterConfig::paper_default()),
+            online: Filter::online(&FilterConfig::paper_default()),
+            trad: Filter::traditional(&FilterConfig::paper_default()),
             scale,
             cache: Mutex::new(HashMap::new()),
         }
@@ -59,38 +57,38 @@ impl CaseStudyContext {
         b.generate(size, size, seed)
     }
 
-    fn design(&self, name: &'static str) -> &dyn OverclockedFilter {
-        match name {
-            "online" => &self.online,
-            _ => &self.trad,
-        }
-    }
-
-    fn run(&self, name: &'static str, bench: Benchmark) -> std::sync::Arc<DesignRun> {
-        if let Some(r) =
-            self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&(name, bench))
-        {
-            return r.clone();
-        }
-        let filter = self.design(name);
-        let img = self.image(bench, self.scale.table_image_size());
+    /// Sweeps `img` over the coarse grid, from deep overclock (half the
+    /// rated period) up to the rated period, and returns the sweep with
+    /// the coarse f0: the smallest grid period that is error-free from
+    /// there on up.
+    fn coarse_sweep(&self, filter: &Filter, img: &Image) -> (FilterSweep, u64) {
         let rated = filter.rated_period();
-        // Coarse grid from deep overclock up to the rated period.
         let points = self.scale.grid_points() as u64;
         let ts_grid: Vec<u64> =
             (0..points).map(|k| rated / 2 + (rated - rated / 2) * k / (points - 1)).collect();
-        let sweep = filter.apply_sweep(&img, &ts_grid);
-        let grid: Vec<(u64, f64, f64)> =
-            sweep.runs.iter().map(|r| (r.ts, r.mre_percent, r.snr_db)).collect();
-        // f0: the smallest grid period that is error-free from there on up,
-        // refined by bisection between the last failing grid point and it
-        // (the multiplier memo is warm, so each probe is cheap).
-        let coarse = grid
+        let sweep = filter.apply_sweep(img, &ts_grid);
+        let coarse = sweep
+            .runs
             .iter()
             .rev()
-            .take_while(|(_, mre, _)| *mre == 0.0)
+            .take_while(|r| r.mre_percent == 0.0)
             .last()
-            .map_or(rated, |(ts, _, _)| *ts);
+            .map_or(rated, |r| r.ts);
+        (sweep, coarse)
+    }
+
+    fn run(&self, filter: &Filter, bench: Benchmark) -> std::sync::Arc<DesignRun> {
+        let key = (filter.name(), bench);
+        if let Some(r) = self.cache.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+            return r.clone();
+        }
+        let img = self.image(bench, self.scale.table_image_size());
+        let (sweep, coarse) = self.coarse_sweep(filter, &img);
+        let grid: Vec<(u64, f64, f64)> =
+            sweep.runs.iter().map(|r| (r.ts, r.mre_percent, r.snr_db)).collect();
+        // f0: the coarse f0 refined by bisection between the last failing
+        // grid point and it (the product passes are kept, so each probe
+        // costs only its tree passes).
         let mut lo = grid
             .iter()
             .filter(|(ts, mre, _)| *ts < coarse && *mre > 0.0)
@@ -113,10 +111,7 @@ impl CaseStudyContext {
             FACTORS.iter().map(|f| ((f0 as f64 / f).round() as u64).max(1)).collect();
         let factor_runs = filter.apply_sweep(&img, &ts_factors).runs;
         let run = std::sync::Arc::new(DesignRun { f0, grid, factor_runs });
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((name, bench), run.clone());
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner).insert(key, run.clone());
         run
     }
 }
@@ -141,10 +136,10 @@ fn fig6_inner(ctx: &CaseStudyContext) -> Table {
         &["f/f0", "online UI", "online real", "traditional UI", "traditional real"],
     );
     let runs = [
-        ctx.run("online", Benchmark::Uniform),
-        ctx.run("online", Benchmark::LenaLike),
-        ctx.run("traditional", Benchmark::Uniform),
-        ctx.run("traditional", Benchmark::LenaLike),
+        ctx.run(&ctx.online, Benchmark::Uniform),
+        ctx.run(&ctx.online, Benchmark::LenaLike),
+        ctx.run(&ctx.trad, Benchmark::Uniform),
+        ctx.run(&ctx.trad, Benchmark::LenaLike),
     ];
     // Collect every normalized frequency present in any grid, then report
     // each design interpolated at those points.
@@ -218,20 +213,10 @@ fn fig7_inner(ctx: &CaseStudyContext, out_dir: &Path) -> io::Result<Table> {
     let factors = [1.05f64, 1.15, 1.25];
     let mut stash: std::collections::BTreeMap<&'static str, Vec<(f64, f64, usize)>> =
         std::collections::BTreeMap::new();
-    for filter in [&ctx.online as &dyn OverclockedFilter, &ctx.trad] {
-        // f0 on this larger image: reuse the rated-relative coarse search.
+    for filter in [&ctx.online, &ctx.trad] {
+        // f0 on this larger image: the unrefined coarse f0.
         let rated = filter.rated_period();
-        let points = ctx.scale.grid_points() as u64;
-        let grid: Vec<u64> =
-            (0..points).map(|k| rated / 2 + (rated - rated / 2) * k / (points - 1)).collect();
-        let sweep = filter.apply_sweep(&img, &grid);
-        let f0 = sweep
-            .runs
-            .iter()
-            .rev()
-            .take_while(|r| r.mre_percent == 0.0)
-            .last()
-            .map_or(rated, |r| r.ts);
+        let (_, f0) = ctx.coarse_sweep(filter, &img);
         let ts: Vec<u64> =
             factors.iter().map(|f| ((f0 as f64 / f).round() as u64).max(1)).collect();
         let runs = filter.apply_sweep(&img, &ts);
@@ -291,8 +276,8 @@ fn table1_inner(ctx: &CaseStudyContext) -> Table {
         &["Inputs", "1.05", "1.10", "1.15", "1.20", "1.25", "Geo.Mean"],
     );
     for bench in Benchmark::ALL {
-        let online = ctx.run("online", bench);
-        let trad = ctx.run("traditional", bench);
+        let online = ctx.run(&ctx.online, bench);
+        let trad = ctx.run(&ctx.trad, bench);
         let mut reductions = Vec::new();
         let mut row = vec![bench.name().to_owned()];
         for i in 0..FACTORS.len() {
@@ -333,8 +318,8 @@ fn table2_inner(ctx: &CaseStudyContext) -> Table {
         Benchmark::SailboatLike,
         Benchmark::TiffanyLike,
     ] {
-        let online = ctx.run("online", bench);
-        let trad = ctx.run("traditional", bench);
+        let online = ctx.run(&ctx.online, bench);
+        let trad = ctx.run(&ctx.trad, bench);
         let mut row = vec![bench.name().to_owned()];
         for i in 0..FACTORS.len() {
             let o = online.factor_runs[i].snr_db.min(99.0);
@@ -374,8 +359,8 @@ fn table3_inner(ctx: &CaseStudyContext) -> Table {
         &["Inputs", "0.01%", "0.1%", "1%", "10%", "Geo.Mean"],
     );
     for bench in Benchmark::ALL {
-        let online = ctx.run("online", bench);
-        let trad = ctx.run("traditional", bench);
+        let online = ctx.run(&ctx.online, bench);
+        let trad = ctx.run(&ctx.trad, bench);
         let mut gains = Vec::new();
         let mut row = vec![bench.name().to_owned()];
         for budget in BUDGETS {

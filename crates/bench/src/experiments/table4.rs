@@ -2,7 +2,7 @@
 //! slices, with the online/traditional overhead ratio).
 
 use crate::report::Table;
-use ola_imaging::filter::{FilterConfig, OnlineFilter, TraditionalFilter};
+use ola_imaging::filter::{Filter, FilterConfig};
 use ola_netlist::area;
 
 /// Runs the Table-4 experiment on the paper-default filter configuration.
@@ -15,14 +15,14 @@ pub fn table4(run: &crate::resume::ExperimentCtx) -> Result<Vec<Table>, String> 
 }
 
 fn table4_inner() -> Table {
-    let online = OnlineFilter::new(FilterConfig::paper_default());
-    let trad = TraditionalFilter::new(FilterConfig::paper_default());
+    let online = Filter::online(&FilterConfig::paper_default());
+    let trad = Filter::traditional(&FilterConfig::paper_default());
 
     // The paper reports the datapath area; ours is one multiplier plus the
     // 9-tap adder tree per design (identical structure on both sides).
-    let o_mult = area::estimate(&online.multiplier().netlist, 4);
+    let o_mult = area::estimate(online.multiplier_netlist(), 4);
     let o_tree = area::estimate(online.tree_netlist(), 4);
-    let t_mult = area::estimate(&trad.multiplier().netlist, 4);
+    let t_mult = area::estimate(trad.multiplier_netlist(), 4);
     let t_tree = area::estimate(trad.tree_netlist(), 4);
 
     let o_luts = o_mult.luts + o_tree.luts;

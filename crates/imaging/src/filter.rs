@@ -1,37 +1,45 @@
 //! The overclocked Gaussian image filter (Section 4 of the paper).
 //!
-//! Two implementations of the same `N`-digit multiply-accumulate datapath:
+//! One [`Filter`] type builds the same `N`-digit multiply-accumulate
+//! datapath in either arithmetic:
 //!
-//! * [`OnlineFilter`] — digit-parallel online multipliers feeding a tree of
-//!   online (signed-digit) adders;
-//! * [`TraditionalFilter`] — two's-complement array multipliers feeding a
+//! * [`Filter::online`] — digit-parallel online multipliers feeding a tree
+//!   of online (signed-digit) adders;
+//! * [`Filter::traditional`] — two's-complement array multipliers feeding a
 //!   tree of ripple-carry adders (the Core-Generator stand-in).
 //!
 //! Both are synthesized to gate level and overclocked identically: the
 //! multiplier bank and the adder tree are register-separated stages clocked
-//! with period `Ts`, simulated with the event-driven timing simulator under
-//! a jittered FPGA delay model. Errors are measured against the same
-//! design's *settled* output — exactly the paper's "overclocking error".
+//! with period `Ts`, simulated on the batch timing engine under a jittered
+//! FPGA delay model (lane for lane identical to the event-driven simulator,
+//! which the tests keep as the oracle). Errors are measured against the
+//! same design's *settled* output — exactly the paper's "overclocking
+//! error".
 //!
-//! Multiplier output *waveforms* are memoized per `(pixel value,
-//! coefficient)` — coefficients are fixed, pixels are 8-bit — so the
-//! multiplier bank is simulated a few hundred times total per design and
-//! can then be sampled at any clock period for free; only the small
-//! adder-tree simulation runs per pixel and period.
+//! Coefficients are fixed and pixels are 8-bit, so the multiplier bank is
+//! one bus-only batch pass per distinct coefficient whose 256 lanes are the
+//! 256 pixel values. Those product waveforms are kept for the filter's
+//! lifetime and can be sampled at any clock period for free; each period
+//! then costs one adder-tree pass per 256-pixel chunk, fed with the
+//! sampled product bits.
 
 use crate::{Image, Kernel};
-use ola_arith::online::{digits_value, DELTA};
+use ola_arith::online::DELTA;
 use ola_arith::synth::{
-    array_multiplier, bits, online_multiplier, ArrayMultiplierCircuit, BsSignals,
+    array_multiplier, bits, decode_planes_value, online_multiplier, ArrayMultiplierCircuit,
     OnlineMultiplierCircuit,
 };
 use ola_core::metrics;
-use ola_netlist::{analyze, simulate_from_zero, BusWaveforms, FpgaDelay, JitteredDelay, Netlist};
-use ola_redundant::{Digit, SdNumber, Q};
+use ola_netlist::batch::{BatchProgram, LaneBlock, LaneBusWaves, LaneInputs, LaneWord};
+use ola_netlist::{analyze, FpgaDelay, JitteredDelay, NetId, Netlist};
+use ola_redundant::{SdNumber, Q};
 use ola_synth::{allocate_adders, elaborate, eliminate_dead};
 use ola_synth::{AdderStructure, Dfg, ElabOptions, InputFmt, Style};
-use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::OnceLock;
+
+/// The lane word of every filter pass: 256 lanes, one per 8-bit pixel value
+/// in a product pass and one per output pixel in a tree pass.
+type Word = LaneBlock<4>;
 
 /// Configuration shared by both filter implementations.
 #[derive(Clone, Debug)]
@@ -90,96 +98,322 @@ pub struct FilterSweep {
     pub rated_period: u64,
 }
 
-/// A gate-level filter datapath that can be overclocked.
-pub trait OverclockedFilter {
-    /// Human-readable arithmetic name ("online" / "traditional").
-    fn name(&self) -> &'static str;
-
-    /// The structural rated period of the slowest pipeline stage.
-    fn rated_period(&self) -> u64;
-
-    /// Filters `img` once per clock period in `ts_points`.
-    fn apply_sweep(&self, img: &Image, ts_points: &[u64]) -> FilterSweep;
+/// What differs between the two arithmetics: the multiplier, the encoded
+/// distinct coefficients, and how products and tree sums are encoded and
+/// decoded.
+enum Arith {
+    Online {
+        mult: OnlineMultiplierCircuit,
+        coeffs: Vec<SdNumber>,
+        /// Weight position of the tree output's most significant digit.
+        sum_msd_pos: i32,
+    },
+    Traditional {
+        mult: ArrayMultiplierCircuit,
+        coeffs: Vec<i64>,
+    },
 }
 
-// ---------------------------------------------------------------------------
-// Online filter
-// ---------------------------------------------------------------------------
+impl Arith {
+    fn multiplier(&self) -> &Netlist {
+        match self {
+            Arith::Online { mult, .. } => &mult.netlist,
+            Arith::Traditional { mult, .. } => &mult.netlist,
+        }
+    }
 
-/// The online-arithmetic filter datapath.
-pub struct OnlineFilter {
-    cfg: FilterConfig,
-    mult: OnlineMultiplierCircuit,
-    tree: OnlineTree,
+    /// The multiplier's output bus (online: the `zp` plane, then `zn`).
+    fn product_bus(&self) -> Vec<NetId> {
+        let nl = self.multiplier();
+        match self {
+            Arith::Online { .. } => [nl.output("zp"), nl.output("zn")].concat(),
+            Arith::Traditional { .. } => nl.output("product").to_vec(),
+        }
+    }
+
+    /// The multiplier input vector of `pixel × coeffs[coeff]`.
+    fn encode(&self, pixel: u8, coeff: usize) -> Vec<bool> {
+        match self {
+            Arith::Online { mult, coeffs, .. } => {
+                let x = SdNumber::from_value(Q::new(i128::from(pixel), 8), mult.n)
+                    .expect("pixels are representable");
+                mult.encode_inputs(&x, &coeffs[coeff])
+            }
+            Arith::Traditional { mult, coeffs } => {
+                mult.encode_inputs(i64::from(pixel), coeffs[coeff])
+            }
+        }
+    }
+
+    /// The exact value of a product bus.
+    fn product(&self, bus: &[bool]) -> Q {
+        match self {
+            // Product digit k has weight 2^-(k-δ+1): MSD position 1 − δ.
+            Arith::Online { .. } => planes_value(1 - DELTA as i32, bus),
+            Arith::Traditional { mult, .. } => {
+                Q::new(i128::from(bits::decode_signed(bus)), 2 * (mult.width as u32 - 1))
+            }
+        }
+    }
+
+    /// The value of the tree's output bus.
+    fn sum(&self, bus: &[bool]) -> f64 {
+        match self {
+            Arith::Online { sum_msd_pos, .. } => planes_value(*sum_msd_pos, bus).to_f64(),
+            Arith::Traditional { mult, .. } => {
+                bits::decode_signed(bus) as f64 / (2.0f64).powi(2 * (mult.width as i32 - 1))
+            }
+        }
+    }
+}
+
+/// The value of an online bus sampled as its `p` plane, then its `n` plane.
+fn planes_value(msd_pos: i32, bus: &[bool]) -> Q {
+    let (p, n) = bus.split_at(bus.len() / 2);
+    decode_planes_value(msd_pos, p, n)
+}
+
+/// The compiled tree and the product waveforms, built on the first sweep.
+struct Sim {
+    tree: BatchProgram,
+    /// One bus-only pass per distinct coefficient: lane `p` of entry `c`
+    /// is the product bus of pixel value `p` times coefficient `c`.
+    products: Vec<LaneBusWaves<Word>>,
+}
+
+/// A gate-level filter datapath that can be overclocked: a bank of
+/// multipliers by the kernel's fixed coefficients, summed by a balanced
+/// adder tree.
+pub struct Filter {
+    arith: Arith,
+    kernel_size: usize,
+    tree: Netlist,
+    sum_bus: Vec<NetId>,
     delay: JitteredDelay<FpgaDelay>,
-    coeffs: Vec<SdNumber>,
-    memo: Mutex<HashMap<(u8, Q), std::sync::Arc<BusWaveforms>>>,
+    /// The distinct-coefficient index of each kernel tap.
+    taps: Vec<usize>,
+    rated_period: u64,
+    sim: OnceLock<Sim>,
 }
 
-struct OnlineTree {
-    netlist: Netlist,
-    out: BsSignals,
-}
-
-impl OnlineFilter {
-    /// Builds the online filter for a configuration.
+impl Filter {
+    /// Builds the online-arithmetic filter for a configuration.
     ///
     /// # Panics
     ///
     /// Panics if a kernel coefficient is not representable in `N` digits.
     #[must_use]
-    pub fn new(cfg: FilterConfig) -> Self {
+    pub fn online(cfg: &FilterConfig) -> Self {
         let n = cfg.digits;
-        let coeffs: Vec<SdNumber> = cfg
+        let values: Vec<SdNumber> = cfg
             .kernel
             .coefficients()
             .iter()
             .map(|&c| SdNumber::from_value(c, n).expect("kernel coefficient fits N digits"))
             .collect();
-        let mult = online_multiplier(n, 3);
-        let tree = build_online_tree(n, cfg.kernel.taps());
-        let delay = JitteredDelay::new(FpgaDelay::default(), cfg.jitter_amplitude, cfg.jitter_seed);
-        OnlineFilter { cfg, mult, tree, delay, coeffs, memo: Mutex::new(HashMap::new()) }
+        let (taps, coeffs) = distinct(&values);
+        let (tree, sum_msd_pos) = build_online_tree(n, taps.len());
+        let sum_bus = [tree.output("sump"), tree.output("sumn")].concat();
+        let arith = Arith::Online { mult: online_multiplier(n, 3), coeffs, sum_msd_pos };
+        Filter::build(cfg, arith, taps, tree, sum_bus)
     }
 
-    /// The synthesized multiplier (for area/STA reports).
+    /// Builds the conventional two's-complement filter. The multiplier is
+    /// `N+1` bits wide so its two's-complement range matches the `N`-digit
+    /// signed-digit range (the paper's fairness note).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel coefficient is not representable.
     #[must_use]
-    pub fn multiplier(&self) -> &OnlineMultiplierCircuit {
-        &self.mult
+    pub fn traditional(cfg: &FilterConfig) -> Self {
+        let w = cfg.digits + 1;
+        let values: Vec<i64> = cfg
+            .kernel
+            .coefficients()
+            .iter()
+            .map(|&c| {
+                c.scaled_to(cfg.digits as u32).expect("kernel coefficient fits N bits") as i64
+            })
+            .collect();
+        let (taps, coeffs) = distinct(&values);
+        let tree = build_tc_tree(2 * w, taps.len());
+        let sum_bus = tree.output("sum").to_vec();
+        let arith = Arith::Traditional { mult: array_multiplier(w), coeffs };
+        Filter::build(cfg, arith, taps, tree, sum_bus)
+    }
+
+    fn build(
+        cfg: &FilterConfig,
+        arith: Arith,
+        taps: Vec<usize>,
+        tree: Netlist,
+        sum_bus: Vec<NetId>,
+    ) -> Self {
+        let delay = JitteredDelay::new(FpgaDelay::default(), cfg.jitter_amplitude, cfg.jitter_seed);
+        let rated_period = analyze(arith.multiplier(), &delay)
+            .critical_path()
+            .max(analyze(&tree, &delay).critical_path());
+        Filter {
+            arith,
+            kernel_size: cfg.kernel.size(),
+            tree,
+            sum_bus,
+            delay,
+            taps,
+            rated_period,
+            sim: OnceLock::new(),
+        }
+    }
+
+    /// Human-readable arithmetic name ("online" / "traditional").
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self.arith {
+            Arith::Online { .. } => "online",
+            Arith::Traditional { .. } => "traditional",
+        }
+    }
+
+    /// The structural rated period of the slowest pipeline stage.
+    #[must_use]
+    pub fn rated_period(&self) -> u64 {
+        self.rated_period
+    }
+
+    /// The synthesized multiplier netlist (for area/STA reports).
+    #[must_use]
+    pub fn multiplier_netlist(&self) -> &Netlist {
+        self.arith.multiplier()
     }
 
     /// The adder-tree netlist (for area/STA reports).
     #[must_use]
     pub fn tree_netlist(&self) -> &Netlist {
-        &self.tree.netlist
+        &self.tree
     }
 
-    fn pixel_operand(&self, p: u8) -> SdNumber {
-        SdNumber::from_value(Q::new(i128::from(p), 8), self.cfg.digits)
-            .expect("pixels are representable")
+    /// The compiled tree and the product waveforms, built on first use.
+    fn sim(&self) -> &Sim {
+        self.sim.get_or_init(|| {
+            let _span = ola_core::obs::span("filter.products");
+            let compile = |nl| BatchProgram::compile(nl, &self.delay).expect("netlists are DAGs");
+            let prog = compile(self.arith.multiplier());
+            let bus = self.arith.product_bus();
+            // Every distinct coefficient sits on at least one tap.
+            let coeffs = self.taps.iter().max().map_or(0, |&c| c + 1);
+            let products = (0..coeffs)
+                .map(|c| {
+                    let vectors: Vec<Vec<bool>> =
+                        (0..=u8::MAX).map(|p| self.arith.encode(p, c)).collect();
+                    run_from_zero(&prog, &vectors, &bus).bus().clone()
+                })
+                .collect();
+            Sim { tree: compile(&self.tree), products }
+        })
     }
 
-    /// The memoized output waveforms of `pixel × coeff` (both digit planes
-    /// concatenated: zp bus then zn bus).
-    fn product_waves(&self, p: u8, coeff: &SdNumber) -> std::sync::Arc<BusWaveforms> {
-        let key = (p, coeff.value());
-        if let Some(e) = self.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return e.clone();
+    /// The window pixel values of every output pixel, row-major, one
+    /// value per kernel tap.
+    fn windows(&self, img: &Image) -> Vec<u8> {
+        let half = (self.kernel_size / 2) as isize;
+        let mut out = Vec::with_capacity(img.width() * img.height() * self.taps.len());
+        for y in 0..img.height() as isize {
+            for x in 0..img.width() as isize {
+                for dy in -half..=half {
+                    for dx in -half..=half {
+                        out.push(img.get_clamped(x + dx, y + dy));
+                    }
+                }
+            }
         }
-        let x = self.pixel_operand(p);
-        let inputs = self.mult.encode_inputs(&x, coeff);
-        let res = simulate_from_zero(&self.mult.netlist, &self.delay, &inputs);
-        let mut bus = self.mult.netlist.output("zp").to_vec();
-        bus.extend_from_slice(self.mult.netlist.output("zn"));
-        let waves = std::sync::Arc::new(res.bus_waveforms(&bus));
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, waves.clone());
-        waves
+        out
+    }
+
+    /// Filters `img` once per clock period in `ts_points`.
+    #[must_use]
+    pub fn apply_sweep(&self, img: &Image, ts_points: &[u64]) -> FilterSweep {
+        let sim = self.sim();
+        let windows = self.windows(img);
+        let taps = self.taps.len();
+        // Settled output: the exact sum of settled products.
+        let settled_products: Vec<Vec<Q>> = sim
+            .products
+            .iter()
+            .map(|b| (0..Word::LANES).map(|p| self.arith.product(&b.settled_lane(p))).collect())
+            .collect();
+        let settled: Vec<f64> = windows
+            .chunks(taps)
+            .map(|win| {
+                win.iter()
+                    .zip(&self.taps)
+                    .map(|(&p, &c)| settled_products[c][usize::from(p)])
+                    .fold(Q::ZERO, |a, v| a + v)
+                    .to_f64()
+            })
+            .collect();
+        // Overclocked: the tree fed with the products sampled at Ts, and
+        // sampled at Ts itself, 256 pixels per pass.
+        let _span = ola_core::obs::span("filter.tree");
+        let sampled = ts_points
+            .iter()
+            .map(|&ts| {
+                let words: Vec<Vec<Word>> =
+                    sim.products.iter().map(|b| b.sample_words(ts)).collect();
+                let mut values = Vec::with_capacity(settled.len());
+                for chunk in windows.chunks(taps * Word::LANES as usize) {
+                    // Tree input order follows bus declaration order: each
+                    // tap's product bus in turn.
+                    let vectors: Vec<Vec<bool>> = chunk
+                        .chunks(taps)
+                        .map(|win| {
+                            win.iter()
+                                .zip(&self.taps)
+                                .flat_map(|(&p, &c)| {
+                                    words[c].iter().map(move |w| w.bit(u32::from(p)))
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let res = run_from_zero(&sim.tree, &vectors, &self.sum_bus);
+                    values.extend(
+                        (0..res.bus().lanes())
+                            .map(|l| self.arith.sum(&res.bus().sample_lane(l, ts))),
+                    );
+                }
+                values
+            })
+            .collect();
+        finish_sweep(img, settled, sampled, ts_points, self.rated_period)
     }
 }
 
-fn digits_of(bits: &[bool]) -> Vec<Digit> {
-    let half = bits.len() / 2;
-    bits[..half].iter().zip(&bits[half..]).map(|(&p, &n)| Digit::from_bits(p, n)).collect()
+/// Deduplicates `values`: the distinct index of each value, and the
+/// distinct values in first-seen order.
+fn distinct<T: Clone + PartialEq>(values: &[T]) -> (Vec<usize>, Vec<T>) {
+    let mut uniq: Vec<T> = Vec::new();
+    let index = values
+        .iter()
+        .map(|v| {
+            uniq.iter().position(|u| u == v).unwrap_or_else(|| {
+                uniq.push(v.clone());
+                uniq.len() - 1
+            })
+        })
+        .collect();
+    (index, uniq)
+}
+
+/// One bus-only pass from the all-zero reset state to `vectors` (one per
+/// lane), keeping the waveforms of `bus`.
+fn run_from_zero(
+    prog: &BatchProgram,
+    vectors: &[Vec<bool>],
+    bus: &[NetId],
+) -> ola_netlist::batch::LaneBusResult<Word> {
+    let new = LaneInputs::<Word>::pack(vectors).expect("at most 256 full input vectors");
+    let prev = LaneInputs::<Word>::zeros(prog.num_inputs(), new.lanes()).expect("lanes fit");
+    prog.run_bus(&prev, &new, bus, None).expect("vectors and bus match the netlist")
 }
 
 /// The tap-sum dataflow graph `sum = t0 + … + t{taps−1}`, allocated as
@@ -199,7 +433,8 @@ fn tap_sum_dfg(taps: usize, fmt: InputFmt) -> Dfg {
     eliminate_dead(&allocate_adders(&d, AdderStructure::BalancedTree))
 }
 
-fn build_online_tree(n: usize, taps: usize) -> OnlineTree {
+/// The online adder tree and the weight position of its output's MSD.
+fn build_online_tree(n: usize, taps: usize) -> (Netlist, i32) {
     let width = n + DELTA;
     // Digit k of a product has weight 2^-(k-δ+1): MSD position −δ+1.
     let fmt = InputFmt { msd_pos: 1 - DELTA as i32, digits: width };
@@ -207,199 +442,19 @@ fn build_online_tree(n: usize, taps: usize) -> OnlineTree {
     // No pruning: the delay model downstream is net-id-keyed (jittered),
     // so the netlist must be gate-index-stable against the seed layout.
     let dp = elaborate(&dfg, &ElabOptions::new(Style::Online).with_prune(false));
-    let p = dp.netlist.output("sump").to_vec();
-    let nn = dp.netlist.output("sumn").to_vec();
     let ola_synth::PortShape::Online { msd_pos, .. } = dp.outputs[0].shape else {
         unreachable!("online elaboration yields online ports")
     };
-    let out = BsSignals::from_nets(msd_pos, p, nn);
-    OnlineTree { netlist: dp.netlist, out }
+    (dp.netlist, msd_pos)
 }
 
-impl OverclockedFilter for OnlineFilter {
-    fn name(&self) -> &'static str {
-        "online"
-    }
-
-    fn rated_period(&self) -> u64 {
-        let m = analyze(&self.mult.netlist, &self.delay).critical_path();
-        let t = analyze(&self.tree.netlist, &self.delay).critical_path();
-        m.max(t)
-    }
-
-    fn apply_sweep(&self, img: &Image, ts_points: &[u64]) -> FilterSweep {
-        let taps = self.cfg.kernel.taps();
-        let half = (self.cfg.kernel.size() / 2) as isize;
-        let pixels = img.width() * img.height();
-
-        let mut settled = vec![0.0f64; pixels];
-        let mut sampled = vec![vec![0.0f64; pixels]; ts_points.len()];
-
-        for y in 0..img.height() {
-            for x in 0..img.width() {
-                let idx = y * img.width() + x;
-                // Gather the 9 window pixels' memoized product waveforms.
-                let mut products = Vec::with_capacity(taps);
-                let mut tap = 0usize;
-                for dy in -half..=half {
-                    for dx in -half..=half {
-                        let p = img.get_clamped(x as isize + dx, y as isize + dy);
-                        products.push(self.product_waves(p, &self.coeffs[tap]));
-                        tap += 1;
-                    }
-                }
-                // Settled output: exact sum of settled products.
-                settled[idx] = products
-                    .iter()
-                    .map(|m| digits_value(&digits_of(&m.settled())))
-                    .fold(Q::ZERO, |a, v| a + v)
-                    .to_f64();
-                // Overclocked: adder tree simulated at each period.
-                for (ti, &ts) in ts_points.iter().enumerate() {
-                    // Input order follows bus declaration order: p0,n0,p1,n1…
-                    let mut ordered = Vec::with_capacity(2 * taps * (self.cfg.digits + DELTA));
-                    for m in &products {
-                        ordered.extend(m.sample(ts));
-                    }
-                    let res = simulate_from_zero(&self.tree.netlist, &self.delay, &ordered);
-                    let v = self.tree.out.sample(&res, ts).value().to_f64();
-                    sampled[ti][idx] = v;
-                }
-            }
-        }
-        finish_sweep(img, settled, sampled, ts_points, self.rated_period())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Traditional filter
-// ---------------------------------------------------------------------------
-
-/// The conventional two's-complement filter datapath.
-pub struct TraditionalFilter {
-    cfg: FilterConfig,
-    mult: ArrayMultiplierCircuit,
-    tree: TcTree,
-    delay: JitteredDelay<FpgaDelay>,
-    coeff_raw: Vec<i64>,
-    memo: Mutex<HashMap<(u8, i64), std::sync::Arc<BusWaveforms>>>,
-}
-
-struct TcTree {
-    netlist: Netlist,
-    width_in: usize,
-    taps: usize,
-}
-
-impl TraditionalFilter {
-    /// Builds the traditional filter. The multiplier is `N+1` bits wide so
-    /// its two's-complement range matches the `N`-digit signed-digit range
-    /// (the paper's fairness note).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a kernel coefficient is not representable.
-    #[must_use]
-    pub fn new(cfg: FilterConfig) -> Self {
-        let w = cfg.digits + 1;
-        let coeff_raw: Vec<i64> = cfg
-            .kernel
-            .coefficients()
-            .iter()
-            .map(|&c| {
-                c.scaled_to(cfg.digits as u32).expect("kernel coefficient fits N bits") as i64
-            })
-            .collect();
-        let mult = array_multiplier(w);
-        let tree = build_tc_tree(2 * w, cfg.kernel.taps());
-        let delay = JitteredDelay::new(FpgaDelay::default(), cfg.jitter_amplitude, cfg.jitter_seed);
-        TraditionalFilter { cfg, mult, tree, delay, coeff_raw, memo: Mutex::new(HashMap::new()) }
-    }
-
-    /// The synthesized multiplier (for area/STA reports).
-    #[must_use]
-    pub fn multiplier(&self) -> &ArrayMultiplierCircuit {
-        &self.mult
-    }
-
-    /// The adder-tree netlist (for area/STA reports).
-    #[must_use]
-    pub fn tree_netlist(&self) -> &Netlist {
-        &self.tree.netlist
-    }
-
-    fn product_waves(&self, p: u8, coeff: i64) -> std::sync::Arc<BusWaveforms> {
-        let key = (p, coeff);
-        if let Some(e) = self.memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-            return e.clone();
-        }
-        let inputs = self.mult.encode_inputs(i64::from(p), coeff);
-        let res = simulate_from_zero(&self.mult.netlist, &self.delay, &inputs);
-        let waves = std::sync::Arc::new(res.bus_waveforms(self.mult.netlist.output("product")));
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, waves.clone());
-        waves
-    }
-}
-
-fn build_tc_tree(width_in: usize, taps: usize) -> TcTree {
+fn build_tc_tree(width_in: usize, taps: usize) -> Netlist {
     // `width_in`-bit two's-complement products: a (width_in − 1)-digit
     // window elaborates to exactly `width_in` bits; the fractional weight
     // is uniform across taps so no alignment padding is emitted.
     let fmt = InputFmt { msd_pos: 0, digits: width_in - 1 };
     let dfg = tap_sum_dfg(taps, fmt);
-    let dp = elaborate(&dfg, &ElabOptions::new(Style::Conventional).with_prune(false));
-    TcTree { netlist: dp.netlist, width_in, taps }
-}
-
-impl OverclockedFilter for TraditionalFilter {
-    fn name(&self) -> &'static str {
-        "traditional"
-    }
-
-    fn rated_period(&self) -> u64 {
-        let m = analyze(&self.mult.netlist, &self.delay).critical_path();
-        let t = analyze(&self.tree.netlist, &self.delay).critical_path();
-        m.max(t)
-    }
-
-    fn apply_sweep(&self, img: &Image, ts_points: &[u64]) -> FilterSweep {
-        let taps = self.tree.taps;
-        let half = (self.cfg.kernel.size() / 2) as isize;
-        let pixels = img.width() * img.height();
-        let scale = (2.0f64).powi(2 * self.cfg.digits as i32); // frac bits of products
-
-        let mut settled = vec![0.0f64; pixels];
-        let mut sampled = vec![vec![0.0f64; pixels]; ts_points.len()];
-
-        for y in 0..img.height() {
-            for x in 0..img.width() {
-                let idx = y * img.width() + x;
-                let mut products = Vec::with_capacity(taps);
-                let mut tap = 0usize;
-                for dy in -half..=half {
-                    for dx in -half..=half {
-                        let p = img.get_clamped(x as isize + dx, y as isize + dy);
-                        products.push(self.product_waves(p, self.coeff_raw[tap]));
-                        tap += 1;
-                    }
-                }
-                settled[idx] =
-                    products.iter().map(|m| bits::decode_signed(&m.settled()) as f64).sum::<f64>()
-                        / scale;
-                for (ti, &ts) in ts_points.iter().enumerate() {
-                    let mut inputs = Vec::with_capacity(taps * self.tree.width_in);
-                    for m in &products {
-                        inputs.extend(m.sample(ts));
-                    }
-                    let res = simulate_from_zero(&self.tree.netlist, &self.delay, &inputs);
-                    let bus = self.tree.netlist.output("sum");
-                    let raw = bits::decode_signed(&res.sample_bus(bus, ts));
-                    sampled[ti][idx] = raw as f64 / scale;
-                }
-            }
-        }
-        finish_sweep(img, settled, sampled, ts_points, self.rated_period())
-    }
+    elaborate(&dfg, &ElabOptions::new(Style::Conventional).with_prune(false)).netlist
 }
 
 // ---------------------------------------------------------------------------
@@ -468,30 +523,133 @@ pub fn filter_exact(img: &Image, kernel: &Kernel) -> Image {
 mod tests {
     use super::*;
     use crate::synthetic::Benchmark;
-    use std::sync::OnceLock;
+    use ola_arith::synth::BsSignals;
+    use ola_netlist::{simulate_from_zero, SimResult};
+    use std::collections::HashMap;
 
     fn tiny_cfg() -> FilterConfig {
         FilterConfig {
             digits: 8,
             kernel: Kernel::gaussian(3, 1.0, 8),
-            // No delay jitter in unit tests: the multiplier memo builds an
-            // order of magnitude faster (fewer glitch events) and the
-            // correctness properties are identical.
+            // No delay jitter in most unit tests: the multiplier passes
+            // settle in fewer steps and the correctness properties are
+            // identical. The event-reference test covers jitter.
             jitter_amplitude: 0,
             jitter_seed: 3,
         }
     }
 
-    /// Filters are expensive to warm up (multiplier waveform memo), so the
-    /// whole test module shares one instance of each design.
-    fn shared_online() -> &'static OnlineFilter {
-        static S: OnceLock<OnlineFilter> = OnceLock::new();
-        S.get_or_init(|| OnlineFilter::new(tiny_cfg()))
+    /// Filters are expensive to warm up (multiplier product passes), so
+    /// the whole test module shares one instance of each design.
+    fn shared_online() -> &'static Filter {
+        static S: OnceLock<Filter> = OnceLock::new();
+        S.get_or_init(|| Filter::online(&tiny_cfg()))
     }
 
-    fn shared_trad() -> &'static TraditionalFilter {
-        static S: OnceLock<TraditionalFilter> = OnceLock::new();
-        S.get_or_init(|| TraditionalFilter::new(tiny_cfg()))
+    fn shared_trad() -> &'static Filter {
+        static S: OnceLock<Filter> = OnceLock::new();
+        S.get_or_init(|| Filter::traditional(&tiny_cfg()))
+    }
+
+    /// The per-pixel event-driven reference: each product and each tree
+    /// evaluation is one `simulate_from_zero` run (products memoized per
+    /// pixel value and coefficient), sampled at every period.
+    fn event_sweep(f: &Filter, img: &Image, ts_points: &[u64]) -> FilterSweep {
+        let product_bus = f.arith.product_bus();
+        let mut memo: HashMap<(u8, usize), SimResult> = HashMap::new();
+        let mut settled = Vec::new();
+        let mut sampled = vec![Vec::new(); ts_points.len()];
+        for win in f.windows(img).chunks(f.taps.len()) {
+            for (&p, &c) in win.iter().zip(&f.taps) {
+                memo.entry((p, c)).or_insert_with(|| {
+                    simulate_from_zero(f.arith.multiplier(), &f.delay, &f.arith.encode(p, c))
+                });
+            }
+            let products: Vec<&SimResult> =
+                win.iter().zip(&f.taps).map(|(&p, &c)| &memo[&(p, c)]).collect();
+            settled.push(
+                products
+                    .iter()
+                    .map(|r| f.arith.product(&r.final_bus(&product_bus)))
+                    .fold(Q::ZERO, |a, v| a + v)
+                    .to_f64(),
+            );
+            for (ti, &ts) in ts_points.iter().enumerate() {
+                let inputs: Vec<bool> =
+                    products.iter().flat_map(|r| r.sample_bus(&product_bus, ts)).collect();
+                let res = simulate_from_zero(&f.tree, &f.delay, &inputs);
+                sampled[ti].push(f.arith.sum(&res.sample_bus(&f.sum_bus, ts)));
+            }
+        }
+        finish_sweep(img, settled, sampled, ts_points, f.rated_period)
+    }
+
+    /// Sweeps `img` on the batch engine and the event reference at
+    /// periods below, at and above the rated period, and requires equal
+    /// settled values, sampled values and images. The two shortest
+    /// periods cut into the adder tree's own settling, which the rest of
+    /// the grid leaves alone.
+    fn assert_matches_event_reference(f: &Filter, img: &Image) {
+        let rated = f.rated_period();
+        let tree = analyze(&f.tree, &f.delay).critical_path();
+        let ts = [
+            tree / 3,
+            tree * 2 / 3,
+            rated / 2,
+            rated * 3 / 4,
+            rated * 9 / 10,
+            rated,
+            rated + rated / 10,
+        ];
+        let batch = f.apply_sweep(img, &ts);
+        let event = event_sweep(f, img, &ts);
+        let what = f.name();
+        assert_eq!(batch.settled, event.settled, "{what}: settled values");
+        assert_eq!(batch.settled_image, event.settled_image, "{what}: settled image");
+        for (b, e) in batch.runs.iter().zip(&event.runs) {
+            assert_eq!(b.ts, e.ts);
+            assert_eq!(b.sampled, e.sampled, "{what}: sampled values at Ts={}", b.ts);
+            assert_eq!(b.image, e.image, "{what}: image at Ts={}", b.ts);
+        }
+        // The grid must actually overclock somewhere, or the comparison
+        // only covers settled outputs.
+        assert!(batch.runs[0].wrong_pixels > 0, "{what}: Ts={} is error-free", ts[0]);
+    }
+
+    #[test]
+    fn batch_sweep_matches_event_reference_with_jittered_delays() {
+        let cfg = FilterConfig { jitter_amplitude: 15, jitter_seed: 2014, ..tiny_cfg() };
+        // Four gray levels on a diagonal pattern: few distinct products
+        // keep the jittered event reference cheap, and every window mixes
+        // levels.
+        let levels = [3u8, 96, 171, 250];
+        let img = Image::from_pixels(5, 5, (0..25).map(|i| levels[(i + i / 5) % 4]).collect());
+        for f in [Filter::online(&cfg), Filter::traditional(&cfg)] {
+            assert_matches_event_reference(&f, &img);
+        }
+        // Jitter-free designs too.
+        for f in [shared_online(), shared_trad()] {
+            assert_matches_event_reference(f, &img);
+        }
+    }
+
+    #[test]
+    fn batch_sweep_matches_event_reference_across_tree_chunks() {
+        // 17 × 16 = 272 pixels: one full 256-lane tree pass and one
+        // 16-lane pass per period.
+        let cfg = FilterConfig { jitter_amplitude: 15, jitter_seed: 2014, ..tiny_cfg() };
+        let img = Benchmark::Uniform.generate(17, 16, 12);
+        assert_matches_event_reference(&Filter::traditional(&cfg), &img);
+    }
+
+    #[test]
+    fn distinct_coefficients_share_one_product_pass() {
+        // The 3×3 Gaussian has three distinct coefficients: corner, edge
+        // and center.
+        for f in [shared_online(), shared_trad()] {
+            assert_eq!(f.taps, [0, 1, 0, 1, 2, 1, 0, 1, 0], "{}", f.name());
+            assert_eq!(f.sim().products.len(), 3, "{}", f.name());
+        }
     }
 
     #[test]
@@ -499,7 +657,7 @@ mod tests {
         let img = Benchmark::LenaLike.generate(8, 8, 1);
         let online = shared_online();
         let trad = shared_trad();
-        for f in [online as &dyn OverclockedFilter, trad] {
+        for f in [online, trad] {
             let rated = f.rated_period();
             let sweep = f.apply_sweep(&img, &[rated]);
             assert_eq!(sweep.runs[0].mre_percent, 0.0, "{}", f.name());
@@ -507,7 +665,6 @@ mod tests {
             assert_eq!(sweep.runs[0].image, sweep.settled_image);
         }
     }
-
     #[test]
     fn settled_output_tracks_ideal_filter() {
         let img = Benchmark::PepperLike.generate(8, 8, 2);
@@ -548,8 +705,8 @@ mod tests {
         // the ideal response on their settled outputs.
         let img = Benchmark::SailboatLike.generate(6, 6, 9);
         let cfg = FilterConfig { kernel: Kernel::sobel_x(), ..tiny_cfg() };
-        let online = OnlineFilter::new(cfg.clone());
-        let trad = TraditionalFilter::new(cfg.clone());
+        let online = Filter::online(&cfg);
+        let trad = Filter::traditional(&cfg);
         let o = online.apply_sweep(&img, &[online.rated_period()]);
         let t = trad.apply_sweep(&img, &[trad.rated_period()]);
         for (a, b) in o.settled.iter().zip(&t.settled) {
@@ -636,21 +793,13 @@ mod tests {
     fn synth_built_trees_match_hand_wired_seed_gate_for_gate() {
         for taps in [1usize, 2, 3, 9] {
             for n in [4usize, 8] {
-                let synth = build_online_tree(n, taps);
+                let (synth, _) = build_online_tree(n, taps);
                 let hand = hand_wired_online_tree(n, taps);
-                assert_netlists_identical(
-                    &synth.netlist,
-                    &hand,
-                    &format!("online tree n={n} taps={taps}"),
-                );
+                assert_netlists_identical(&synth, &hand, &format!("online tree n={n} taps={taps}"));
                 let w_in = 2 * (n + 1);
                 let synth = build_tc_tree(w_in, taps);
                 let hand = hand_wired_tc_tree(w_in, taps);
-                assert_netlists_identical(
-                    &synth.netlist,
-                    &hand,
-                    &format!("tc tree w={w_in} taps={taps}"),
-                );
+                assert_netlists_identical(&synth, &hand, &format!("tc tree w={w_in} taps={taps}"));
             }
         }
     }
@@ -662,7 +811,7 @@ mod tests {
         // every output net at several overclocked periods — the sampled
         // bits (hence any error curve computed from them) must be equal.
         let (n, taps) = (4usize, 3usize);
-        let synth = build_online_tree(n, taps).netlist;
+        let (synth, _) = build_online_tree(n, taps);
         let hand = hand_wired_online_tree(n, taps);
         let delay = JitteredDelay::new(FpgaDelay::default(), 15, 2014);
         let width = n + DELTA;

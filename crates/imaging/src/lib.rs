@@ -9,19 +9,19 @@
 //!   Pepper / Sailboat / Tiffany benchmark images (see `DESIGN.md` for the
 //!   substitution rationale) plus the uniform-noise "UI inputs";
 //! * [`Kernel`] — quantized Gaussian convolution kernels;
-//! * [`filter`] — the two gate-level filter datapaths ([`OnlineFilter`],
-//!   [`TraditionalFilter`]) overclocked through the event-driven timing
-//!   simulator, producing the MRE / SNR numbers behind Figures 6–7 and
+//! * [`filter`] — the gate-level filter datapath ([`Filter`]), built with
+//!   online or two's-complement arithmetic and overclocked on the batch
+//!   timing engine, producing the MRE / SNR numbers behind Figures 6–7 and
 //!   Tables 1–3.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use ola_imaging::filter::{FilterConfig, OnlineFilter, OverclockedFilter};
+//! use ola_imaging::filter::{Filter, FilterConfig};
 //! use ola_imaging::synthetic::Benchmark;
 //!
 //! let image = Benchmark::LenaLike.generate(64, 64, 1);
-//! let filter = OnlineFilter::new(FilterConfig::paper_default());
+//! let filter = Filter::online(&FilterConfig::paper_default());
 //! let rated = filter.rated_period();
 //! let sweep = filter.apply_sweep(&image, &[rated * 9 / 10, rated]);
 //! println!("MRE at 1.11 f0: {:.4}%", sweep.runs[0].mre_percent);
@@ -32,6 +32,6 @@ mod image;
 mod kernel;
 pub mod synthetic;
 
-pub use filter::{FilterConfig, OnlineFilter, OverclockedFilter, TraditionalFilter};
+pub use filter::{Filter, FilterConfig};
 pub use image::Image;
 pub use kernel::Kernel;

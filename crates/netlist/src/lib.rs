@@ -79,6 +79,6 @@ pub use fault::{Fault, FaultKind, FaultPlan};
 pub use netlist::{GateKind, NetId, Netlist};
 pub use sim::{
     default_event_budget, simulate, simulate_budgeted, simulate_from_zero,
-    simulate_from_zero_with_faults, simulate_with_faults, BusWaveforms, SimResult,
+    simulate_from_zero_with_faults, simulate_with_faults, SimResult,
 };
 pub use sta::{analyze, try_analyze, TimingReport};

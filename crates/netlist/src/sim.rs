@@ -92,59 +92,6 @@ impl SimResult {
     pub fn initial_value(&self, net: NetId) -> bool {
         self.initial[net.index()]
     }
-
-    /// Extracts a compact, re-sampleable copy of one bus's waveforms.
-    #[must_use]
-    pub fn bus_waveforms(&self, nets: &[NetId]) -> BusWaveforms {
-        BusWaveforms {
-            initial: nets.iter().map(|&n| self.initial_value(n)).collect(),
-            waveforms: nets.iter().map(|&n| self.waveform(n).to_vec()).collect(),
-        }
-    }
-}
-
-/// The settling history of one output bus, detached from its simulation —
-/// small enough to memoize, sampleable at any time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BusWaveforms {
-    initial: Vec<bool>,
-    waveforms: Vec<Vec<(u64, bool)>>,
-}
-
-impl BusWaveforms {
-    /// Number of nets in the bus.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.initial.len()
-    }
-
-    /// True if the bus is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.initial.is_empty()
-    }
-
-    /// The bus values a register clocked at period `t` would capture.
-    #[must_use]
-    pub fn sample(&self, t: u64) -> Vec<bool> {
-        (0..self.len())
-            .map(|i| {
-                let wf = &self.waveforms[i];
-                match wf.partition_point(|&(time, _)| time <= t) {
-                    0 => self.initial[i],
-                    k => wf[k - 1].1,
-                }
-            })
-            .collect()
-    }
-
-    /// The settled bus values.
-    #[must_use]
-    pub fn settled(&self) -> Vec<bool> {
-        (0..self.len())
-            .map(|i| self.waveforms[i].last().map_or(self.initial[i], |&(_, v)| v))
-            .collect()
-    }
 }
 
 /// A generous event budget for well-formed (acyclic) netlists: large

@@ -9,7 +9,7 @@
 //! cargo run --release --example gaussian_filter
 //! ```
 
-use ola::imaging::filter::{FilterConfig, OnlineFilter, OverclockedFilter, TraditionalFilter};
+use ola::imaging::filter::{Filter, FilterConfig};
 use ola::imaging::synthetic::Benchmark;
 use std::fs::{self, File};
 use std::path::Path;
@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         image.autocorrelation()
     );
 
-    let online = OnlineFilter::new(FilterConfig::paper_default());
-    let trad = TraditionalFilter::new(FilterConfig::paper_default());
+    let online = Filter::online(&FilterConfig::paper_default());
+    let trad = Filter::traditional(&FilterConfig::paper_default());
 
     let out_dir = Path::new("target/filter-demo");
     fs::create_dir_all(out_dir)?;
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\n{:<12} {:>8} {:>12} {:>12} {:>10}",
         "design", "f/f_rated", "MRE %", "SNR dB", "bad px"
     );
-    for filter in [&online as &dyn OverclockedFilter, &trad] {
+    for filter in [&online, &trad] {
         let rated = filter.rated_period();
         let ts: Vec<u64> =
             factors.iter().map(|f| ((rated as f64 / f).round() as u64).max(1)).collect();

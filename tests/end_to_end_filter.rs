@@ -3,9 +3,7 @@
 //! degradation when overclocked.
 
 use ola::core::metrics;
-use ola::imaging::filter::{
-    filter_exact, FilterConfig, OnlineFilter, OverclockedFilter, TraditionalFilter,
-};
+use ola::imaging::filter::{filter_exact, Filter, FilterConfig};
 use ola::imaging::synthetic::Benchmark;
 use ola::imaging::Kernel;
 use ola::netlist::area;
@@ -20,16 +18,16 @@ fn small_cfg() -> FilterConfig {
     }
 }
 
-/// Warm filters are expensive (multiplier waveform memo under jittered
+/// Warm filters are expensive (multiplier product passes under jittered
 /// delays), so the whole suite shares one instance per design.
-fn online() -> &'static OnlineFilter {
-    static S: OnceLock<OnlineFilter> = OnceLock::new();
-    S.get_or_init(|| OnlineFilter::new(small_cfg()))
+fn online() -> &'static Filter {
+    static S: OnceLock<Filter> = OnceLock::new();
+    S.get_or_init(|| Filter::online(&small_cfg()))
 }
 
-fn traditional() -> &'static TraditionalFilter {
-    static S: OnceLock<TraditionalFilter> = OnceLock::new();
-    S.get_or_init(|| TraditionalFilter::new(small_cfg()))
+fn traditional() -> &'static Filter {
+    static S: OnceLock<Filter> = OnceLock::new();
+    S.get_or_init(|| Filter::traditional(&small_cfg()))
 }
 
 #[test]
@@ -80,9 +78,9 @@ fn area_overhead_is_in_the_paper_ballpark() {
     // has no hand-mapped equivalent on the traditional side.
     let online = online();
     let trad = traditional();
-    let o = area::estimate(&online.multiplier().netlist, 4).luts
+    let o = area::estimate(online.multiplier_netlist(), 4).luts
         + area::estimate(online.tree_netlist(), 4).luts;
-    let t = area::estimate(&trad.multiplier().netlist, 4).luts
+    let t = area::estimate(trad.multiplier_netlist(), 4).luts
         + area::estimate(trad.tree_netlist(), 4).luts;
     let overhead = o as f64 / t as f64;
     assert!(
