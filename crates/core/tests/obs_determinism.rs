@@ -8,7 +8,10 @@
 //! the real instrumented stack (Monte-Carlo sweep, gate-level curve with
 //! both engines, fault campaign) under `OLA_THREADS=1` and `=4` and
 //! demands equality; any instrumentation site that sneaks a
-//! non-deterministic value into the registry fails here.
+//! non-deterministic value into the registry fails here. One sweep draws
+//! a single chunk of more than 64 samples, so its one 256-lane pass runs
+//! on the whole worker budget: one worker, then four, and its curve must
+//! not move either.
 //!
 //! Env-var discipline: this binary's tests mutate `OLA_THREADS`, so they
 //! share one lock and restore the variable when done.
@@ -16,7 +19,7 @@
 use ola_arith::online::Selection;
 use ola_arith::synth::online_multiplier;
 use ola_core::campaign::{online_fault_campaign, CampaignConfig, FaultClass};
-use ola_core::empirical::om_gate_level_curve_with;
+use ola_core::empirical::{om_gate_level_curve_with, GateLevelCurve};
 use ola_core::obs::MetricSnapshot;
 use ola_core::{montecarlo, obs, InputModel, SimBackend, StaGate};
 use ola_netlist::FpgaDelay;
@@ -27,8 +30,9 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// The instrumented workload: MC sweep + gate-level curve (batch and
 /// event) + a small fault campaign + a synthesis design-space sweep.
 /// Deterministic by construction; the question is whether the
-/// *instrumentation* stays deterministic too.
-fn workload() {
+/// *instrumentation* stays deterministic too. Returns the curve of the
+/// one-pass 256-lane sweep.
+fn workload() -> GateLevelCurve {
     let _ = montecarlo::om_monte_carlo(6, Selection::default(), InputModel::UniformDigits, 600, 7);
     let circuit = online_multiplier(4, 3);
     // The synthesis compiler's `ola.synth.*` metrics (nodes folded,
@@ -95,15 +99,27 @@ fn workload() {
         FaultClass::StuckAt1,
         &cfg,
     );
+    // 200 samples: one chunk, one pass on the 256-lane word.
+    let (wide, _) = om_gate_level_curve_with(
+        &circuit,
+        &FpgaDelay::default(),
+        InputModel::UniformDigits,
+        &[200, 1000, 40_000],
+        200,
+        13,
+        SimBackend::Batch,
+        StaGate::Off,
+    );
+    wide
 }
 
-/// Runs the workload under a given `OLA_THREADS` and returns the metric
-/// delta it produced.
-fn delta_with_threads(threads: &str) -> MetricSnapshot {
+/// Runs the workload under a given `OLA_THREADS` and returns the wide
+/// sweep's curve and the metric delta the workload produced.
+fn delta_with_threads(threads: &str) -> (GateLevelCurve, MetricSnapshot) {
     std::env::set_var("OLA_THREADS", threads);
     let before = obs::registry().snapshot();
-    workload();
-    obs::registry().snapshot().diff(&before)
+    let curve = workload();
+    (curve, obs::registry().snapshot().diff(&before))
 }
 
 #[test]
@@ -111,8 +127,8 @@ fn metric_snapshots_are_bit_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
     let saved = std::env::var("OLA_THREADS").ok();
 
-    let single = delta_with_threads("1");
-    let quad = delta_with_threads("4");
+    let (single_curve, single) = delta_with_threads("1");
+    let (quad_curve, quad) = delta_with_threads("4");
 
     match saved {
         Some(v) => std::env::set_var("OLA_THREADS", v),
@@ -146,6 +162,7 @@ fn metric_snapshots_are_bit_identical_across_thread_counts() {
     // ...and the whole delta — every counter, histogram bucket, and gauge
     // — is independent of the worker-thread count.
     assert_eq!(single, quad, "metric delta must not depend on OLA_THREADS");
+    assert_eq!(single_curve, quad_curve, "a 256-lane pass must not depend on its workers");
 }
 
 /// The `OLA_OBS` kill switch must make span recording close to free: with

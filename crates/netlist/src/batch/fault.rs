@@ -52,6 +52,12 @@ impl<B: LaneWord> LaneFaults<B> {
         self.stuck_mask.is_zero() && self.windows.is_empty()
     }
 
+    /// The observed initial lane word given the raw one (before `t = 0`:
+    /// transients inactive, only stuck bits apply).
+    pub(crate) fn observe_initial(&self, raw: B) -> B {
+        raw.and(self.stuck_mask.not()).or(self.stuck_vals)
+    }
+
     /// The delay-group partition of the full lane word: `(push, mask)`
     /// pairs whose masks are disjoint and together cover every lane, sorted
     /// by push (so the zero-push group comes first).
@@ -175,13 +181,6 @@ impl<B: LaneWord> LaneFaultSet<B> {
     pub fn is_identity(&self) -> bool {
         !self.any
     }
-
-    /// The observed initial lane word of net `idx` given its raw word
-    /// (before `t = 0`: transients inactive, only stuck bits apply).
-    pub(crate) fn observe_initial(&self, idx: usize, raw: B) -> B {
-        let f = &self.nets[idx];
-        raw.and(f.stuck_mask.not()).or(f.stuck_vals)
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +204,7 @@ mod tests {
         assert_eq!(f.stuck_vals, 0b001, "last stuck-at wins");
         assert_eq!(f.pushes, vec![(15, 0b010)], "pushes accumulate");
         assert!(f.windows.is_empty(), "later zero-duration transient clears the window");
-        assert_eq!(fs.observe_initial(2, 0b110), 0b111);
+        assert_eq!(f.observe_initial(0b110), 0b111);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 1. [`BatchProgram::compile`] flattens a [`Netlist`](crate::Netlist)
 //!    once into a levelized struct-of-arrays program, sampling each gate's
 //!    delay from the [`DelayModel`](crate::DelayModel) once and recording
-//!    each net's last consumer. Programs serialize deterministically
+//!    each net's readers. Programs serialize deterministically
 //!    ([`BatchProgram::to_bytes`]), so callers can memoize compiles keyed
 //!    by a netlist digest;
 //! 2. [`BatchProgram::run`] evaluates **one lane word of input vectors at
@@ -17,16 +17,17 @@
 //!    any [`LaneWord`]: `u64` ([`BatchInputs`]) runs 64 lanes,
 //!    [`LaneBlock<W>`] ([`WideInputs`]) runs `64·W` — 256 or 512 lanes per
 //!    pass. With deterministic delays, each net's settling waveform is an
-//!    exact ordered list of `(time, word)` steps ([`Wave`]) computed in
-//!    one topological pass — no event queue;
+//!    exact ordered list of `(time, word)` steps ([`Wave`]) computed once
+//!    per net, after its fanins — no event queue;
 //! 3. [`LaneSimResult::bus_waves`] + [`LaneBusWaves::sweep`] sample the
 //!    flip-flop-captured value of an output bus for an *entire* `Ts` grid
 //!    from the same run ([`LaneBusWaves::try_sweep`] also rejects grids
 //!    that would double-count an observation time).
 //!    [`BatchProgram::run_bus`] is the streaming form for sweeps: it keeps
 //!    only the bus's waveforms, dropping every other net's after its last
-//!    consumer, so a pass holds the live frontier plus the bus
-//!    ([`LaneBusResult`]);
+//!    reader, so a pass holds the live frontier plus the bus
+//!    ([`LaneBusResult`]), and it can shard one pass across several
+//!    worker threads;
 //! 4. [`BatchProgram::run_with_faults`] additionally diverges lanes at
 //!    [`FaultPlan`](crate::FaultPlan) sites ([`BatchFaultSet`],
 //!    [`WideFaultSet`]), so a whole lane word of *different* fault

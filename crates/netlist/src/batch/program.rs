@@ -3,9 +3,10 @@
 //! [`BatchProgram::compile`] freezes three things once, ahead of any number
 //! of simulation runs: the gate structure in struct-of-arrays form, the
 //! per-gate delays sampled from the [`DelayModel`], and the
-//! topological levelization (validated so a single forward pass in net-id
-//! order is a correct evaluation order, and exposed as per-net levels plus
-//! a depth statistic). [`LaneInputs`] packs input vectors into lane words:
+//! topological levelization (validated so every fanin points to a lower
+//! net id, and exposed as per-net levels plus a depth statistic), plus each
+//! net's readers, which the settling pass's dependency counts start from.
+//! [`LaneInputs`] packs input vectors into lane words:
 //! bit `l` of word `i` is input `i` of vector `l`. The word type decides
 //! the batch width — [`BatchInputs`] (= `LaneInputs<u64>`) carries up to
 //! [`MAX_LANES`] vectors, [`WideInputs<W>`] carries up to `64·W`.
@@ -44,11 +45,13 @@ pub struct BatchProgram {
     /// Topological level of each net (inputs/constants are 0, a gate is one
     /// more than its deepest fanin).
     pub(crate) levels: Vec<u32>,
-    /// Each net's last consumer: the highest-numbered gate that reads it,
-    /// or the net itself when none does. The bus-only pass
-    /// ([`BatchProgram::run_bus`]) drops a waveform once this net has been
-    /// evaluated. Derived from the fanin arrays, never serialized.
-    pub(crate) last_use: Vec<u32>,
+    /// The readers of each net in CSR form: net `i` is read by
+    /// `readers[reader_at[i]..reader_at[i + 1]]`, once per fanin slot that
+    /// reads it. The settling pass starts a net once its fanins are done
+    /// and releases a waveform once its readers are. Derived from the
+    /// fanin arrays, never serialized.
+    reader_at: Vec<u32>,
+    readers: Vec<u32>,
     depth: u32,
 }
 
@@ -116,36 +119,64 @@ impl BatchProgram {
             const_ones,
             input_nets,
             levels,
-            last_use: Vec::new(),
+            reader_at: Vec::new(),
+            readers: Vec::new(),
             depth,
         };
-        program.last_use = program.last_consumers();
+        program.link_readers();
         Ok(program)
     }
 
-    /// The fanin nets of net `i` in slot order — none for inputs and
-    /// constants (the unused slots of the fanin arrays hold net 0).
-    pub(crate) fn fanins(&self, i: usize) -> impl Iterator<Item = usize> {
-        let arity = match self.kinds[i] {
+    /// The number of fanins of net `i`: none for inputs and constants.
+    pub(crate) fn arity(&self, i: usize) -> usize {
+        match self.kinds[i] {
             GateKind::Input | GateKind::Const => 0,
             GateKind::Not => 1,
             GateKind::Mux => 3,
             _ => 2,
-        };
-        [self.in0[i], self.in1[i], self.in2[i]].into_iter().take(arity).map(|f| f as usize)
+        }
     }
 
-    /// Each net's last consumer (see [`BatchProgram::last_use`]).
-    fn last_consumers(&self) -> Vec<u32> {
-        let mut last: Vec<u32> = (0..self.num_nets() as u32).collect();
-        for i in 0..self.num_nets() {
+    /// The fanin nets of net `i` in slot order (the unused slots of the
+    /// fanin arrays hold net 0).
+    pub(crate) fn fanins(&self, i: usize) -> impl Iterator<Item = usize> {
+        [self.in0[i], self.in1[i], self.in2[i]].into_iter().take(self.arity(i)).map(|f| f as usize)
+    }
+
+    /// The readers of net `i`, one entry per fanin slot that reads it.
+    pub(crate) fn readers(&self, i: usize) -> &[u32] {
+        &self.readers[self.reader_at[i] as usize..self.reader_at[i + 1] as usize]
+    }
+
+    /// The input slot (position in the packed input words) of input net
+    /// `i`. Input nets are listed in increasing net order.
+    pub(crate) fn input_slot(&self, i: usize) -> usize {
+        self.input_nets.binary_search(&(i as u32)).expect("an Input net is a listed input")
+    }
+
+    /// Builds the reader lists from the fanin arrays (a counting sort by
+    /// fanin net, readers in increasing order).
+    fn link_readers(&mut self) {
+        let n = self.num_nets();
+        let mut at = vec![0u32; n + 1];
+        for i in 0..n {
             for f in self.fanins(i) {
-                // Nets are visited in increasing order, so the final write
-                // is the highest-numbered reader.
-                last[f] = i as u32;
+                at[f + 1] += 1;
             }
         }
-        last
+        for i in 0..n {
+            at[i + 1] += at[i];
+        }
+        let mut fill = at.clone();
+        let mut readers = vec![0u32; at[n] as usize];
+        for i in 0..n {
+            for f in self.fanins(i) {
+                readers[fill[f] as usize] = i as u32;
+                fill[f] += 1;
+            }
+        }
+        self.reader_at = at;
+        self.readers = readers;
     }
 
     /// Number of nets in the compiled netlist.
@@ -258,9 +289,9 @@ impl BatchProgram {
             delays[i] =
                 row[16..24].try_into().map(u64::from_le_bytes).map_err(|_| fail("bad net row"))?;
             const_ones[i] = row[24] != 0;
-            // Fanin slots must point strictly backwards so the engine's
-            // single forward pass stays a valid evaluation order even on a
-            // tampered payload.
+            // Fanin slots must point strictly backwards so the program
+            // stays acyclic and every net of a pass becomes ready, even on
+            // a tampered payload.
             if kinds[i].is_logic() && [in0[i], in1[i], in2[i]].iter().any(|&x| x as usize >= i) {
                 return Err(fail("fanin does not point strictly backwards"));
             }
@@ -276,6 +307,13 @@ impl BatchProgram {
         if !rest.is_empty() {
             return Err(fail("trailing bytes"));
         }
+        // The engine finds an input net's word by its position in this
+        // list, so the list must be exactly the Input nets, in net order.
+        let listed =
+            kinds.iter().enumerate().filter(|(_, &k)| k == GateKind::Input).map(|(i, _)| i);
+        if !listed.eq(input_nets.iter().map(|&id| id as usize)) {
+            return Err(fail("input list is not the Input nets in order"));
+        }
         let mut program = BatchProgram {
             kinds,
             in0,
@@ -285,10 +323,11 @@ impl BatchProgram {
             const_ones,
             input_nets,
             levels,
-            last_use: Vec::new(),
+            reader_at: Vec::new(),
+            readers: Vec::new(),
             depth,
         };
-        program.last_use = program.last_consumers();
+        program.link_readers();
         Ok(program)
     }
 }
@@ -404,9 +443,10 @@ mod tests {
         assert_eq!(p.logic_gate_count(), 2);
         assert_eq!(p.delays[2], FpgaDelay::default().two_input);
         assert_eq!(p.delays[3], FpgaDelay::default().not);
-        // a and b are last read by the XOR; the XOR by the NOT, which
-        // nothing reads.
-        assert_eq!(p.last_use, vec![2, 2, 3, 3]);
+        // a and b are read by the XOR, the XOR by the NOT, which nothing
+        // reads.
+        let readers: Vec<&[u32]> = (0..4).map(|i| p.readers(i)).collect();
+        assert_eq!(readers, [&[2][..], &[2], &[3], &[]]);
     }
 
     #[test]
@@ -503,8 +543,14 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'x';
         assert!(is_malformed(BatchProgram::from_bytes(&wrong_magic)));
-        let mut trailing = bytes;
+        let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(is_malformed(BatchProgram::from_bytes(&trailing)));
+        // The input list names nets 0 and 1 last; listing them in reverse
+        // would hand each input the other's word.
+        let mut swapped = bytes;
+        let len = swapped.len();
+        swapped[len - 8..].copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(is_malformed(BatchProgram::from_bytes(&swapped)));
     }
 }

@@ -238,9 +238,10 @@ fn random_vectors(lanes: usize, width: usize, seed: u64) -> Vec<Vec<bool>> {
         .collect()
 }
 
-/// Runs the bus-only pass and a full pass at lane word `B` and asserts
-/// they agree on everything the bus-only pass reports; a cancelled token
-/// must stop the bus-only pass with a typed error.
+/// Runs the bus-only pass at 1, 2 and 3 workers and a full pass at lane
+/// word `B` and asserts they agree on everything the bus-only pass
+/// reports; a cancelled token must stop the bus-only pass with a typed
+/// error.
 fn bus_pass_matches_full<B: LaneWord>(
     prog: &BatchProgram,
     prev_vecs: &[Vec<bool>],
@@ -250,16 +251,18 @@ fn bus_pass_matches_full<B: LaneWord>(
     let prev = LaneInputs::<B>::pack(prev_vecs).unwrap();
     let new = LaneInputs::<B>::pack(new_vecs).unwrap();
     let full = prog.run(&prev, &new).unwrap();
-    let streamed = prog.run_bus(&prev, &new, bus, None).unwrap();
     let want = full.bus_waves(bus).unwrap();
-    prop_assert_eq!(streamed.bus(), &want);
-    prop_assert_eq!(streamed.settle_times(), full.settle_times());
-    prop_assert_eq!(streamed.word_steps(), full.word_steps());
-    prop_assert_eq!(streamed.lane_transitions(), full.lane_transitions());
+    for workers in 1..=3 {
+        let streamed = prog.run_bus(&prev, &new, bus, None, workers).unwrap();
+        prop_assert_eq!(streamed.bus(), &want, "{} workers", workers);
+        prop_assert_eq!(streamed.settle_times(), full.settle_times());
+        prop_assert_eq!(streamed.word_steps(), full.word_steps());
+        prop_assert_eq!(streamed.lane_transitions(), full.lane_transitions());
+    }
     let cancelled = CancelToken::new();
     cancelled.cancel();
     prop_assert_eq!(
-        prog.run_bus(&prev, &new, bus, Some(&cancelled)).unwrap_err(),
+        prog.run_bus(&prev, &new, bus, Some(&cancelled), 3).unwrap_err(),
         BatchError::Cancelled
     );
     Ok(())
