@@ -141,13 +141,18 @@ impl Server {
                     .spawn(move || accept_loop(&listener, &shared))?,
             );
         }
+        // The request workers split the starting thread's worker budget,
+        // so concurrent requests do not each start a full budget of
+        // threads.
+        let share = ola_core::parallel::budget_share(workers);
         for i in 0..workers {
             let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ola-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
+            threads.push(std::thread::Builder::new().name(format!("ola-serve-worker-{i}")).spawn(
+                move || {
+                    ola_core::parallel::set_worker_budget(share);
+                    worker_loop(&shared);
+                },
+            )?);
         }
         Ok(Server { addr, shared, threads })
     }
