@@ -35,15 +35,12 @@
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
-use ola_core::obs::json::{self, JsonValue};
-use ola_core::{CacheConfig, CacheKey, ContentCache, SimBackend};
+use ola_core::SimBackend;
 use ola_netlist::{analyze, area, FpgaDelay};
 use ola_synth::{
     conv2d_separable, elaborate, fir_bank, matvec, optimize, sampling_bounds, ts_grid,
     variant_error_curve, AdderStructure, Dfg, ElabOptions, InputFmt, MacFusion, Style,
 };
-use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Master seed for the empirical error curves (recorded in the run
 /// manifest via [`super::master_seeds`]).
@@ -105,18 +102,6 @@ fn samples(scale: Scale) -> usize {
         Scale::Quick => 24,
         Scale::Full => 64,
     }
-}
-
-/// The process-wide result cache (same [`ContentCache`] pattern as
-/// `repro synth`): a repeated `repro dsp` at the same scale warm-hits
-/// instead of re-simulating. Disk tier via `OLA_CACHE_DIR`.
-fn cache() -> &'static ContentCache {
-    static CACHE: OnceLock<ContentCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let disk_dir =
-            std::env::var("OLA_CACHE_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
-        ContentCache::new(CacheConfig { capacity: 64, disk_dir, ..CacheConfig::default() })
-    })
 }
 
 /// Canonical text whose SHA-256 is the sweep's content address.
@@ -204,23 +189,7 @@ fn dsp_inner(scale: Scale) -> Result<Vec<Table>, String> {
             samples(scale)
         ),
     );
-    let key = CacheKey::of(canonical(scale).as_bytes());
-    let (bytes, lookup) = cache().get_or_compute(&key, || {
-        let tables = sweep_and_render(scale)?;
-        let doc = JsonValue::Array(tables.iter().map(Table::to_json).collect());
-        Ok::<_, String>(doc.render().into_bytes())
-    })?;
-    ola_core::obs::annotate("dsp.cache", format_args!("{} {}", lookup.label(), key.hex()));
-    if lookup.is_hit() {
-        eprintln!("  [dsp] warm {} for key {}", lookup.label(), &key.hex()[..12]);
-    }
-    let text = std::str::from_utf8(&bytes).map_err(|_| "cached sweep is not utf-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("cached sweep unparseable: {e}"))?;
-    doc.as_array()
-        .ok_or_else(|| "cached sweep is not an array".to_string())?
-        .iter()
-        .map(|t| Table::from_json(t).ok_or_else(|| "cached table malformed".to_string()))
-        .collect()
+    super::cached_tables("dsp", &canonical(scale), || sweep_and_render(scale))
 }
 
 fn sweep_and_render(scale: Scale) -> Result<Vec<Table>, String> {
@@ -336,6 +305,7 @@ fn sweep_and_render(scale: Scale) -> Result<Vec<Table>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ola_core::CacheKey;
 
     #[test]
     fn quick_pack_shows_fused_dominance_everywhere() {

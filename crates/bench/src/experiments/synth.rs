@@ -19,11 +19,7 @@
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
-use ola_core::obs::json::{self, JsonValue};
-use ola_core::{CacheConfig, CacheKey, ContentCache};
 use ola_synth::{explore, AdderStructure, ExploreConfig, InputFmt, Style};
-use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Master seed for the explorer's empirical error curves (recorded in the
 /// run manifest via [`super::master_seeds`]).
@@ -40,21 +36,6 @@ fn widths(scale: Scale) -> Vec<usize> {
 /// The convolution program every sweep compiles (shared with the `equiv`
 /// experiment so the verification gate covers the explored kernel).
 pub(crate) const EXPR: &str = "y = a * 0.25 + b * 0.5 + c * 0.25";
-
-/// The process-wide result cache the sweep runs through — the same
-/// [`ContentCache`] `ola-serve` uses, so a repeated `repro synth` (same
-/// scale) warm-hits instead of re-exploring. The disk tier
-/// activates when `OLA_CACHE_DIR` names a directory (`repro` defaults it
-/// to `results/cache`, so back-to-back CLI invocations hit across
-/// processes); unset or empty keeps the cache memory-only.
-fn cache() -> &'static ContentCache {
-    static CACHE: OnceLock<ContentCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let disk_dir =
-            std::env::var("OLA_CACHE_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
-        ContentCache::new(CacheConfig { capacity: 64, disk_dir, ..CacheConfig::default() })
-    })
-}
 
 /// The canonical text whose SHA-256 is the sweep's content address: every
 /// input that can change a row is spelled out, so semantically identical
@@ -117,23 +98,7 @@ fn synth_inner(scale: Scale) -> Result<Vec<Table>, String> {
     // `ola-serve` uses. The frontier validation runs inside the fill, so
     // a failing sweep is never cached; a warm hit replays rows that
     // already passed it.
-    let key = CacheKey::of(canonical(&cfg).as_bytes());
-    let (bytes, lookup) = cache().get_or_compute(&key, || {
-        let tables = explore_and_render(&cfg)?;
-        let doc = JsonValue::Array(tables.iter().map(Table::to_json).collect());
-        Ok::<_, String>(doc.render().into_bytes())
-    })?;
-    ola_core::obs::annotate("synth.cache", format_args!("{} {}", lookup.label(), key.hex()));
-    if lookup.is_hit() {
-        eprintln!("  [synth] warm {} for key {}", lookup.label(), &key.hex()[..12]);
-    }
-    let text = std::str::from_utf8(&bytes).map_err(|_| "cached sweep is not utf-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("cached sweep unparseable: {e}"))?;
-    doc.as_array()
-        .ok_or_else(|| "cached sweep is not an array".to_string())?
-        .iter()
-        .map(|t| Table::from_json(t).ok_or_else(|| "cached table malformed".to_string()))
-        .collect()
+    super::cached_tables("synth", &canonical(&cfg), || explore_and_render(&cfg))
 }
 
 fn explore_and_render(cfg: &ExploreConfig) -> Result<Vec<Table>, String> {
@@ -194,6 +159,7 @@ fn explore_and_render(cfg: &ExploreConfig) -> Result<Vec<Table>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ola_core::CacheKey;
 
     #[test]
     fn quick_sweep_emits_a_nondegenerate_frontier() {

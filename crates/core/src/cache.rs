@@ -21,8 +21,9 @@
 //!   end.
 //! * **Bounded memory** — the in-memory tier evicts least-recently-used
 //!   entries past a configured capacity (`ola.cache.evictions`). The
-//!   optional disk tier (used by `repro synth` so repeated CLI sweeps
-//!   warm-hit across processes) is append-only and content-addressed:
+//!   optional disk tier (used by `repro synth` and `repro dsp` so repeated
+//!   CLI runs warm-hit across processes) is append-only and
+//!   content-addressed:
 //!   `<dir>/<key>.entry` holds the payload digest on its first line and
 //!   the payload after it, written atomically.
 //!
@@ -33,7 +34,11 @@
 //! are exempt from the cross-thread-count bit-identity contract (they
 //! never appear in experiment manifest deltas asserted by the determinism
 //! suite; `ola.cache.hits` from the single-threaded `repro synth` warm
-//! path *is* deterministic and is asserted by its test).
+//! path *is* deterministic and is asserted by its test). Every cache
+//! counts its traffic. The compile memo ([`crate::memo`]), whose hits
+//! depend on what ran earlier in the process, uses the same LRU table as
+//! the memory tier here but no `ContentCache`, so it moves none of these
+//! counters.
 
 use crate::obs::sha256;
 use crate::resilience::atomic_write;
@@ -110,14 +115,61 @@ struct Entry {
     bytes: Arc<Vec<u8>>,
     /// SHA-256 of `bytes` at insertion time; re-checked on every hit.
     digest: String,
-    /// Monotonic recency stamp for LRU eviction.
-    stamp: u64,
 }
 
-#[derive(Default)]
-struct Store {
-    entries: HashMap<String, Entry>,
+/// A table of at most `capacity` values keyed by [`CacheKey`] hex, which
+/// evicts the least recently used entries past its capacity. It is the
+/// memory tier of a [`ContentCache`] and each table of the compile memo
+/// (`crate::memo`).
+pub(crate) struct Store<V> {
+    /// Each value with its monotonic recency stamp.
+    entries: HashMap<String, (V, u64)>,
     clock: u64,
+    capacity: usize,
+}
+
+impl<V> Store<V> {
+    /// An empty store holding at most `capacity` entries (at least 1).
+    pub(crate) fn new(capacity: usize) -> Store<V> {
+        Store { entries: HashMap::new(), clock: 0, capacity: capacity.max(1) }
+    }
+
+    /// Number of entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The value under `key`, which becomes the most recently used entry.
+    pub(crate) fn get(&mut self, key: &str) -> Option<&V> {
+        self.clock += 1;
+        let (value, stamp) = self.entries.get_mut(key)?;
+        *stamp = self.clock;
+        Some(value)
+    }
+
+    /// Drops the entry under `key`, if any.
+    pub(crate) fn remove(&mut self, key: &str) {
+        self.entries.remove(key);
+    }
+
+    /// Inserts `value` under `key` as the most recently used entry, then
+    /// evicts least recently used entries until the store is within its
+    /// capacity. Returns how many entries it evicted.
+    pub(crate) fn insert(&mut self, key: String, value: V) -> u64 {
+        self.clock += 1;
+        self.entries.insert(key, (value, self.clock));
+        let mut evicted = 0u64;
+        while self.entries.len() > self.capacity {
+            let Some(oldest) =
+                self.entries.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.entries.remove(&oldest);
+            evicted += 1;
+        }
+        evicted
+    }
 }
 
 enum FlightState {
@@ -139,20 +191,11 @@ pub struct CacheConfig {
     /// Optional persistent tier: entries are mirrored to
     /// `<dir>/<key>.entry` and consulted on memory misses.
     pub disk_dir: Option<PathBuf>,
-    /// Suppress the `ola.cache.*` registry counters for this cache.
-    ///
-    /// Used by caches whose hit/miss pattern depends on cross-run state
-    /// (e.g. the compile-memoization tier, warm after the first workload):
-    /// their counters would differ between otherwise identical runs and
-    /// break the determinism contract asserted over full metric-snapshot
-    /// deltas. Quiet caches expose their traffic through caller-owned
-    /// stats instead.
-    pub quiet: bool,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { capacity: 1024, disk_dir: None, quiet: false }
+        CacheConfig { capacity: 1024, disk_dir: None }
     }
 }
 
@@ -160,19 +203,18 @@ impl Default for CacheConfig {
 /// eviction, integrity re-verification on every hit, and an optional disk
 /// tier. See the module docs for the guarantees.
 pub struct ContentCache {
-    config: CacheConfig,
-    store: Mutex<Store>,
+    disk_dir: Option<PathBuf>,
+    store: Mutex<Store<Entry>>,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
 }
 
 impl ContentCache {
     /// A cache with the given configuration (capacity is clamped to ≥ 1).
     #[must_use]
-    pub fn new(mut config: CacheConfig) -> ContentCache {
-        config.capacity = config.capacity.max(1);
+    pub fn new(config: CacheConfig) -> ContentCache {
         ContentCache {
-            config,
-            store: Mutex::new(Store::default()),
+            disk_dir: config.disk_dir,
+            store: Mutex::new(Store::new(config.capacity)),
             inflight: Mutex::new(HashMap::new()),
         }
     }
@@ -184,19 +226,13 @@ impl ContentCache {
     /// Never: lock poisoning is absorbed.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.store.lock().unwrap_or_else(PoisonError::into_inner).entries.len()
+        self.store.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when the memory tier is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    fn counter(&self, name: &str) {
-        if !self.config.quiet {
-            crate::obs::registry().counter(name).inc();
-        }
     }
 
     /// Looks `key` up in memory (verifying integrity), then on disk, and
@@ -222,19 +258,19 @@ impl ContentCache {
         loop {
             // Tier 1: memory, with integrity re-verification.
             if let Some(bytes) = self.memory_get(key) {
-                self.counter("ola.cache.hits");
+                count("ola.cache.hits");
                 return Ok((bytes, Lookup::Hit));
             }
             // Tier 2: disk.
             if let Some(bytes) = self.disk_get(key) {
-                self.counter("ola.cache.hits");
-                self.counter("ola.cache.disk_hits");
+                count("ola.cache.hits");
+                count("ola.cache.disk_hits");
                 return Ok((bytes, Lookup::DiskHit));
             }
             // Single flight: first caller leads, the rest wait.
             let (flight, leader) = self.join_flight(key);
             if leader {
-                self.counter("ola.cache.misses");
+                count("ola.cache.misses");
                 // Panic safety: if `fill` unwinds (worker panic, chaos
                 // injection, cooperative cancellation), the flight must
                 // still settle as Failed — otherwise every coalesced
@@ -245,7 +281,7 @@ impl ContentCache {
                 return match result {
                     Ok(bytes) => {
                         let bytes = self.insert(key, bytes);
-                        self.counter("ola.cache.fills");
+                        count("ola.cache.fills");
                         self.settle_flight(key, &flight, FlightState::Done(Arc::clone(&bytes)));
                         Ok((bytes, Lookup::Miss))
                     }
@@ -262,8 +298,8 @@ impl ContentCache {
                         state = flight.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
                     }
                     FlightState::Done(bytes) => {
-                        self.counter("ola.cache.hits");
-                        self.counter("ola.cache.coalesced");
+                        count("ola.cache.hits");
+                        count("ola.cache.coalesced");
                         return Ok((Arc::clone(bytes), Lookup::Coalesced));
                     }
                     // The leader failed; retry from the top (this caller
@@ -278,16 +314,13 @@ impl ContentCache {
     /// dropped and reported as a miss.
     fn memory_get(&self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
         let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
-        store.clock += 1;
-        let stamp = store.clock;
-        let entry = store.entries.get_mut(key.hex())?;
+        let entry = store.get(key.hex())?;
         if sha256::hex_digest(&entry.bytes) == entry.digest {
-            entry.stamp = stamp;
             return Some(Arc::clone(&entry.bytes));
         }
-        store.entries.remove(key.hex());
+        store.remove(key.hex());
         drop(store);
-        self.counter("ola.cache.tamper_rejected");
+        count("ola.cache.tamper_rejected");
         // The disk mirror of a tampered memory entry is suspect too: it
         // was written from the same fill. Let the disk tier re-verify it
         // independently (it may still be sound).
@@ -295,7 +328,7 @@ impl ContentCache {
     }
 
     fn entry_path(&self, key: &CacheKey) -> Option<PathBuf> {
-        self.config.disk_dir.as_ref().map(|d| d.join(format!("{}.entry", key.hex())))
+        self.disk_dir.as_ref().map(|d| d.join(format!("{}.entry", key.hex())))
     }
 
     /// Disk lookup: `<digest hex>\n<payload>`. Any structural or digest
@@ -310,7 +343,7 @@ impl ContentCache {
                 Some(bytes)
             }
             _ => {
-                self.counter("ola.cache.tamper_rejected");
+                count("ola.cache.tamper_rejected");
                 let _ = std::fs::remove_file(&path);
                 None
             }
@@ -348,22 +381,12 @@ impl ContentCache {
     }
 
     fn insert_memory(&self, key: &CacheKey, bytes: Arc<Vec<u8>>, digest: String) {
-        let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
-        store.clock += 1;
-        let stamp = store.clock;
-        store.entries.insert(key.hex().to_owned(), Entry { bytes, digest, stamp });
-        let mut evicted = 0u64;
-        while store.entries.len() > self.config.capacity {
-            let Some(oldest) =
-                store.entries.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            store.entries.remove(&oldest);
-            evicted += 1;
-        }
-        drop(store);
-        if evicted > 0 && !self.config.quiet {
+        let evicted = self
+            .store
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key.hex().to_owned(), Entry { bytes, digest });
+        if evicted > 0 {
             crate::obs::registry().counter("ola.cache.evictions").add(evicted);
         }
     }
@@ -391,6 +414,11 @@ impl ContentCache {
         let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         inflight.remove(key.hex());
     }
+}
+
+/// Bumps the `ola.cache.*` registry counter `name`.
+fn count(name: &str) {
+    crate::obs::registry().counter(name).inc();
 }
 
 /// Settles a flight as Failed when the leader's fill unwinds instead of
@@ -536,8 +564,7 @@ mod tests {
     fn disk_tier_survives_a_fresh_cache_and_rejects_rot() {
         let dir = std::env::temp_dir().join(format!("ola_cache_disk_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg =
-            CacheConfig { capacity: 8, disk_dir: Some(dir.clone()), ..CacheConfig::default() };
+        let cfg = CacheConfig { capacity: 8, disk_dir: Some(dir.clone()) };
         let key = CacheKey::of(b"persisted");
 
         let warm = ContentCache::new(cfg.clone());
@@ -574,8 +601,11 @@ mod tests {
         // Corrupt the stored bytes behind the cache's back.
         {
             let mut store = cache.store.lock().unwrap();
-            let entry = store.entries.get_mut(key.hex()).unwrap();
-            entry.bytes = Arc::new(b"ROTTEN".to_vec());
+            let digest = store.get(key.hex()).unwrap().digest.clone();
+            store.insert(
+                key.hex().to_owned(),
+                Entry { bytes: Arc::new(b"ROTTEN".to_vec()), digest },
+            );
         }
         let (bytes, how) = cache.get_or_compute(&key, fill_ok(b"clean")).unwrap();
         assert_eq!(how, Lookup::Miss, "integrity failure forces a recompute");

@@ -9,9 +9,8 @@
 //! 1. [`BatchProgram::compile`] flattens a [`Netlist`](crate::Netlist)
 //!    once into a levelized struct-of-arrays program, sampling each gate's
 //!    delay from the [`DelayModel`](crate::DelayModel) once and recording
-//!    each net's readers. Programs serialize deterministically
-//!    ([`BatchProgram::to_bytes`]), so callers can memoize compiles keyed
-//!    by a netlist digest;
+//!    each net's readers. A program is a plain value that owns its data,
+//!    so callers can memoize compiles keyed by a netlist digest;
 //! 2. [`BatchProgram::run`] evaluates **one lane word of input vectors at
 //!    once**, one bit-lane per vector ([`LaneInputs`]). The word type is
 //!    any [`LaneWord`]: `u64` ([`BatchInputs`]) runs 64 lanes,

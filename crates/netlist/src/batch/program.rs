@@ -13,8 +13,7 @@
 //!
 //! A compiled program is width-agnostic: the same [`BatchProgram`] runs
 //! 64-lane and 512-lane batches, so compile-once memoization (keyed by the
-//! netlist digest — see [`BatchProgram::to_bytes`] and
-//! `ola_core::memo`) pays off across every width.
+//! netlist digest, in `ola_core::memo`) pays off across every width.
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::{BatchError, DelayModel, GateKind, NetId, Netlist};
@@ -49,14 +48,11 @@ pub struct BatchProgram {
     /// `readers[reader_at[i]..reader_at[i + 1]]`, once per fanin slot that
     /// reads it. The settling pass starts a net once its fanins are done
     /// and releases a waveform once its readers are. Derived from the
-    /// fanin arrays, never serialized.
+    /// fanin arrays.
     reader_at: Vec<u32>,
     readers: Vec<u32>,
     depth: u32,
 }
-
-/// Magic + version tag of the [`BatchProgram::to_bytes`] wire format.
-const PROGRAM_MAGIC: &[u8; 8] = b"olabp/1\n";
 
 impl BatchProgram {
     /// Compiles `netlist` under `delay` into a batch program.
@@ -207,128 +203,6 @@ impl BatchProgram {
     #[must_use]
     pub fn logic_gate_count(&self) -> usize {
         self.kinds.iter().filter(|k| k.is_logic()).count()
-    }
-
-    /// Serializes the program to a deterministic byte string (the payload
-    /// stored by the compile-memoization tier, `ola_core::memo`).
-    ///
-    /// The format is a private little-endian framing; the only contract is
-    /// that [`BatchProgram::from_bytes`] round-trips it exactly and that
-    /// equal programs serialize to equal bytes.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.num_nets();
-        let mut out = Vec::with_capacity(16 + n * 22);
-        out.extend_from_slice(PROGRAM_MAGIC);
-        let push_u32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
-        let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        push_u32(&mut out, n as u32);
-        push_u32(&mut out, self.input_nets.len() as u32);
-        push_u32(&mut out, self.depth);
-        for k in &self.kinds {
-            out.push(*k as u8);
-        }
-        for i in 0..n {
-            push_u32(&mut out, self.in0[i]);
-            push_u32(&mut out, self.in1[i]);
-            push_u32(&mut out, self.in2[i]);
-            push_u32(&mut out, self.levels[i]);
-            push_u64(&mut out, self.delays[i]);
-            out.push(u8::from(self.const_ones[i]));
-        }
-        for inp in &self.input_nets {
-            push_u32(&mut out, *inp);
-        }
-        out
-    }
-
-    /// Deserializes a program produced by [`BatchProgram::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::MalformedProgram`] if the bytes are not a valid
-    /// serialized program (wrong magic, truncated, or inconsistent counts).
-    pub fn from_bytes(bytes: &[u8]) -> Result<BatchProgram, BatchError> {
-        let fail = |reason: &'static str| BatchError::MalformedProgram { reason };
-        let (magic, mut rest) = bytes
-            .split_at_checked(PROGRAM_MAGIC.len())
-            .ok_or(fail("shorter than the magic tag"))?;
-        if magic != PROGRAM_MAGIC {
-            return Err(fail("wrong magic tag"));
-        }
-        let take_u32 = |rest: &mut &[u8]| -> Result<u32, BatchError> {
-            let (head, tail) = rest.split_at_checked(4).ok_or(fail("truncated header field"))?;
-            *rest = tail;
-            Ok(u32::from_le_bytes(head.try_into().map_err(|_| fail("truncated header field"))?))
-        };
-        let n = take_u32(&mut rest)? as usize;
-        let num_inputs = take_u32(&mut rest)? as usize;
-        let depth = take_u32(&mut rest)?;
-        let (kind_bytes, mut rest) =
-            rest.split_at_checked(n).ok_or(fail("truncated gate-kind table"))?;
-        let mut kinds = Vec::with_capacity(n);
-        for &b in kind_bytes {
-            kinds.push(*GateKind::ALL.get(b as usize).ok_or(fail("unknown gate kind"))?);
-        }
-        let mut in0 = vec![0u32; n];
-        let mut in1 = vec![0u32; n];
-        let mut in2 = vec![0u32; n];
-        let mut levels = vec![0u32; n];
-        let mut delays = vec![0u64; n];
-        let mut const_ones = vec![false; n];
-        for i in 0..n {
-            let (row, tail) = rest.split_at_checked(25).ok_or(fail("truncated net row"))?;
-            rest = tail;
-            let u32_at = |o: usize| {
-                row[o..o + 4].try_into().map(u32::from_le_bytes).map_err(|_| fail("bad net row"))
-            };
-            in0[i] = u32_at(0)?;
-            in1[i] = u32_at(4)?;
-            in2[i] = u32_at(8)?;
-            levels[i] = u32_at(12)?;
-            delays[i] =
-                row[16..24].try_into().map(u64::from_le_bytes).map_err(|_| fail("bad net row"))?;
-            const_ones[i] = row[24] != 0;
-            // Fanin slots must point strictly backwards so the program
-            // stays acyclic and every net of a pass becomes ready, even on
-            // a tampered payload.
-            if kinds[i].is_logic() && [in0[i], in1[i], in2[i]].iter().any(|&x| x as usize >= i) {
-                return Err(fail("fanin does not point strictly backwards"));
-            }
-        }
-        let mut input_nets = Vec::with_capacity(num_inputs);
-        for _ in 0..num_inputs {
-            let id = take_u32(&mut rest)?;
-            if id as usize >= n {
-                return Err(fail("input net out of range"));
-            }
-            input_nets.push(id);
-        }
-        if !rest.is_empty() {
-            return Err(fail("trailing bytes"));
-        }
-        // The engine finds an input net's word by its position in this
-        // list, so the list must be exactly the Input nets, in net order.
-        let listed =
-            kinds.iter().enumerate().filter(|(_, &k)| k == GateKind::Input).map(|(i, _)| i);
-        if !listed.eq(input_nets.iter().map(|&id| id as usize)) {
-            return Err(fail("input list is not the Input nets in order"));
-        }
-        let mut program = BatchProgram {
-            kinds,
-            in0,
-            in1,
-            in2,
-            delays,
-            const_ones,
-            input_nets,
-            levels,
-            reader_at: Vec::new(),
-            readers: Vec::new(),
-            depth,
-        };
-        program.link_readers();
-        Ok(program)
     }
 }
 
@@ -510,47 +384,5 @@ mod tests {
         assert!(BatchInputs::zeros(4, 65).is_err());
         assert!(WideInputs::<2>::zeros(4, 128).is_ok());
         assert!(WideInputs::<2>::zeros(4, 129).is_err());
-    }
-
-    #[test]
-    fn program_bytes_roundtrip() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let b = nl.input("b");
-        let s = nl.input("s");
-        let t = nl.constant(true);
-        let x = nl.xor(a, b);
-        let m = nl.mux(s, x, t);
-        let z = nl.nand(m, a);
-        nl.set_output("z", vec![z]);
-        let p = BatchProgram::compile(&nl, &FpgaDelay::default()).unwrap();
-        let bytes = p.to_bytes();
-        let q = BatchProgram::from_bytes(&bytes).unwrap();
-        assert_eq!(p, q);
-        assert_eq!(bytes, q.to_bytes(), "serialization is deterministic");
-    }
-
-    #[test]
-    fn malformed_program_bytes_are_rejected() {
-        let nl = chain();
-        let p = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let bytes = p.to_bytes();
-        let is_malformed = |r: Result<BatchProgram, BatchError>| {
-            matches!(r.unwrap_err(), BatchError::MalformedProgram { .. })
-        };
-        assert!(is_malformed(BatchProgram::from_bytes(&[])));
-        assert!(is_malformed(BatchProgram::from_bytes(&bytes[..bytes.len() - 1])));
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'x';
-        assert!(is_malformed(BatchProgram::from_bytes(&wrong_magic)));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(is_malformed(BatchProgram::from_bytes(&trailing)));
-        // The input list names nets 0 and 1 last; listing them in reverse
-        // would hand each input the other's word.
-        let mut swapped = bytes;
-        let len = swapped.len();
-        swapped[len - 8..].copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
-        assert!(is_malformed(BatchProgram::from_bytes(&swapped)));
     }
 }

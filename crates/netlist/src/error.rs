@@ -222,15 +222,6 @@ pub enum BatchError {
     /// The run's [`CancelToken`](crate::CancelToken) was cancelled before
     /// the settling pass finished.
     Cancelled,
-    /// Serialized [`BatchProgram`](crate::batch::BatchProgram) bytes failed
-    /// validation: wrong magic, truncated, trailing garbage, or internally
-    /// inconsistent (a fanin referencing a later net, an unknown gate
-    /// kind). Deserialization never trusts its input — a corrupted cache
-    /// entry degrades to a recompile, not a wrong simulation.
-    MalformedProgram {
-        /// What failed to parse.
-        reason: &'static str,
-    },
     /// A sampling grid contains the same observation time twice, which
     /// would silently double-count that instant in every violation-rate
     /// and error reduction derived from the sweep.
@@ -269,9 +260,6 @@ impl fmt::Display for BatchError {
             BatchError::InvalidFault(e) => write!(f, "invalid batch fault set: {e}"),
             BatchError::InvalidBus(e) => write!(f, "invalid batch output bus: {e}"),
             BatchError::Cancelled => write!(f, "batch simulation cancelled"),
-            BatchError::MalformedProgram { reason } => {
-                write!(f, "malformed batch program bytes: {reason}")
-            }
             BatchError::DuplicateTs { ts } => {
                 write!(f, "sampling grid contains observation time {ts} more than once")
             }

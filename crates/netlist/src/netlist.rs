@@ -62,20 +62,6 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    /// All gate kinds, for iteration in reports.
-    pub const ALL: [GateKind; 10] = [
-        GateKind::Input,
-        GateKind::Const,
-        GateKind::Not,
-        GateKind::And,
-        GateKind::Or,
-        GateKind::Xor,
-        GateKind::Nand,
-        GateKind::Nor,
-        GateKind::Xnor,
-        GateKind::Mux,
-    ];
-
     /// True for gates that compute a function of other nets.
     #[must_use]
     pub fn is_logic(self) -> bool {

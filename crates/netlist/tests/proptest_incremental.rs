@@ -1,14 +1,11 @@
-//! Property tests for the dirty-cone incremental resimulation path and
-//! the serialized-program replay path.
+//! Property tests for the dirty-cone incremental resimulation path.
 //!
 //! `BatchProgram::run_incremental` promises bit-identity with a full
 //! pass for *any* stimulus/fault delta against *any* base run. These
 //! tests drive that promise over random netlists, random delay models
 //! (jittered placements included), and random dirty sets (lane-sparse input flips,
 //! added/removed fault plans, and the no-op delta), at both the legacy
-//! 64-lane word and the multi-word 128-lane block. A final block pins
-//! the memoization contract: a program decoded from its own byte image
-//! replays waveforms bit-identically to the freshly compiled original.
+//! 64-lane word and the multi-word 128-lane block.
 
 #![allow(clippy::unwrap_used)]
 
@@ -295,29 +292,5 @@ proptest! {
         incremental_bus_trial(&s, &bus_sel)?;
         let s = scenario::<LaneBlock<4>>(&rs, delay_sel, &wide, &flips, &base_faults, &new_faults);
         incremental_bus_trial(&s, &bus_sel)?;
-    }
-
-    /// Memoization replay contract: a program decoded from its own byte
-    /// image produces bit-identical waveforms to the fresh compile, so a
-    /// cache hit can never change simulation results.
-    #[test]
-    fn decoded_program_replays_bit_identically(
-        rs in recipes(),
-        delay_sel in 0u8..6,
-        lane_bits in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=16),
-    ) {
-        let nl = build_random_netlist(&rs);
-        let delay = delay_model(delay_sel);
-        let fresh = BatchProgram::compile(&nl, delay.as_ref()).unwrap();
-        let decoded = BatchProgram::from_bytes(&fresh.to_bytes()).unwrap();
-        prop_assert_eq!(decoded.to_bytes(), fresh.to_bytes(), "byte image is a fixpoint");
-
-        let prev_vecs: Vec<Vec<bool>> = lane_bits.iter().map(|&(p, _)| unpack(p, 0)).collect();
-        let new_vecs: Vec<Vec<bool>> = lane_bits.iter().map(|&(_, q)| unpack(q, 0)).collect();
-        let prev = LaneInputs::<u64>::pack(&prev_vecs).unwrap();
-        let new = LaneInputs::<u64>::pack(&new_vecs).unwrap();
-        let a = fresh.run(&prev, &new).unwrap();
-        let b = decoded.run(&prev, &new).unwrap();
-        assert_bit_identical(&nl, lane_bits.len() as u32, &a, &b)?;
     }
 }

@@ -428,7 +428,7 @@ proptest! {
         let nl = build_random_netlist(6, &rs);
         let delay = JitteredDelay::new(UnitDelay, amp, seed);
         let prog = BatchProgram::compile(&nl, &delay).unwrap();
-        prop_assert_eq!(BatchProgram::compile(&nl, &delay).unwrap().to_bytes(), prog.to_bytes());
+        prop_assert_eq!(BatchProgram::compile(&nl, &delay).unwrap(), prog);
         prop_assert_eq!(delay.cache_key(), Some(format!("jitter/{amp}/{seed}/unit/100")));
         prop_assert_ne!(JitteredDelay::new(UnitDelay, amp, seed ^ 1).cache_key(), delay.cache_key());
         prop_assert_ne!(JitteredDelay::new(UnitDelay, amp + 1, seed).cache_key(), delay.cache_key());
