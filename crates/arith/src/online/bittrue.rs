@@ -14,6 +14,10 @@
 //!                     └── P[j+1] = 2(W − z_j)     (top-digit recode + wires)
 //! ```
 //!
+//! The stage splits at `H`. Everything above it (`stage_operand_term`) is
+//! a function of the operands and `j` only; everything below it
+//! (`stage_residual`) also reads `P[j]`. [`om_stage`] is the composition.
+//!
 //! All vectors are borrow-save ([`BsVector`]); the residual update is the
 //! *top-digit recode*: only the digits covered by the selection estimate are
 //! rewritten, the tail passes through as wires. This is what makes the
@@ -52,8 +56,23 @@ fn recode_granularity(policy: Selection) -> i32 {
 /// `p_in` is the incoming residual `P[j]` (pass an empty vector for the
 /// first stage). Operand digits beyond position `j+δ+1` are not examined —
 /// exactly like the hardware's appending logic.
+///
+/// A stage has two halves, and this is their composition:
+/// `stage_operand_term` builds `H[j]` from the operands alone, and
+/// `stage_residual` adds the incoming residual, selects `z_j` and
+/// recodes `P[j+1]`. A caller that evaluates the same stage against many
+/// residuals (the stage-wave model) builds `H[j]` once and runs only the
+/// second half.
 #[must_use]
 pub fn om_stage(x: &SdNumber, y: &SdNumber, j: i32, p_in: &BsVector, policy: Selection) -> StageIo {
+    stage_residual(&stage_operand_term(x, y, j), p_in, policy)
+}
+
+/// The operand half of stage `j`: the appending logic, the two SDVMs and
+/// the online adder that give `H[j] = 2^-δ (A + B)`. It depends on
+/// `(x, y, j)` only, never on the residual.
+#[must_use]
+pub(crate) fn stage_operand_term(x: &SdNumber, y: &SdNumber, j: i32) -> BsVector {
     let delta = DELTA as i32;
     debug_assert!(j >= -delta && j < x.len() as i32);
     let idx = (j + delta + 1) as usize;
@@ -71,10 +90,16 @@ pub fn om_stage(x: &SdNumber, y: &SdNumber, j: i32, p_in: &BsVector, policy: Sel
 
     // H = 2^-δ (A + B); the online adder gives msd position 0, shifting by
     // δ moves it to position δ.
-    let h = bs_add(&a, &b).shifted(-(delta));
+    bs_add(&a, &b).shifted(-delta)
+}
 
+/// The residual half of a stage: `W = P[j] + H[j]`, the selection of
+/// `z_j`, and the top-digit recode `P[j+1] = 2(W − z_j)`. `h` is the
+/// stage's [`stage_operand_term`].
+#[must_use]
+pub(crate) fn stage_residual(h: &BsVector, p_in: &BsVector, policy: Selection) -> StageIo {
     // W = P + H.
-    let w = bs_add(p_in, &h);
+    let w = bs_add(p_in, h);
 
     // Selection.
     let t = recode_granularity(policy);

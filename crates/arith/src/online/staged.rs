@@ -13,8 +13,24 @@
 //!   product — identical to [`bittrue_mult`](crate::online::bittrue_mult);
 //! * wave `k = b < settling` ⇒ the overclocked sample, with exactly the
 //!   truncated-chain errors the paper's probabilistic model describes.
+//!
+//! [`StagedMultiplier::step`] and [`StagedMultiplier::sample`] are the
+//! reference: every stage recomputes on every wave. The methods that run
+//! to the fixpoint ([`history`](StagedMultiplier::history),
+//! [`sampled_values`](StagedMultiplier::sampled_values),
+//! [`settling_ticks`](StagedMultiplier::settling_ticks),
+//! [`settled`](StagedMultiplier::settled)) share one incremental loop that
+//! yields the same states. It hoists each stage's operand term
+//! `H[j] = 2^-δ(A + B)` out of the wave loop, since it depends only on the
+//! operands and `j`, and after the first wave it re-evaluates a stage only
+//! if its input residual changed on the previous wave. A residual change
+//! moves one stage per wave, so `p[s]` is final after `s` waves and every
+//! stage behind the wave front is skipped: on random operands the loop
+//! runs about half the residual evaluations of the full wave, and builds
+//! each `H[j]` once instead of once per wave.
 
-use crate::online::{bittrue::digits_value, om_stage, Selection, DELTA};
+use crate::online::bittrue::{digits_value, stage_operand_term, stage_residual};
+use crate::online::{om_stage, Selection, DELTA};
 use ola_redundant::{BsVector, Digit, SdNumber, Q};
 
 /// The unrolled multiplier viewed as a cascade of delay-μ stages.
@@ -114,24 +130,15 @@ impl StagedMultiplier {
     /// The fixpoint is always reached within `N + δ + 1` steps.
     #[must_use]
     pub fn history(&self) -> Vec<WaveState> {
-        let mut out = vec![self.initial()];
-        loop {
-            let next = self.step(out.last().expect("non-empty"));
-            if *out.last().expect("non-empty") == next {
-                return out;
-            }
-            out.push(next);
-            assert!(
-                out.len() <= self.stage_count() + 2,
-                "wave failed to settle within N + δ + 1 steps"
-            );
-        }
+        let mut out = Vec::new();
+        self.run_waves(|state, _| out.push(state.clone()));
+        out
     }
 
     /// The settled (timing-violation-free) state.
     #[must_use]
     pub fn settled(&self) -> WaveState {
-        self.history().pop().expect("history is never empty")
+        self.run_waves(|_, _| {})
     }
 
     /// Number of wave steps until the *output digits* stop changing — the
@@ -139,16 +146,80 @@ impl StagedMultiplier {
     /// Sampling with `b ≥ settling_ticks()` is error-free.
     #[must_use]
     pub fn settling_ticks(&self) -> usize {
-        let hist = self.history();
-        let final_z = hist.last().expect("non-empty").z.clone();
-        hist.iter().rposition(|s| s.z != final_z).map_or(0, |k| k + 1)
+        let (mut wave, mut last_change) = (0, 0);
+        self.run_waves(|_, z_changed| {
+            if z_changed {
+                last_change = wave;
+            }
+            wave += 1;
+        });
+        last_change
     }
 
     /// The per-tick sampled values: entry `b` is the output value when
     /// sampled after `b` waves. The last entry is the correct product.
     #[must_use]
     pub fn sampled_values(&self) -> Vec<Q> {
-        self.history().iter().map(WaveState::value).collect()
+        let mut out: Vec<Q> = Vec::new();
+        self.run_waves(|state, z_changed| {
+            let value = match out.last() {
+                Some(&last) if !z_changed => last,
+                _ => state.value(),
+            };
+            out.push(value);
+        });
+        out
+    }
+
+    /// The incremental wave loop behind [`history`](Self::history) and its
+    /// siblings. It calls `on_wave(state, z_changed)` for the reset state
+    /// and for every wave up to the fixpoint, where `z_changed` says
+    /// whether any output digit changed on that wave, then returns the
+    /// settled state.
+    ///
+    /// Each stage's operand term `H[j]` is built once. The first wave
+    /// evaluates every stage. After it, a stage runs only if its input
+    /// residual `p[s]` changed on the previous wave: the residual half of a
+    /// stage is a pure function of `(H[j], p[s])`, so a stage with an
+    /// unchanged input keeps its latched `p[s+1]` and `z[s]`. Stages run
+    /// from the last to the first, so stage `s` still reads the `p[s]` of
+    /// the previous wave when it overwrites `p[s+1]`. A wave that changes
+    /// nothing is the fixpoint. The result is the state sequence of
+    /// [`step`](Self::step), state for state.
+    fn run_waves(&self, mut on_wave: impl FnMut(&WaveState, bool)) -> WaveState {
+        let count = self.stage_count();
+        let delta = DELTA as i32;
+        let h: Vec<BsVector> =
+            (0..count).map(|s| stage_operand_term(&self.x, &self.y, s as i32 - delta)).collect();
+        let mut state = self.initial();
+        on_wave(&state, false);
+        // changed[s]: p[s] changed on the previous wave (p[0] never does).
+        let mut changed = vec![false; count + 1];
+        for wave in 1.. {
+            let (mut any_p, mut any_z) = (false, false);
+            for s in (0..count).rev() {
+                if wave > 1 && !changed[s] {
+                    changed[s + 1] = false;
+                    continue;
+                }
+                let io = stage_residual(&h[s], &state.p[s], self.policy);
+                changed[s + 1] = io.p_out != state.p[s + 1];
+                if changed[s + 1] {
+                    state.p[s + 1] = io.p_out;
+                    any_p = true;
+                }
+                if io.z != state.z[s] {
+                    state.z[s] = io.z;
+                    any_z = true;
+                }
+            }
+            if !(any_p || any_z) {
+                break;
+            }
+            assert!(wave <= count + 1, "wave failed to settle within N + δ + 1 steps");
+            on_wave(&state, any_z);
+        }
+        state
     }
 }
 

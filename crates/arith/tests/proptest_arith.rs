@@ -3,7 +3,9 @@
 //! conventional baselines.
 
 use ola_arith::conventional::TcFormat;
-use ola_arith::online::{bittrue_mult, bs_add, online_mult, Selection, StagedMultiplier};
+use ola_arith::online::{
+    bittrue_mult, bs_add, online_mult, Selection, StagedMultiplier, WaveState,
+};
 use ola_redundant::{BsVector, Digit, SdNumber, Q};
 use proptest::prelude::*;
 
@@ -77,6 +79,35 @@ proptest! {
         // weight 4·2^-(b-δ) in total (each |Δz| ≤ 2).
         let envelope = Q::new(4, 0) >> (b as u32).saturating_sub(4);
         prop_assert!((sampled - correct).abs() <= envelope);
+    }
+
+    /// The incremental wave loop behind `history`, `sampled_values` and
+    /// `settling_ticks` must reproduce the full-wave reference (`sample`)
+    /// state for state, under exact and estimated selection.
+    #[test]
+    fn incremental_waves_match_full_wave_reference(
+        (x, y) in sd_pair(16),
+        policy in prop_oneof![
+            Just(Selection::Exact),
+            Just(Selection::Estimate { frac_digits: 3 }),
+            Just(Selection::Estimate { frac_digits: 4 }),
+        ],
+    ) {
+        let sm = StagedMultiplier::new(x, y, policy);
+        let hist = sm.history();
+        for (k, state) in hist.iter().enumerate() {
+            prop_assert_eq!(state, &sm.sample(k), "wave {} of {:?}", k, policy);
+        }
+        // The last entry is the fixpoint of the full wave.
+        let last = hist.last().unwrap();
+        prop_assert_eq!(&sm.step(last), last);
+        prop_assert_eq!(&sm.settled(), last);
+        let values: Vec<Q> = hist.iter().map(WaveState::value).collect();
+        prop_assert_eq!(sm.sampled_values(), values);
+        // Settling time by its definition: one past the last wave whose
+        // digits differ from the settled digits.
+        let settle = hist.iter().rposition(|s| s.digits() != last.digits()).map_or(0, |k| k + 1);
+        prop_assert_eq!(sm.settling_ticks(), settle);
     }
 
     #[test]

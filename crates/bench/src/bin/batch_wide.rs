@@ -17,8 +17,7 @@
 //!
 //! Every arm folds its swept sample bits into a lane-order-canonical
 //! digest, so bit-identity across lane widths and resimulation
-//! strategies is checked, not assumed. Compare with the PR 2 baseline
-//! in `results/backend_speedup_batch_vs_event.csv`.
+//! strategies is checked, not assumed.
 //!
 //! ```sh
 //! cargo run --release -p ola-bench --bin batch_wide

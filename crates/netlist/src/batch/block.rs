@@ -117,8 +117,8 @@ impl LaneWord for u64 {
 /// A block of `W` lane words: `64·W` simulation lanes evaluated per pass.
 ///
 /// Lane `l` lives in word `l / 64`, bit `l % 64`. `LaneBlock<4>` carries
-/// 256 lanes, `LaneBlock<8>` carries 512 — see the
-/// [module docs](self) for the throughput rationale.
+/// 256 lanes, `LaneBlock<8>` carries 512. Wider blocks spread the engine's
+/// per-step bookkeeping over more lanes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LaneBlock<const W: usize>(pub [u64; W]);
 

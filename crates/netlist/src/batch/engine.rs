@@ -418,7 +418,7 @@ struct NetStats<B: LaneWord> {
 /// down. Waveforms are reference-counted so an incremental rerun
 /// ([`BatchProgram::run_incremental`]) can share every clean net's
 /// waveform with its base instead of copying it — per-net scan products
-/// ([`NetStats`]) ride along so counters need no rescan either.
+/// (`NetStats`) ride along so counters need no rescan either.
 #[derive(Clone, Debug)]
 pub struct LaneSimResult<B: LaneWord = u64> {
     lanes: u32,
@@ -621,7 +621,7 @@ impl BatchProgram {
     /// every net's scan products are folded as its waveform is produced and
     /// every other waveform is dropped after its last reader, so memory
     /// is bounded by the live frontier plus the bus (see the
-    /// [module docs](self)). The pass runs on `workers` threads (0 counts
+    /// [module docs](crate::batch)). The pass runs on `workers` threads (0 counts
     /// as 1; one worker spawns none). The bus waveforms, settle times, word
     /// steps and lane transitions equal those of a full run, for any
     /// worker count. Every worker polls `cancel` every
@@ -648,9 +648,9 @@ impl BatchProgram {
     }
 
     /// Reruns the engine against `base`, recomputing only the fanout cone
-    /// of what changed (see the [module docs](self) for the dirty-cone
-    /// algorithm). `base` must come from this program; `faults` is the
-    /// *complete* fault set of the new run (not a delta), compared
+    /// of what changed (see the [module docs](crate::batch) for the
+    /// dirty-cone algorithm). `base` must come from this program; `faults`
+    /// is the *complete* fault set of the new run (not a delta), compared
     /// per net against the base run's. The result is bit-identical to a
     /// full [`BatchProgram::run`] / [`BatchProgram::run_with_faults`]
     /// with the same arguments —

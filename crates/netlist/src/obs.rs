@@ -10,7 +10,7 @@
 //! Design constraints:
 //!
 //! * **Near-free when uninstalled.** The fast path is a single relaxed
-//!   atomic load (see [`with_observer`]); no observer means no virtual
+//!   atomic load (see `with_observer`); no observer means no virtual
 //!   call, no allocation, nothing.
 //! * **Deterministic payloads.** Every quantity handed to the observer is
 //!   simulation-domain (event counts, settle times in time units, lane
