@@ -27,7 +27,10 @@
 //! Campaigns run on the bit-parallel engine, which evaluates up to 256
 //! samples per pass on the narrowest lane word that holds them — each
 //! lane carrying a *different* fault plan
-//! ([`ola_netlist::batch::LaneFaultSet`]). [`CampaignConfig::backend`]
+//! ([`ola_netlist::batch::LaneFaultSet`]). The faulty pass is a sampled
+//! pass: it returns the output bus at the main and shadow register times
+//! only, and keeps only the steps that can still reach those registers
+//! ([`BatchProgram::run_bus_at`]). [`CampaignConfig::backend`]
 //! selects the event-driven reference oracle instead for tests and the
 //! `repro` cross-check; it draws the identical random stream and folds
 //! samples in the identical order, so the two engines produce
@@ -260,14 +263,14 @@ fn select_sites(netlist: &Netlist, cfg: &CampaignConfig) -> Vec<NetId> {
 /// `(acc, clean_bits, faulty_main_bits, faulty_shadow_bits)`.
 type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 
-/// One group of a fault site's batch sampling loop: a clean full pass,
-/// then a faulty pass derived from it *incrementally* — the inputs are
-/// identical, so [`BatchProgram::run_incremental_bus`] recomputes only the
-/// levelized fanout cone of each lane's fault site, shares the clean
-/// waveforms everywhere else, and keeps only the output bus. The result
-/// is bit-identical to a full faulty recompute (the engine's equivalence
-/// tests pin that down), so the campaign report cannot depend on which
-/// path produced it.
+/// One group of a fault site's batch sampling loop: a clean bus-only pass
+/// ([`BatchProgram::run_bus`]) for the settled correct bits, then a
+/// faulty pass carrying a different fault plan per lane that returns only
+/// the bus words at the main and shadow sample times
+/// ([`BatchProgram::run_bus_at`]). The sampled pass keeps only the steps
+/// of each net that can still reach a register at those times, and its
+/// words equal a full faulty pass's (the engine's property tests pin that
+/// down), so the campaign report cannot depend on which path produced it.
 struct SitePass<'a> {
     prog: &'a BatchProgram,
     wires: &'a [NetId],
@@ -288,22 +291,22 @@ impl GroupPass for SitePass<'_> {
         let prev =
             LaneInputs::<B>::zeros(prog.num_inputs(), lanes).expect("the group fits the lane word");
         let new = LaneInputs::<B>::pack(&vectors).expect("draw produces full vectors");
-        let clean = prog.run(&prev, &new).expect("shapes validated above");
+        let clean = prog.run_bus(&prev, &new, self.wires, None, 1).expect("shapes validated above");
         let faults = LaneFaultSet::<B>::compile(&plans, prog.num_nets())
             .expect("plans target in-range nets");
         let faulty = prog
-            .run_incremental_bus(&clean, &prev, &new, Some(&faults), self.wires)
-            .expect("fault set compiled against this program, bus nets exist");
-        let bus = faulty.bus();
+            .run_bus_at(&prev, &new, Some(&faults), self.wires, &[self.t_main, self.t_shadow])
+            .expect("fault set compiled against this program, bus nets exist, times distinct");
+        let sampled = faulty.sweep();
         for lane in 0..lanes {
             // Batch programs are compiled from validated DAGs, so no lane
             // can oscillate: `unsettled` stays 0, exactly as the event
             // path finds on these netlists.
             (self.record)(
                 acc,
-                &clean.final_bus(self.wires, lane),
-                &bus.sample_lane(lane, self.t_main),
-                &bus.sample_lane(lane, self.t_shadow),
+                &clean.bus().settled_lane(lane),
+                &sampled.lane_bits(0, lane),
+                &sampled.lane_bits(1, lane),
             );
         }
         acc.stats.vectors += u64::from(lanes);
@@ -360,11 +363,10 @@ where
 /// engine, each group on the narrowest lane word that holds it (64 or
 /// 256 lanes), or one at a time on the event-driven oracle when
 /// [`CampaignConfig::backend`] selects it. A batch group takes one clean
-/// pass, then one *incremental* pass carrying a different fault plan per
-/// lane — the faulty pass shares every input with the clean pass, so only
-/// each fault's fanout cone is recomputed, and it keeps only the output
-/// bus, which is all the main and shadow registers sample
-/// ([`BatchProgram::run_incremental_bus`]). Both paths share the same random
+/// bus-only pass for the settled output, then one *sampled* pass carrying
+/// a different fault plan per lane, which returns only the output bus at
+/// the main and shadow sample times and keeps only the steps that can
+/// reach those registers ([`BatchProgram::run_bus_at`]). Both paths share the same random
 /// stream (inputs drawn before the plan, sample for sample) and the same
 /// per-sample judgement (`record`), folded in sample order — so the
 /// reports are bit-identical.

@@ -34,7 +34,8 @@
 //!   one sink that drops unchanged words and, while the step's words are
 //!   in registers, adds its masked transitions and ORs the lanes it
 //!   changed into a tally. An inverter flips on every fanin step, so it
-//!   inherits its fanin's tally and counts nothing.
+//!   inherits its fanin's tally and counts nothing, unless a sampled pass
+//!   clips it.
 //! * **A bounded retire scan.** Settle times come from a backward scan of
 //!   each fresh waveform that retires every lane at its last change. It
 //!   starts from the active lanes that changed at all, so a lane that is
@@ -76,7 +77,8 @@
 //! recomputed net clean when its new waveform equals the base one (a fault
 //! that does not change behaviour, or a cone that reconverges), which
 //! prunes the fanout cone early. Setting `OLA_BATCH_CHECK_INCREMENTAL=1`
-//! cross-checks every incremental run against a full recompute.
+//! cross-checks every incremental run, and every sampled pass, against a
+//! full recompute.
 //!
 //! # Bus-only streaming
 //!
@@ -88,14 +90,45 @@
 //! last reader has been settled. Waveform memory is then bounded by the
 //! live frontier of the traversal plus the bus, not by every net of the
 //! netlist, while the counters and settle times equal those of a full
-//! [`BatchProgram::run`]. [`BatchProgram::run_incremental_bus`] streams a
-//! dirty-cone rerun the same way. `run_bus` takes a worker count; the
-//! others run on the calling thread.
+//! [`BatchProgram::run`]. `run_bus` takes a worker count; the other entry
+//! points run on the calling thread.
+//!
+//! # Sampled passes
+//!
+//! A fault campaign asks what its registers capture at two times only: the
+//! main register at the rated period and the Razor shadow a margin later.
+//! [`BatchProgram::run_bus_at`] answers for any set of sample times and
+//! stores only the steps that can still reach one of them.
+//!
+//! * **Spans.** One reverse pass over the program gives each net `n` its
+//!   least and greatest path delay `Dmin(n)`, `Dmax(n)` to a bus net (0
+//!   on a bus net), where a gate adds its least and greatest effective
+//!   delay `(base + push).max(1)` over its lane delay groups. For each
+//!   sample time `T` with `Dmin(n) ≤ T`, net `n` keeps the span
+//!   `[T − Dmax(n), T − Dmin(n)]`; a net with no path to the bus keeps
+//!   none.
+//! * **Clipping.** The emitter stores a step inside a span as it is. The
+//!   steps of one gap before a span collapse to the gap's last, which sets
+//!   the value entering that span, and steps after the last span are
+//!   dropped. A stored step still differs from the one before it.
+//! * **Exactness.** A clipped waveform equals the full one at every time
+//!   inside its spans. A gate whose output is read at time `t` reads its
+//!   fanins at `t − d`, for a delay `d` of one of its delay groups, and
+//!   `Dmin`/`Dmax` make every fanin's spans cover the reader's shifted by
+//!   every such `d`. By induction from the inputs, every value an
+//!   in-span output depends on is exact, and a bus net's spans hold its
+//!   sample times. Step times that saturate at `u64::MAX` fall outside
+//!   this argument; no sample time comes near them.
+//!
+//! The pass returns only the bus words at the sample times, so nothing can
+//! read a clipped waveform at a time it did not ask for. Its word steps and
+//! lane transitions count the steps it kept, and it reports no settle
+//! times.
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
 use crate::batch::program::{BatchProgram, LaneInputs};
-use crate::batch::sampler::LaneBusWaves;
+use crate::batch::sampler::{sorted_distinct, LaneBusWaves, LaneTsSweep};
 use crate::batch::wave::Wave;
 use crate::cancel::CancelToken;
 use crate::{BatchError, GateKind, NetId, NetlistError};
@@ -139,17 +172,28 @@ struct Tally<B: LaneWord> {
 /// waveforms never reallocate, and grows by a quarter when full, so one
 /// that outgrows its hint overshoots by at most a quarter rather than
 /// doubling.
-struct Emit<B: LaneWord> {
+///
+/// A sampled pass clips the waveform to its net's spans (see the
+/// [module docs](self)): a step inside a span is kept, and the steps of
+/// one gap before a span collapse to the gap's last, the value entering
+/// that span. Steps after the last span are dropped.
+struct Emit<'s, B: LaneWord> {
     delay: u64,
     mask: B,
     initial: B,
     last: B,
     steps: Vec<(u64, B)>,
     tally: Tally<B>,
+    /// The spans to keep, sorted and disjoint.
+    clip: Clip<'s>,
+    /// The first span not yet passed.
+    next: usize,
+    /// The last step of the gap before span `next`, not yet stored.
+    pending: Option<(u64, B)>,
 }
 
-impl<B: LaneWord> Emit<B> {
-    fn new(initial: B, delay: u64, mask: B, capacity: usize) -> Self {
+impl<'s, B: LaneWord> Emit<'s, B> {
+    fn new(initial: B, delay: u64, mask: B, capacity: usize, clip: Clip<'s>) -> Self {
         Emit {
             delay,
             mask,
@@ -157,11 +201,40 @@ impl<B: LaneWord> Emit<B> {
             last: initial,
             steps: Vec::with_capacity(capacity),
             tally: Tally::default(),
+            clip,
+            next: 0,
+            pending: None,
         }
     }
 
     #[inline]
     fn push(&mut self, t: u64, word: B) {
+        let t = t.saturating_add(self.delay);
+        match self.clip {
+            None => self.store(t, word),
+            Some(spans) => self.push_clipped(spans, t, word),
+        }
+    }
+
+    fn push_clipped(&mut self, spans: &[(u64, u64)], t: u64, word: B) {
+        // A step at or past the next span's start ends the gap before it.
+        if spans.get(self.next).is_some_and(|&(start, _)| t >= start) {
+            if let Some((tp, wp)) = self.pending.take() {
+                self.store(tp, wp);
+            }
+        }
+        while spans.get(self.next).is_some_and(|&(_, end)| end < t) {
+            self.next += 1;
+        }
+        match spans.get(self.next) {
+            None => {}
+            Some(&(start, _)) if t >= start => self.store(t, word),
+            Some(_) => self.pending = Some((t, word)),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, t: u64, word: B) {
         let flips = word.xor(self.last);
         if !flips.is_zero() {
             self.last = word;
@@ -170,14 +243,21 @@ impl<B: LaneWord> Emit<B> {
             if self.steps.len() == self.steps.capacity() {
                 self.steps.reserve_exact(self.steps.len() / 4 + 8);
             }
-            self.steps.push((t.saturating_add(self.delay), word));
+            self.steps.push((t, word));
         }
     }
 
-    fn finish(self) -> (Wave<B>, Tally<B>) {
+    fn finish(mut self) -> (Wave<B>, Tally<B>) {
+        // A held step always precedes a span, which it enters.
+        if let Some((t, word)) = self.pending.take() {
+            self.store(t, word);
+        }
         (Wave { initial: self.initial, steps: self.steps }, self.tally)
     }
 }
+
+/// The spans a waveform is clipped to: `None` keeps every step.
+type Clip<'s> = Option<&'s [(u64, u64)]>;
 
 /// An inverter's waveform: every fanin step, inverted and shifted by
 /// `delay`. Each fanin step differs from the one before it, so each one
@@ -244,11 +324,12 @@ fn mux<B: LaneWord>(ins: [&Wave<B>; 3], out: &mut Emit<B>) {
     }
 }
 
-/// A gate's waveform with every lane shifted by `delay`, and its tally.
-/// `fanin_tally` is the tally of the first fanin, which an inverter
-/// inherits. Each kind runs a kernel monomorphized for its function and
-/// arity. The capacity hint is the busiest fanin's step count: a gate's
-/// output usually changes about as often as that fanin.
+/// A gate's waveform with every lane shifted by `delay`, clipped to
+/// `clip`, and its tally. `fanin_tally` is the tally of the first fanin,
+/// which an unclipped inverter inherits. Each kind runs a kernel
+/// monomorphized for its function and arity. The capacity hint is the
+/// busiest fanin's step count: a gate's output usually changes about as
+/// often as that fanin.
 fn kernel<B: LaneWord>(
     kind: GateKind,
     ins: &[&Wave<B>],
@@ -256,13 +337,15 @@ fn kernel<B: LaneWord>(
     delay: u64,
     mask: B,
     fanin_tally: Tally<B>,
+    clip: Clip<'_>,
 ) -> (Wave<B>, Tally<B>) {
-    if let (GateKind::Not, &[a]) = (kind, ins) {
+    if let (GateKind::Not, &[a], None) = (kind, ins, clip) {
         return (invert(a, init, delay), fanin_tally);
     }
     let hint = ins.iter().map(|w| w.steps.len()).max().unwrap_or(0);
-    let mut out = Emit::new(init, delay, mask, hint);
+    let mut out = Emit::new(init, delay, mask, hint, clip);
     match (kind, ins) {
+        (GateKind::Not, &[a]) => a.steps.iter().for_each(|&(t, w)| out.push(t, w.not())),
         (GateKind::And, &[a, b]) => binary(a, b, B::and, &mut out),
         (GateKind::Or, &[a, b]) => binary(a, b, B::or, &mut out),
         (GateKind::Xor, &[a, b]) => binary(a, b, B::xor, &mut out),
@@ -277,8 +360,14 @@ fn kernel<B: LaneWord>(
 
 /// The input waveform: lanes switch from their previous to their new bit at
 /// their delay-push time (0 without faults). Groups are sorted by push.
-fn input_wave<B: LaneWord>(prev: B, new: B, groups: &[(u64, B)], mask: B) -> (Wave<B>, Tally<B>) {
-    let mut out = Emit::new(prev, 0, mask, groups.len());
+fn input_wave<B: LaneWord>(
+    prev: B,
+    new: B,
+    groups: &[(u64, B)],
+    mask: B,
+    clip: Clip<'_>,
+) -> (Wave<B>, Tally<B>) {
+    let mut out = Emit::new(prev, 0, mask, groups.len(), clip);
     let mut word = prev;
     let mut i = 0;
     while i < groups.len() {
@@ -294,13 +383,21 @@ fn input_wave<B: LaneWord>(prev: B, new: B, groups: &[(u64, B)], mask: B) -> (Wa
     out.finish()
 }
 
-/// One gate's raw output waveform from its fanin waveforms.
+/// The effective delay of a gate of raw delay `base` on the lanes pushed
+/// by `push`.
+fn effective_delay(base: u64, push: u64) -> u64 {
+    base.saturating_add(push).max(1)
+}
+
+/// One gate's raw output waveform from its fanin waveforms, clipped to
+/// `clip`.
 ///
 /// With one delay for every lane (the fault-free case) the function stream
 /// is emitted already shifted by `(base + push).max(1)`. Per-lane delay
 /// pushes first build the unshifted function stream; each delay group `g`
 /// then shifts it by its own effective delay and contributes its lanes,
 /// and the group streams are k-way merged back into one waveform.
+#[allow(clippy::too_many_arguments)] // internal: one gate's whole context
 fn gate_wave<B: LaneWord>(
     kind: GateKind,
     ins: &[&Wave<B>],
@@ -309,18 +406,19 @@ fn gate_wave<B: LaneWord>(
     groups: &[(u64, B)],
     mask: B,
     fanin_tally: Tally<B>,
+    clip: Clip<'_>,
 ) -> (Wave<B>, Tally<B>) {
-    let delay = |push: u64| base_delay.saturating_add(push).max(1);
+    let delay = |push: u64| effective_delay(base_delay, push);
     if let [(push, _)] = groups {
-        return kernel(kind, ins, init, delay(*push), mask, fanin_tally);
+        return kernel(kind, ins, init, delay(*push), mask, fanin_tally, clip);
     }
 
-    let (fstream, _) = kernel(kind, ins, init, 0, mask, fanin_tally);
+    let (fstream, _) = kernel(kind, ins, init, 0, mask, fanin_tally, None);
     let fstream = fstream.steps;
     let ds: Vec<u64> = groups.iter().map(|&(push, _)| delay(push)).collect();
     let mut cursors = vec![0usize; groups.len()];
     let mut words: Vec<B> = groups.iter().map(|&(_, lanes)| init.and(lanes)).collect();
-    let mut out = Emit::new(init, 0, mask, fstream.len());
+    let mut out = Emit::new(init, 0, mask, fstream.len(), clip);
     loop {
         let mut t_next = u64::MAX;
         let mut any = false;
@@ -349,10 +447,15 @@ fn gate_wave<B: LaneWord>(
 }
 
 /// Applies the per-lane observation transform (stuck bits, transient
-/// windows) to a raw waveform: candidate change times are the raw step
-/// times plus the window boundaries, and at each the observed word is
-/// `((raw ^ flips) & !stuck_mask) | stuck_vals`.
-fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, mask: B) -> (Wave<B>, Tally<B>) {
+/// windows) to a raw waveform, clipped to `clip`: candidate change times
+/// are the raw step times plus the window boundaries, and at each the
+/// observed word is `((raw ^ flips) & !stuck_mask) | stuck_vals`.
+fn observe_wave<B: LaneWord>(
+    raw: &Wave<B>,
+    f: &LaneFaults<B>,
+    mask: B,
+    clip: Clip<'_>,
+) -> (Wave<B>, Tally<B>) {
     let init = f.observe_initial(raw.initial);
     let mut times: Vec<u64> = raw.steps.iter().map(|&(t, _)| t).collect();
     for &(start, end, _) in &f.windows {
@@ -362,7 +465,7 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, mask: B) -> (Wave
     times.sort_unstable();
     times.dedup();
 
-    let mut out = Emit::new(init, 0, mask, times.len());
+    let mut out = Emit::new(init, 0, mask, times.len(), clip);
     let mut cur_raw = raw.initial;
     let mut ci = 0usize;
     for &t in &times {
@@ -385,9 +488,9 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, mask: B) -> (Wave
     out.finish()
 }
 
-/// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every incremental run to
-/// be cross-checked against a full recompute.
-fn incremental_check_enabled() -> bool {
+/// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every incremental and
+/// sampled pass to be cross-checked against a full recompute.
+fn cross_check_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
         std::env::var("OLA_BATCH_CHECK_INCREMENTAL")
@@ -578,6 +681,37 @@ impl<B: LaneWord> LaneBusResult<B> {
     }
 }
 
+/// What the sampled bus pass ([`BatchProgram::run_bus_at`]) returns: the
+/// bus words at the requested times, and the word steps and lane
+/// transitions the pass kept. Its clipped waveforms are exact only at
+/// those times, so none is exposed.
+#[derive(Clone, Debug)]
+pub struct LaneBusSamples<B: LaneWord = u64> {
+    sweep: LaneTsSweep<B>,
+    word_steps: u64,
+    lane_transitions: u64,
+}
+
+impl<B: LaneWord> LaneBusSamples<B> {
+    /// The bus words at each requested time, in the requested order.
+    #[must_use]
+    pub fn sweep(&self) -> &LaneTsSweep<B> {
+        &self.sweep
+    }
+
+    /// Word-level steps the pass kept across all nets.
+    #[must_use]
+    pub fn word_steps(&self) -> u64 {
+        self.word_steps
+    }
+
+    /// Per-lane transitions across active lanes in the steps the pass kept.
+    #[must_use]
+    pub fn lane_transitions(&self) -> u64 {
+        self.lane_transitions
+    }
+}
+
 impl BatchProgram {
     /// Runs the batch engine for the input switch `prev → new` (applied at
     /// `t = 0`), fault-free. Generic over the lane word: `u64` batches run
@@ -673,7 +807,7 @@ impl BatchProgram {
         let stim = Stimulus { prev, new, faults, base: Some(base) };
         let pass = self.settle(stim, Retain::All, None, 1)?;
         let result = pass.into_result(prev, new, faults);
-        if incremental_check_enabled() {
+        if cross_check_enabled() {
             let full = self.run_inner(prev, new, faults)?;
             for i in 0..self.num_nets() {
                 assert_eq!(
@@ -685,50 +819,56 @@ impl BatchProgram {
         Ok(result)
     }
 
-    /// The bus-only counterpart of [`BatchProgram::run_incremental`]: the
-    /// same dirty-cone rerun against `base`, keeping only the waveforms of
-    /// `bus` as [`BatchProgram::run_bus`] does. Shared clean waveforms stay
-    /// owned by `base`; every recomputed interior waveform is dropped after
-    /// its last reader, so a faulty pass costs the fault cone's live
-    /// frontier rather than the whole cone. The pass runs on the calling
-    /// thread. The bus waveforms, settle times, word steps and lane
-    /// transitions equal those of a full [`BatchProgram::run_with_faults`]
-    /// with the same arguments — property-tested, and cross-checked on
-    /// every call when `OLA_BATCH_CHECK_INCREMENTAL=1`.
+    /// Runs the engine, with `faults` if given, and returns only the words
+    /// of `bus` at each of `times`, in the given order: what registers
+    /// clocked at those times capture. Every net's waveform is clipped to
+    /// the spans in which it can still reach a register at one of `times`:
+    /// `[T − Dmax, T − Dmin]` for each `T`, where `D` is the net's path
+    /// delay to the bus over every lane delay group. So the pass stores
+    /// far fewer steps than [`BatchProgram::run_bus`] does. The words equal
+    /// `run_with_faults(…).bus_waves(bus).try_sweep(times)` —
+    /// property-tested, and cross-checked on every call when
+    /// `OLA_BATCH_CHECK_INCREMENTAL=1`. The pass runs on the calling
+    /// thread.
+    ///
+    /// Its word steps and lane transitions count the steps it kept, not
+    /// the whole settling history, and it reports no settle times.
     ///
     /// # Errors
     ///
-    /// As for [`BatchProgram::run_incremental`], plus
+    /// As for [`BatchProgram::run`], plus [`BatchError::InvalidFault`] if
+    /// `faults` was compiled against a different netlist size,
     /// [`BatchError::InvalidBus`] naming the first bus net outside the
-    /// netlist.
-    pub fn run_incremental_bus<B: LaneWord>(
+    /// netlist, and [`BatchError::DuplicateTs`] naming the first time
+    /// `times` holds twice.
+    pub fn run_bus_at<B: LaneWord>(
         &self,
-        base: &LaneSimResult<B>,
         prev: &LaneInputs<B>,
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
         bus: &[NetId],
-    ) -> Result<LaneBusResult<B>, BatchError> {
-        self.check_incremental(base, prev, faults)?;
-        let on_bus = self.bus_mask(bus)?;
-        let stim = Stimulus { prev, new, faults, base: Some(base) };
-        let pass = self.settle(stim, Retain::Bus(&on_bus), None, 1)?;
-        let result = pass.into_bus_result(bus);
-        if incremental_check_enabled() {
-            let full = self.run_inner(prev, new, faults)?;
-            let full_bus = full.bus_waves(bus).expect("bus validated above");
-            assert!(
-                result.bus == full_bus
-                    && result.settle == full.settle
-                    && result.word_steps == full.word_steps
-                    && result.lane_transitions == full.lane_transitions,
-                "incremental bus/full divergence (OLA_BATCH_CHECK_INCREMENTAL)"
-            );
+        times: &[u64],
+    ) -> Result<LaneBusSamples<B>, BatchError> {
+        if let Some(fs) = faults {
+            self.check_faults(fs)?;
         }
-        Ok(result)
+        let on_bus = self.bus_mask(bus)?;
+        let spans = Spans::new(self, &on_bus, faults, &sorted_distinct(times)?);
+        let stim = Stimulus { prev, new, faults, base: None };
+        let pass = self.settle(stim, Retain::Sampled(&on_bus, &spans), None, 1)?;
+        let word_steps = pass.fold.word_steps;
+        let lane_transitions = pass.fold.lane_transitions;
+        let sweep = pass.into_bus_result(bus).bus.sweep(times);
+        if cross_check_enabled() {
+            let full = self.run_inner(prev, new, faults)?;
+            let want = full.bus_waves(bus).expect("bus validated above").sweep(times);
+            assert!(sweep == want, "sampled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
+        }
+        Ok(LaneBusSamples { sweep, word_steps, lane_transitions })
     }
 
-    /// Flags the nets of `bus` for a [`Retain::Bus`] pass.
+    /// Flags the nets of `bus` for a [`Retain::Bus`] or [`Retain::Sampled`]
+    /// pass.
     fn bus_mask(&self, bus: &[NetId]) -> Result<Vec<bool>, BatchError> {
         let len = self.num_nets();
         let mut on_bus = vec![false; len];
@@ -789,10 +929,11 @@ impl BatchProgram {
         Ok(prev.lanes)
     }
 
-    /// Net `i`'s waveform from its fanins' waveforms `ins`, together with
-    /// the tally its emitter counted under the active-lane `mask`.
-    /// `fanin_tally` is the first fanin's tally, which an inverter inherits.
-    /// A gate's initial word is its function of its fanins' initial words.
+    /// Net `i`'s waveform from its fanins' waveforms `ins`, clipped to
+    /// `clip`, together with the tally its emitter counted under the
+    /// active-lane `mask`. `fanin_tally` is the first fanin's tally, which
+    /// an inverter inherits. A gate's initial word is its function of its
+    /// fanins' initial words.
     fn net_wave<B: LaneWord>(
         &self,
         i: usize,
@@ -800,6 +941,7 @@ impl BatchProgram {
         ins: &[&Wave<B>],
         fanin_tally: Tally<B>,
         mask: B,
+        clip: Clip<'_>,
     ) -> (Wave<B>, Tally<B>) {
         let lane_faults = stim.faults.map(|fs| &fs.nets[i]);
         let no_fault_groups = [(0u64, B::ONES)];
@@ -814,18 +956,33 @@ impl BatchProgram {
         let (raw, tally) = match self.kinds[i] {
             GateKind::Input => {
                 let slot = self.input_slot(i);
-                input_wave(stim.prev.words[slot], stim.new.words[slot], groups, mask)
+                input_wave(stim.prev.words[slot], stim.new.words[slot], groups, mask, clip)
             }
             GateKind::Const => (Wave::constant(B::splat(self.const_ones[i])), Tally::default()),
             kind => {
                 let init = |k: usize| ins.get(k).map_or(B::ZERO, |w| w.initial);
                 let raw_init = eval_word(kind, init(0), init(1), init(2));
-                gate_wave(kind, ins, raw_init, self.delays[i], groups, mask, fanin_tally)
+                gate_wave(kind, ins, raw_init, self.delays[i], groups, mask, fanin_tally, clip)
             }
         };
         match lane_faults {
-            Some(f) if !f.observe_is_identity() => observe_wave(&raw, f, mask),
+            Some(f) if !f.observe_is_identity() => observe_wave(&raw, f, mask, clip),
             _ => (raw, tally),
+        }
+    }
+
+    /// The least and greatest effective delay of gate `i` over its lane
+    /// delay groups under `faults`.
+    fn delay_range<B: LaneWord>(&self, i: usize, faults: Option<&LaneFaultSet<B>>) -> (u64, u64) {
+        let base = self.delays[i];
+        match faults.map(|fs| &fs.nets[i]) {
+            Some(f) if !f.pushes.is_empty() => {
+                f.delay_groups().iter().fold((u64::MAX, 0), |(lo, hi), &(push, _)| {
+                    let d = effective_delay(base, push);
+                    (lo.min(d), hi.max(d))
+                })
+            }
+            _ => (effective_delay(base, 0), effective_delay(base, 0)),
         }
     }
 
@@ -912,6 +1069,9 @@ enum Retain<'a> {
     /// Only the nets flagged here; every other waveform is dropped once its
     /// last reader has been settled.
     Bus(&'a [bool]),
+    /// As `Bus`, with every waveform clipped to its net's [`Spans`] and no
+    /// settle times.
+    Sampled(&'a [bool], &'a Spans),
 }
 
 impl Retain<'_> {
@@ -919,8 +1079,74 @@ impl Retain<'_> {
     fn keeps(self, i: usize) -> bool {
         match self {
             Retain::All => true,
-            Retain::Bus(on_bus) => on_bus[i],
+            Retain::Bus(on_bus) | Retain::Sampled(on_bus, _) => on_bus[i],
         }
+    }
+
+    /// The spans net `i`'s waveform is clipped to.
+    fn clip(&self, i: usize) -> Clip<'_> {
+        match self {
+            Retain::Sampled(_, spans) => Some(spans.of(i)),
+            Retain::All | Retain::Bus(_) => None,
+        }
+    }
+}
+
+/// The spans of each net's waveform a sampled pass keeps. `D(n)` is the
+/// path delay from net `n`'s output to a bus net, over every path and every
+/// lane delay group (0 on a bus net). For each sample time `T` with
+/// `Dmin(n) ≤ T`, net `n` keeps `[T − Dmax(n), T − Dmin(n)]`; overlapping
+/// spans merge. A net with no path to the bus keeps none.
+struct Spans {
+    /// Net `i`'s spans are `spans[at[i]..at[i + 1]]`.
+    at: Vec<u32>,
+    spans: Vec<(u64, u64)>,
+}
+
+impl Spans {
+    /// One reverse pass over `prog` (readers have higher net ids than
+    /// their fanins) for the sorted sample `times`.
+    fn new<B: LaneWord>(
+        prog: &BatchProgram,
+        on_bus: &[bool],
+        faults: Option<&LaneFaultSet<B>>,
+        times: &[u64],
+    ) -> Spans {
+        let n = prog.num_nets();
+        let mut reach: Vec<Option<(u64, u64)>> =
+            on_bus.iter().map(|&b| b.then_some((0, 0))).collect();
+        for r in (0..n).rev() {
+            let Some((lo, hi)) = reach[r] else { continue };
+            if prog.arity(r) == 0 {
+                continue;
+            }
+            let (d_lo, d_hi) = prog.delay_range(r, faults);
+            let (lo, hi) = (lo.saturating_add(d_lo), hi.saturating_add(d_hi));
+            for f in prog.fanins(r) {
+                reach[f] = Some(reach[f].map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+        }
+        let mut at = Vec::with_capacity(n + 1);
+        let mut spans: Vec<(u64, u64)> = Vec::new();
+        at.push(0);
+        for d in reach {
+            let first = spans.len();
+            if let Some((lo, hi)) = d {
+                for &t in times.iter().filter(|&&t| t >= lo) {
+                    let (start, end) = (t.saturating_sub(hi), t - lo);
+                    match spans[first..].last_mut() {
+                        Some(last) if start <= last.1 => last.1 = end,
+                        _ => spans.push((start, end)),
+                    }
+                }
+            }
+            at.push(spans.len() as u32);
+        }
+        Spans { at, spans }
+    }
+
+    fn of(&self, i: usize) -> &[(u64, u64)] {
+        &self.spans[self.at[i] as usize..self.at[i + 1] as usize]
     }
 }
 
@@ -1183,7 +1409,8 @@ impl<B: LaneWord> Pass<'_, B> {
         let fresh = if clean {
             None
         } else {
-            let (wave, tally) = prog.net_wave(i, stim, refs, fanin_tally, self.mask);
+            let clip = self.retain.clip(i);
+            let (wave, tally) = prog.net_wave(i, stim, refs, fanin_tally, self.mask, clip);
             (!stim.base.is_some_and(|b| wave == *b.waves[i])).then_some((wave, tally))
         };
         let (wave, tally, dirty, stats) = match (fresh, stim.base) {
@@ -1235,7 +1462,8 @@ impl Fold {
     /// since a later incremental rerun folds it into *its* settle times. A
     /// [`Retain::Bus`] pass folds as it scans and stops at this worker's
     /// settle floor: the merged settle times are per-lane maxima, so they
-    /// are at least this worker's.
+    /// are at least this worker's. A [`Retain::Sampled`] pass reports no
+    /// settle times and scans nothing.
     fn fresh<B: LaneWord>(
         &mut self,
         wave: &Wave<B>,
@@ -1259,6 +1487,7 @@ impl Fold {
                 retire_scan(wave, lanes, Some(floor), |t, l| self.settle.raise(t, l));
                 None
             }
+            Retain::Sampled(..) => None,
         }
     }
 
@@ -1306,7 +1535,8 @@ impl<B: LaneWord> Settled<B> {
         }
     }
 
-    /// Assembles the result of a [`Retain::Bus`] pass over `bus`.
+    /// Assembles the result of a [`Retain::Bus`] or [`Retain::Sampled`]
+    /// pass over `bus`.
     fn into_bus_result(mut self, bus: &[NetId]) -> LaneBusResult<B> {
         let waves = bus
             .iter()
@@ -1866,13 +2096,13 @@ mod tests {
             .map(|(net, l)| res.lane_waveform(net, l).len())
             .sum();
         assert_eq!(res.lane_transitions(), listed as u64);
-        // The same through a 128-lane word and a bus-only dirty-cone rerun.
+        // The same through a 128-lane word and a dirty-cone rerun.
         let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
         let (prev, new) =
             (WideInputs::<2>::pack(&prevs).unwrap(), WideInputs::<2>::pack(&news).unwrap());
         let fs = WideFaultSet::<2>::compile(&plans, nl.len()).unwrap();
         let base = prog.run(&prev, &new).unwrap();
-        let rerun = prog.run_incremental_bus(&base, &prev, &new, Some(&fs), &[z]).unwrap();
+        let rerun = prog.run_incremental(&base, &prev, &new, Some(&fs)).unwrap();
         assert_eq!(rerun.settle_times(), clean.settle_times());
         assert_eq!(rerun.lane_transitions(), clean.lane_transitions());
     }
@@ -1919,6 +2149,58 @@ mod tests {
         retire_scan(&wave, 0b11, None, |t, l| full.raise(t, l));
         assert_eq!(floored.times, full.times);
         assert_eq!(floored.floor(), U);
+    }
+
+    #[test]
+    fn clipped_emitter_keeps_spans_and_the_value_entering_each() {
+        // Two spans. The gap before the first holds two steps, the gap
+        // between them two more, and the step at 45 is the second span's
+        // only one: the first gap's last step must still enter the first
+        // span, though the next step lands past it.
+        let spans = [(10, 20), (40, 50)];
+        let stream = [(2, 1u64), (5, 3), (25, 7), (30, 6), (45, 4), (60, 5)];
+        let mut full = Emit::new(0u64, 0, u64::MAX, 0, None);
+        let mut clipped = Emit::new(0u64, 0, u64::MAX, 0, Some(&spans));
+        for (t, w) in stream {
+            full.push(t, w);
+            clipped.push(t, w);
+        }
+        let ((full, _), (wave, tally)) = (full.finish(), clipped.finish());
+        assert_eq!(wave.steps, [(5, 3), (30, 6), (45, 4)]);
+        assert_eq!(tally.transitions, 2 + 2 + 1, "only kept steps count");
+        for t in [10, 15, 20, 40, 44, 45, 50] {
+            assert_eq!(wave.word_at(t), full.word_at(t), "t {t}");
+        }
+        // No span keeps nothing; a step equal to the last kept is dropped.
+        let mut none = Emit::new(0u64, 3, u64::MAX, 0, Some(&[]));
+        stream.iter().for_each(|&(t, w)| none.push(t, w));
+        assert!(none.finish().0.steps.is_empty());
+        let mut same = Emit::new(0u64, 0, u64::MAX, 0, Some(&spans));
+        [(5, 1), (8, 0), (12, 0)].iter().for_each(|&(t, w)| same.push(t, w));
+        assert!(same.finish().0.steps.is_empty());
+    }
+
+    #[test]
+    fn spans_follow_path_delays_through_delay_push_groups() {
+        // a → n1 → z, inverters of delay U, plus an unread input b. One
+        // lane pushes `z` by 3U, so `z` reads its fanin U to 4U earlier.
+        let mut nl = Netlist::new();
+        let (a, b) = (nl.input("a"), nl.input("b"));
+        let n1 = nl.not(a);
+        let z = nl.not(n1);
+        nl.set_output("z", vec![z]);
+        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
+        let mut on_bus = vec![false; nl.len()];
+        on_bus[z.index()] = true;
+        let plans = [FaultPlan::new(), FaultPlan::new().delay_push(z, 3 * U)];
+        let fs = BatchFaultSet::compile(&plans, nl.len()).unwrap();
+        let spans = Spans::new(&prog, &on_bus, Some(&fs), &[0, 5 * U]);
+        assert_eq!(spans.of(z.index()), [(0, 0), (5 * U, 5 * U)]);
+        assert_eq!(spans.of(n1.index()), [(U, 4 * U)], "no span at time 0");
+        assert_eq!(spans.of(a.index()), [(0, 3 * U)]);
+        assert!(spans.of(b.index()).is_empty(), "b reaches no register");
+        let clean = Spans::new(&prog, &on_bus, None::<&BatchFaultSet>, &[5 * U]);
+        assert_eq!(clean.of(a.index()), [(3 * U, 3 * U)]);
     }
 
     /// A layered netlist of every gate kind, `width` nets wide and `depth`
@@ -1973,8 +2255,9 @@ mod tests {
 
     /// Settles the pass of every entry point at 1, 2 and 3 workers on
     /// `lanes` lanes of word `B`: full, faulty (delay pushes, transients,
-    /// stuck bits), incremental against a clean and a faulty base, and
-    /// their bus-only forms. Every report equals the one-worker report.
+    /// stuck bits), incremental against a clean and a faulty base, their
+    /// bus-only forms, and a sampled faulty pass. Every report equals the
+    /// one-worker report.
     fn assert_workers_agree<B: LaneWord>(nl: &Netlist, prog: &BatchProgram, lanes: usize) {
         let width = prog.num_inputs();
         let prev = LaneInputs::<B>::pack(&vectors(lanes, width, 1)).unwrap();
@@ -2003,6 +2286,7 @@ mod tests {
         for net in nl.output("z") {
             on_bus[net.index()] = true;
         }
+        let spans = Spans::new(prog, &on_bus, Some(&fs), &[400, 900]);
         let prev = &prev;
         let cases = [
             (Stimulus { prev, new: &new, faults: None, base: None }, Retain::All),
@@ -2017,6 +2301,10 @@ mod tests {
             (
                 Stimulus { prev, new: &moved, faults: None, base: Some(&faulty) },
                 Retain::Bus(&on_bus),
+            ),
+            (
+                Stimulus { prev, new: &new, faults: Some(&fs), base: None },
+                Retain::Sampled(&on_bus, &spans),
             ),
         ];
         for (case, &(stim, retain)) in cases.iter().enumerate() {

@@ -35,7 +35,11 @@
 //!    recomputing only the levelized fanout cone of the nets whose
 //!    stimulus (input words or fault state) changed — clean nets share
 //!    their waveforms with the base run by reference;
-//!    [`BatchProgram::run_incremental_bus`] is its bus-only form.
+//! 6. [`BatchProgram::run_bus_at`] answers the question for a few fixed
+//!    sample times only, as a fault campaign's main and shadow registers
+//!    ask it: every net keeps just the steps that can still reach a
+//!    sampled register, and the pass returns the bus words at those times
+//!    ([`LaneBusSamples`]).
 //!
 //! Exactness is the point, not an approximation: under transport-delay
 //! semantics with per-gate constant delays, `out(t + d) = f(inputs(t))`,
@@ -76,7 +80,7 @@ mod sampler;
 mod wave;
 
 pub use block::{LaneBlock, LaneWord};
-pub use engine::{BatchSimResult, LaneBusResult, LaneSimResult, WideSimResult};
+pub use engine::{BatchSimResult, LaneBusResult, LaneBusSamples, LaneSimResult, WideSimResult};
 pub use fault::{BatchFaultSet, LaneFaultSet, WideFaultSet};
 pub use program::{BatchInputs, BatchProgram, LaneInputs, WideInputs};
 pub use sampler::{BatchBusWaves, LaneBusWaves, LaneTsSweep, TsSweep, WideBusWaves, WideTsSweep};

@@ -129,12 +129,22 @@ impl<B: LaneWord> LaneBusWaves<B> {
     ///
     /// [`BatchError::DuplicateTs`] naming the first duplicated time.
     pub fn try_sweep(&self, ts: &[u64]) -> Result<LaneTsSweep<B>, BatchError> {
-        let mut sorted = ts.to_vec();
-        sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            return Err(BatchError::DuplicateTs { ts: w[0] });
-        }
+        sorted_distinct(ts)?;
         Ok(self.sweep(ts))
+    }
+}
+
+/// The sample times `ts` in ascending order.
+///
+/// # Errors
+///
+/// [`BatchError::DuplicateTs`] naming the least time `ts` holds twice.
+pub(crate) fn sorted_distinct(ts: &[u64]) -> Result<Vec<u64>, BatchError> {
+    let mut sorted = ts.to_vec();
+    sorted.sort_unstable();
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(BatchError::DuplicateTs { ts: w[0] }),
+        None => Ok(sorted),
     }
 }
 

@@ -13,8 +13,7 @@ use ola_netlist::batch::{
     BatchProgram, LaneBlock, LaneFaultSet, LaneInputs, LaneSimResult, LaneWord,
 };
 use ola_netlist::{
-    BatchError, DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, NetlistError,
-    UnitDelay,
+    BatchError, DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay,
 };
 use proptest::prelude::*;
 
@@ -187,44 +186,13 @@ fn incremental_trial<B: LaneWord>(s: &Scenario<B>) -> Result<(), TestCaseError> 
     // The no-op delta must reproduce the base run exactly.
     let noop = prog.run_incremental(base, prev, base_new, Some(base_faults)).unwrap();
     assert_bit_identical(nl, *lanes, &noop, base)?;
-    Ok(())
-}
 
-/// One randomized bus-only trial at lane word `B`: for each delta of
-/// [`incremental_trial`], `run_incremental_bus` equals `run_incremental`
-/// restricted to the bus — its waves, and the settle times and counters
-/// of the whole pass. The bus always repeats a net; a net outside the
-/// netlist and a base of another lane count are typed errors.
-fn incremental_bus_trial<B: LaneWord>(
-    s: &Scenario<B>,
-    bus_sel: &[u8],
-) -> Result<(), TestCaseError> {
-    let Scenario { nl, prog, lanes, prev, base_new, new, base_faults, new_faults, base } = s;
-    let nets: Vec<NetId> = nl.nets().collect();
-    let mut bus: Vec<NetId> = bus_sel.iter().map(|&b| nets[b as usize % nets.len()]).collect();
-    bus.push(bus[0]);
-
-    for (stim, faults) in [(new, Some(new_faults)), (new, None), (base_new, Some(base_faults))] {
-        let got = prog.run_incremental_bus(base, prev, stim, faults, &bus).unwrap();
-        let want = prog.run_incremental(base, prev, stim, faults).unwrap();
-        prop_assert_eq!(got.bus(), &want.bus_waves(&bus).unwrap());
-        prop_assert_eq!(got.settle_times(), want.settle_times());
-        prop_assert_eq!(got.word_steps(), want.word_steps());
-        prop_assert_eq!(got.lane_transitions(), want.lane_transitions());
-    }
-
-    let outside = NetId::from_index(nl.len());
-    prop_assert_eq!(
-        prog.run_incremental_bus(base, prev, new, None, &[bus[0], outside]).unwrap_err(),
-        BatchError::InvalidBus(NetlistError::NetOutOfRange { index: nl.len(), len: nl.len() })
-    );
+    // A stimulus of another lane count than the base is a typed error.
     let wider = LaneInputs::<B>::zeros(prog.num_inputs(), lanes + 1).unwrap();
-    let mismatch = BatchError::LaneMismatch { prev: *lanes, new: lanes + 1 };
     prop_assert_eq!(
-        prog.run_incremental_bus(base, &wider, &wider, None, &bus).unwrap_err(),
-        mismatch.clone()
+        prog.run_incremental(base, &wider, &wider, None).unwrap_err(),
+        BatchError::LaneMismatch { prev: *lanes, new: lanes + 1 }
     );
-    prop_assert_eq!(prog.run_incremental(base, &wider, &wider, None).unwrap_err(), mismatch);
     Ok(())
 }
 
@@ -268,29 +236,5 @@ proptest! {
             &rs, delay_sel, &base_lanes, &flips, &base_faults, &new_faults,
         );
         incremental_trial(&s)?;
-    }
-
-    /// The bus-only incremental pass equals the full incremental pass
-    /// restricted to the bus, at every lane word a production group runs
-    /// on: `u64`, 128 lanes and 256 lanes, with populations that fill
-    /// each word past the previous one's width.
-    #[test]
-    fn incremental_bus_matches_incremental_across_words(
-        rs in recipes(),
-        delay_sel in 0u8..6,
-        narrow in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=16),
-        mid in prop::collection::vec((any::<u32>(), any::<u32>()), 60..=80),
-        wide in prop::collection::vec((any::<u32>(), any::<u32>()), 125..=140),
-        flips in prop::collection::vec((any::<u8>(), any::<u32>()), 0..6),
-        base_faults in fault_specs(3),
-        new_faults in fault_specs(3),
-        bus_sel in prop::collection::vec(any::<u8>(), 1..6),
-    ) {
-        let s = scenario::<u64>(&rs, delay_sel, &narrow, &flips, &base_faults, &new_faults);
-        incremental_bus_trial(&s, &bus_sel)?;
-        let s = scenario::<LaneBlock<2>>(&rs, delay_sel, &mid, &flips, &base_faults, &new_faults);
-        incremental_bus_trial(&s, &bus_sel)?;
-        let s = scenario::<LaneBlock<4>>(&rs, delay_sel, &wide, &flips, &base_faults, &new_faults);
-        incremental_bus_trial(&s, &bus_sel)?;
     }
 }
