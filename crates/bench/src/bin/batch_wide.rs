@@ -21,14 +21,17 @@
 //!
 //! Every arm folds its swept sample bits into a lane-order-canonical
 //! digest, so bit-identity across lane widths and resimulation
-//! strategies is checked, not assumed.
+//! strategies is checked, not assumed. Each arm runs once to warm up and
+//! then three timed times; its time is the median of the three, and
+//! `BENCH_batch.json` records every timed run.
 //!
 //! ```sh
 //! cargo run --release -p ola-bench --bin batch_wide
 //! ```
 //!
-//! Exit code 0 when all arms are bit-identical and the incremental arm
-//! is at least 2x the 64-lane baseline, 1 otherwise.
+//! Exit code 0 when every run of every arm is bit-identical and the
+//! incremental arm's median is at least 2x the 64-lane baseline's, 1
+//! otherwise.
 
 use ola_arith::synth::online_multiplier;
 use ola_core::obs::json::JsonValue;
@@ -134,11 +137,15 @@ fn workload<B: LaneWord>(
     digest
 }
 
+/// Timed runs per arm; an arm's time is their median.
+const RUNS: usize = 3;
+
 struct Arm {
     name: &'static str,
     lanes: u64,
+    runs: Vec<f64>,
     secs: f64,
-    digest: u64,
+    digests: Vec<u64>,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -154,11 +161,18 @@ fn measure<B: LaneWord>(
 ) -> Arm {
     // One warm pass so no arm pays first-touch allocator costs.
     let _ = workload::<B>(prog, nl, bus, vecs, grid, sites, incremental);
-    let start = Instant::now();
-    let digest = workload::<B>(prog, nl, bus, vecs, grid, sites, incremental);
-    let secs = start.elapsed().as_secs_f64();
-    eprintln!("  [{name}] {secs:.3}s digest={digest:016x}");
-    Arm { name, lanes: u64::from(B::LANES), secs, digest }
+    let mut runs = Vec::with_capacity(RUNS);
+    let mut digests = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let start = Instant::now();
+        digests.push(workload::<B>(prog, nl, bus, vecs, grid, sites, incremental));
+        runs.push(start.elapsed().as_secs_f64());
+    }
+    let mut sorted = runs.clone();
+    sorted.sort_by(f64::total_cmp);
+    let secs = sorted[RUNS / 2];
+    eprintln!("  [{name}] median {secs:.3}s of {runs:.3?} digest={:016x}", digests[0]);
+    Arm { name, lanes: u64::from(B::LANES), runs, secs, digests }
 }
 
 fn main() {
@@ -190,7 +204,7 @@ fn main() {
         ),
     ];
 
-    let identical = arms.iter().all(|a| a.digest == arms[0].digest);
+    let identical = arms.iter().flat_map(|a| &a.digests).all(|&d| d == arms[0].digests[0]);
     let baseline = arms[0].secs;
     let speedup = baseline / arms[2].secs;
 
@@ -204,6 +218,8 @@ fn main() {
     ];
     for a in &arms {
         fields.push((format!("{}_secs", a.name), JsonValue::F64(a.secs)));
+        let runs = a.runs.iter().map(|&r| JsonValue::F64(r)).collect();
+        fields.push((format!("{}_runs_secs", a.name), JsonValue::Array(runs)));
         fields.push((format!("{}_lanes", a.name), JsonValue::U64(a.lanes)));
     }
     fields.push(("speedup_vs_baseline".into(), JsonValue::F64(speedup)));

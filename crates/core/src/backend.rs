@@ -13,13 +13,17 @@
 //! The event-driven simulator ([`ola_netlist::simulate`]), one vector per
 //! run, stays as the **reference oracle**: [`SimBackend::Event`] selects
 //! it for the equivalence tests and the `repro` cross-checks, which hold
-//! the two engines to bit-identical results.
+//! the two engines to bit-identical results. The engine is one field
+//! (`Engine`) of the group pass a sweep or campaign runs, so both engines
+//! share one sampling loop and one draw stream.
 //! [`BackendStats`] carries the cheap counters each experiment accumulates
 //! — vectors simulated, `(vector × Ts)` sample points, word-level steps,
 //! lane utilization — which the `repro` binary surfaces in its summary.
 
-use ola_netlist::batch::{LaneBlock, LaneWord};
+use ola_netlist::batch::{BatchProgram, LaneBlock, LaneWord};
+use ola_netlist::Netlist;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which simulation engine an experiment should use.
@@ -113,22 +117,34 @@ impl fmt::Display for StaGate {
 /// fixed-size chunks — only throughput.
 pub(crate) type BatchLanes = LaneBlock<4>;
 
-/// The batch work of one sample group, written once for every lane word.
+/// The engine a [`GroupPass`] simulates its groups on.
+pub(crate) enum Engine<'a, M> {
+    /// The bit-parallel batch engine: one pass per group.
+    Batch(Arc<BatchProgram>),
+    /// The event-driven oracle: one simulation per sample, a group's
+    /// samples spread over the worker budget ([`parallel_map`]) and folded
+    /// in sample order.
+    ///
+    /// [`parallel_map`]: crate::parallel::parallel_map
+    Event { netlist: &'a Netlist, delay: &'a M },
+}
+
+/// The work of one sample group, written once for every lane word.
 pub(crate) trait GroupPass {
     /// One drawn sample.
     type Sample;
     /// The accumulator the group folds into.
     type Acc;
-    /// Simulates `group` on lane word `B`, which holds all of its lanes,
-    /// and folds it into `acc`.
+    /// Simulates `group` and folds it into `acc`; a batch pass runs on
+    /// lane word `B`, which holds all of the group's lanes.
     fn run<B: LaneWord>(&self, group: &[Self::Sample], acc: &mut Self::Acc);
 }
 
 /// Runs `group` on the narrowest lane word that holds it: `u64` up to 64
-/// samples, [`BatchLanes`] otherwise. Inactive lanes stay constant, so
-/// the engine's results and counters (word steps, lane transitions) do
-/// not depend on the word; a partly filled group just stops paying for
-/// idle words.
+/// samples, [`BatchLanes`] otherwise (the event oracle ignores the word).
+/// Inactive lanes stay constant, so the engine's results and counters
+/// (word steps, lane transitions) do not depend on the word; a partly
+/// filled group just stops paying for idle words.
 pub(crate) fn run_group<G: GroupPass>(pass: &G, group: &[G::Sample], acc: &mut G::Acc) {
     debug_assert!(group.len() <= BatchLanes::LANES as usize, "groups are capped at BatchLanes");
     if group.len() <= u64::LANES as usize {

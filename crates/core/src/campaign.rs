@@ -20,28 +20,29 @@
 //!
 //! Campaigns are seed-reproducible and independent of the worker-thread
 //! count: sites fan out through [`parallel_map`](crate::parallel) and each
-//! site's samples run through the same deterministic chunk seeding as every
-//! other Monte-Carlo experiment in this crate
-//! ([`parallel_accumulate`](crate::parallel)).
+//! site's samples run through the one sampling loop of every Monte-Carlo
+//! experiment in this crate
+//! ([`parallel_accumulate_batched`](crate::parallel)), each group of up to
+//! 256 samples as one `SitePass` on the selected engine.
 //!
-//! Campaigns run on the bit-parallel engine, which evaluates up to 256
-//! samples per pass on the narrowest lane word that holds them — each
-//! lane carrying a *different* fault plan
-//! ([`ola_netlist::batch::LaneFaultSet`]). The faulty pass is a sampled
-//! pass: it returns the output bus at the main and shadow register times
-//! only, and keeps only the steps that can still reach those registers
-//! ([`BatchProgram::run_bus_at`]). [`CampaignConfig::backend`]
-//! selects the event-driven reference oracle instead for tests and the
-//! `repro` cross-check; it draws the identical random stream and folds
-//! samples in the identical order, so the two engines produce
-//! bit-identical [`CampaignReport`]s.
+//! Campaigns run on the bit-parallel engine, which evaluates a group in
+//! one pass on the narrowest lane word that holds it — each lane carrying
+//! a *different* fault plan ([`ola_netlist::batch::LaneFaultSet`]). The
+//! faulty pass is a sampled pass: it returns the output bus at the main
+//! and shadow register times only, and keeps only the steps that can
+//! still reach those registers ([`BatchProgram::run_bus_at`]).
+//! [`CampaignConfig::backend`] selects the event-driven reference oracle
+//! instead for tests and the `repro` cross-check; it simulates a group's
+//! samples across the worker budget and folds them in sample order.
+//!
+//! [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
 
-use crate::backend::{run_group, BackendStats, BatchLanes, GroupPass, SimBackend};
+use crate::backend::{run_group, BackendStats, BatchLanes, Engine, GroupPass, SimBackend};
 use crate::montecarlo::InputModel;
-use crate::parallel::{parallel_accumulate, parallel_accumulate_batched, parallel_map};
+use crate::parallel::{parallel_accumulate_batched, parallel_map};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
-use ola_netlist::batch::{BatchProgram, LaneFaultSet, LaneInputs, LaneWord};
+use ola_netlist::batch::{LaneFaultSet, LaneInputs, LaneWord};
 use ola_netlist::fault::logic_fault_sites;
 use ola_netlist::{
     analyze, default_event_budget, simulate_from_zero, simulate_from_zero_with_faults, DelayModel,
@@ -199,7 +200,7 @@ pub struct CampaignReport {
     pub site_reports: Vec<SiteReport>,
 }
 
-/// Per-site accumulator folded by [`parallel_accumulate`].
+/// Per-site accumulator of the sampling loop.
 #[derive(Clone)]
 struct Acc {
     samples: usize,
@@ -263,93 +264,97 @@ fn select_sites(netlist: &Netlist, cfg: &CampaignConfig) -> Vec<NetId> {
 /// `(acc, clean_bits, faulty_main_bits, faulty_shadow_bits)`.
 type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 
-/// One group of a fault site's batch sampling loop: a clean bus-only pass
-/// ([`BatchProgram::run_bus`]) for the settled correct bits, then a
-/// faulty pass carrying a different fault plan per lane that returns only
-/// the bus words at the main and shadow sample times
+/// One group of a fault site's sampling loop. On the batch engine it is a
+/// clean bus-only pass ([`BatchProgram::run_bus`]) for the settled correct
+/// bits, then a faulty pass carrying a different fault plan per lane that
+/// returns only the bus words at the main and shadow sample times
 /// ([`BatchProgram::run_bus_at`]). The sampled pass keeps only the steps
 /// of each net that can still reach a register at those times, and its
 /// words equal a full faulty pass's (the engine's property tests pin that
 /// down), so the campaign report cannot depend on which path produced it.
-struct SitePass<'a> {
-    prog: &'a BatchProgram,
+/// On the event oracle each sample takes a clean and a faulty simulation
+/// of its own.
+///
+/// [`BatchProgram::run_bus`]: ola_netlist::batch::BatchProgram::run_bus
+/// [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
+struct SitePass<'a, M> {
+    engine: Engine<'a, M>,
     wires: &'a [NetId],
     t_main: u64,
     t_shadow: u64,
     record: &'a RecordFn<'a>,
 }
 
-impl GroupPass for SitePass<'_> {
+impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
     type Sample = (Vec<bool>, FaultPlan);
     type Acc = Acc;
 
     fn run<B: LaneWord>(&self, group: &[(Vec<bool>, FaultPlan)], acc: &mut Acc) {
-        let prog = self.prog;
         let lanes = group.len() as u32;
-        let vectors: Vec<Vec<bool>> = group.iter().map(|(v, _)| v.clone()).collect();
-        let plans: Vec<FaultPlan> = group.iter().map(|(_, p)| p.clone()).collect();
-        let prev =
-            LaneInputs::<B>::zeros(prog.num_inputs(), lanes).expect("the group fits the lane word");
-        let new = LaneInputs::<B>::pack(&vectors).expect("draw produces full vectors");
-        let clean = prog.run_bus(&prev, &new, self.wires, None, 1).expect("shapes validated above");
-        let faults = LaneFaultSet::<B>::compile(&plans, prog.num_nets())
-            .expect("plans target in-range nets");
-        let faulty = prog
-            .run_bus_at(&prev, &new, Some(&faults), self.wires, &[self.t_main, self.t_shadow])
-            .expect("fault set compiled against this program, bus nets exist, times distinct");
-        let sampled = faulty.sweep();
-        for lane in 0..lanes {
-            // Batch programs are compiled from validated DAGs, so no lane
-            // can oscillate: `unsettled` stays 0, exactly as the event
-            // path finds on these netlists.
-            (self.record)(
-                acc,
-                &clean.bus().settled_lane(lane),
-                &sampled.lane_bits(0, lane),
-                &sampled.lane_bits(1, lane),
-            );
-        }
         acc.stats.vectors += u64::from(lanes);
-        acc.stats.ts_points += 2 * u64::from(lanes);
-        acc.stats.record_batch::<B>(
-            2,
-            lanes,
-            clean.word_steps() + faulty.word_steps(),
-            clean.lane_transitions() + faulty.lane_transitions(),
-        );
+        match &self.engine {
+            Engine::Batch(prog) => {
+                let vectors: Vec<Vec<bool>> = group.iter().map(|(v, _)| v.clone()).collect();
+                let plans: Vec<FaultPlan> = group.iter().map(|(_, p)| p.clone()).collect();
+                let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
+                    .expect("the group fits the lane word");
+                let new = LaneInputs::<B>::pack(&vectors).expect("draw produces full vectors");
+                let clean =
+                    prog.run_bus(&prev, &new, self.wires, None, 1).expect("shapes validated above");
+                let faults = LaneFaultSet::<B>::compile(&plans, prog.num_nets())
+                    .expect("plans target in-range nets");
+                let times = [self.t_main, self.t_shadow];
+                let faulty = prog
+                    .run_bus_at(&prev, &new, Some(&faults), self.wires, &times)
+                    .expect("fault set compiled for this program, bus nets exist, times distinct");
+                let sampled = faulty.sweep();
+                for lane in 0..lanes {
+                    // Batch programs are compiled from validated DAGs, so no
+                    // lane can oscillate: `unsettled` stays 0, exactly as the
+                    // event oracle finds on these netlists.
+                    (self.record)(
+                        acc,
+                        &clean.bus().settled_lane(lane),
+                        &sampled.lane_bits(0, lane),
+                        &sampled.lane_bits(1, lane),
+                    );
+                }
+                acc.stats.ts_points += 2 * u64::from(lanes);
+                acc.stats.record_batch::<B>(
+                    2,
+                    lanes,
+                    clean.word_steps() + faulty.word_steps(),
+                    clean.lane_transitions() + faulty.lane_transitions(),
+                );
+            }
+            Engine::Event { netlist, delay } => {
+                let budget = default_event_budget(netlist);
+                let runs = parallel_map(group, |_, (inputs, plan)| {
+                    crate::resilience::check_cancelled();
+                    let clean = simulate_from_zero(netlist, *delay, inputs);
+                    let faulty =
+                        simulate_from_zero_with_faults(netlist, *delay, inputs, plan, budget)
+                            .ok()?;
+                    Some([
+                        clean.final_bus(self.wires),
+                        faulty.sample_bus(self.wires, self.t_main),
+                        faulty.sample_bus(self.wires, self.t_shadow),
+                    ])
+                });
+                for run in runs {
+                    match run {
+                        Some([correct, main, shadow]) => {
+                            acc.stats.ts_points += 2;
+                            (self.record)(acc, &correct, &main, &shadow);
+                        }
+                        None => acc.unsettled += 1,
+                    }
+                }
+                acc.stats.backend = "event";
+                acc.stats.event_runs += 2 * u64::from(lanes);
+            }
+        }
     }
-}
-
-/// One fault site's batch sampling loop: groups of up to [`BatchLanes`]
-/// samples, each a [`SitePass`] on the narrowest lane word that holds it
-/// ([`run_group`]).
-#[allow(clippy::too_many_arguments)] // internal: mirrors run_campaign's captures
-fn batch_site_accumulate<D>(
-    pass: &SitePass<'_>,
-    n_ranks: usize,
-    site_seed: u64,
-    site: NetId,
-    period: u64,
-    class: FaultClass,
-    cfg: &CampaignConfig,
-    draw: &D,
-) -> Acc
-where
-    D: Fn(&mut ChaCha8Rng) -> Vec<bool> + Sync,
-{
-    parallel_accumulate_batched(
-        cfg.samples_per_site,
-        site_seed,
-        BatchLanes::LANES as usize,
-        || Acc::new(n_ranks),
-        // Inputs before plan — the exact rng order of the event path.
-        |rng| (draw(rng), class.plan(site, rng, period, cfg)),
-        |group: &[(Vec<bool>, FaultPlan)], acc: &mut Acc| {
-            crate::resilience::check_cancelled();
-            run_group(pass, group, acc);
-        },
-        Acc::merge,
-    )
 }
 
 /// The generic campaign engine. `draw` encodes one random operand pair as
@@ -359,17 +364,9 @@ where
 /// `worst_error_raw`; `rank_of` maps an output-wire position to its
 /// significance rank (0 = MSB).
 ///
-/// Samples run in groups of up to 256 ([`BatchLanes`]) on the batch
-/// engine, each group on the narrowest lane word that holds it (64 or
-/// 256 lanes), or one at a time on the event-driven oracle when
-/// [`CampaignConfig::backend`] selects it. A batch group takes one clean
-/// bus-only pass for the settled output, then one *sampled* pass carrying
-/// a different fault plan per lane, which returns only the output bus at
-/// the main and shadow sample times and keeps only the steps that can
-/// reach those registers ([`BatchProgram::run_bus_at`]). Both paths share the same random
-/// stream (inputs drawn before the plan, sample for sample) and the same
-/// per-sample judgement (`record`), folded in sample order — so the
-/// reports are bit-identical.
+/// Each site's samples run in groups of up to 256 ([`BatchLanes`]), each
+/// group one [`SitePass`] on the selected engine, and every sample is
+/// judged by the same `record`, folded in sample order.
 #[allow(clippy::too_many_arguments)]
 fn run_campaign<M, D, V>(
     arch: &str,
@@ -397,7 +394,6 @@ where
     let t_main = period;
     let margin = ((period as f64) * cfg.shadow_margin_frac).round() as u64;
     let t_shadow = period + margin.max(1);
-    let budget = default_event_budget(netlist);
     let msb_cut = n_ranks.div_ceil(4);
 
     // The backend-independent per-sample judgement: compare the
@@ -431,53 +427,32 @@ where
         }
     };
 
-    let prog = (cfg.backend != SimBackend::Event).then(|| {
-        crate::memo::batch_program(netlist, delay).expect(
+    let engine = if cfg.backend == SimBackend::Event {
+        Engine::Event { netlist, delay }
+    } else {
+        Engine::Batch(crate::memo::batch_program(netlist, delay).expect(
             "generator netlists are acyclic, and lint rejects cycles, \
              so every campaign netlist compiles to a batch program",
-        )
-    });
-    let pass =
-        prog.as_ref().map(|prog| SitePass { prog, wires, t_main, t_shadow, record: &record });
+        ))
+    };
+    let pass = SitePass { engine, wires, t_main, t_shadow, record: &record };
     let started = Instant::now();
 
     let per_site: Vec<Acc> = parallel_map(&sites, |site_idx, &site| {
         crate::resilience::check_cancelled();
         let site_seed = cfg.seed ^ (site_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        match &pass {
-            Some(pass) => {
-                batch_site_accumulate(pass, n_ranks, site_seed, site, period, class, cfg, &draw)
-            }
-            None => parallel_accumulate(
-                cfg.samples_per_site,
-                site_seed,
-                || Acc::new(n_ranks),
-                |rng, acc| {
-                    crate::resilience::check_cancelled();
-                    let inputs = draw(rng);
-                    let plan = class.plan(site, rng, period, cfg);
-                    let clean = simulate_from_zero(netlist, delay, &inputs);
-                    let correct_bits = clean.final_bus(wires);
-                    acc.stats.backend = "event";
-                    acc.stats.vectors += 1;
-                    acc.stats.event_runs += 2;
-                    let Ok(faulty) =
-                        simulate_from_zero_with_faults(netlist, delay, &inputs, &plan, budget)
-                    else {
-                        acc.unsettled += 1;
-                        return;
-                    };
-                    acc.stats.ts_points += 2;
-                    record(
-                        acc,
-                        &correct_bits,
-                        &faulty.sample_bus(wires, t_main),
-                        &faulty.sample_bus(wires, t_shadow),
-                    );
-                },
-                Acc::merge,
-            ),
-        }
+        parallel_accumulate_batched(
+            cfg.samples_per_site,
+            site_seed,
+            BatchLanes::LANES as usize,
+            || Acc::new(n_ranks),
+            |rng| (draw(rng), class.plan(site, rng, period, cfg)),
+            |group: &[(Vec<bool>, FaultPlan)], acc: &mut Acc| {
+                crate::resilience::check_cancelled();
+                run_group(&pass, group, acc);
+            },
+            Acc::merge,
+        )
     });
 
     let mut total = per_site.iter().fold(Acc::new(n_ranks), Acc::merge);
@@ -702,6 +677,53 @@ mod tests {
         std::env::set_var("OLA_THREADS", "1");
         let serial = run();
         std::env::set_var("OLA_THREADS", "4");
+        let parallel = run();
+        std::env::remove_var("OLA_THREADS");
+        assert_eq!(serial, parallel);
+    }
+
+    /// The event oracle spreads a group's samples over the worker budget:
+    /// a one-chunk sweep and a one-site campaign hand all three workers to
+    /// their single group, and still come out the same as on one worker.
+    #[test]
+    fn event_oracle_does_not_depend_on_thread_count() {
+        use crate::backend::StaGate;
+        use crate::empirical::om_gate_level_curve_with;
+        let om = online_multiplier(4, 3);
+        let cp = analyze(&om.netlist, &UnitDelay).critical_path();
+        let ts = [cp / 4, cp / 2, cp * 3 / 4];
+        let cfg = CampaignConfig {
+            samples_per_site: 200,
+            max_sites: Some(1),
+            backend: SimBackend::Event,
+            ..quick_cfg()
+        };
+        let run = || {
+            let (curve, stats) = om_gate_level_curve_with(
+                &om,
+                &UnitDelay,
+                InputModel::UniformDigits,
+                &ts,
+                200,
+                23,
+                SimBackend::Event,
+                StaGate::Off,
+            );
+            assert_eq!((stats.backend, stats.event_runs), ("event", 200));
+            let report = online_fault_campaign(
+                &om,
+                &UnitDelay,
+                InputModel::UniformDigits,
+                FaultClass::Transient,
+                &cfg,
+            );
+            (curve, report)
+        };
+        let _env =
+            crate::parallel::ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::env::set_var("OLA_THREADS", "1");
+        let serial = run();
+        std::env::set_var("OLA_THREADS", "3");
         let parallel = run();
         std::env::remove_var("OLA_THREADS");
         assert_eq!(serial, parallel);

@@ -5,34 +5,35 @@
 //! netlists through a timing simulator under a (jittered) delay model and
 //! sample the output registers at a sweep of clock periods.
 //!
-//! Both public curves funnel into one shared sampling engine (`curve_with`).
-//! Production sweeps run the bit-parallel batch engine (up to 256 vectors
-//! per pass, on the narrowest lane word that holds them,
-//! [`ola_netlist::batch`]). A batch pass is the bus-only streaming
-//! pass ([`BatchProgram::run_bus`]): it keeps only the sampled output bus's
-//! waveforms and drops every other net's after its last fanout, so its
-//! memory is the netlist's live frontier plus the bus. Every delay model
-//! compiles to an exact batch program, jittered placements
-//! ([`JitteredDelay`](ola_netlist::JitteredDelay)) included, and the
-//! netlists swept here are acyclic, so compilation cannot fail.
+//! Every curve runs through one sampling loop,
+//! [`datapath_gate_level_curve_with`]: samples are drawn in fixed chunks
+//! ([`parallel_accumulate_batched`]) and each group of up to 256 runs as
+//! one pass on the selected engine. Production sweeps run the
+//! bit-parallel batch engine (one pass per group, on the narrowest lane
+//! word that holds it, [`ola_netlist::batch`]). A batch pass is the
+//! bus-only streaming pass ([`BatchProgram::run_bus`]): it keeps only the
+//! sampled output bus's waveforms and drops every other net's after its
+//! last fanout, so its memory is the netlist's live frontier plus the
+//! bus. Every delay model compiles to an exact batch program, jittered
+//! placements ([`JitteredDelay`](ola_netlist::JitteredDelay)) included,
+//! and the netlists swept here are acyclic, so compilation cannot fail.
 //!
 //! [`SimBackend::Event`] selects the event-driven simulator (one vector
 //! per run) as the reference oracle for tests and the `repro`
-//! cross-checks. The two engines draw the *same* random stream (see
-//! [`crate::parallel::parallel_accumulate_batched`]) and judge samples in
-//! the same per-sample / per-`Ts` order with the same native-typed
-//! comparisons, so the produced [`GateLevelCurve`]s are bit-identical. An
-//! ambient [`crate::CancelToken`] (see
-//! [`crate::resilience::install_ambient`]) is honored per sample and
-//! inside the batch engine's settling loop.
+//! cross-checks; it simulates a group's samples across the worker budget
+//! and folds them in sample order. An ambient [`crate::CancelToken`] (see
+//! [`crate::resilience::install_ambient`]) is honored per group, per
+//! event-simulated sample and inside the batch engine's settling loop.
+//!
+//! [`BatchProgram::run_bus`]: ola_netlist::batch::BatchProgram::run_bus
 
-use crate::backend::{run_group, BackendStats, BatchLanes, GroupPass, SimBackend, StaGate};
+use crate::backend::{run_group, BackendStats, BatchLanes, Engine, GroupPass, SimBackend, StaGate};
 use crate::montecarlo::InputModel;
-use crate::parallel::{parallel_accumulate, parallel_accumulate_batched, pass_workers};
+use crate::parallel::{parallel_accumulate_batched, parallel_map, pass_workers};
 use crate::resilience::{ambient_token, check_cancelled};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
-use ola_netlist::batch::{BatchProgram, LaneInputs, LaneWord};
+use ola_netlist::batch::{LaneInputs, LaneWord};
 use ola_netlist::{
     analyze, simulate_from_zero, CancelToken, Cancelled, DelayModel, NetId, Netlist,
 };
@@ -108,12 +109,13 @@ fn merge(mut a: Acc, b: &Acc) -> Acc {
     a
 }
 
-/// One group of the batch sampling loop: a bus-only engine pass over the
-/// group's drawn vectors (span `empirical.settle`), then the sweep of the
-/// whole judged `Ts` grid, decoded and judged lane by lane
-/// (`empirical.judge`). The pass runs on [`pass_workers`] threads.
-struct SweepPass<'a, J> {
-    prog: &'a BatchProgram,
+/// One group of the sampling loop. On the batch engine it is a bus-only
+/// pass over the group's drawn vectors (span `empirical.settle`), run on
+/// [`pass_workers`] threads, then the sweep of the whole judged `Ts` grid,
+/// decoded and judged lane by lane (`empirical.judge`). On the event
+/// oracle each sample is simulated and judged on its own.
+struct SweepPass<'a, M, J> {
+    engine: Engine<'a, M>,
     wires: &'a [NetId],
     judged: &'a [(usize, u64)],
     active_ts: Vec<u64>,
@@ -122,107 +124,95 @@ struct SweepPass<'a, J> {
     judge: &'a J,
 }
 
-impl<J> GroupPass for SweepPass<'_, J>
+impl<M, J> GroupPass for SweepPass<'_, M, J>
 where
-    J: Fn(&[bool], &[bool]) -> (bool, f64),
+    M: DelayModel + Sync,
+    J: Fn(&[bool], &[bool]) -> (bool, f64) + Sync,
 {
     type Sample = Vec<bool>;
     type Acc = Acc;
 
     fn run<B: LaneWord>(&self, group: &[Vec<bool>], acc: &mut Acc) {
         let lanes = group.len() as u32;
-        let prev = LaneInputs::<B>::zeros(self.prog.num_inputs(), lanes)
-            .expect("the group fits the lane word");
-        let new = LaneInputs::<B>::pack(group).expect("draw produces full input vectors");
-        let workers = pass_workers::<B>();
-        let settle_span = crate::obs::span("empirical.settle");
-        let res =
-            self.prog.run_bus(&prev, &new, self.wires, self.cancel, workers).unwrap_or_else(|e| {
-                if matches!(e, ola_netlist::BatchError::Cancelled) {
-                    std::panic::panic_any(Cancelled)
+        match &self.engine {
+            Engine::Batch(prog) => {
+                let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
+                    .expect("the group fits the lane word");
+                let new = LaneInputs::<B>::pack(group).expect("draw produces full input vectors");
+                let workers = pass_workers::<B>();
+                let settle_span = crate::obs::span("empirical.settle");
+                let res = prog
+                    .run_bus(&prev, &new, self.wires, self.cancel, workers)
+                    .unwrap_or_else(|e| {
+                        if matches!(e, ola_netlist::BatchError::Cancelled) {
+                            std::panic::panic_any(Cancelled)
+                        }
+                        panic!("shapes validated above, output bus nets exist: {e}")
+                    });
+                drop(settle_span);
+                let _judge_span = crate::obs::span("empirical.judge");
+                let bus = res.bus();
+                let sweep = bus.sweep(&self.active_ts);
+                for lane in 0..lanes {
+                    acc.max_settle = acc.max_settle.max(res.settle_time(lane));
+                    let settled = bus.settled_lane(lane);
+                    for (si, &(i, _)) in self.judged.iter().enumerate() {
+                        let (violation, abs_error) =
+                            (self.judge)(&sweep.lane_bits(si, lane), &settled);
+                        acc.record(i, violation, abs_error);
+                    }
                 }
-                panic!("shapes validated above, output bus nets exist: {e}")
-            });
-        drop(settle_span);
-        let _judge_span = crate::obs::span("empirical.judge");
-        let bus = res.bus();
-        let sweep = bus.sweep(&self.active_ts);
-        for lane in 0..lanes {
-            acc.max_settle = acc.max_settle.max(res.settle_time(lane));
-            let settled = bus.settled_lane(lane);
-            for (si, &(i, _)) in self.judged.iter().enumerate() {
-                let (violation, abs_error) = (self.judge)(&sweep.lane_bits(si, lane), &settled);
-                acc.record(i, violation, abs_error);
+                acc.stats.record_batch::<B>(1, lanes, res.word_steps(), res.lane_transitions());
+            }
+            Engine::Event { netlist, delay } => {
+                let judged = parallel_map(group, |_, inputs| {
+                    check_cancelled();
+                    let res = simulate_from_zero(netlist, *delay, inputs);
+                    let settled = res.final_bus(self.wires);
+                    let verdicts: Vec<(bool, f64)> = self
+                        .judged
+                        .iter()
+                        .map(|&(_, t)| (self.judge)(&res.sample_bus(self.wires, t), &settled))
+                        .collect();
+                    (res.settle_time(), verdicts)
+                });
+                for (settle, verdicts) in judged {
+                    acc.max_settle = acc.max_settle.max(settle);
+                    for (&(i, _), (violation, abs_error)) in self.judged.iter().zip(verdicts) {
+                        acc.record(i, violation, abs_error);
+                    }
+                }
+                acc.stats.backend = "event";
+                acc.stats.event_runs += u64::from(lanes);
             }
         }
         acc.samples += group.len();
         acc.stats.vectors += u64::from(lanes);
         acc.stats.ts_points += u64::from(lanes) * self.judged.len() as u64;
         acc.stats.sta_skipped_points += u64::from(lanes) * self.skipped;
-        acc.stats.record_batch::<B>(1, lanes, res.word_steps(), res.lane_transitions());
     }
 }
 
-/// The batch sampling loop. Each group of up to [`BatchLanes`] drawn
-/// vectors takes one [`SweepPass`] on the narrowest lane word that holds
-/// it ([`run_group`]).
-#[allow(clippy::too_many_arguments)] // internal: mirrors curve_with's captures
-fn batch_accumulate<D, J>(
-    prog: &BatchProgram,
-    wires: &[NetId],
-    judged: &[(usize, u64)],
-    skipped: u64,
-    ts_len: usize,
-    samples: usize,
-    seed: u64,
-    cancel: &Option<CancelToken>,
-    draw: &D,
-    judge: &J,
-) -> Acc
-where
-    D: Fn(&mut ChaCha8Rng) -> Vec<bool> + Sync,
-    J: Fn(&[bool], &[bool]) -> (bool, f64) + Sync,
-{
-    let pass = SweepPass {
-        prog,
-        wires,
-        judged,
-        active_ts: judged.iter().map(|&(_, t)| t).collect(),
-        skipped,
-        cancel: cancel.as_ref(),
-        judge,
-    };
-    parallel_accumulate_batched(
-        samples,
-        seed,
-        BatchLanes::LANES as usize,
-        || Acc::new(ts_len),
-        |rng| draw(rng),
-        |group: &[Vec<bool>], acc: &mut Acc| {
-            check_cancelled();
-            run_group(&pass, group, acc);
-        },
-        merge,
-    )
-}
-
-/// The shared per-`Ts` sampling engine behind every gate-level curve.
+/// Sweeps an *arbitrary* synthesized datapath at the given clock periods —
+/// the sampling loop behind every gate-level curve, and its public entry
+/// for compilers sitting on top of the operator generators (notably
+/// `ola-synth`).
 ///
-/// `draw` produces one already-encoded primary-input vector per sample;
-/// `judge` compares a sampled output-bus bit pattern against the settled
-/// one and returns `(any_violation, abs_error)` — crucially it judges *bit
-/// patterns* in the caller's native number system (redundant digit values,
-/// exact `i64` products), never pre-flattened `f64`s, so both backends run
-/// the identical comparison.
+/// `wires` is the output bus to sample (typically every output-port net,
+/// concatenated); `draw` produces one already-encoded primary-input vector
+/// per sample, and `judge` compares a sampled output-bus bit pattern
+/// against the settled one, returning `(any_violation, abs_error)`. The
+/// judge works on *bit patterns* in the caller's native number system
+/// (redundant digit values, exact `i64` products), never pre-flattened
+/// `f64`s.
 ///
-/// The batch path compiles the netlist once (memoized by content digest,
-/// see [`crate::memo`]) and runs up to 256 vectors per pass
-/// ([`BatchLanes`]) on the narrowest lane word that holds them, sampling
-/// the whole `Ts` grid with one sweep per pass;
-/// the event oracle ([`SimBackend::Event`]) simulates one vector per run.
-/// Lane order is sample order and the per-chunk accumulation order
-/// (sample-outer, `Ts`-inner) matches the event path exactly, so `f64`
-/// additions happen in the same order and the curves are bit-identical.
+/// The batch engine compiles the netlist once (memoized by content digest,
+/// see [`crate::memo`]) and runs groups of up to 256 vectors, each on the
+/// narrowest lane word that holds it, sampling the whole `Ts` grid with
+/// one sweep per pass; the event oracle ([`SimBackend::Event`]) simulates
+/// one vector per run. Both engines fold the judgements of a group in
+/// sample order, `Ts` inside sample, through the one sampling loop
+/// ([`parallel_accumulate_batched`]).
 ///
 /// With [`StaGate::On`], `Ts` points at or above the bus's worst-case STA
 /// arrival are never judged: every sample at such a point is provably
@@ -231,8 +221,13 @@ where
 /// into the non-negative accumulators is a bitwise no-op. The produced
 /// curve is therefore bit-identical to [`StaGate::Off`] — the equivalence
 /// proptests in `tests/proptest_core.rs` pin that down.
-#[allow(clippy::too_many_arguments)] // internal engine behind the two public wrappers
-fn curve_with<M, D, J>(
+///
+/// # Panics
+///
+/// Panics if `ts_points` or `samples` is empty/zero.
+#[must_use]
+#[allow(clippy::too_many_arguments)] // mirrors the engine's knobs one-for-one
+pub fn datapath_gate_level_curve_with<M, D, J>(
     netlist: &Netlist,
     wires: &[NetId],
     delay: &M,
@@ -264,49 +259,42 @@ where
         .enumerate()
         .filter(|&(_, t)| !(sta_gate.is_on() && t >= bus_arrival))
         .collect();
-    let skipped = (ts_points.len() - judged.len()) as u64;
-    let prog = (backend != SimBackend::Event).then(|| {
+    let engine = if backend == SimBackend::Event {
+        Engine::Event { netlist, delay }
+    } else {
         let _s = crate::obs::span("empirical.batch_compile");
-        crate::memo::batch_program(netlist, delay).expect(
+        Engine::Batch(crate::memo::batch_program(netlist, delay).expect(
             "generator and elaborate netlists are acyclic, and lint rejects cycles, \
              so every swept netlist compiles to a batch program",
-        )
-    });
-    // Captured once here and used by the sampling closures on worker
-    // threads: in-run cancellation polls must not depend on each worker's
-    // own thread-local stack being populated yet.
+        ))
+    };
+    // Captured once here and used by the sampling loop on worker threads:
+    // in-run cancellation polls must not depend on each worker's own
+    // thread-local stack being populated yet.
     let cancel = ambient_token();
+    let pass = SweepPass {
+        engine,
+        wires,
+        judged: &judged,
+        active_ts: judged.iter().map(|&(_, t)| t).collect(),
+        skipped: (ts_points.len() - judged.len()) as u64,
+        cancel: cancel.as_ref(),
+        judge: &judge,
+    };
     let started = Instant::now();
     let _sample_span = crate::obs::span("empirical.sample");
-    let ts_len = ts_points.len();
-    let mut acc = match &prog {
-        Some(prog) => batch_accumulate(
-            prog, wires, &judged, skipped, ts_len, samples, seed, &cancel, &draw, &judge,
-        ),
-        None => parallel_accumulate(
-            samples,
-            seed,
-            || Acc::new(ts_points.len()),
-            |rng, acc| {
-                check_cancelled();
-                let inputs = draw(rng);
-                let res = simulate_from_zero(netlist, delay, &inputs);
-                acc.max_settle = acc.max_settle.max(res.settle_time());
-                let settled = res.final_bus(wires);
-                for &(i, t) in &judged {
-                    let (violation, abs_error) = judge(&res.sample_bus(wires, t), &settled);
-                    acc.record(i, violation, abs_error);
-                }
-                acc.samples += 1;
-                acc.stats.backend = "event";
-                acc.stats.vectors += 1;
-                acc.stats.ts_points += judged.len() as u64;
-                acc.stats.sta_skipped_points += skipped;
-                acc.stats.event_runs += 1;
-            },
-            merge,
-        ),
-    };
+    let mut acc = parallel_accumulate_batched(
+        samples,
+        seed,
+        BatchLanes::LANES as usize,
+        || Acc::new(ts_points.len()),
+        |rng| draw(rng),
+        |group: &[Vec<bool>], acc: &mut Acc| {
+            check_cancelled();
+            run_group(&pass, group, acc);
+        },
+        merge,
+    );
     acc.stats.wall = started.elapsed();
     drop(_sample_span);
     acc.stats.publish();
@@ -321,44 +309,6 @@ where
         samples: acc.samples,
     };
     (curve, acc.stats)
-}
-
-/// Sweeps an *arbitrary* synthesized datapath at the given clock periods —
-/// the public entry to the shared sampling engine for compilers sitting on
-/// top of the operator generators (notably `ola-synth`).
-///
-/// `wires` is the output bus to sample (typically every output-port net,
-/// concatenated); `draw` produces one already-encoded primary-input vector
-/// per sample, and `judge` compares a sampled output-bus bit pattern
-/// against the settled one, returning `(any_violation, abs_error)`. The
-/// judge contract is `judge(x, x) == (false, 0.0)` — required for the
-/// [`StaGate::On`] fast path to stay bit-identical. Backend selection,
-/// batching, STA gating, and determinism guarantees are exactly those of
-/// [`om_gate_level_curve_with`].
-///
-/// # Panics
-///
-/// Panics if `ts_points` or `samples` is empty/zero.
-#[must_use]
-#[allow(clippy::too_many_arguments)] // mirrors the engine's knobs one-for-one
-pub fn datapath_gate_level_curve_with<M, D, J>(
-    netlist: &Netlist,
-    wires: &[NetId],
-    delay: &M,
-    ts_points: &[u64],
-    samples: usize,
-    seed: u64,
-    backend: SimBackend,
-    sta_gate: StaGate,
-    draw: D,
-    judge: J,
-) -> (GateLevelCurve, BackendStats)
-where
-    M: DelayModel + Sync,
-    D: Fn(&mut ChaCha8Rng) -> Vec<bool> + Sync,
-    J: Fn(&[bool], &[bool]) -> (bool, f64) + Sync,
-{
-    curve_with(netlist, wires, delay, ts_points, samples, seed, backend, sta_gate, draw, judge)
 }
 
 /// Sweeps a synthesized online multiplier at the given clock periods on a
@@ -384,7 +334,7 @@ pub fn om_gate_level_curve_with<M: DelayModel + Sync>(
     let zp_len = wires.len();
     wires.extend_from_slice(circuit.netlist.output("zn"));
     let n = circuit.n;
-    curve_with(
+    datapath_gate_level_curve_with(
         &circuit.netlist,
         &wires,
         delay,
@@ -462,7 +412,7 @@ pub fn array_gate_level_curve_with<M: DelayModel + Sync>(
     let w = circuit.width;
     let lim = 1i64 << (w - 1);
     let scale = ((2 * (w - 1)) as f64).exp2();
-    curve_with(
+    datapath_gate_level_curve_with(
         &circuit.netlist,
         &wires,
         delay,

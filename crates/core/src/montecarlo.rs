@@ -5,7 +5,7 @@
 //! operands, run the staged multiplier's settling wave, and record what a
 //! register would capture at every stage budget `b`.
 
-use crate::parallel::parallel_accumulate;
+use crate::parallel::parallel_accumulate_batched;
 use ola_arith::online::{Selection, StagedMultiplier, DELTA};
 use ola_redundant::{random, SdNumber, Q};
 use rand::Rng;
@@ -145,33 +145,34 @@ pub fn om_monte_carlo(
     let _span = crate::obs::span("mc.sweep");
     crate::obs::registry().counter("ola.mc.samples").add(samples as u64);
     let budgets = n + DELTA + 1;
-    let acc = parallel_accumulate(
+    let acc = parallel_accumulate_batched(
         samples,
         seed,
+        1,
         || CurveAcc::new(budgets),
-        |rng, acc| {
-            crate::resilience::check_cancelled();
-            let x = model.draw(rng, n);
-            let y = model.draw(rng, n);
-            let sm = StagedMultiplier::new(x, y, policy);
-            let vals: Vec<Q> = sm.sampled_values();
-            let correct = *vals.last().expect("history non-empty");
-            let mut settle = 0usize;
-            for b in 0..budgets {
-                let v = vals.get(b).copied().unwrap_or(correct);
-                let e = (v - correct).abs().to_f64();
-                acc.err[b] += e;
-                if v != correct {
-                    acc.viol[b] += 1;
-                    settle = b + 1;
+        |rng| StagedMultiplier::new(model.draw(rng, n), model.draw(rng, n), policy),
+        |group: &[StagedMultiplier], acc| {
+            for sm in group {
+                crate::resilience::check_cancelled();
+                let vals: Vec<Q> = sm.sampled_values();
+                let correct = *vals.last().expect("history non-empty");
+                let mut settle = 0usize;
+                for b in 0..budgets {
+                    let v = vals.get(b).copied().unwrap_or(correct);
+                    let e = (v - correct).abs().to_f64();
+                    acc.err[b] += e;
+                    if v != correct {
+                        acc.viol[b] += 1;
+                        settle = b + 1;
+                    }
                 }
+                acc.settle_count[settle.min(budgets - 1)] += 1;
+                if settle > 0 {
+                    let v = vals.get(settle - 1).copied().unwrap_or(correct);
+                    acc.settle_err[settle.min(budgets - 1)] += (v - correct).abs().to_f64();
+                }
+                acc.samples += 1;
             }
-            acc.settle_count[settle.min(budgets - 1)] += 1;
-            if settle > 0 {
-                let v = vals.get(settle - 1).copied().unwrap_or(correct);
-                acc.settle_err[settle.min(budgets - 1)] += (v - correct).abs().to_f64();
-            }
-            acc.samples += 1;
         },
         CurveAcc::merge,
     );
@@ -205,16 +206,17 @@ pub fn max_observed_settling(
     samples: usize,
     seed: u64,
 ) -> usize {
-    parallel_accumulate(
+    parallel_accumulate_batched(
         samples,
         seed,
+        1,
         || 0usize,
-        |rng, acc| {
-            crate::resilience::check_cancelled();
-            let x = model.draw(rng, n);
-            let y = model.draw(rng, n);
-            let sm = StagedMultiplier::new(x, y, policy);
-            *acc = (*acc).max(sm.settling_ticks());
+        |rng| StagedMultiplier::new(model.draw(rng, n), model.draw(rng, n), policy),
+        |group: &[StagedMultiplier], acc| {
+            for sm in group {
+                crate::resilience::check_cancelled();
+                *acc = (*acc).max(sm.settling_ticks());
+            }
         },
         |a, b| a.max(*b),
     )

@@ -1,8 +1,11 @@
 //! Deterministic parallel Monte-Carlo accumulation.
 //!
-//! Samples are split into fixed-size chunks, each chunk seeded purely by
-//! `(seed, chunk_index)` and folded in chunk order — so results are
-//! bit-identical regardless of how many worker threads run.
+//! Every Monte-Carlo experiment in this crate samples through one loop,
+//! [`parallel_accumulate_batched`]: samples are split into fixed-size
+//! chunks, each chunk seeded purely by `(seed, chunk_index)`, drawn in
+//! sample order, stepped in groups and folded in chunk order — so results
+//! are bit-identical regardless of how many worker threads run or how
+//! large the groups are.
 //!
 //! Worker panics are caught per work item and re-raised on the caller
 //! thread with the chunk (or item) index and the original panic message
@@ -243,41 +246,15 @@ pub fn thread_config() -> ThreadConfig {
     }
 }
 
-/// Runs `step` for `samples` independent draws, accumulating into per-chunk
-/// states created by `init` and folding them (in deterministic chunk order)
-/// with `merge`.
+/// Runs `samples` independent draws and folds them into one accumulator.
 ///
-/// # Panics
-///
-/// If `step` panics for some draw, the panic is re-raised on the calling
-/// thread annotated with the chunk index that failed.
-pub fn parallel_accumulate<A, I, F, M>(samples: usize, seed: u64, init: I, step: F, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut ChaCha8Rng, &mut A) + Sync,
-    M: Fn(A, &A) -> A,
-{
-    run_chunks(samples, seed, merge, |rng, count| {
-        let mut acc = init();
-        for _ in 0..count {
-            step(rng, &mut acc);
-        }
-        acc
-    })
-}
-
-/// Like [`parallel_accumulate`], but hands the payloads to `step` in
-/// groups of up to `batch` at a time — the shape batch (bit-parallel)
-/// simulation wants, where one engine pass serves up to 64 draws.
-///
-/// Crucially the random stream is *identical* to the unbatched variant:
-/// each chunk is seeded purely by `(seed, chunk_index)` and `draw` is
-/// called once per sample in order, consuming the rng exactly as a
-/// `parallel_accumulate` step that begins by drawing the same payload
-/// would. A backend that draws via `draw` and judges via `step` therefore
-/// sees the same samples whether it batches or not — the property the
-/// event/batch CSV-equality guarantee rests on.
+/// Samples are split into chunks of 256, each with an rng seeded
+/// by `(seed, chunk_index)`. A chunk calls `draw` once per sample, in
+/// sample order, then hands the payloads to `step` in groups of up to
+/// `batch` (the shape batch simulation wants, where one engine pass serves
+/// a whole group), folding into a state created by `init`. The chunk
+/// states fold in chunk order with `merge`. The random stream therefore
+/// depends on neither the worker count nor `batch`.
 ///
 /// # Panics
 ///
@@ -300,28 +277,6 @@ where
     M: Fn(A, &A) -> A,
 {
     let batch = batch.max(1);
-    run_chunks(samples, seed, merge, |rng, count| {
-        // Draw every payload of the chunk first, in sample order, so the
-        // rng stream matches the unbatched accumulator sample for sample.
-        let items: Vec<T> = (0..count).map(|_| draw(rng)).collect();
-        let mut acc = init();
-        for group in items.chunks(batch) {
-            step(group, &mut acc);
-        }
-        acc
-    })
-}
-
-/// The chunk runner behind both accumulators: splits `samples` into
-/// [`CHUNK`]-sized chunks, runs `chunk(rng, count)` once per chunk with an
-/// rng seeded by `(seed, chunk_index)`, and folds the chunk states in
-/// chunk order with `merge`.
-fn run_chunks<A, C, M>(samples: usize, seed: u64, merge: M, chunk: C) -> A
-where
-    A: Send,
-    C: Fn(&mut ChaCha8Rng, usize) -> A + Sync,
-    M: Fn(A, &A) -> A,
-{
     let chunks = samples.div_ceil(CHUNK).max(1);
     let results: Vec<Mutex<Option<A>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
 
@@ -329,7 +284,11 @@ where
         let count = if c == chunks - 1 { samples - c * CHUNK } else { CHUNK };
         let mut rng =
             ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let acc = chunk(&mut rng, count);
+        let items: Vec<T> = (0..count).map(|_| draw(&mut rng)).collect();
+        let mut acc = init();
+        for group in items.chunks(batch) {
+            step(group, &mut acc);
+        }
         *results[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(acc);
     });
 
@@ -378,74 +337,64 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// Sums `value(rng)` over `samples` draws, stepped one sample at a time.
+    fn sum_draws(samples: usize, seed: u64, value: impl Fn(&mut ChaCha8Rng) -> u64 + Sync) -> u64 {
+        parallel_accumulate_batched(
+            samples,
+            seed,
+            1,
+            || 0u64,
+            value,
+            |group, acc| *acc += group.iter().sum::<u64>(),
+            |a, b| a + b,
+        )
+    }
+
     #[test]
     fn deterministic_regardless_of_chunking() {
         // Sum of fixed-seed uniform draws must be stable across runs.
-        let run = || {
-            parallel_accumulate(
-                1000,
-                42,
-                || 0u64,
-                |rng, acc| *acc += u64::from(rng.gen_range(0..100u32)),
-                |a, b| a + b,
-            )
-        };
+        let run = || sum_draws(1000, 42, |rng| u64::from(rng.gen_range(0..100u32)));
         assert_eq!(run(), run());
     }
 
     #[test]
     fn processes_exactly_the_requested_samples() {
-        let count = parallel_accumulate(777, 1, || 0usize, |_, acc| *acc += 1, |a, b| a + b);
-        assert_eq!(count, 777);
-        let count = parallel_accumulate(3, 1, || 0usize, |_, acc| *acc += 1, |a, b| a + b);
-        assert_eq!(count, 3);
-        let count = parallel_accumulate(256, 1, || 0usize, |_, acc| *acc += 1, |a, b| a + b);
-        assert_eq!(count, 256);
+        for samples in [777, 3, 256] {
+            assert_eq!(sum_draws(samples, 1, |_| 1), samples as u64);
+        }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let run = |seed| {
-            parallel_accumulate(
-                500,
-                seed,
-                || 0u64,
-                |rng, acc| *acc += u64::from(rng.gen_range(0..1000u32)),
-                |a, b| a + b,
-            )
-        };
+        let run = |seed| sum_draws(500, seed, |rng| u64::from(rng.gen_range(0..1000u32)));
         assert_ne!(run(1), run(2));
     }
 
     #[test]
-    fn batched_accumulation_matches_unbatched_stream() {
-        // A draw-only workload must see the identical sample sequence
-        // whether it is stepped one at a time or in groups — the property
-        // the event/batch backend CSV-equality guarantee rests on.
-        let unbatched = parallel_accumulate(
-            777,
-            42,
-            Vec::new,
-            |rng, acc: &mut Vec<u32>| acc.push(rng.gen_range(0..1_000_000u32)),
-            |mut a, b| {
-                a.extend_from_slice(b);
-                a
-            },
-        );
-        for batch in [1usize, 7, 64, 300] {
-            let batched = parallel_accumulate_batched(
+    fn stream_does_not_depend_on_batch_size() {
+        // A draw-only workload sees the same sample sequence whatever the
+        // group size, and no group is larger than asked for.
+        let stream = |batch: usize| {
+            parallel_accumulate_batched(
                 777,
                 42,
                 batch,
                 Vec::new,
                 |rng| rng.gen_range(0..1_000_000u32),
-                |group, acc: &mut Vec<u32>| acc.extend_from_slice(group),
+                |group, acc: &mut Vec<u32>| {
+                    assert!(group.len() <= batch.max(1));
+                    acc.extend_from_slice(group);
+                },
                 |mut a, b| {
                     a.extend_from_slice(b);
                     a
                 },
-            );
-            assert_eq!(batched, unbatched, "batch = {batch}");
+            )
+        };
+        let single = stream(1);
+        assert_eq!(single.len(), 777);
+        for batch in [0usize, 7, 64, 300] {
+            assert_eq!(stream(batch), single, "batch = {batch}");
         }
     }
 
@@ -540,19 +489,13 @@ mod tests {
         let processed = AtomicUsize::new(0);
         let _guard = install_ambient(token.clone());
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            parallel_accumulate(
-                10_000,
-                7,
-                || 0usize,
-                |_, acc| {
-                    *acc += 1;
-                    if processed.fetch_add(1, Ordering::Relaxed) == 300 {
-                        token.cancel();
-                    }
-                    crate::resilience::check_cancelled();
-                },
-                |a, b| a + b,
-            )
+            sum_draws(10_000, 7, |_| {
+                if processed.fetch_add(1, Ordering::Relaxed) == 300 {
+                    token.cancel();
+                }
+                crate::resilience::check_cancelled();
+                1
+            })
         }));
         let payload = result.expect_err("cancellation must unwind");
         assert!(is_cancel_payload(payload.as_ref()), "payload must stay typed, not a string");
@@ -573,12 +516,14 @@ mod tests {
     #[test]
     fn worker_panic_is_annotated_with_chunk_index() {
         let result = std::panic::catch_unwind(|| {
-            parallel_accumulate(
+            parallel_accumulate_batched(
                 600,
                 7,
+                1,
                 || 0usize,
-                |_, acc| {
-                    *acc += 1;
+                |_| (),
+                |group, acc| {
+                    *acc += group.len();
                     // Poison a chunk deterministically: the second chunk
                     // panics mid-way through its samples.
                     assert!(*acc < 100, "synthetic fault in step");

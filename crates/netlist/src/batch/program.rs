@@ -2,10 +2,10 @@
 //!
 //! [`BatchProgram::compile`] freezes three things once, ahead of any number
 //! of simulation runs: the gate structure in struct-of-arrays form, the
-//! per-gate delays sampled from the [`DelayModel`], and the
-//! topological levelization (validated so every fanin points to a lower
-//! net id, and exposed as per-net levels plus a depth statistic), plus each
-//! net's readers, which the settling pass's dependency counts start from.
+//! per-gate delays sampled from the [`DelayModel`], and the topological
+//! order (validated so every fanin points to a lower net id, and summed up
+//! as a logic-depth statistic), plus each net's readers, which the
+//! settling pass's dependency counts start from.
 //! [`LaneInputs`] packs input vectors into lane words:
 //! bit `l` of word `i` is input `i` of vector `l`. The word type decides
 //! the batch width — [`BatchInputs`] (= `LaneInputs<u64>`) carries up to
@@ -24,7 +24,7 @@ use crate::{BatchError, DelayModel, GateKind, NetId, Netlist};
 /// Compilation is the expensive-once part of batch simulation: it samples
 /// every gate's delay from the [`DelayModel`] exactly once (models are
 /// deterministic per gate, so the program is exact for its model), verifies
-/// the netlist is a DAG in net-id order, and computes the levelization. The
+/// the netlist is a DAG in net-id order, and computes its logic depth. The
 /// program borrows nothing, so one compile can be shared across threads and
 /// reused for any number of [`run`](BatchProgram::run) /
 /// [`run_with_faults`](BatchProgram::run_with_faults) calls — at any lane
@@ -41,9 +41,6 @@ pub struct BatchProgram {
     pub(crate) const_ones: Vec<bool>,
     /// Net index of each primary input, in declaration order.
     pub(crate) input_nets: Vec<u32>,
-    /// Topological level of each net (inputs/constants are 0, a gate is one
-    /// more than its deepest fanin).
-    pub(crate) levels: Vec<u32>,
     /// The readers of each net in CSR form: net `i` is read by
     /// `readers[reader_at[i]..reader_at[i + 1]]`, once per fanin slot that
     /// reads it. The settling pass starts a net once its fanins are done
@@ -73,6 +70,8 @@ impl BatchProgram {
         let mut in2 = vec![0u32; n];
         let mut delays = vec![0u64; n];
         let mut const_ones = vec![false; n];
+        // Topological level of each net: inputs and constants are 0, a gate
+        // is one more than its deepest fanin.
         let mut levels = vec![0u32; n];
         let mut depth = 0u32;
 
@@ -114,7 +113,6 @@ impl BatchProgram {
             delays,
             const_ones,
             input_nets,
-            levels,
             reader_at: Vec::new(),
             readers: Vec::new(),
             depth,
@@ -185,12 +183,6 @@ impl BatchProgram {
     #[must_use]
     pub fn num_inputs(&self) -> usize {
         self.input_nets.len()
-    }
-
-    /// The topological level of `net` (0 for inputs and constants).
-    #[must_use]
-    pub fn level(&self, net: NetId) -> u32 {
-        self.levels[net.index()]
     }
 
     /// The logic depth of the netlist in levels.
@@ -305,14 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn compile_samples_delays_and_levels() {
+    fn compile_samples_delays_and_depth() {
         let nl = chain();
         let p = BatchProgram::compile(&nl, &FpgaDelay::default()).unwrap();
         assert_eq!(p.num_nets(), 4);
         assert_eq!(p.num_inputs(), 2);
-        assert_eq!(p.level(nl.net(0)), 0);
-        assert_eq!(p.level(nl.net(2)), 1);
-        assert_eq!(p.level(nl.net(3)), 2);
         assert_eq!(p.depth(), 2);
         assert_eq!(p.logic_gate_count(), 2);
         assert_eq!(p.delays[2], FpgaDelay::default().two_input);
