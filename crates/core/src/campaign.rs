@@ -26,16 +26,21 @@
 //! 256 samples as one `SitePass` on the selected engine.
 //!
 //! Campaigns run on the bit-parallel engine, which evaluates a group in
-//! one pass on the narrowest lane word that holds it — each lane carrying
-//! a *different* fault plan ([`ola_netlist::batch::LaneFaultSet`]). The
-//! faulty pass is a sampled pass: it returns the output bus at the main
-//! and shadow register times only, and keeps only the steps that can
-//! still reach those registers ([`BatchProgram::run_bus_at`]).
+//! one timed pass on the narrowest lane word that holds it — each lane
+//! carrying a *different* fault plan
+//! ([`ola_netlist::batch::LaneFaultSet`]). That faulty pass is a sampled
+//! pass: it returns the output bus at the main and shadow register times
+//! only, and keeps only the steps that can still reach those registers
+//! ([`BatchProgram::run_bus_at`]). Each sample is judged against the
+//! settled fault-free output, which a combinational DAG reaches whatever
+//! its delays, so the batch engine computes it in one zero-delay pass per
+//! group ([`BatchProgram::settled_bus`]) and runs no clean timed pass.
 //! [`CampaignConfig::backend`] selects the event-driven reference oracle
 //! instead for tests and the `repro` cross-check; it simulates a group's
 //! samples across the worker budget and folds them in sample order.
 //!
 //! [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
+//! [`BatchProgram::settled_bus`]: ola_netlist::batch::BatchProgram::settled_bus
 
 use crate::backend::{run_group, BackendStats, BatchLanes, Engine, GroupPass, SimBackend};
 use crate::montecarlo::InputModel;
@@ -260,22 +265,35 @@ fn select_sites(netlist: &Netlist, cfg: &CampaignConfig) -> Vec<NetId> {
     }
 }
 
+/// The seed of the `site_idx`-th selected site's sampling loop.
+fn site_seed(seed: u64, site_idx: usize) -> u64 {
+    seed ^ (site_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// When the main register (at the rated `period`) and the Razor shadow
+/// (a margin of at least one time unit later) sample the output bus.
+fn register_times(period: u64, cfg: &CampaignConfig) -> [u64; 2] {
+    let margin = ((period as f64) * cfg.shadow_margin_frac).round() as u64;
+    [period, period + margin.max(1)]
+}
+
 /// The per-sample recorder a fault-site loop folds observations through:
-/// `(acc, clean_bits, faulty_main_bits, faulty_shadow_bits)`.
+/// `(acc, settled_bits, faulty_main_bits, faulty_shadow_bits)`.
 type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 
 /// One group of a fault site's sampling loop. On the batch engine it is a
-/// clean bus-only pass ([`BatchProgram::run_bus`]) for the settled correct
-/// bits, then a faulty pass carrying a different fault plan per lane that
-/// returns only the bus words at the main and shadow sample times
-/// ([`BatchProgram::run_bus_at`]). The sampled pass keeps only the steps
-/// of each net that can still reach a register at those times, and its
-/// words equal a full faulty pass's (the engine's property tests pin that
-/// down), so the campaign report cannot depend on which path produced it.
-/// On the event oracle each sample takes a clean and a faulty simulation
-/// of its own.
+/// zero-delay evaluation of the fault-free bus ([`BatchProgram::settled_bus`])
+/// for the settled correct bits, then one timed faulty pass carrying a
+/// different fault plan per lane that returns only the bus words at the
+/// main and shadow sample times ([`BatchProgram::run_bus_at`]). The
+/// settled words equal a clean timed pass's final words, and the sampled
+/// pass keeps only the steps of each net that can still reach a register
+/// at those times while its words equal a full faulty pass's (the
+/// engine's property tests pin both down), so the campaign report cannot
+/// depend on which path produced it. On the event oracle each sample takes
+/// a clean and a faulty simulation of its own.
 ///
-/// [`BatchProgram::run_bus`]: ola_netlist::batch::BatchProgram::run_bus
+/// [`BatchProgram::settled_bus`]: ola_netlist::batch::BatchProgram::settled_bus
 /// [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
 struct SitePass<'a, M> {
     engine: Engine<'a, M>,
@@ -299,8 +317,9 @@ impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
                 let prev = LaneInputs::<B>::zeros(prog.num_inputs(), lanes)
                     .expect("the group fits the lane word");
                 let new = LaneInputs::<B>::pack(&vectors).expect("draw produces full vectors");
-                let clean =
-                    prog.run_bus(&prev, &new, self.wires, None, 1).expect("shapes validated above");
+                let settled = prog
+                    .settled_bus(&new, self.wires)
+                    .expect("the packed inputs fit the program, bus nets exist");
                 let faults = LaneFaultSet::<B>::compile(&plans, prog.num_nets())
                     .expect("plans target in-range nets");
                 let times = [self.t_main, self.t_shadow];
@@ -312,19 +331,20 @@ impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
                     // Batch programs are compiled from validated DAGs, so no
                     // lane can oscillate: `unsettled` stays 0, exactly as the
                     // event oracle finds on these netlists.
+                    let correct: Vec<bool> = settled.iter().map(|w| w.bit(lane)).collect();
                     (self.record)(
                         acc,
-                        &clean.bus().settled_lane(lane),
+                        &correct,
                         &sampled.lane_bits(0, lane),
                         &sampled.lane_bits(1, lane),
                     );
                 }
                 acc.stats.ts_points += 2 * u64::from(lanes);
                 acc.stats.record_batch::<B>(
-                    2,
+                    1,
                     lanes,
-                    clean.word_steps() + faulty.word_steps(),
-                    clean.lane_transitions() + faulty.lane_transitions(),
+                    faulty.word_steps(),
+                    faulty.lane_transitions(),
                 );
             }
             Engine::Event { netlist, delay } => {
@@ -391,9 +411,7 @@ where
     let sites = select_sites(netlist, cfg);
     crate::obs::registry().counter("ola.campaign.sites").add(sites.len() as u64);
     let period = analyze(netlist, delay).critical_path();
-    let t_main = period;
-    let margin = ((period as f64) * cfg.shadow_margin_frac).round() as u64;
-    let t_shadow = period + margin.max(1);
+    let [t_main, t_shadow] = register_times(period, cfg);
     let msb_cut = n_ranks.div_ceil(4);
 
     // The backend-independent per-sample judgement: compare the
@@ -440,10 +458,9 @@ where
 
     let per_site: Vec<Acc> = parallel_map(&sites, |site_idx, &site| {
         crate::resilience::check_cancelled();
-        let site_seed = cfg.seed ^ (site_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         parallel_accumulate_batched(
             cfg.samples_per_site,
-            site_seed,
+            site_seed(cfg.seed, site_idx),
             BatchLanes::LANES as usize,
             || Acc::new(n_ranks),
             |rng| (draw(rng), class.plan(site, rng, period, cfg)),
@@ -850,14 +867,66 @@ mod tests {
                 let (ba, stats) = online(SimBackend::Batch);
                 assert_eq!(ev, ba, "online {class:?} at {samples} samples");
                 assert_eq!(stats.lane_capacity, capacity, "{samples} samples");
-                // Two sites, a clean and a faulty pass per group.
-                assert_eq!(stats.lanes_used, 2 * 2 * samples as u64);
-                assert_eq!(stats.lane_slots, 2 * 2 * slots_per_site);
+                // Two sites, one faulty pass per group.
+                assert_eq!(stats.lanes_used, 2 * samples as u64);
+                assert_eq!(stats.lane_slots, 2 * slots_per_site);
                 let ev = array_fault_campaign(&am, &UnitDelay, class, &cfg(SimBackend::Event));
                 let ba = array_fault_campaign(&am, &UnitDelay, class, &cfg(SimBackend::Batch));
                 assert_eq!(ev, ba, "array {class:?} at {samples} samples");
             }
         }
+    }
+
+    /// A batch campaign runs one timed pass per group, the sampled faulty
+    /// one: the correct bits come from a zero-delay evaluation, which
+    /// counts no pass, word step or transition.
+    #[test]
+    fn batch_campaigns_run_one_faulty_pass_per_group() {
+        use ola_netlist::batch::BatchProgram;
+        use rand::SeedableRng;
+        let am = array_multiplier(4);
+        let class = FaultClass::Transient;
+        let run = |samples_per_site| {
+            let cfg = CampaignConfig {
+                samples_per_site,
+                max_sites: Some(3),
+                backend: SimBackend::Batch,
+                ..quick_cfg()
+            };
+            (array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg).1, cfg)
+        };
+        // 300 samples per site: a 256-sample chunk and a 44-sample chunk,
+        // one group each.
+        assert_eq!(run(300).0.batch_runs, 3 * 2);
+
+        // 48 samples per site: one group, drawn from the site's seed.
+        // Replaying each site's faulty pass gives the campaign's counters.
+        let (stats, cfg) = run(48);
+        assert_eq!(stats.batch_runs, 3);
+        let prog = BatchProgram::compile(&am.netlist, &UnitDelay).unwrap();
+        let wires = am.netlist.output("product").to_vec();
+        let period = analyze(&am.netlist, &UnitDelay).critical_path();
+        let lim = 1i64 << (am.width - 1);
+        let (mut word_steps, mut lane_transitions) = (0, 0);
+        for (site_idx, &site) in select_sites(&am.netlist, &cfg).iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(site_seed(cfg.seed, site_idx));
+            let (vectors, plans): (Vec<_>, Vec<_>) = (0..48)
+                .map(|_| {
+                    let a = rng.gen_range(-lim..lim);
+                    let b = rng.gen_range(-lim..lim);
+                    (am.encode_inputs(a, b), class.plan(site, &mut rng, period, &cfg))
+                })
+                .unzip();
+            let prev = LaneInputs::<u64>::zeros(prog.num_inputs(), 48).unwrap();
+            let new = LaneInputs::pack(&vectors).unwrap();
+            let faults = LaneFaultSet::compile(&plans, prog.num_nets()).unwrap();
+            let times = register_times(period, &cfg);
+            let pass = prog.run_bus_at(&prev, &new, Some(&faults), &wires, &times).unwrap();
+            word_steps += pass.word_steps();
+            lane_transitions += pass.lane_transitions();
+        }
+        assert!(lane_transitions > 0, "transients switch the faulty pass");
+        assert_eq!((stats.word_steps, stats.lane_transitions), (word_steps, lane_transitions));
     }
 
     #[test]

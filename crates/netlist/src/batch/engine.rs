@@ -77,8 +77,8 @@
 //! recomputed net clean when its new waveform equals the base one (a fault
 //! that does not change behaviour, or a cone that reconverges), which
 //! prunes the fanout cone early. Setting `OLA_BATCH_CHECK_INCREMENTAL=1`
-//! cross-checks every incremental run, and every sampled pass, against a
-//! full recompute.
+//! cross-checks every incremental run, every sampled pass and every
+//! settled-bus evaluation against a full recompute.
 //!
 //! # Bus-only streaming
 //!
@@ -124,6 +124,14 @@
 //! read a clipped waveform at a time it did not ask for. Its word steps and
 //! lane transitions count the steps it kept, and it reports no settle
 //! times.
+//!
+//! # Settled words
+//!
+//! The value a register should hold is the settled one, and a
+//! combinational DAG settles to a function of its inputs alone, whatever
+//! its delays. [`BatchProgram::settled_bus`] computes it in one zero-delay
+//! pass in net order, one word operation per net, with no waveform; a fault
+//! campaign judges its sampled faulty pass against it.
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
@@ -865,6 +873,53 @@ impl BatchProgram {
             assert!(sweep == want, "sampled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
         }
         Ok(LaneBusSamples { sweep, word_steps, lane_transitions })
+    }
+
+    /// The settled words of `bus` (in the given order, repeats allowed)
+    /// for the fault-free input `new`, from one zero-delay pass in net
+    /// order: an input takes its `new` word, a constant its value in every
+    /// lane, and a gate its function of its fanins' words. A combinational
+    /// DAG settles to a function of its inputs alone, so the words equal
+    /// the final bus words of [`BatchProgram::run`] for any `prev` and any
+    /// delay model — property-tested, and cross-checked against a full
+    /// clean pass on every call when `OLA_BATCH_CHECK_INCREMENTAL=1`. The
+    /// pass costs one word operation per net and builds no waveform.
+    ///
+    /// # Errors
+    ///
+    /// [`BatchError::InputArity`] if `new`'s word count differs from the
+    /// netlist's input count, and [`BatchError::InvalidBus`] naming the
+    /// first bus net outside the netlist.
+    pub fn settled_bus<B: LaneWord>(
+        &self,
+        new: &LaneInputs<B>,
+        bus: &[NetId],
+    ) -> Result<Vec<B>, BatchError> {
+        let expected = self.num_inputs();
+        if new.num_inputs() != expected {
+            return Err(BatchError::InputArity { expected, got: new.num_inputs() });
+        }
+        self.bus_mask(bus)?;
+        let mut words: Vec<B> = Vec::with_capacity(self.num_nets());
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            let word = match kind {
+                GateKind::Input => new.words[self.input_slot(i)],
+                GateKind::Const => B::splat(self.const_ones[i]),
+                kind => {
+                    let fanin = |net: &[u32]| words[net[i] as usize];
+                    eval_word(kind, fanin(&self.in0), fanin(&self.in1), fanin(&self.in2))
+                }
+            };
+            words.push(word);
+        }
+        let settled: Vec<B> = bus.iter().map(|net| words[net.index()]).collect();
+        if cross_check_enabled() {
+            let prev = LaneInputs::zeros(expected, new.lanes)?;
+            let full = self.run_inner(&prev, new, None)?;
+            let want: Vec<B> = bus.iter().map(|net| full.waves[net.index()].final_word()).collect();
+            assert!(settled == want, "settled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
+        }
+        Ok(settled)
     }
 
     /// Flags the nets of `bus` for a [`Retain::Bus`] or [`Retain::Sampled`]

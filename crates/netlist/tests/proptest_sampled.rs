@@ -7,6 +7,15 @@
 //! included), per-lane stuck, transient and delay-push plans (on inputs
 //! and bus nets too) and one to four sample times, among them 0 and times
 //! past settling, at the 64-lane word and the 256-lane block.
+//!
+//! `BatchProgram::settled_bus` evaluates the fault-free bus with no delays
+//! at all, and promises the final bus words of a timed pass from any
+//! previous input. Its tests hold it to `run(prev, new)` over the same
+//! random netlists (with constants added) and delay models, from random
+//! previous inputs.
+//!
+//! Each case draws from a stream seeded by the test's name and case index,
+//! so every run replays the same cases.
 
 #![allow(clippy::unwrap_used)]
 
@@ -28,9 +37,14 @@ const INPUTS: usize = 6;
 /// Past the settling of any netlist these tests build.
 const LATE: u64 = 1_000_000;
 
-fn build_random_netlist(recipes: &[GateRecipe]) -> Netlist {
+/// A random netlist over `INPUTS` inputs; with `consts`, its gates may also
+/// read a constant 0 and a constant 1.
+fn build_random_netlist(recipes: &[GateRecipe], consts: bool) -> Netlist {
     let mut nl = Netlist::new();
     let mut nets: Vec<NetId> = (0..INPUTS).map(|i| nl.input(&format!("i{i}"))).collect();
+    if consts {
+        nets.extend([nl.constant(false), nl.constant(true)]);
+    }
     for &(kind, a, b, c) in recipes {
         let pick = |sel: u8| nets[sel as usize % nets.len()];
         let (x, y, z) = (pick(a), pick(b), pick(c));
@@ -102,7 +116,7 @@ fn sampled_trial<B: LaneWord>(
     bus_sel: &[u8],
     time_sel: &[(u8, u64)],
 ) -> Result<(), TestCaseError> {
-    let nl = build_random_netlist(rs);
+    let nl = build_random_netlist(rs, false);
     let prog = BatchProgram::compile(&nl, delay_model(delay_sel).as_ref()).unwrap();
     let nets: Vec<NetId> = nl.nets().collect();
     let mut bus: Vec<NetId> = nets.iter().rev().take(4).copied().collect();
@@ -135,6 +149,41 @@ fn sampled_trial<B: LaneWord>(
         prog.run_bus_at(&prev, &new, Some(&alien), &bus, &times).unwrap_err(),
         BatchError::InvalidFault(_)
     ));
+    Ok(())
+}
+
+/// One trial at lane word `B`: the zero-delay evaluation equals the final
+/// bus words of a timed pass from `prev`, and malformed calls fail typed.
+fn settled_trial<B: LaneWord>(
+    rs: &[GateRecipe],
+    delay_sel: u8,
+    vectors: &[(u32, u32)],
+    bus_sel: &[u8],
+) -> Result<(), TestCaseError> {
+    let nl = build_random_netlist(rs, true);
+    let prog = BatchProgram::compile(&nl, delay_model(delay_sel).as_ref()).unwrap();
+    let nets: Vec<NetId> = nl.nets().collect();
+    let mut bus: Vec<NetId> = nets.iter().rev().take(4).copied().collect();
+    bus.extend(bus_sel.iter().map(|&b| nets[b as usize % nets.len()]));
+    let pack = |width: usize, pick: fn(&(u32, u32)) -> u32| {
+        let unpack = |bits: u32| (0..width).map(|i| bits >> i & 1 == 1).collect::<Vec<_>>();
+        LaneInputs::<B>::pack(&vectors.iter().map(|v| unpack(pick(v))).collect::<Vec<_>>()).unwrap()
+    };
+    let prev = pack(INPUTS, |&(p, _)| p);
+    let new = pack(INPUTS, |&(_, q)| q);
+
+    let want = prog.run(&prev, &new).unwrap().bus_waves(&bus).unwrap().sample_words(u64::MAX);
+    prop_assert_eq!(prog.settled_bus(&new, &bus).unwrap(), want);
+
+    prop_assert_eq!(
+        prog.settled_bus(&pack(INPUTS + 1, |&(_, q)| q), &bus).unwrap_err(),
+        BatchError::InputArity { expected: INPUTS, got: INPUTS + 1 }
+    );
+    let outside = NetId::from_index(nl.len());
+    prop_assert_eq!(
+        prog.settled_bus(&new, &[bus[0], outside]).unwrap_err(),
+        BatchError::InvalidBus(NetlistError::NetOutOfRange { index: nl.len(), len: nl.len() })
+    );
     Ok(())
 }
 
@@ -181,5 +230,28 @@ proptest! {
         time_sel in times(),
     ) {
         sampled_trial::<LaneBlock<4>>(&rs, delay_sel, &vectors, &specs, &bus_sel, &time_sel)?;
+    }
+
+    /// The zero-delay settled bus equals a timed pass's final words at the
+    /// 64-lane word.
+    #[test]
+    fn settled_bus_matches_final_words_u64(
+        rs in recipes(),
+        delay_sel in 0u8..5,
+        vectors in prop::collection::vec((any::<u32>(), any::<u32>()), 1..=64),
+        bus_sel in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        settled_trial::<u64>(&rs, delay_sel, &vectors, &bus_sel)?;
+    }
+
+    /// The same property at the 256-lane block.
+    #[test]
+    fn settled_bus_matches_final_words_wide(
+        rs in recipes(),
+        delay_sel in 0u8..5,
+        vectors in prop::collection::vec((any::<u32>(), any::<u32>()), 60..=256),
+        bus_sel in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        settled_trial::<LaneBlock<4>>(&rs, delay_sel, &vectors, &bus_sel)?;
     }
 }
