@@ -1,28 +1,25 @@
-//! Measures the wide-lane + dirty-cone incremental engine against the
-//! 64-lane full-resimulation baseline and writes `BENCH_batch.json`.
+//! Measures the wide-lane batch engine, with the sampled faulty pass fault
+//! campaigns run, against the 64-lane full-resimulation baseline and
+//! writes `BENCH_batch.json`.
 //!
 //! The workload is the fault-campaign Monte-Carlo sweep shape: batches
 //! of random input vectors get one clean pass, a multi-`Ts` sweep of
-//! every output, and then one faulty resimulation + sweep per injection
-//! site. Three arms run the identical workload:
+//! every output, and then one faulty pass + sweep per injection site.
+//! Three arms run the identical workload:
 //!
 //! * `lanes64_full` — the pre-wide-lane baseline: legacy `u64` words
 //!   (64 lanes), every faulty pass a full resimulation.
 //! * `lanes256_full` — `LaneBlock<4>` words (256 lanes), full faulty
 //!   passes: isolates the wide-lane contribution.
-//! * `lanes256_incremental` — 256 lanes plus
-//!   [`BatchProgram::run_incremental`] for the faulty passes, which
-//!   recomputes only each site's fanout cone and shares every other
-//!   net's waveform with the clean pass.
-//!
-//! Fault campaigns run none of these arms: they sample two times, not a
-//! grid, so their faulty passes are sampled passes
-//! ([`BatchProgram::run_bus_at`]).
+//! * `lanes256_sampled` — 256 lanes, every faulty pass a sampled pass
+//!   ([`BatchProgram::run_bus_at`] at the grid's times), the pass fault
+//!   campaigns run: each net keeps only the steps that can still reach a
+//!   register at one of those times.
 //!
 //! Every arm folds its swept sample bits into a lane-order-canonical
-//! digest, so bit-identity across lane widths and resimulation
-//! strategies is checked, not assumed. Each arm runs once to warm up and
-//! then three timed times; its time is the median of the three, and
+//! digest, so bit-identity across lane widths and faulty-pass kinds is
+//! checked, not assumed. Each arm runs once to warm up and then three
+//! timed times; its time is the median of the three, and
 //! `BENCH_batch.json` records every timed run.
 //!
 //! ```sh
@@ -30,7 +27,7 @@
 //! ```
 //!
 //! Exit code 0 when every run of every arm is bit-identical and the
-//! incremental arm's median is at least 2x the 64-lane baseline's, 1
+//! sampled arm's median is at least 2x the 64-lane baseline's, 1
 //! otherwise.
 
 use ola_arith::synth::online_multiplier;
@@ -77,10 +74,9 @@ fn position_hash(sample: usize, pass: usize, ti: usize, bits: &[bool]) -> u64 {
 }
 
 /// One full workload pass at lane word `B`: per batch a clean run +
-/// sweep, then per fault site a faulty resimulation (a dirty-cone rerun
-/// when asked) + sweep. Returns the lane-order-canonical
-/// digest of every swept sample bit, which must not depend on `B` or on
-/// `incremental`.
+/// sweep, then per fault site a faulty pass (a sampled pass when asked)
+/// swept at the grid. Returns the lane-order-canonical digest of every
+/// swept sample bit, which must not depend on `B` or on `sampled`.
 fn workload<B: LaneWord>(
     prog: &BatchProgram,
     nl: &Netlist,
@@ -88,7 +84,7 @@ fn workload<B: LaneWord>(
     vecs: &[Vec<bool>],
     grid: &[u64],
     sites: &[NetId],
-    incremental: bool,
+    sampled: bool,
 ) -> u64 {
     let mut digest = 0u64;
     for (ci, chunk) in vecs.chunks(B::LANES as usize).enumerate() {
@@ -110,17 +106,19 @@ fn workload<B: LaneWord>(
             let plan = FaultPlan::new().transient(site, grid[k % grid.len()] / 2, 3);
             let plans = vec![plan; lanes as usize];
             let faults = LaneFaultSet::<B>::compile(&plans, nl.len()).expect("sites are in range");
-            let faulty = if incremental {
-                prog.run_incremental(&clean, &prev, &new, Some(&faults))
+            let sweep = if sampled {
+                prog.run_bus_at(&prev, &new, Some(&faults), bus, grid)
+                    .expect("sampled faulty pass")
+                    .sweep()
+                    .clone()
             } else {
                 prog.run_with_faults(&prev, &new, &faults)
-            }
-            .expect("faulty pass");
-            let sweep = faulty
-                .bus_waves(bus)
-                .expect("bus")
-                .try_sweep(grid)
-                .expect("grid has no duplicates");
+                    .expect("faulty pass")
+                    .bus_waves(bus)
+                    .expect("bus")
+                    .try_sweep(grid)
+                    .expect("grid has no duplicates")
+            };
             for lane in 0..lanes {
                 for ti in 0..grid.len() {
                     let bits = sweep.lane_bits(ti, lane);
@@ -157,15 +155,15 @@ fn measure<B: LaneWord>(
     vecs: &[Vec<bool>],
     grid: &[u64],
     sites: &[NetId],
-    incremental: bool,
+    sampled: bool,
 ) -> Arm {
     // One warm pass so no arm pays first-touch allocator costs.
-    let _ = workload::<B>(prog, nl, bus, vecs, grid, sites, incremental);
+    let _ = workload::<B>(prog, nl, bus, vecs, grid, sites, sampled);
     let mut runs = Vec::with_capacity(RUNS);
     let mut digests = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
         let start = Instant::now();
-        digests.push(workload::<B>(prog, nl, bus, vecs, grid, sites, incremental));
+        digests.push(workload::<B>(prog, nl, bus, vecs, grid, sites, sampled));
         runs.push(start.elapsed().as_secs_f64());
     }
     let mut sorted = runs.clone();
@@ -192,16 +190,7 @@ fn main() {
     let arms = [
         measure::<u64>("lanes64_full", &prog, nl, &bus, &vecs, &grid, &sites, false),
         measure::<LaneBlock<4>>("lanes256_full", &prog, nl, &bus, &vecs, &grid, &sites, false),
-        measure::<LaneBlock<4>>(
-            "lanes256_incremental",
-            &prog,
-            nl,
-            &bus,
-            &vecs,
-            &grid,
-            &sites,
-            true,
-        ),
+        measure::<LaneBlock<4>>("lanes256_sampled", &prog, nl, &bus, &vecs, &grid, &sites, true),
     ];
 
     let identical = arms.iter().flat_map(|a| &a.digests).all(|&d| d == arms[0].digests[0]);
@@ -209,7 +198,7 @@ fn main() {
     let speedup = baseline / arms[2].secs;
 
     let mut fields = vec![
-        ("bench".into(), JsonValue::str("wide-lane incremental batch vs 64-lane full resim")),
+        ("bench".into(), JsonValue::str("wide-lane sampled batch vs 64-lane full resim")),
         ("workload".into(), JsonValue::str("online multiplier N=16 fault-campaign mc sweep")),
         ("samples".into(), JsonValue::U64(SAMPLES as u64)),
         ("ts_points".into(), JsonValue::U64(TS_POINTS)),
@@ -238,7 +227,7 @@ fn main() {
         std::process::exit(1);
     }
     if speedup < 2.0 {
-        eprintln!("FAIL: incremental arm is only {speedup:.2}x the 64-lane baseline (need >= 2x)");
+        eprintln!("FAIL: sampled arm is only {speedup:.2}x the 64-lane baseline (need >= 2x)");
         std::process::exit(1);
     }
 }

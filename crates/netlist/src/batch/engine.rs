@@ -37,13 +37,13 @@
 //!   inherits its fanin's tally and counts nothing, unless a sampled pass
 //!   clips it.
 //! * **A bounded retire scan.** Settle times come from a backward scan of
-//!   each fresh waveform that retires every lane at its last change. It
-//!   starts from the active lanes that changed at all, so a lane that is
-//!   quiet on this net never holds it open. A bus-only pass also stops at
-//!   the least settle time over all lanes its worker has folded, since no
-//!   earlier step can raise a lane's settle time above what it already
-//!   is. A full pass keeps its retire lists complete, because an
-//!   incremental rerun folds them into settle times of its own.
+//!   each waveform that retires every lane at its last change. It starts
+//!   from the active lanes that changed at all, so a lane that is quiet on
+//!   this net never holds it open, and it stops at the least settle time
+//!   over all lanes its worker has folded, since no earlier step can raise
+//!   a lane's settle time above what it already is. Settle times merge by
+//!   per-lane maxima, so the floor-bounded scan is exact for full and
+//!   bus-only passes alike.
 //!
 //! # The ready list and its workers
 //!
@@ -65,20 +65,6 @@
 //! bit-identical for any worker count and any schedule. Every worker polls
 //! the cancellation token, and a worker that is cancelled or panics halts
 //! the others; a helper's panic is re-raised on the caller.
-//!
-//! # Dirty-cone incremental resimulation
-//!
-//! [`BatchProgram::run_incremental`] reruns against a *base* result when
-//! only a few inputs or fault sites changed: a net is **dirty** iff its own
-//! stimulus changed (an input whose packed words differ from the base run,
-//! or a net whose per-lane fault state differs) or any fanin is dirty.
-//! Only dirty nets recompute their waveforms; clean nets share the base
-//! run's waveform by reference counting. An equality cutoff re-marks a
-//! recomputed net clean when its new waveform equals the base one (a fault
-//! that does not change behaviour, or a cone that reconverges), which
-//! prunes the fanout cone early. Setting `OLA_BATCH_CHECK_INCREMENTAL=1`
-//! cross-checks every incremental run, every sampled pass and every
-//! settled-bus evaluation against a full recompute.
 //!
 //! # Bus-only streaming
 //!
@@ -132,6 +118,9 @@
 //! its delays. [`BatchProgram::settled_bus`] computes it in one zero-delay
 //! pass in net order, one word operation per net, with no waveform; a fault
 //! campaign judges its sampled faulty pass against it.
+//!
+//! Setting `OLA_BATCH_CHECK_INCREMENTAL=1` cross-checks every sampled pass
+//! and every settled-bus evaluation against a full pass.
 
 use crate::batch::block::{LaneBlock, LaneWord};
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
@@ -496,27 +485,14 @@ fn observe_wave<B: LaneWord>(
     out.finish()
 }
 
-/// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every incremental and
-/// sampled pass to be cross-checked against a full recompute.
+/// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every sampled pass and
+/// every settled-bus evaluation to be cross-checked against a full pass.
 fn cross_check_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| {
         std::env::var("OLA_BATCH_CHECK_INCREMENTAL")
             .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
     })
-}
-
-/// Per-net scan products cached in a result so an incremental rerun can
-/// fold a clean (`Arc`-shared) net's contribution into its counters and
-/// settle times without rescanning the waveform: the [`Tally`] its
-/// emitter counted (an inverter reading the net inherits it too), and the
-/// complete "retire list" — backward-ordered `(t, lanes)` entries
-/// recording each lane's *last* transition time, the compressed form of
-/// this net's per-lane settle contribution.
-#[derive(Clone, Debug)]
-struct NetStats<B: LaneWord> {
-    tally: Tally<B>,
-    retire: Vec<(u64, B)>,
 }
 
 /// The settling history of one batch run: lane-word waveforms for every
@@ -526,23 +502,14 @@ struct NetStats<B: LaneWord> {
 /// [`LaneSimResult::lane_waveform`](Self::lane_waveform)) is bit-identical
 /// to the event-driven [`SimResult`](crate::SimResult) of the same
 /// (vector, fault-plan) pair — the equivalence the proptest suite pins
-/// down. Waveforms are reference-counted so an incremental rerun
-/// ([`BatchProgram::run_incremental`]) can share every clean net's
-/// waveform with its base instead of copying it — per-net scan products
-/// (`NetStats`) ride along so counters need no rescan either.
+/// down.
 #[derive(Clone, Debug)]
 pub struct LaneSimResult<B: LaneWord = u64> {
     lanes: u32,
-    waves: Vec<Arc<Wave<B>>>,
-    net_stats: Vec<Arc<NetStats<B>>>,
+    waves: Vec<Wave<B>>,
     settle: Vec<u64>,
     word_steps: u64,
     lane_transitions: u64,
-    /// The stimulus this run was produced from, kept so an incremental
-    /// rerun can seed its dirty set from the delta against it.
-    prev_words: Vec<B>,
-    new_words: Vec<B>,
-    faults: Option<LaneFaultSet<B>>,
 }
 
 /// The legacy 64-lane simulation result.
@@ -573,7 +540,6 @@ impl<B: LaneWord> LaneSimResult<B> {
     pub fn try_wave(&self, net: NetId) -> Result<&Wave<B>, NetlistError> {
         self.waves
             .get(net.index())
-            .map(Arc::as_ref)
             .ok_or(NetlistError::NetOutOfRange { index: net.index(), len: self.waves.len() })
     }
 
@@ -627,20 +593,6 @@ impl<B: LaneWord> LaneSimResult<B> {
     #[must_use]
     pub fn lane_transitions(&self) -> u64 {
         self.lane_transitions
-    }
-
-    /// How many nets of this result share their waveform with an
-    /// incremental base (reference count > 1) — a diagnostic for the
-    /// dirty-cone cutoff, not a semantic property.
-    #[must_use]
-    pub fn shared_waves(&self) -> usize {
-        self.waves.iter().filter(|w| Arc::strong_count(w) > 1).count()
-    }
-
-    /// Net `i`'s waveform and scan products, shared by reference with a
-    /// dirty-cone rerun.
-    fn shared(&self, i: usize) -> (Arc<Wave<B>>, Arc<NetStats<B>>) {
-        (Arc::clone(&self.waves[i]), Arc::clone(&self.net_stats[i]))
     }
 }
 
@@ -754,7 +706,7 @@ impl BatchProgram {
         new: &LaneInputs<B>,
         faults: &LaneFaultSet<B>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        self.check_faults(faults)?;
+        self.check_faults(Some(faults))?;
         self.run_inner(prev, new, Some(faults))
     }
 
@@ -784,47 +736,29 @@ impl BatchProgram {
         workers: usize,
     ) -> Result<LaneBusResult<B>, BatchError> {
         let on_bus = self.bus_mask(bus)?;
-        let stim = Stimulus { prev, new, faults: None, base: None };
+        let stim = Stimulus { prev, new, faults: None };
         let pass = self.settle(stim, Retain::Bus(&on_bus), cancel, workers)?;
         Ok(pass.into_bus_result(bus))
     }
 
-    /// Reruns the engine against `base`, recomputing only the fanout cone
-    /// of what changed (see the [module docs](crate::batch) for the
-    /// dirty-cone algorithm). `base` must come from this program; `faults`
-    /// is the *complete* fault set of the new run (not a delta), compared
-    /// per net against the base run's. The result is bit-identical to a
-    /// full [`BatchProgram::run`] / [`BatchProgram::run_with_faults`]
-    /// with the same arguments —
-    /// property-tested, and cross-checked on every call when
-    /// `OLA_BATCH_CHECK_INCREMENTAL=1`.
+    /// A full pass, with `faults` if given: the same result as
+    /// [`BatchProgram::run`] or [`BatchProgram::run_with_faults`].
+    /// `_base` is not read. The entry point keeps its old signature for
+    /// the benchmark harness's probe only, and goes with the next change
+    /// to the harness.
     ///
     /// # Errors
     ///
-    /// As for [`BatchProgram::run_with_faults`], plus
-    /// [`BatchError::IncrementalBaseMismatch`] if `base` was not produced
-    /// by a program of this shape.
+    /// As for [`BatchProgram::run_with_faults`].
     pub fn run_incremental<B: LaneWord>(
         &self,
-        base: &LaneSimResult<B>,
+        _base: &LaneSimResult<B>,
         prev: &LaneInputs<B>,
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        self.check_incremental(base, prev, faults)?;
-        let stim = Stimulus { prev, new, faults, base: Some(base) };
-        let pass = self.settle(stim, Retain::All, None, 1)?;
-        let result = pass.into_result(prev, new, faults);
-        if cross_check_enabled() {
-            let full = self.run_inner(prev, new, faults)?;
-            for i in 0..self.num_nets() {
-                assert_eq!(
-                    *result.waves[i], *full.waves[i],
-                    "incremental/full divergence on net {i} (OLA_BATCH_CHECK_INCREMENTAL)"
-                );
-            }
-        }
-        Ok(result)
+        self.check_faults(faults)?;
+        self.run_inner(prev, new, faults)
     }
 
     /// Runs the engine, with `faults` if given, and returns only the words
@@ -857,12 +791,10 @@ impl BatchProgram {
         bus: &[NetId],
         times: &[u64],
     ) -> Result<LaneBusSamples<B>, BatchError> {
-        if let Some(fs) = faults {
-            self.check_faults(fs)?;
-        }
+        self.check_faults(faults)?;
         let on_bus = self.bus_mask(bus)?;
         let spans = Spans::new(self, &on_bus, faults, &sorted_distinct(times)?);
-        let stim = Stimulus { prev, new, faults, base: None };
+        let stim = Stimulus { prev, new, faults };
         let pass = self.settle(stim, Retain::Sampled(&on_bus, &spans), None, 1)?;
         let word_steps = pass.fold.word_steps;
         let lane_transitions = pass.fold.lane_transitions;
@@ -936,35 +868,20 @@ impl BatchProgram {
         Ok(on_bus)
     }
 
-    /// Validates an incremental rerun's fault set and base against this
-    /// program and the new stimulus.
-    fn check_incremental<B: LaneWord>(
+    /// Rejects a fault set compiled against a netlist of another size.
+    fn check_faults<B: LaneWord>(
         &self,
-        base: &LaneSimResult<B>,
-        prev: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
     ) -> Result<(), BatchError> {
-        if let Some(fs) = faults {
-            self.check_faults(fs)?;
+        match faults {
+            Some(fs) if fs.num_nets() != self.num_nets() => {
+                Err(BatchError::InvalidFault(NetlistError::NetOutOfRange {
+                    index: fs.num_nets(),
+                    len: self.num_nets(),
+                }))
+            }
+            _ => Ok(()),
         }
-        let n = self.num_nets();
-        if base.waves.len() != n || base.prev_words.len() != self.num_inputs() {
-            return Err(BatchError::IncrementalBaseMismatch { expected: n, got: base.waves.len() });
-        }
-        if base.lanes != prev.lanes {
-            return Err(BatchError::LaneMismatch { prev: base.lanes, new: prev.lanes });
-        }
-        Ok(())
-    }
-
-    fn check_faults<B: LaneWord>(&self, faults: &LaneFaultSet<B>) -> Result<(), BatchError> {
-        if faults.num_nets() != self.num_nets() {
-            return Err(BatchError::InvalidFault(NetlistError::NetOutOfRange {
-                index: faults.num_nets(),
-                len: self.num_nets(),
-            }));
-        }
-        Ok(())
     }
 
     fn check_shapes<B: LaneWord>(
@@ -1047,22 +964,17 @@ impl BatchProgram {
         new: &LaneInputs<B>,
         faults: Option<&LaneFaultSet<B>>,
     ) -> Result<LaneSimResult<B>, BatchError> {
-        let stim = Stimulus { prev, new, faults, base: None };
+        let stim = Stimulus { prev, new, faults };
         let pass = self.settle(stim, Retain::All, None, 1)?;
-        Ok(pass.into_result(prev, new, faults))
+        Ok(pass.into_result())
     }
 
     /// The settling loop behind every entry point, on `workers` threads
     /// (the caller's own and `workers − 1` scoped helpers; one worker
     /// spawns nothing). Each net is settled once its fanins are, from a
     /// ready list (see the [module docs](self)); each worker folds its own
-    /// counters and settle times, merged once at the end.
-    ///
-    /// With a `base` run, a net whose own stimulus (input words, per-lane
-    /// fault state) and fanins are unchanged shares the base waveform and
-    /// scan products; a recomputed net whose waveform equals the base one is
-    /// shared too, so it dirties nothing downstream (equality cutoff).
-    /// `retain` decides which waveforms outlive their last reader.
+    /// counters and settle times, merged once at the end. `retain` decides
+    /// which waveforms outlive their last reader.
     fn settle<B: LaneWord>(
         &self,
         stim: Stimulus<'_, B>,
@@ -1085,7 +997,6 @@ impl BatchProgram {
             // reduction, so garbage in inactive lanes of an inverter's
             // output can never leak into settle times or transition counts.
             mask: B::active_mask(lanes),
-            no_faults: LaneFaults::default(),
         };
         let sources = (0..n).rev().filter(|&i| self.arity(i) == 0).map(|i| i as u32).collect();
         let slots = (0..n)
@@ -1106,20 +1017,19 @@ impl BatchProgram {
     }
 }
 
-/// What one settling pass runs on: the input switch, the per-lane fault
-/// set, and the base run of a dirty-cone rerun.
+/// What one settling pass runs on: the input switch and the per-lane fault
+/// set.
 #[derive(Clone, Copy)]
 struct Stimulus<'a, B: LaneWord> {
     prev: &'a LaneInputs<B>,
     new: &'a LaneInputs<B>,
     faults: Option<&'a LaneFaultSet<B>>,
-    base: Option<&'a LaneSimResult<B>>,
 }
 
 /// What the settling loop keeps of the waveforms it produces.
 #[derive(Clone, Copy)]
 enum Retain<'a> {
-    /// Every waveform and its scan products: a full [`LaneSimResult`].
+    /// Every waveform: a full [`LaneSimResult`].
     All,
     /// Only the nets flagged here; every other waveform is dropped once its
     /// last reader has been settled.
@@ -1206,25 +1116,22 @@ impl Spans {
 }
 
 /// What a settled net publishes to its readers: its waveform (`None` once
-/// released), its tally, whether it differs from the base run, and the
-/// scan products a [`Retain::All`] pass keeps; and how many of its readers
-/// have not yet taken the waveform.
+/// released) and its tally; and how many of its readers have not yet taken
+/// the waveform.
 #[derive(Default)]
 struct NetSlot<B: LaneWord> {
     unread: u32,
     wave: Option<Arc<Wave<B>>>,
     tally: Tally<B>,
-    dirty: bool,
-    stats: Option<Arc<NetStats<B>>>,
 }
 
 impl<B: LaneWord> NetSlot<B> {
-    /// Hands the waveform, tally and dirty flag to one reader. The last
-    /// reader moves the waveform out, releasing it, unless `keep`.
-    fn take(&mut self, keep: bool) -> (Arc<Wave<B>>, Tally<B>, bool) {
+    /// Hands the waveform and tally to one reader. The last reader moves
+    /// the waveform out, releasing it, unless `keep`.
+    fn take(&mut self, keep: bool) -> (Arc<Wave<B>>, Tally<B>) {
         self.unread -= 1;
         let wave = if self.unread == 0 && !keep { self.wave.take() } else { self.wave.clone() };
-        (wave.expect("a fanin's waveform outlives its readers"), self.tally, self.dirty)
+        (wave.expect("a fanin's waveform outlives its readers"), self.tally)
     }
 
     /// Stores a settled net's outputs, keeping the reader count.
@@ -1360,7 +1267,6 @@ struct Pass<'a, B: LaneWord> {
     cancel: Option<&'a CancelToken>,
     lanes: u32,
     mask: B,
-    no_faults: LaneFaults<B>,
 }
 
 impl<B: LaneWord> Pass<'_, B> {
@@ -1421,24 +1327,17 @@ impl<B: LaneWord> Pass<'_, B> {
         Ok(fold)
     }
 
-    /// The fault state of net `i` in `set`, fault-free when there is none.
-    fn faults_of<'s>(&'s self, set: Option<&'s LaneFaultSet<B>>, i: usize) -> &'s LaneFaults<B> {
-        set.map_or(&self.no_faults, |fs| &fs.nets[i])
-    }
-
     /// Settles net `i`, whose fanins are done: takes its fanins' waveforms
-    /// (releasing each one whose last reader this is), shares the base
-    /// waveform or computes a fresh one, folds it into `fold`, publishes
-    /// it, and adds the readers it made ready to `woken`.
+    /// (releasing each one whose last reader this is), computes its own,
+    /// folds it into `fold`, publishes it, and adds the readers it made
+    /// ready to `woken`.
     fn settle_net(&self, board: &Board<B>, i: usize, fold: &mut Fold, woken: &mut Vec<u32>) {
-        let (prog, stim) = (self.prog, &self.stim);
+        let prog = self.prog;
         let mut ins: [Option<Arc<Wave<B>>>; 3] = [None, None, None];
         let mut fanin_tally = Tally::default();
-        let mut fanin_dirty = false;
         for (k, f) in prog.fanins(i).enumerate() {
-            let (wave, tally, dirty) = board.slot(f).take(self.retain.keeps(f));
+            let (wave, tally) = board.slot(f).take(self.retain.keeps(f));
             ins[k] = Some(wave);
-            fanin_dirty |= dirty;
             if k == 0 {
                 fanin_tally = tally;
             }
@@ -1447,43 +1346,13 @@ impl<B: LaneWord> Pass<'_, B> {
         let refs = [0, 1, 2].map(|k| ins[k].as_deref().unwrap_or(&idle));
         let refs = &refs[..prog.arity(i)];
 
-        // Net `i` shares the base run's waveform when its own stimulus and
-        // its fanins are clean, or when its recomputed waveform equals the
-        // base one (the cone reconverged, so readers need not recompute
-        // because of net `i`).
-        let clean = stim.base.is_some_and(|b| {
-            let input_changed = prog.kinds[i] == GateKind::Input && {
-                let slot = prog.input_slot(i);
-                stim.prev.words[slot] != b.prev_words[slot]
-                    || stim.new.words[slot] != b.new_words[slot]
-            };
-            !fanin_dirty
-                && !input_changed
-                && self.faults_of(b.faults.as_ref(), i) == self.faults_of(stim.faults, i)
-        });
-        let fresh = if clean {
-            None
-        } else {
-            let clip = self.retain.clip(i);
-            let (wave, tally) = prog.net_wave(i, stim, refs, fanin_tally, self.mask, clip);
-            (!stim.base.is_some_and(|b| wave == *b.waves[i])).then_some((wave, tally))
-        };
-        let (wave, tally, dirty, stats) = match (fresh, stim.base) {
-            (Some((wave, tally)), _) => {
-                let stats = fold.fresh(&wave, tally, self.mask, self.retain);
-                (Arc::new(wave), tally, true, stats)
-            }
-            (None, Some(b)) => {
-                let (wave, stats) = b.shared(i);
-                fold.shared(&stats);
-                let tally = stats.tally;
-                (wave, tally, false, matches!(self.retain, Retain::All).then_some(stats))
-            }
-            (None, None) => unreachable!("only a rerun shares waveforms"),
-        };
+        let clip = self.retain.clip(i);
+        let (wave, tally) = prog.net_wave(i, &self.stim, refs, fanin_tally, self.mask, clip);
+        fold.fresh(&wave, tally, self.mask, self.retain);
         fold.word_steps += wave.steps.len() as u64;
-        let wave = (!prog.readers(i).is_empty() || self.retain.keeps(i)).then_some(wave);
-        board.slot(i).publish(NetSlot { unread: 0, wave, tally, dirty, stats });
+        let keep = !prog.readers(i).is_empty() || self.retain.keeps(i);
+        let wave = keep.then(|| Arc::new(wave));
+        board.slot(i).publish(NetSlot { unread: 0, wave, tally });
         for &r in prog.readers(i) {
             if board.fanin_done(r as usize) {
                 woken.push(r);
@@ -1502,48 +1371,19 @@ struct Fold {
 }
 
 impl Fold {
-    /// Folds a net shared by reference with the base run: its cached
-    /// transition count and its complete retire list.
-    fn shared<B: LaneWord>(&mut self, stats: &NetStats<B>) {
-        self.lane_transitions += stats.tally.transitions;
-        for &(t, lanes) in &stats.retire {
-            self.settle.raise(t, lanes);
-        }
-    }
-
     /// Folds a freshly computed waveform: the transitions its emitter
     /// counted, then a backward retire scan over the active lanes that
-    /// changed. A [`Retain::All`] pass returns the complete retire list,
-    /// since a later incremental rerun folds it into *its* settle times. A
-    /// [`Retain::Bus`] pass folds as it scans and stops at this worker's
-    /// settle floor: the merged settle times are per-lane maxima, so they
-    /// are at least this worker's. A [`Retain::Sampled`] pass reports no
-    /// settle times and scans nothing.
-    fn fresh<B: LaneWord>(
-        &mut self,
-        wave: &Wave<B>,
-        tally: Tally<B>,
-        mask: B,
-        retain: Retain<'_>,
-    ) -> Option<Arc<NetStats<B>>> {
+    /// changed, which folds as it scans and stops at this worker's settle
+    /// floor: the merged settle times are per-lane maxima, so they are at
+    /// least this worker's. A [`Retain::Sampled`] pass reports no settle
+    /// times and scans nothing.
+    fn fresh<B: LaneWord>(&mut self, wave: &Wave<B>, tally: Tally<B>, mask: B, retain: Retain<'_>) {
         self.lane_transitions += tally.transitions;
-        let lanes = mask.and(tally.changed);
-        match retain {
-            Retain::All => {
-                let mut retire = Vec::new();
-                retire_scan(wave, lanes, None, |t, l| retire.push((t, l)));
-                for &(t, l) in &retire {
-                    self.settle.raise(t, l);
-                }
-                Some(Arc::new(NetStats { tally, retire }))
-            }
-            Retain::Bus(_) => {
-                let floor = self.settle.floor();
-                retire_scan(wave, lanes, Some(floor), |t, l| self.settle.raise(t, l));
-                None
-            }
-            Retain::Sampled(..) => None,
+        if let Retain::Sampled(..) = retain {
+            return;
         }
+        let floor = self.settle.floor();
+        retire_scan(wave, mask.and(tally.changed), floor, |t, l| self.settle.raise(t, l));
     }
 
     fn merge(&mut self, other: &Fold) {
@@ -1561,32 +1401,23 @@ struct Settled<B: LaneWord> {
 }
 
 impl<B: LaneWord> Settled<B> {
-    /// Assembles the full result of a [`Retain::All`] pass.
-    fn into_result(
-        self,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        faults: Option<&LaneFaultSet<B>>,
-    ) -> LaneSimResult<B> {
-        let (waves, net_stats) = self
+    /// Assembles the full result of a [`Retain::All`] pass. Every reader
+    /// has dropped its handle, so each waveform moves out of its slot.
+    fn into_result(self) -> LaneSimResult<B> {
+        let waves = self
             .slots
             .into_iter()
             .map(|s| {
-                let s = NetSlot::settled(s);
-                let wave = s.wave.expect("a full pass keeps every waveform");
-                (wave, s.stats.expect("a full pass keeps every net's scan products"))
+                let wave = NetSlot::settled(s).wave.expect("a full pass keeps every waveform");
+                Arc::unwrap_or_clone(wave)
             })
-            .unzip();
+            .collect();
         LaneSimResult {
             lanes: self.lanes,
             waves,
-            net_stats,
             settle: self.fold.settle.times,
             word_steps: self.fold.word_steps,
             lane_transitions: self.fold.lane_transitions,
-            prev_words: prev.words.clone(),
-            new_words: new.words.clone(),
-            faults: faults.cloned(),
         }
     }
 
@@ -1615,8 +1446,8 @@ impl<B: LaneWord> Settled<B> {
 }
 
 /// Per-lane settle times, and their minimum: the settle floor. No step at
-/// or before the floor can raise any lane's settle time, so a bus pass's
-/// retire scan stops there. The floor is recomputed only after a lane that
+/// or before the floor can raise any lane's settle time, so every retire
+/// scan stops there. The floor is recomputed only after a lane that
 /// sat on it was raised.
 struct SettleTimes {
     times: Vec<u64>,
@@ -1667,19 +1498,14 @@ impl SettleTimes {
 ///
 /// The scan stops when every lane has retired, so `lanes` should hold only
 /// lanes that change at all: one that never changes would keep it walking
-/// to the first step. Given a `floor`, it also stops at the first step at
-/// or before it, which is exact only for folding into settle times that
-/// are all at least `floor`.
-fn retire_scan<B: LaneWord>(
-    w: &Wave<B>,
-    lanes: B,
-    floor: Option<u64>,
-    mut retire: impl FnMut(u64, B),
-) {
+/// to the first step. It also stops at the first step at or before
+/// `floor`, which is exact only for folding into settle times that are all
+/// at least `floor` (0 scans every step that can raise a settle time).
+fn retire_scan<B: LaneWord>(w: &Wave<B>, lanes: B, floor: u64, mut retire: impl FnMut(u64, B)) {
     let mut remaining = lanes;
     for k in (0..w.steps.len()).rev() {
         let (t, word) = w.steps[k];
-        if remaining.is_zero() || floor.is_some_and(|f| t <= f) {
+        if remaining.is_zero() || t <= floor {
             break;
         }
         let before = if k == 0 { w.initial } else { w.steps[k - 1].1 };
@@ -2151,19 +1977,18 @@ mod tests {
             .map(|(net, l)| res.lane_waveform(net, l).len())
             .sum();
         assert_eq!(res.lane_transitions(), listed as u64);
-        // The same through a 128-lane word and a dirty-cone rerun.
+        // The same through a 128-lane word.
         let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
         let (prev, new) =
             (WideInputs::<2>::pack(&prevs).unwrap(), WideInputs::<2>::pack(&news).unwrap());
         let fs = WideFaultSet::<2>::compile(&plans, nl.len()).unwrap();
-        let base = prog.run(&prev, &new).unwrap();
-        let rerun = prog.run_incremental(&base, &prev, &new, Some(&fs)).unwrap();
-        assert_eq!(rerun.settle_times(), clean.settle_times());
-        assert_eq!(rerun.lane_transitions(), clean.lane_transitions());
+        let wide = prog.run_with_faults(&prev, &new, &fs).unwrap();
+        assert_eq!(wide.settle_times(), clean.settle_times());
+        assert_eq!(wide.lane_transitions(), clean.lane_transitions());
     }
 
     #[test]
-    fn bus_pass_stops_retire_scans_at_the_settle_floor() {
+    fn retire_scans_stop_at_the_settle_floor() {
         // z = a ^ !!b: lane 0 toggles `a` and settles at U; lane 1 toggles
         // `b` and settles at 3U; lane 2 toggles both and glitches at U and
         // 3U. By the time the last net `w = !a` is scanned every lane has
@@ -2196,12 +2021,12 @@ mod tests {
         let mut seen = Vec::new();
         let floor = floored.floor();
         assert_eq!(floor, U);
-        retire_scan(&wave, 0b11, Some(floor), |t, l| {
+        retire_scan(&wave, 0b11, floor, |t, l| {
             seen.push((t, l));
             floored.raise(t, l);
         });
         assert_eq!(seen, [(3 * U, 0b10)], "the scan stopped at the floor");
-        retire_scan(&wave, 0b11, None, |t, l| full.raise(t, l));
+        retire_scan(&wave, 0b11, 0, |t, l| full.raise(t, l));
         assert_eq!(floored.times, full.times);
         assert_eq!(floored.floor(), U);
     }
@@ -2310,9 +2135,8 @@ mod tests {
 
     /// Settles the pass of every entry point at 1, 2 and 3 workers on
     /// `lanes` lanes of word `B`: full, faulty (delay pushes, transients,
-    /// stuck bits), incremental against a clean and a faulty base, their
-    /// bus-only forms, and a sampled faulty pass. Every report equals the
-    /// one-worker report.
+    /// stuck bits) on two stimuli, their bus-only forms, and a sampled
+    /// faulty pass. Every report equals the one-worker report.
     fn assert_workers_agree<B: LaneWord>(nl: &Netlist, prog: &BatchProgram, lanes: usize) {
         let width = prog.num_inputs();
         let prev = LaneInputs::<B>::pack(&vectors(lanes, width, 1)).unwrap();
@@ -2335,8 +2159,6 @@ mod tests {
             })
             .collect();
         let fs = LaneFaultSet::<B>::compile(&plans, nl.len()).unwrap();
-        let clean = prog.run(&prev, &new).unwrap();
-        let faulty = prog.run_with_faults(&prev, &new, &fs).unwrap();
         let mut on_bus = vec![false; nl.len()];
         for net in nl.output("z") {
             on_bus[net.index()] = true;
@@ -2344,23 +2166,12 @@ mod tests {
         let spans = Spans::new(prog, &on_bus, Some(&fs), &[400, 900]);
         let prev = &prev;
         let cases = [
-            (Stimulus { prev, new: &new, faults: None, base: None }, Retain::All),
-            (Stimulus { prev, new: &new, faults: Some(&fs), base: None }, Retain::All),
-            (Stimulus { prev, new: &moved, faults: Some(&fs), base: Some(&clean) }, Retain::All),
-            (Stimulus { prev, new: &moved, faults: None, base: Some(&faulty) }, Retain::All),
-            (Stimulus { prev, new: &new, faults: None, base: None }, Retain::Bus(&on_bus)),
-            (
-                Stimulus { prev, new: &moved, faults: Some(&fs), base: Some(&clean) },
-                Retain::Bus(&on_bus),
-            ),
-            (
-                Stimulus { prev, new: &moved, faults: None, base: Some(&faulty) },
-                Retain::Bus(&on_bus),
-            ),
-            (
-                Stimulus { prev, new: &new, faults: Some(&fs), base: None },
-                Retain::Sampled(&on_bus, &spans),
-            ),
+            (Stimulus { prev, new: &new, faults: None }, Retain::All),
+            (Stimulus { prev, new: &new, faults: Some(&fs) }, Retain::All),
+            (Stimulus { prev, new: &moved, faults: Some(&fs) }, Retain::All),
+            (Stimulus { prev, new: &new, faults: None }, Retain::Bus(&on_bus)),
+            (Stimulus { prev, new: &moved, faults: Some(&fs) }, Retain::Bus(&on_bus)),
+            (Stimulus { prev, new: &new, faults: Some(&fs) }, Retain::Sampled(&on_bus, &spans)),
         ];
         for (case, &(stim, retain)) in cases.iter().enumerate() {
             let one = report(prog.settle(stim, retain, None, 1).unwrap());
@@ -2487,144 +2298,44 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"tripwire"));
     }
 
-    /// Asserts an incremental rerun is bit-identical to the full recompute
-    /// with the same stimulus, counters and settle times included.
-    fn assert_incremental_matches_full<B: LaneWord>(
-        nl: &Netlist,
-        prog: &BatchProgram,
-        base: &LaneSimResult<B>,
-        prev: &LaneInputs<B>,
-        new: &LaneInputs<B>,
-        faults: Option<&LaneFaultSet<B>>,
-    ) -> LaneSimResult<B> {
-        let inc = prog.run_incremental(base, prev, new, faults).unwrap();
-        let full = match faults {
-            Some(fs) => prog.run_with_faults(prev, new, fs).unwrap(),
-            None => prog.run(prev, new).unwrap(),
-        };
-        for net in nl.nets() {
-            assert_eq!(inc.wave(net), full.wave(net), "net {net:?}");
-        }
-        assert_eq!(inc.settle_times(), full.settle_times());
-        assert_eq!(inc.word_steps(), full.word_steps());
-        assert_eq!(inc.lane_transitions(), full.lane_transitions());
-        inc
-    }
-
     #[test]
-    fn incremental_fault_rerun_shares_the_clean_cone() {
+    fn run_incremental_is_a_full_pass_that_ignores_its_base() {
         let nl = xor_chain(5);
         let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
         let news = all_vectors(6);
         let prev = BatchInputs::zeros(6, news.len() as u32).unwrap();
         let new = BatchInputs::pack(&news).unwrap();
-        let clean = prog.run(&prev, &new).unwrap();
-        // A fault on the last XOR: only its fanout cone (itself) is dirty.
-        let out = nl.output("z")[0];
-        let plans = vec![FaultPlan::new().stuck_at(out, true)];
+        let (out, mid) = (nl.output("z")[0], nl.net(4));
+        let plans = [
+            FaultPlan::new().stuck_at(out, true),
+            FaultPlan::new().transient(mid, U, 2 * U),
+            FaultPlan::new().delay_push(mid, 3 * U),
+        ];
         let fs = BatchFaultSet::compile(&plans, nl.len()).unwrap();
-        let inc = assert_incremental_matches_full(&nl, &prog, &clean, &prev, &new, Some(&fs));
-        // Every net but the faulted output shares its waveform with the base.
-        assert_eq!(inc.shared_waves(), nl.len() - 1);
-    }
-
-    #[test]
-    fn incremental_input_delta_recomputes_only_the_cone() {
-        let nl = xor_chain(6);
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let zero = BatchInputs::zeros(7, 8).unwrap();
-        let a = BatchInputs::pack(
-            &(0..8).map(|l| (0..7).map(|i| (l + i) % 2 == 0).collect()).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let base = prog.run(&zero, &a).unwrap();
-        // Flip only the last input's new words: the cone is the last XOR.
-        let mut vecs: Vec<Vec<bool>> = (0..8).map(|l| a.lane(l)).collect();
-        for v in &mut vecs {
-            let last = v.len() - 1;
-            v[last] = !v[last];
+        // A base of another stimulus and another shape: neither is read.
+        let other = xor_chain(2);
+        let other_inputs = BatchInputs::zeros(3, 4).unwrap();
+        let alien = BatchProgram::compile(&other, &UnitDelay)
+            .unwrap()
+            .run(&other_inputs, &other_inputs)
+            .unwrap();
+        for faults in [None, Some(&fs)] {
+            let shim = prog.run_incremental(&alien, &prev, &new, faults).unwrap();
+            let full = match faults {
+                Some(fs) => prog.run_with_faults(&prev, &new, fs).unwrap(),
+                None => prog.run(&prev, &new).unwrap(),
+            };
+            for net in nl.nets() {
+                assert_eq!(shim.wave(net), full.wave(net), "net {net:?}");
+            }
+            assert_eq!(shim.settle_times(), full.settle_times());
+            assert_eq!(shim.word_steps(), full.word_steps());
+            assert_eq!(shim.lane_transitions(), full.lane_transitions());
         }
-        let b = BatchInputs::pack(&vecs).unwrap();
-        let inc = assert_incremental_matches_full(&nl, &prog, &base, &zero, &b, None);
-        // Untouched inputs and early XORs share with the base: only the
-        // flipped input net and the final XOR differ.
-        assert!(inc.shared_waves() >= nl.len() - 2, "shared {}", inc.shared_waves());
-    }
-
-    #[test]
-    fn incremental_noop_delta_shares_everything() {
-        let nl = glitchy();
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let prev = BatchInputs::pack(&[vec![false], vec![true]]).unwrap();
-        let new = BatchInputs::pack(&[vec![true], vec![false]]).unwrap();
-        let base = prog.run(&prev, &new).unwrap();
-        let inc = assert_incremental_matches_full(&nl, &prog, &base, &prev, &new, None);
-        assert_eq!(inc.shared_waves(), nl.len());
-    }
-
-    #[test]
-    fn incremental_equality_cutoff_stops_masked_faults() {
-        // Stuck-at-0 on a net that settles to 0 anyway with these inputs:
-        // the recomputed wave may differ mid-flight but the cutoff fires
-        // wherever it reconverges; the result must still be exact.
-        let nl = xor_chain(4);
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let prev = BatchInputs::zeros(5, 4).unwrap();
-        let new = BatchInputs::pack(&all_vectors(5)[..4]).unwrap();
-        let base = prog.run(&prev, &new).unwrap();
-        let mid = nl.net(2);
-        let plans = vec![FaultPlan::new().stuck_at(mid, false); 4];
-        let fs = BatchFaultSet::compile(&plans, nl.len()).unwrap();
-        assert_incremental_matches_full(&nl, &prog, &base, &prev, &new, Some(&fs));
-    }
-
-    #[test]
-    fn incremental_from_faulty_base_back_to_clean() {
-        let nl = xor_chain(5);
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let prev = BatchInputs::zeros(6, 8).unwrap();
-        let new = BatchInputs::pack(&all_vectors(6)[..8]).unwrap();
-        let mid = nl.net(4);
-        let plans = vec![FaultPlan::new().delay_push(mid, 3 * U), FaultPlan::new()];
-        let fs = BatchFaultSet::compile(&plans, nl.len()).unwrap();
-        let faulty = prog.run_with_faults(&prev, &new, &fs).unwrap();
-        // Rerun fault-free against the faulty base.
-        assert_incremental_matches_full(&nl, &prog, &faulty, &prev, &new, None);
-    }
-
-    #[test]
-    fn incremental_wide_matches_full_wide() {
-        let nl = xor_chain(6);
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let news = all_vectors(7);
-        let prev = WideInputs::<2>::zeros(7, news.len() as u32).unwrap();
-        let new = WideInputs::<2>::pack(&news).unwrap();
-        let clean = prog.run(&prev, &new).unwrap();
-        let mid = nl.net(6);
-        let mut plans = vec![FaultPlan::new(); 100];
-        plans[97] = FaultPlan::new().transient(mid, U, 2 * U);
-        let fs = WideFaultSet::<2>::compile(&plans, nl.len()).unwrap();
-        assert_incremental_matches_full(&nl, &prog, &clean, &prev, &new, Some(&fs));
-    }
-
-    #[test]
-    fn incremental_validates_the_base() {
-        let nl = xor_chain(2);
-        let other = xor_chain(5);
-        let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let alien_prog = BatchProgram::compile(&other, &UnitDelay).unwrap();
-        let b = BatchInputs::zeros(3, 4).unwrap();
-        let ab = BatchInputs::zeros(6, 4).unwrap();
-        let alien = alien_prog.run(&ab, &ab).unwrap();
+        let wrong_size = BatchFaultSet::compile(&[], 99).unwrap();
         assert!(matches!(
-            prog.run_incremental(&alien, &b, &b, None).unwrap_err(),
-            BatchError::IncrementalBaseMismatch { .. }
-        ));
-        let base = prog.run(&b, &b).unwrap();
-        let narrow = BatchInputs::zeros(3, 2).unwrap();
-        assert!(matches!(
-            prog.run_incremental(&base, &narrow, &narrow, None).unwrap_err(),
-            BatchError::LaneMismatch { .. }
+            prog.run_incremental(&alien, &prev, &new, Some(&wrong_size)).unwrap_err(),
+            BatchError::InvalidFault(NetlistError::NetOutOfRange { .. })
         ));
     }
 }

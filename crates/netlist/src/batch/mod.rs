@@ -31,15 +31,13 @@
 //!    [`FaultPlan`](crate::FaultPlan) sites ([`BatchFaultSet`],
 //!    [`WideFaultSet`]), so a whole lane word of *different* fault
 //!    scenarios shares one pass;
-//! 5. [`BatchProgram::run_incremental`] reruns against a previous result,
-//!    recomputing only the levelized fanout cone of the nets whose
-//!    stimulus (input words or fault state) changed — clean nets share
-//!    their waveforms with the base run by reference;
-//! 6. [`BatchProgram::run_bus_at`] answers the question for a few fixed
+//! 5. [`BatchProgram::run_bus_at`] answers the question for a few fixed
 //!    sample times only, as a fault campaign's main and shadow registers
 //!    ask it: every net keeps just the steps that can still reach a
 //!    sampled register, and the pass returns the bus words at those times
-//!    ([`LaneBusSamples`]).
+//!    ([`LaneBusSamples`]). [`BatchProgram::settled_bus`] gives the words
+//!    they are judged against: the settled bus, from one zero-delay
+//!    evaluation.
 //!
 //! Exactness is the point, not an approximation: under transport-delay
 //! semantics with per-gate constant delays, `out(t + d) = f(inputs(t))`,

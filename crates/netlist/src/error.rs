@@ -229,15 +229,6 @@ pub enum BatchError {
         /// The duplicated observation time.
         ts: u64,
     },
-    /// The base result handed to
-    /// [`BatchProgram::run_incremental`](crate::batch::BatchProgram::run_incremental)
-    /// was produced by a different program shape.
-    IncrementalBaseMismatch {
-        /// Nets in the program being run.
-        expected: usize,
-        /// Nets in the base result.
-        got: usize,
-    },
 }
 
 impl fmt::Display for BatchError {
@@ -263,11 +254,6 @@ impl fmt::Display for BatchError {
             BatchError::DuplicateTs { ts } => {
                 write!(f, "sampling grid contains observation time {ts} more than once")
             }
-            BatchError::IncrementalBaseMismatch { expected, got } => write!(
-                f,
-                "incremental base result has {got} nets but the program has {expected}: \
-                 base must come from the same compiled program"
-            ),
         }
     }
 }
