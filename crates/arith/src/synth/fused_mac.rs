@@ -157,7 +157,7 @@ pub fn fused_online_mac(coefficients: &[SdNumber]) -> FusedMacCircuit {
     let (p, nneg) = sum.flat_nets();
     nl.set_output("sump", p);
     nl.set_output("sumn", nneg);
-    let nl = prune_dead(&nl).expect("generated netlists are DAGs");
+    let nl = prune_dead(&nl);
     FusedMacCircuit { netlist: nl, n, coefficients: coefficients.to_vec(), sum_msd_pos }
 }
 

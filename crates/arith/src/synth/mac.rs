@@ -105,7 +105,7 @@ pub fn online_mac(coefficients: &[SdNumber], frac_digits: i32) -> OnlineMacCircu
     let (p, nneg) = sum.flat_nets();
     nl.set_output("sump", p);
     nl.set_output("sumn", nneg);
-    let nl = prune_dead(&nl).expect("generated netlists are DAGs");
+    let nl = prune_dead(&nl);
     OnlineMacCircuit { netlist: nl, n, coefficients: coefficients.to_vec(), sum_msd_pos }
 }
 
@@ -193,7 +193,7 @@ pub fn traditional_mac(coefficients: &[i64], width: usize) -> TraditionalMacCirc
     let out_w = 2 * width + coefficients.len().next_power_of_two().trailing_zeros() as usize + 1;
     sum.truncate(out_w);
     nl.set_output("sum", sum);
-    let nl = prune_dead(&nl).expect("generated netlists are DAGs");
+    let nl = prune_dead(&nl);
     TraditionalMacCircuit { netlist: nl, width, coefficients: coefficients.to_vec() }
 }
 

@@ -1,13 +1,10 @@
 //! Property-based tests for fault injection on synthesized netlists:
 //! arbitrary [`FaultPlan`]s on real adder/multiplier circuits never panic
-//! or hang (the event budget is always respected), and the empty plan is
-//! bit-identical to the fault-free simulator.
+//! and always settle, and the empty plan is bit-identical to the
+//! fault-free simulator.
 
 use ola_arith::synth::{array_multiplier, online_adder};
-use ola_netlist::{
-    default_event_budget, simulate_budgeted, simulate_with_faults, FaultPlan, NetId, Netlist,
-    SimError, UnitDelay,
-};
+use ola_netlist::{simulate, simulate_with_faults, FaultPlan, NetId, Netlist, SimError, UnitDelay};
 use proptest::prelude::*;
 
 /// One arbitrary fault, described net-index-free so the same description
@@ -50,8 +47,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary plans on an online adder: the simulation returns `Ok`
-    /// (acyclic netlists settle within the default budget) and never
-    /// panics, whatever the fault mix.
+    /// (acyclic netlists always settle) and never panics, whatever the
+    /// fault mix.
     #[test]
     fn adder_with_arbitrary_faults_never_panics(
         n in 1usize..=5,
@@ -63,9 +60,7 @@ proptest! {
         let plan = plan_for(nl, &specs);
         let inputs = input_vector(nl, &bits);
         let zeros = vec![false; inputs.len()];
-        let res = simulate_with_faults(
-            nl, &UnitDelay, &zeros, &inputs, &plan, default_event_budget(nl),
-        );
+        let res = simulate_with_faults(nl, &UnitDelay, &zeros, &inputs, &plan);
         prop_assert!(res.is_ok(), "acyclic netlist must settle: {res:?}");
     }
 
@@ -82,9 +77,7 @@ proptest! {
         let plan = plan_for(nl, &specs);
         let inputs = input_vector(nl, &bits);
         let zeros = vec![false; inputs.len()];
-        let res = simulate_with_faults(
-            nl, &UnitDelay, &zeros, &inputs, &plan, default_event_budget(nl),
-        );
+        let res = simulate_with_faults(nl, &UnitDelay, &zeros, &inputs, &plan);
         prop_assert!(res.is_ok(), "acyclic netlist must settle: {res:?}");
     }
 
@@ -100,37 +93,10 @@ proptest! {
         let nl = &circuit.netlist;
         let inputs = input_vector(nl, &bits);
         let prev = input_vector(nl, &prev_bits);
-        let budget = default_event_budget(nl);
-        let plain = simulate_budgeted(nl, &UnitDelay, &prev, &inputs, budget).unwrap();
+        let plain = simulate(nl, &UnitDelay, &prev, &inputs);
         let faulted =
-            simulate_with_faults(nl, &UnitDelay, &prev, &inputs, &FaultPlan::new(), budget)
-                .unwrap();
+            simulate_with_faults(nl, &UnitDelay, &prev, &inputs, &FaultPlan::new()).unwrap();
         prop_assert_eq!(plain, faulted);
-    }
-
-    /// However small the budget, the simulator terminates with either a
-    /// settled result or a typed `Unsettled` error whose event count
-    /// honestly exceeds the budget — never a hang or a panic.
-    #[test]
-    fn tiny_budgets_yield_ok_or_typed_unsettled(
-        n in 1usize..=4,
-        specs in prop::collection::vec(fault_spec(), 0..4),
-        bits in prop::collection::vec(any::<bool>(), 1..8),
-        budget in 0usize..32,
-    ) {
-        let circuit = online_adder(n);
-        let nl = &circuit.netlist;
-        let plan = plan_for(nl, &specs);
-        let inputs = input_vector(nl, &bits);
-        let zeros = vec![false; inputs.len()];
-        match simulate_with_faults(nl, &UnitDelay, &zeros, &inputs, &plan, budget) {
-            Ok(_) => {}
-            Err(SimError::Unsettled { events, budget: b }) => {
-                prop_assert_eq!(b, budget);
-                prop_assert!(events > budget);
-            }
-            Err(other) => prop_assert!(false, "unexpected error: {other}"),
-        }
     }
 
     /// Plans naming nets outside the netlist fail with a typed
@@ -141,9 +107,7 @@ proptest! {
         let nl = &circuit.netlist;
         let bad = FaultPlan::new().stuck_at(NetId::from_index(nl.len() + extra), true);
         let inputs = vec![false; nl.inputs().len()];
-        let res = simulate_with_faults(
-            nl, &UnitDelay, &inputs, &inputs, &bad, default_event_budget(nl),
-        );
+        let res = simulate_with_faults(nl, &UnitDelay, &inputs, &inputs, &bad);
         prop_assert!(matches!(res, Err(SimError::InvalidFault(_))), "got {res:?}");
     }
 }

@@ -148,7 +148,7 @@ fn measure(
     let (ba_curve, ba) = variant_error_curve(&dp, delay, grid, samples, seed, SimBackend::Batch);
     let identical = ev_curve == ba_curve;
 
-    let bounds = sampling_bounds(&dp, delay, grid).map_err(|e| format!("sampling bounds: {e}"))?;
+    let bounds = sampling_bounds(&dp, delay, grid);
     let sound = (0..grid.len()).all(|i| ev_curve.mean_abs_error[i] <= bounds.total_f64(i));
 
     let mean = ev_curve.mean_abs_error.iter().sum::<f64>() / ev_curve.mean_abs_error.len() as f64;

@@ -12,16 +12,16 @@
 //!   variant of the 1×3 convolution datapath. A non-empty issue list
 //!   fails the experiment, which is what lets CI run `repro lint --all`
 //!   as a gate.
-//! * **detector self-checks** — defects are deliberately seeded and the
-//!   lint pass must flag each *statically* — no simulation, no
-//!   `Unsettled` fallback: a combinational loop rewired into a copy of an
-//!   online multiplier (via
-//!   [`rewire_input`](ola_netlist::Netlist::rewire_input)), an output bus
-//!   widened by repeating its MSB net (`output-width-mismatch`), and an
-//!   odd inverter ring standing in for a digit recurrence fed back into
-//!   its own slot (`non-settling-feedback`). Each self-check's row
-//!   appears in the table with the expected code so the CSV documents the
-//!   detectors working.
+//! * **detector self-checks** — defects the builder API can make are
+//!   deliberately seeded into copies of generated circuits, and the lint
+//!   pass must flag each *statically*, with no simulation: an extra input
+//!   nothing reads (`unused-input`), an output bus widened by repeating a
+//!   logic net (`output-width-mismatch`, on an adder and on a fused MAC),
+//!   a gate that reads a live net but reaches no output (`floating-net`
+//!   and `dead-cone`), and a raw [`try_gate`](ola_netlist::Netlist::try_gate)
+//!   AND with a constant wired into an output bus (`const-foldable`). Each
+//!   self-check's row appears in the table with the expected codes so the
+//!   CSV documents the detectors working.
 
 use crate::report::Table;
 use ola_arith::synth::{
@@ -29,7 +29,7 @@ use ola_arith::synth::{
     online_multiplier, ripple_carry_adder, traditional_mac,
 };
 use ola_netlist::sta::lint::{check, LintIssue};
-use ola_netlist::Netlist;
+use ola_netlist::{GateKind, Netlist};
 use ola_redundant::{SdNumber, Q};
 use ola_synth::{elaborate, optimize, AdderStructure, ElabOptions, InputFmt, Style};
 
@@ -113,9 +113,9 @@ fn issue_codes(issues: &[LintIssue]) -> String {
 ///
 /// # Errors
 ///
-/// If any generated circuit has lint issues, or the seeded-loop self-check
-/// fails to report a `comb-loop` — either means the static analyzer or a
-/// generator regressed.
+/// If any generated circuit has lint issues, or a seeded self-check
+/// defect is not reported with its expected codes — either means the
+/// static analyzer or a generator regressed.
 pub fn lint(run: &crate::resume::ExperimentCtx, all: bool) -> Result<Vec<Table>, String> {
     run.unit("sweep", || lint_inner(all))
 }
@@ -141,27 +141,10 @@ fn lint_inner(all: bool) -> Result<Vec<Table>, String> {
         }
     }
 
-    // Detector self-check: seed a loop, expect a *static* diagnosis.
-    let mut seeded = online_multiplier(8, 3).netlist;
-    let (gate, later) = seed_loop(&mut seeded);
-    let issues = check(&seeded);
-    let caught = issues
-        .iter()
-        .any(|i| matches!(i, LintIssue::CombinationalLoop { cycle } if cycle.contains(&gate)));
-    t.push_row(vec![
-        "online mult N=8 + seeded loop".to_string(),
-        seeded.len().to_string(),
-        issues.len().to_string(),
-        issue_codes(&issues),
-        format!("seeded {gate:?}<-{later:?}; caught={caught}"),
-    ]);
-
-    if !caught {
-        return Err(format!(
-            "seeded combinational loop was not flagged (got: {})",
-            issue_codes(&issues)
-        ));
-    }
+    // Self-check 1: an extra primary input that nothing reads.
+    let mut unread = online_multiplier(8, 3).netlist;
+    let _ = unread.input("unread");
+    self_check(&mut t, "online mult N=8 + unread input", &unread, &["unused-input"])?;
 
     // Self-check 2: a duplicated output bit — the adder's sum port widened
     // by repeating its MSB logic net must trip `output-width-mismatch`.
@@ -170,47 +153,14 @@ fn lint_inner(all: bool) -> Result<Vec<Table>, String> {
     let msb = *widened.last().expect("sum bus is nonempty");
     widened.push(msb);
     dup.set_output("sum", widened);
-    let issues = check(&dup);
-    let caught_width = issues.iter().any(|i| i.code() == "output-width-mismatch");
-    t.push_row(vec![
-        "ripple adder W=8 + repeated sum MSB".to_string(),
-        dup.len().to_string(),
-        issues.len().to_string(),
-        issue_codes(&issues),
-        format!("caught={caught_width}"),
-    ]);
-    if !caught_width {
-        return Err(format!(
-            "duplicated output bit was not flagged (got: {})",
-            issue_codes(&issues)
-        ));
-    }
+    self_check(&mut t, "ripple adder W=8 + repeated sum MSB", &dup, &["output-width-mismatch"])?;
 
-    // Self-check 3: an online digit-recurrence wired back into its own
-    // digit slot — an odd inverter ring — must be diagnosed as feedback
-    // that can *never* settle, not just as a loop.
-    let mut osc = Netlist::new();
-    let w = osc.input("w");
-    let r1 = osc.not(w);
-    let r2 = osc.not(r1);
-    let r3 = osc.not(r2);
-    osc.set_output("w_next", vec![r3]);
-    osc.rewire_input(r1, 0, r3).expect("rewire accepts arbitrary sources");
-    let issues = check(&osc);
-    let caught_feedback = issues.iter().any(|i| i.code() == "non-settling-feedback");
-    t.push_row(vec![
-        "digit recurrence fed back combinationally".to_string(),
-        osc.len().to_string(),
-        issues.len().to_string(),
-        issue_codes(&issues),
-        format!("caught={caught_feedback}"),
-    ]);
-    if !caught_feedback {
-        return Err(format!(
-            "inverting recurrence feedback was not flagged as non-settling (got: {})",
-            issue_codes(&issues)
-        ));
-    }
+    // Self-check 3: a gate that reads a live output net but reaches no
+    // output — a one-gate dead cone whose tip floats.
+    let mut stray = online_adder(8).netlist;
+    let live = first_logic_bit(&stray, "zp");
+    let _ = stray.not(live);
+    self_check(&mut t, "online adder N=8 + floating gate", &stray, &["floating-net", "dead-cone"])?;
 
     // Self-check 4 (MAC family): the fused MAC's redundant sum bus widened
     // by repeating one of its computed digits must trip
@@ -219,53 +169,33 @@ fn lint_inner(all: bool) -> Result<Vec<Table>, String> {
     // *logic* net.)
     let mut mac_wide = fused_online_mac(&online_taps(8)).netlist;
     let mut widened = mac_wide.output("sump").to_vec();
-    let digit = *widened
-        .iter()
-        .find(|&&net| mac_wide.kind(net).is_logic())
-        .expect("sump bus carries computed digits");
-    widened.push(digit);
+    widened.push(first_logic_bit(&mac_wide, "sump"));
     mac_wide.set_output("sump", widened);
-    let issues = check(&mac_wide);
-    let caught_mac_width = issues.iter().any(|i| i.code() == "output-width-mismatch");
-    t.push_row(vec![
-        "fused online mac N=8 + repeated sump MSD".to_string(),
-        mac_wide.len().to_string(),
-        issues.len().to_string(),
-        issue_codes(&issues),
-        format!("caught={caught_mac_width}"),
-    ]);
-    if !caught_mac_width {
-        return Err(format!(
-            "duplicated MAC output digit was not flagged (got: {})",
-            issue_codes(&issues)
-        ));
-    }
+    self_check(
+        &mut t,
+        "fused online mac N=8 + repeated sump MSD",
+        &mac_wide,
+        &["output-width-mismatch"],
+    )?;
 
-    // Self-check 5 (MAC family): an accumulator digit recurrence rewired
-    // back into the fused MAC combinationally — an odd inversion ring fed
-    // from the datapath — must be diagnosed as non-settling feedback.
-    let mut mac_fb = fused_online_mac(&online_taps(8)).netlist;
-    let src = mac_fb.output("sump")[0];
-    let r1 = mac_fb.not(src);
-    let r2 = mac_fb.not(r1);
-    let r3 = mac_fb.not(r2);
-    mac_fb.set_output("acc_next", vec![r3]);
-    mac_fb.rewire_input(r1, 0, r3).expect("rewire accepts arbitrary sources");
-    let issues = check(&mac_fb);
-    let caught_mac_feedback = issues.iter().any(|i| i.code() == "non-settling-feedback");
-    t.push_row(vec![
-        "fused online mac N=8 + accumulator feedback".to_string(),
-        mac_fb.len().to_string(),
-        issues.len().to_string(),
-        issue_codes(&issues),
-        format!("caught={caught_mac_feedback}"),
-    ]);
-    if !caught_mac_feedback {
-        return Err(format!(
-            "MAC accumulator feedback was not flagged as non-settling (got: {})",
-            issue_codes(&issues)
-        ));
-    }
+    // Self-check 5 (MAC family): a raw AND with constant 1 spliced into
+    // the sum bus. The folding builders would have returned the net
+    // itself; `try_gate` does not fold, so the lint must.
+    let mut mac_const = fused_online_mac(&online_taps(8)).netlist;
+    let mut bus = mac_const.output("sump").to_vec();
+    let pos = bus
+        .iter()
+        .position(|&net| mac_const.kind(net).is_logic())
+        .expect("sump bus carries computed digits");
+    let one = mac_const.constant(true);
+    bus[pos] = mac_const.try_gate(GateKind::And, &[bus[pos], one]).expect("both fanins exist");
+    mac_const.set_output("sump", bus);
+    self_check(
+        &mut t,
+        "fused online mac N=8 + unfolded AND with 1",
+        &mac_const,
+        &["const-foldable"],
+    )?;
 
     if !dirty.is_empty() {
         return Err(format!("{} circuit(s) have lint issues: {}", dirty.len(), dirty.join("; ")));
@@ -273,22 +203,31 @@ fn lint_inner(all: bool) -> Result<Vec<Table>, String> {
     Ok(vec![t])
 }
 
-/// Rewires the input of a mid-netlist gate to a later-created gate's
-/// output, closing a combinational cycle. Returns `(gate, new source)`.
-fn seed_loop(nl: &mut Netlist) -> (ola_netlist::NetId, ola_netlist::NetId) {
-    let n = nl.len();
-    // Walk outward from the middle to find a logic gate, then a later
-    // logic net downstream of it (its own fanout guarantees dependence).
-    let gate = (n / 2..n)
-        .map(|i| nl.net(i))
-        .find(|&net| nl.kind(net).is_logic())
-        .expect("generated multiplier has logic in its upper half");
-    let later = (gate.index() + 1..n)
-        .map(|i| nl.net(i))
-        .find(|&net| nl.kind(net).is_logic() && nl.gate_inputs(net).contains(&gate))
-        .expect("gate has downstream fanout");
-    nl.rewire_input(gate, 0, later).expect("rewire accepts arbitrary sources");
-    (gate, later)
+/// The first logic net of output bus `bus`.
+fn first_logic_bit(nl: &Netlist, bus: &str) -> ola_netlist::NetId {
+    *nl.output(bus)
+        .iter()
+        .find(|&&net| nl.kind(net).is_logic())
+        .expect("the bus carries computed bits")
+}
+
+/// Lints a netlist with a seeded defect, adds its row to `t`, and fails
+/// unless every code in `expect` is reported.
+fn self_check(t: &mut Table, name: &str, nl: &Netlist, expect: &[&str]) -> Result<(), String> {
+    let issues = check(nl);
+    let caught = expect.iter().all(|&code| issues.iter().any(|i| i.code() == code));
+    t.push_row(vec![
+        name.to_string(),
+        nl.len().to_string(),
+        issues.len().to_string(),
+        issue_codes(&issues),
+        format!("caught={caught}"),
+    ]);
+    if caught {
+        Ok(())
+    } else {
+        Err(format!("{name}: expected {} (got: {})", expect.join(" "), issue_codes(&issues)))
+    }
 }
 
 #[cfg(test)]
@@ -296,32 +235,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_sweep_is_clean_and_catches_the_seeded_loop() {
+    fn default_sweep_is_clean_and_catches_every_seeded_defect() {
         let tables = lint(&crate::resume::ExperimentCtx::ephemeral("lint"), false).unwrap();
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         // 2 widths × (8 families + 6 synth style/allocation variants)
         // + the five seeded detector self-check rows.
         assert_eq!(t.rows.len(), 33);
-        let seeded = &t.rows[t.rows.len() - 5];
-        assert!(seeded[3].contains("comb-loop"), "seeded row: {seeded:?}");
-        let width_row = &t.rows[t.rows.len() - 4];
-        assert!(width_row[3].contains("output-width-mismatch"), "width row: {width_row:?}");
-        let feedback_row = &t.rows[t.rows.len() - 3];
-        assert!(
-            feedback_row[3].contains("non-settling-feedback"),
-            "feedback row: {feedback_row:?}"
-        );
-        let mac_width_row = &t.rows[t.rows.len() - 2];
-        assert!(
-            mac_width_row[3].contains("output-width-mismatch"),
-            "mac width row: {mac_width_row:?}"
-        );
-        let mac_feedback_row = t.rows.last().unwrap();
-        assert!(
-            mac_feedback_row[3].contains("non-settling-feedback"),
-            "mac feedback row: {mac_feedback_row:?}"
-        );
+        let expected = [
+            "unused-input",
+            "output-width-mismatch",
+            "floating-net dead-cone",
+            "output-width-mismatch",
+            "const-foldable",
+        ];
+        for (row, codes) in t.rows[t.rows.len() - 5..].iter().zip(expected) {
+            assert_eq!(row[3], codes, "self-check row: {row:?}");
+            assert_eq!(row[4], "caught=true", "self-check row: {row:?}");
+        }
         // Every generated row is clean.
         for row in &t.rows[..t.rows.len() - 5] {
             assert_eq!(row[2], "0", "unexpected lint issues: {row:?}");

@@ -54,18 +54,13 @@ pub fn om_digit_weights(digits: usize) -> Vec<f64> {
 /// Certifies every output digit of an online multiplier against `ts_grid`
 /// (shared with the release-mode bound test so the experiment and the test
 /// describe the same artifact).
-///
-/// # Errors
-///
-/// Propagates [`ola_netlist::StaError`] as a string (generated netlists
-/// are DAGs, so this fires only on a corrupted circuit).
+#[must_use]
 pub fn om_certification<M: DelayModel + ?Sized>(
     circuit: &OnlineMultiplierCircuit,
     delay: &M,
     ts_grid: &[u64],
-) -> Result<CertificationReport, String> {
+) -> CertificationReport {
     certify(&circuit.netlist, delay, &om_digits(&circuit.netlist), ts_grid)
-        .map_err(|e| format!("online multiplier N={}: {e}", circuit.n))
 }
 
 /// Runs the static-analysis experiment. Pure analysis — no simulation.
@@ -73,8 +68,8 @@ pub fn om_certification<M: DelayModel + ?Sized>(
 ///
 /// # Errors
 ///
-/// If any netlist fails the topological precondition (which would mean a
-/// generator emitted a broken circuit).
+/// None: the analysis cannot fail. The `Result` is the signature every
+/// experiment shares.
 pub fn sta(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
     let delay = FpgaDelay::default();
     let mut tables = Vec::new();
@@ -85,22 +80,18 @@ pub fn sta(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table
             let w = n.min(31);
             let am = array_multiplier(w);
             Ok(vec![
-                paths_table(format!("STA paths online mult N={n}"), &om.netlist, &delay)?,
-                paths_table(format!("STA paths array mult W={w}"), &am.netlist, &delay)?,
-                slack_table(n, &om.netlist, w, &am.netlist, &delay)?,
-                certification_table(&om, &delay, scale)?,
+                paths_table(format!("STA paths online mult N={n}"), &om.netlist, &delay),
+                paths_table(format!("STA paths array mult W={w}"), &am.netlist, &delay),
+                slack_table(n, &om.netlist, w, &am.netlist, &delay),
+                certification_table(&om, &delay, scale),
             ])
         })?);
     }
     Ok(tables)
 }
 
-fn paths_table<M: DelayModel + ?Sized>(
-    title: String,
-    netlist: &Netlist,
-    delay: &M,
-) -> Result<Table, String> {
-    let paths = critical_paths(netlist, delay, TOP_K).map_err(|e| format!("{title}: {e}"))?;
+fn paths_table<M: DelayModel + ?Sized>(title: String, netlist: &Netlist, delay: &M) -> Table {
+    let paths = critical_paths(netlist, delay, TOP_K);
     let mut t = Table::new(title, &["rank", "endpoint", "delay_ps", "depth"]);
     for (rank, p) in paths.iter().enumerate() {
         t.push_row(vec![
@@ -110,7 +101,7 @@ fn paths_table<M: DelayModel + ?Sized>(
             p.depth().to_string(),
         ]);
     }
-    Ok(t)
+    t
 }
 
 /// Slack vs digit significance, online and conventional side by side (each
@@ -132,7 +123,7 @@ fn slack_table<M: DelayModel + ?Sized>(
     w: usize,
     am: &Netlist,
     delay: &M,
-) -> Result<Table, String> {
+) -> Table {
     let mut t = Table::new(
         format!("STA slack per digit N={n}"),
         &["circuit", "digit", "weight_exp", "arrival_ps", "slack_ps", "sample_slack_ps"],
@@ -171,19 +162,19 @@ fn slack_table<M: DelayModel + ?Sized>(
             ]);
         }
     }
-    Ok(t)
+    t
 }
 
 fn certification_table<M: DelayModel + ?Sized>(
     circuit: &OnlineMultiplierCircuit,
     delay: &M,
     scale: Scale,
-) -> Result<Table, String> {
+) -> Table {
     let n = circuit.n;
     let rated = analyze(&circuit.netlist, delay).critical_path();
     let points = scale.grid_points();
     let ts: Vec<u64> = (1..=points).map(|k| rated * k as u64 / points as u64).collect();
-    let rep = om_certification(circuit, delay, &ts)?;
+    let rep = om_certification(circuit, delay, &ts);
     let weights = om_digit_weights(rep.digits());
     let mut t = Table::new(
         format!("STA certification online mult N={n}"),
@@ -198,7 +189,7 @@ fn certification_table<M: DelayModel + ?Sized>(
             fmt_f(rep.error_bound(i, &weights)),
         ]);
     }
-    Ok(t)
+    t
 }
 
 #[cfg(test)]
@@ -246,7 +237,7 @@ mod tests {
         // bound certifies everything (bound 0 at the last grid point).
         let om = online_multiplier(8, 3);
         let delay = FpgaDelay::default();
-        let paths = critical_paths(&om.netlist, &delay, 3).unwrap();
+        let paths = critical_paths(&om.netlist, &delay, 3);
         let digits = om.netlist.output("zp").len();
         for p in &paths {
             let bit: usize = p.endpoint_label
@@ -256,7 +247,7 @@ mod tests {
             assert!(bit >= digits / 2, "deep chain ends at {} (bus of {digits})", p.endpoint_label);
         }
         let rated = analyze(&om.netlist, &delay).critical_path();
-        let rep = om_certification(&om, &delay, &[rated]).unwrap();
+        let rep = om_certification(&om, &delay, &[rated]);
         assert!(rep.all_certified(0));
         assert_eq!(rep.error_bound(0, &om_digit_weights(rep.digits())), 0.0);
     }

@@ -50,8 +50,8 @@ use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
 use ola_netlist::batch::{LaneFaultSet, LaneInputs, LaneWord};
 use ola_netlist::fault::logic_fault_sites;
 use ola_netlist::{
-    analyze, default_event_budget, simulate_from_zero, simulate_from_zero_with_faults, DelayModel,
-    FaultPlan, NetId, Netlist,
+    analyze, simulate_from_zero, simulate_from_zero_with_faults, DelayModel, FaultPlan, NetId,
+    Netlist,
 };
 use ola_redundant::Digit;
 use rand::Rng;
@@ -198,8 +198,8 @@ pub struct CampaignReport {
     /// Per-significance-rank corruption frequency (rank 0 = most
     /// significant output position; fraction of evaluated samples).
     pub rank_profile: Vec<f64>,
-    /// Samples whose faulty simulation exhausted its event budget
-    /// (excluded from the statistics above).
+    /// Always 0: every netlist is a DAG, so every faulty simulation
+    /// settles. The fault CSVs keep the column.
     pub unsettled: usize,
     /// Per-site breakdowns, in site order.
     pub site_reports: Vec<SiteReport>,
@@ -217,7 +217,6 @@ struct Acc {
     false_alarms: usize,
     msb_hits: usize,
     rank_hits: Vec<u64>,
-    unsettled: usize,
     stats: BackendStats,
 }
 
@@ -233,7 +232,6 @@ impl Acc {
             false_alarms: 0,
             msb_hits: 0,
             rank_hits: vec![0; n_ranks],
-            unsettled: 0,
             stats: BackendStats::default(),
         }
     }
@@ -250,7 +248,6 @@ impl Acc {
         for (x, y) in a.rank_hits.iter_mut().zip(&b.rank_hits) {
             *x += y;
         }
-        a.unsettled += b.unsettled;
         a.stats.merge(&b.stats);
         a
     }
@@ -328,9 +325,6 @@ impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
                     .expect("fault set compiled for this program, bus nets exist, times distinct");
                 let sampled = faulty.sweep();
                 for lane in 0..lanes {
-                    // Batch programs are compiled from validated DAGs, so no
-                    // lane can oscillate: `unsettled` stays 0, exactly as the
-                    // event oracle finds on these netlists.
                     let correct: Vec<bool> = settled.iter().map(|w| w.bit(lane)).collect();
                     (self.record)(
                         acc,
@@ -348,27 +342,20 @@ impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
                 );
             }
             Engine::Event { netlist, delay } => {
-                let budget = default_event_budget(netlist);
                 let runs = parallel_map(group, |_, (inputs, plan)| {
                     crate::resilience::check_cancelled();
                     let clean = simulate_from_zero(netlist, *delay, inputs);
-                    let faulty =
-                        simulate_from_zero_with_faults(netlist, *delay, inputs, plan, budget)
-                            .ok()?;
-                    Some([
+                    let faulty = simulate_from_zero_with_faults(netlist, *delay, inputs, plan)
+                        .expect("plans target in-range nets, inputs fit the netlist");
+                    [
                         clean.final_bus(self.wires),
                         faulty.sample_bus(self.wires, self.t_main),
                         faulty.sample_bus(self.wires, self.t_shadow),
-                    ])
+                    ]
                 });
-                for run in runs {
-                    match run {
-                        Some([correct, main, shadow]) => {
-                            acc.stats.ts_points += 2;
-                            (self.record)(acc, &correct, &main, &shadow);
-                        }
-                        None => acc.unsettled += 1,
-                    }
+                for [correct, main, shadow] in runs {
+                    acc.stats.ts_points += 2;
+                    (self.record)(acc, &correct, &main, &shadow);
                 }
                 acc.stats.backend = "event";
                 acc.stats.event_runs += 2 * u64::from(lanes);
@@ -475,7 +462,6 @@ where
     let mut total = per_site.iter().fold(Acc::new(n_ranks), Acc::merge);
     total.stats.wall = started.elapsed();
     total.stats.publish();
-    crate::obs::registry().counter("ola.campaign.unsettled").add(total.unsettled as u64);
     let evaluated = total.samples.max(1) as f64;
     let clean_samples = (total.samples - total.errors).max(1) as f64;
     let site_reports = sites
@@ -516,7 +502,7 @@ where
             0.0
         },
         rank_profile: total.rank_hits.iter().map(|&h| h as f64 / evaluated).collect(),
-        unsettled: total.unsettled,
+        unsettled: 0,
         site_reports,
     };
     (report, total.stats)
@@ -786,7 +772,6 @@ mod tests {
         assert!(rep.error_rate >= 0.0 && rep.error_rate <= 1.0);
         assert!(rep.detection_coverage >= 0.0 && rep.detection_coverage <= 1.0);
         assert!(rep.worst_error_raw >= rep.worst_error, "raw scale is larger");
-        assert_eq!(rep.unsettled, 0, "multiplier netlists are acyclic");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ola_netlist::batch::BatchProgram;
 use ola_netlist::sta::{certify, CertificationReport};
-use ola_netlist::{BatchError, DelayModel, NetId, Netlist, StaError};
+use ola_netlist::{BatchError, DelayModel, NetId, Netlist};
 
 use crate::cache::{CacheKey, Store};
 
@@ -160,8 +160,8 @@ fn replay_compile_observation(program: &BatchProgram) {
 ///
 /// # Errors
 ///
-/// Propagates [`BatchProgram::compile`] errors (e.g.
-/// [`BatchError::TopologyBroken`]); failed compiles are never cached.
+/// Propagates [`BatchProgram::compile`] errors; failed compiles are never
+/// cached.
 pub fn batch_program<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
@@ -175,17 +175,13 @@ pub fn batch_program<M: DelayModel + ?Sized>(
 /// The `Ts` grid is *not* part of the key: a report is rebuilt from the
 /// cached arrivals via [`CertificationReport::from_parts`], so sweeping new
 /// grids over an already-analyzed design costs no STA work at all.
-///
-/// # Errors
-///
-/// Propagates [`certify()`] errors (e.g. [`StaError::NotTopological`]);
-/// failures are never cached.
+#[must_use]
 pub fn certification<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
     digits: &[Vec<NetId>],
     ts_grid: &[u64],
-) -> Result<CertificationReport, StaError> {
+) -> CertificationReport {
     memo().certification(netlist, delay, digits, ts_grid)
 }
 
@@ -243,7 +239,7 @@ impl Memo {
         delay: &M,
         digits: &[Vec<NetId>],
         ts_grid: &[u64],
-    ) -> Result<CertificationReport, StaError> {
+    ) -> CertificationReport {
         crate::obs::registry().counter("ola.memo.cert_requests").inc();
         let Some(delay_key) = delay.cache_key() else {
             self.cert_uncached.fetch_add(1, Ordering::Relaxed);
@@ -253,12 +249,12 @@ impl Memo {
         let hit = lock(&self.arrivals).get(key.hex()).cloned();
         if let Some(arrivals) = hit {
             self.cert_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(CertificationReport::from_parts(ts_grid.to_vec(), arrivals));
+            return CertificationReport::from_parts(ts_grid.to_vec(), arrivals);
         }
-        let report = certify(netlist, delay, digits, ts_grid)?;
+        let report = certify(netlist, delay, digits, ts_grid);
         self.cert_misses.fetch_add(1, Ordering::Relaxed);
         lock(&self.arrivals).insert(key.hex().to_owned(), report.arrivals().to_vec());
-        Ok(report)
+        report
     }
 }
 
@@ -338,12 +334,12 @@ mod tests {
         let grid1 = [0, 100, 300, 1000, 2000];
         let grid2 = [50, 150, 250];
         let before = stats();
-        let rep1 = certification(&nl, &UnitDelay, &digits, &grid1).unwrap();
-        let rep2 = certification(&nl, &UnitDelay, &digits, &grid2).unwrap();
+        let rep1 = certification(&nl, &UnitDelay, &digits, &grid1);
+        let rep2 = certification(&nl, &UnitDelay, &digits, &grid2);
         let after = stats();
         assert_eq!(after.cert_misses, before.cert_misses + 1);
         assert_eq!(after.cert_hits, before.cert_hits + 1, "new grid, same arrival table");
-        let fresh = certify(&nl, &UnitDelay, &digits, &grid2).unwrap();
+        let fresh = certify(&nl, &UnitDelay, &digits, &grid2);
         assert_eq!(rep2.arrivals(), fresh.arrivals());
         assert_eq!(rep1.arrivals(), fresh.arrivals());
         assert_eq!(rep2.ts_grid(), &grid2);
@@ -358,8 +354,8 @@ mod tests {
         let split: Vec<Vec<NetId>> = nets.iter().map(|&n| vec![n]).collect();
         let merged = vec![nets.clone()];
         let grid = [100];
-        let a = certification(&nl, &UnitDelay, &split, &grid).unwrap();
-        let b = certification(&nl, &UnitDelay, &merged, &grid).unwrap();
+        let a = certification(&nl, &UnitDelay, &split, &grid);
+        let b = certification(&nl, &UnitDelay, &merged, &grid);
         assert_eq!(a.digits(), 2);
         assert_eq!(b.digits(), 1);
         assert_eq!(b.digit_arrival(0), a.arrivals().iter().copied().max().unwrap());

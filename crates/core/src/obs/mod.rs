@@ -44,7 +44,6 @@ struct NetlistHook {
     event_runs: Arc<Counter>,
     event_events: Arc<Counter>,
     event_settle: Arc<Histogram>,
-    event_unsettled: Arc<Counter>,
     batch_compiles: Arc<Counter>,
     batch_depth: Arc<Gauge>,
     batch_runs: Arc<Counter>,
@@ -58,10 +57,6 @@ impl ola_netlist::obs::SimObserver for NetlistHook {
         self.event_runs.inc();
         self.event_events.add(events);
         self.event_settle.observe(settle_time);
-    }
-
-    fn event_unsettled(&self, _processed: u64, _budget: u64) {
-        self.event_unsettled.inc();
     }
 
     fn batch_compile(&self, nets: u64, depth: u64) {
@@ -94,7 +89,6 @@ pub fn registry() -> &'static Registry {
         event_runs: reg.counter("ola.sim.event.runs"),
         event_events: reg.counter("ola.sim.event.events"),
         event_settle: reg.histogram("ola.sim.event.settle_time"),
-        event_unsettled: reg.counter("ola.sim.event.unsettled"),
         batch_compiles: reg.counter("ola.batch.compiles"),
         batch_depth: reg.gauge("ola.batch.depth"),
         batch_runs: reg.counter("ola.batch.runs"),

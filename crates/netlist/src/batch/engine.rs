@@ -1521,9 +1521,7 @@ fn retire_scan<B: LaneWord>(w: &Wave<B>, lanes: B, floor: u64, mut retire: impl 
 mod tests {
     use super::*;
     use crate::batch::{BatchFaultSet, BatchInputs, WideFaultSet, WideInputs};
-    use crate::{
-        default_event_budget, simulate_with_faults, FaultPlan, FpgaDelay, Netlist, UnitDelay,
-    };
+    use crate::{simulate_with_faults, FaultPlan, FpgaDelay, Netlist, UnitDelay};
 
     const U: u64 = UnitDelay::UNIT;
 
@@ -1549,12 +1547,10 @@ mod tests {
         } else {
             prog.run_with_faults(&prev, &new, &fs).unwrap()
         };
-        let budget = default_event_budget(nl);
         for lane in 0..prev_vecs.len() {
             let plan = plans.get(lane).cloned().unwrap_or_default();
             let ev =
-                simulate_with_faults(nl, delay, &prev_vecs[lane], &new_vecs[lane], &plan, budget)
-                    .unwrap();
+                simulate_with_faults(nl, delay, &prev_vecs[lane], &new_vecs[lane], &plan).unwrap();
             for net in nl.nets() {
                 let l = lane as u32;
                 if plans.is_empty() {

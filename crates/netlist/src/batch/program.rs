@@ -3,8 +3,8 @@
 //! [`BatchProgram::compile`] freezes three things once, ahead of any number
 //! of simulation runs: the gate structure in struct-of-arrays form, the
 //! per-gate delays sampled from the [`DelayModel`], and the topological
-//! order (validated so every fanin points to a lower net id, and summed up
-//! as a logic-depth statistic), plus each net's readers, which the
+//! order (net-id order, which the builder guarantees, summed up as a
+//! logic-depth statistic), plus each net's readers, which the
 //! settling pass's dependency counts start from.
 //! [`LaneInputs`] packs input vectors into lane words:
 //! bit `l` of word `i` is input `i` of vector `l`. The word type decides
@@ -23,10 +23,10 @@ use crate::{BatchError, DelayModel, GateKind, NetId, Netlist};
 ///
 /// Compilation is the expensive-once part of batch simulation: it samples
 /// every gate's delay from the [`DelayModel`] exactly once (models are
-/// deterministic per gate, so the program is exact for its model), verifies
-/// the netlist is a DAG in net-id order, and computes its logic depth. The
-/// program borrows nothing, so one compile can be shared across threads and
-/// reused for any number of [`run`](BatchProgram::run) /
+/// deterministic per gate, so the program is exact for its model) and
+/// computes its logic depth. The program borrows nothing, so one compile
+/// can be shared across threads and reused for any number of
+/// [`run`](BatchProgram::run) /
 /// [`run_with_faults`](BatchProgram::run_with_faults) calls — at any lane
 /// width.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,9 +56,8 @@ impl BatchProgram {
     ///
     /// # Errors
     ///
-    /// [`BatchError::TopologyBroken`] if the netlist is not topologically
-    /// ordered (a combinational cycle was created via
-    /// [`Netlist::rewire_input`]).
+    /// None today: every netlist the builder can make compiles. The
+    /// `Result` keeps the signature stable for existing callers.
     pub fn compile<M: DelayModel + ?Sized>(
         netlist: &Netlist,
         delay: &M,
@@ -87,9 +86,6 @@ impl BatchProgram {
                 _ => {
                     let mut level = 0u32;
                     for (slot, inp) in g.input_slice().iter().enumerate() {
-                        if inp.index() >= i {
-                            return Err(BatchError::TopologyBroken { net: id });
-                        }
                         level = level.max(levels[inp.index()] + 1);
                         match slot {
                             0 => in0[i] = inp.0,
@@ -320,17 +316,6 @@ mod tests {
         for net in nl.nets() {
             assert_eq!(p.delays[net.index()], jitter.gate_delay(nl.kind(net), net));
         }
-    }
-
-    #[test]
-    fn broken_topology_is_rejected() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.not(a);
-        let n2 = nl.not(n1);
-        nl.rewire_input(n1, 0, n2).unwrap();
-        let err = BatchProgram::compile(&nl, &UnitDelay).unwrap_err();
-        assert!(matches!(err, BatchError::TopologyBroken { net } if net == n1), "{err}");
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //! output bus/bit and both observed values) that replays through
 //! [`Netlist::eval`] on either side.
 
-use crate::error::StaError;
 use crate::netlist::{GateKind, NetId, Netlist};
-use crate::sta::check_topological;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -206,10 +204,6 @@ pub enum EquivError {
         /// Bus width on the right (if present).
         right: Option<usize>,
     },
-    /// A netlist's DAG invariant is broken (e.g. after
-    /// [`Netlist::rewire_input`] introduced a back-reference), so settled
-    /// values are not well-defined.
-    NotCombinational(StaError),
 }
 
 impl fmt::Display for EquivError {
@@ -224,7 +218,6 @@ impl fmt::Display for EquivError {
                 };
                 write!(f, "output bus {bus:?}: left {}, right {}", w(left), w(right))
             }
-            EquivError::NotCombinational(e) => write!(f, "netlist is not combinational: {e}"),
         }
     }
 }
@@ -236,7 +229,7 @@ impl std::error::Error for EquivError {}
 /// # Errors
 ///
 /// [`EquivError`] if the interfaces don't line up (input counts, output
-/// bus names/widths) or either netlist is non-topological.
+/// bus names/widths).
 pub fn check_equiv(left: &Netlist, right: &Netlist) -> Result<EquivVerdict, EquivError> {
     check_equiv_with(left, right, &EquivOptions::default())
 }
@@ -249,17 +242,14 @@ pub fn check_equiv(left: &Netlist, right: &Netlist) -> Result<EquivVerdict, Equi
 ///
 /// # Errors
 ///
-/// [`EquivError`] if the interfaces don't line up or either netlist is
-/// non-topological; disagreements about *values* are a verdict, not an
-/// error.
+/// [`EquivError`] if the interfaces don't line up; disagreements about
+/// *values* are a verdict, not an error.
 pub fn check_equiv_with(
     left: &Netlist,
     right: &Netlist,
     opts: &EquivOptions,
 ) -> Result<EquivVerdict, EquivError> {
     check_interfaces(left, right)?;
-    check_topological(left).map_err(EquivError::NotCombinational)?;
-    check_topological(right).map_err(EquivError::NotCombinational)?;
 
     if structurally_equal(left, right) {
         return Ok(EquivVerdict::Equivalent { method: EquivMethod::Structural });
@@ -997,21 +987,6 @@ mod tests {
         };
         assert_eq!(method, EquivMethod::Exhaustive);
         assert_eq!(counterexample.inputs, vec![true, true, true]);
-    }
-
-    #[test]
-    fn non_topological_netlists_are_rejected() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let b = nl.not(a);
-        let c = nl.not(b);
-        nl.set_output("y", [c]);
-        nl.rewire_input(b, 0, c).unwrap();
-        let mut ok = Netlist::new();
-        let a = ok.input("a");
-        ok.set_output("y", [a]);
-        let err = check_equiv(&nl, &ok).unwrap_err();
-        assert!(matches!(err, EquivError::NotCombinational(_)), "got {err:?}");
     }
 
     #[test]

@@ -94,15 +94,6 @@ pub enum SimError {
         /// Number of values supplied.
         got: usize,
     },
-    /// The simulation exceeded its event budget without settling — the
-    /// netlist contains a combinational cycle (oscillation) or is
-    /// pathologically glitchy.
-    Unsettled {
-        /// Events processed before giving up.
-        events: usize,
-        /// The budget that was exhausted.
-        budget: usize,
-    },
     /// The supplied fault plan does not fit the netlist.
     InvalidFault(NetlistError),
 }
@@ -113,11 +104,6 @@ impl fmt::Display for SimError {
             SimError::InputArity { expected, got } => {
                 write!(f, "new input arity mismatch: expected {expected} values, got {got}")
             }
-            SimError::Unsettled { events, budget } => write!(
-                f,
-                "simulation unsettled after {events} events (budget {budget}): \
-                 combinational cycle or oscillation"
-            ),
             SimError::InvalidFault(e) => write!(f, "invalid fault plan: {e}"),
         }
     }
@@ -138,57 +124,19 @@ impl From<NetlistError> for SimError {
     }
 }
 
-/// Errors from the static-analysis layer ([`crate::sta`]).
-///
-/// Forward-pass timing analysis, slack, path enumeration, certification
-/// and dead-cone pruning all require the netlist to be topologically
-/// ordered (the DAG-by-construction invariant). The only way to break that
-/// invariant is [`Netlist::rewire_input`](crate::Netlist::rewire_input);
-/// analyses detect the breakage statically and refuse, instead of silently
-/// reporting wrong numbers the way a naive forward pass would.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StaError {
-    /// A gate reads a net created at or after itself, so a single forward
-    /// (or backward) pass cannot order the computation. Run
-    /// [`sta::lint::check`](crate::sta::lint::check) to find out whether
-    /// the back-reference actually closes a combinational cycle.
-    NotTopological {
-        /// The first gate whose fanin references itself or a later net.
-        net: NetId,
-    },
-}
-
-impl fmt::Display for StaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StaError::NotTopological { net } => write!(
-                f,
-                "netlist is not topologically ordered at gate {net:?}: \
-                 static analysis requires a DAG"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StaError {}
-
 /// Errors from compiling or running a batch (bit-parallel) simulation —
 /// see [`crate::batch`].
 ///
-/// Every variant is *recoverable by falling back to the event-driven
-/// engine*: batch simulation is an accelerator, never the only way to get
-/// an answer.
+/// Every variant but [`Cancelled`](BatchError::Cancelled) reports an
+/// argument that does not fit the compiled program: lane count, input
+/// arity, fault set, bus or sampling grid. Production callers build
+/// arguments that fit, so they treat those variants as bugs and panic;
+/// `Cancelled` ends a run whose [`CancelToken`](crate::CancelToken) fired.
+/// No caller falls back to the event-driven engine, which runs only as a
+/// test oracle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BatchError {
-    /// The netlist is not topologically ordered (a combinational cycle was
-    /// created via [`Netlist::rewire_input`](crate::Netlist::rewire_input)),
-    /// so a single levelized pass cannot evaluate it.
-    TopologyBroken {
-        /// The first gate referencing a net at or after itself.
-        net: NetId,
-    },
     /// More input vectors (or per-lane fault plans) than the lane word can
     /// carry: 64 for `u64` batches, `64·W` for
     /// [`LaneBlock<W>`](crate::batch::LaneBlock) batches.
@@ -234,11 +182,6 @@ pub enum BatchError {
 impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BatchError::TopologyBroken { net } => write!(
-                f,
-                "netlist is not topologically ordered at gate {net:?}: \
-                 batch programs require a DAG"
-            ),
             BatchError::TooManyLanes { got, cap } => {
                 write!(f, "batch holds at most {cap} vectors per lane word, got {got}")
             }

@@ -59,8 +59,7 @@ pub struct Fault {
 /// nl.set_output("z", vec![z]);
 ///
 /// let plan = FaultPlan::new().stuck_at(z, true);
-/// let res = simulate_with_faults(&nl, &UnitDelay, &[false, false], &[true, false], &plan, 10_000)
-///     .unwrap();
+/// let res = simulate_with_faults(&nl, &UnitDelay, &[false, false], &[true, false], &plan).unwrap();
 /// assert!(res.final_value(z), "stuck-at-1 overrides the AND gate");
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

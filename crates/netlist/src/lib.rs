@@ -20,9 +20,7 @@
 //! * [`DelayModel`]s — [`UnitDelay`], [`FpgaDelay`], and [`JitteredDelay`]
 //!   standing in for place-and-route delay variation;
 //! * [`fault`] — stuck-at / transient-SEU / delay-push fault overlays
-//!   ([`FaultPlan`]) injected via [`simulate_with_faults`], with an event
-//!   budget so cyclic netlists return [`SimError::Unsettled`] instead of
-//!   hanging;
+//!   ([`FaultPlan`]) injected via [`simulate_with_faults`];
 //! * [`batch`] — the levelized bit-parallel batch engine: 64 input vectors
 //!   (and 64 per-lane fault plans) per pass, with multi-`Ts` sampling,
 //!   bit-identical per lane to [`simulate`] under every delay model;
@@ -74,11 +72,10 @@ pub use equiv::{
     check_equiv, check_equiv_with, Counterexample, EquivError, EquivMethod, EquivOptions,
     EquivVerdict,
 };
-pub use error::{BatchError, NetlistError, SimError, StaError};
+pub use error::{BatchError, NetlistError, SimError};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use netlist::{GateKind, NetId, Netlist};
 pub use sim::{
-    default_event_budget, simulate, simulate_budgeted, simulate_from_zero,
-    simulate_from_zero_with_faults, simulate_with_faults, SimResult,
+    simulate, simulate_from_zero, simulate_from_zero_with_faults, simulate_with_faults, SimResult,
 };
-pub use sta::{analyze, try_analyze, TimingReport};
+pub use sta::{analyze, TimingReport};

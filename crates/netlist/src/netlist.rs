@@ -397,11 +397,6 @@ impl Netlist {
 
     /// Functional (zero-delay) evaluation.
     ///
-    /// On a netlist whose DAG invariant was deliberately broken with
-    /// [`Netlist::rewire_input`], the single forward pass still terminates:
-    /// back-references read the not-yet-updated (all-`false`-initialized)
-    /// value, so the result is merely approximate rather than undefined.
-    ///
     /// # Errors
     ///
     /// [`NetlistError::InputArity`] if `input_values.len()` differs from
@@ -492,51 +487,6 @@ impl Netlist {
             }
         }
         Ok(self.push_raw(kind, inputs, false))
-    }
-
-    /// Redirects input `index` of the gate driving `gate` to `new_src`.
-    ///
-    /// Unlike the builders, `new_src` may reference *any* existing net —
-    /// including `gate` itself or nets created later — so this is the one
-    /// sanctioned way to break the DAG-by-construction invariant and create
-    /// a combinational cycle (e.g. to test the simulator's event-budget
-    /// guard, [`SimError::Unsettled`](crate::SimError::Unsettled)). Run
-    /// rewired netlists through
-    /// [`simulate_budgeted`](crate::simulate_budgeted) rather than
-    /// [`simulate`](crate::simulate).
-    ///
-    /// # Errors
-    ///
-    /// * [`NetlistError::NetOutOfRange`] if `gate` or `new_src` does not
-    ///   exist;
-    /// * [`NetlistError::NotALogicGate`] if `gate` is an input or constant;
-    /// * [`NetlistError::NoSuchGateInput`] if `index` is not a valid input
-    ///   position of `gate`.
-    pub fn rewire_input(
-        &mut self,
-        gate: NetId,
-        index: usize,
-        new_src: NetId,
-    ) -> Result<(), NetlistError> {
-        let len = self.gates.len();
-        for net in [gate, new_src] {
-            if net.index() >= len {
-                return Err(NetlistError::NetOutOfRange { index: net.index(), len });
-            }
-        }
-        let node = &mut self.gates[gate.index()];
-        if !node.kind.is_logic() {
-            return Err(NetlistError::NotALogicGate { net: gate });
-        }
-        if index >= node.num_inputs as usize {
-            return Err(NetlistError::NoSuchGateInput {
-                net: gate,
-                index,
-                arity: node.num_inputs as usize,
-            });
-        }
-        node.inputs[index] = new_src;
-        Ok(())
     }
 
     pub(crate) fn gate_nodes(&self) -> &[GateNode] {
@@ -736,22 +686,5 @@ mod tests {
             nl.try_gate(GateKind::Input, &[]),
             Err(NetlistError::NotALogicGate { .. })
         ));
-    }
-
-    #[test]
-    fn rewire_input_can_create_cycles() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.not(a);
-        let n2 = nl.not(n1);
-        // Close the loop: n1 now reads n2 — a ring oscillator.
-        nl.rewire_input(n1, 0, n2).unwrap();
-        assert_eq!(nl.gate_inputs(n1), &[n2]);
-        // eval still terminates (single forward pass).
-        let _ = nl.eval(&[true]);
-
-        assert!(matches!(nl.rewire_input(a, 0, n1), Err(NetlistError::NotALogicGate { .. })));
-        assert!(matches!(nl.rewire_input(n1, 3, n2), Err(NetlistError::NoSuchGateInput { .. })));
-        assert!(matches!(nl.rewire_input(NetId(9), 0, a), Err(NetlistError::NetOutOfRange { .. })));
     }
 }

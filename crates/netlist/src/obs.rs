@@ -35,15 +35,6 @@ pub trait SimObserver: Sync {
         let _ = (events, settle_time);
     }
 
-    /// One event-driven run aborted via [`SimError::Unsettled`]
-    /// (combinational cycle / runaway oscillation): `processed` scheduled
-    /// events exhausted the `budget`.
-    ///
-    /// [`SimError::Unsettled`]: crate::SimError::Unsettled
-    fn event_unsettled(&self, processed: u64, budget: u64) {
-        let _ = (processed, budget);
-    }
-
     /// One batch program was compiled: `nets` nets levelized into `depth`
     /// topological levels.
     fn batch_compile(&self, nets: u64, depth: u64) {
@@ -133,7 +124,6 @@ mod tests {
         impl SimObserver for Inert {}
         let inert = Inert;
         inert.event_run(1, 2);
-        inert.event_unsettled(3, 4);
         inert.batch_compile(5, 6);
         inert.batch_run(7, 8, 9);
     }

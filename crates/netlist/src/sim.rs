@@ -94,21 +94,6 @@ impl SimResult {
     }
 }
 
-/// A generous event budget for well-formed (acyclic) netlists: large
-/// enough that no legitimate settling run comes anywhere near it, small
-/// enough to stop a combinational cycle in bounded time.
-///
-/// Glitch activity under de-aligned (jittered) path delays grows
-/// *superlinearly* with netlist depth — a few-thousand-gate multiplier
-/// under 30% jitter legitimately processes thousands of events per net —
-/// so the budget is quadratic in netlist size with a constant floor for
-/// tiny circuits.
-#[must_use]
-pub fn default_event_budget(netlist: &Netlist) -> usize {
-    let n = netlist.len();
-    n.saturating_mul(n).saturating_mul(16).saturating_add(1 << 20)
-}
-
 /// Functional (zero-delay) evaluation under a fault overlay: returns
 /// `(raw, observed)` values for every net, where `raw` is what each driver
 /// computes from the *observed* (possibly faulted) values of its fanin and
@@ -140,16 +125,14 @@ fn eval_with_overlay(
 }
 
 /// The shared event-driven core. `overlay` injects faults (`None` = the
-/// fault-free fast path), `budget` bounds the number of *processed*
-/// scheduled events so oscillating (cyclic) netlists terminate with
-/// [`SimError::Unsettled`] instead of looping forever.
+/// fault-free fast path). Every netlist is a DAG and every scheduled delay
+/// is at least one tick, so the event loop always drains.
 fn simulate_core<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
     prev_inputs: &[bool],
     new_inputs: &[bool],
     overlay: Option<&FaultOverlay>,
-    budget: usize,
 ) -> Result<SimResult, SimError> {
     let arity = netlist.inputs().len();
     for got in [new_inputs.len(), prev_inputs.len()] {
@@ -205,7 +188,6 @@ fn simulate_core<M: DelayModel + ?Sized>(
 
     let mut settle_time = 0;
     let mut events = 0usize;
-    let mut processed = 0usize;
     let mut dirty: Vec<u32> = Vec::new();
     let mut dirty_flag = vec![false; n];
 
@@ -220,11 +202,6 @@ fn simulate_core<M: DelayModel + ?Sized>(
         dirty.clear();
         let batch = std::mem::take(&mut buckets[t]);
         pending -= batch.len();
-        processed += batch.len();
-        if processed > budget {
-            crate::obs::with_observer(|o| o.event_unsettled(processed as u64, budget as u64));
-            return Err(SimError::Unsettled { events: processed, budget });
-        }
         for (net, val) in batch {
             let idx = net as usize;
             if let Some(v) = val {
@@ -275,9 +252,7 @@ fn simulate_core<M: DelayModel + ?Sized>(
 /// # Panics
 ///
 /// Panics if either input slice length differs from the netlist's input
-/// count, or if the netlist oscillates past [`default_event_budget`] (only
-/// possible after [`Netlist::rewire_input`] broke the DAG invariant — use
-/// [`simulate_budgeted`] for such netlists).
+/// count.
 #[must_use]
 pub fn simulate<M: DelayModel + ?Sized>(
     netlist: &Netlist,
@@ -285,52 +260,31 @@ pub fn simulate<M: DelayModel + ?Sized>(
     prev_inputs: &[bool],
     new_inputs: &[bool],
 ) -> SimResult {
-    simulate_budgeted(netlist, delay, prev_inputs, new_inputs, default_event_budget(netlist))
-        .unwrap_or_else(|e| panic!("{e}"))
+    simulate_core(netlist, delay, prev_inputs, new_inputs, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible variant of [`simulate`] with an explicit event budget.
-///
-/// # Errors
-///
-/// * [`SimError::InputArity`] on input-slice length mismatch;
-/// * [`SimError::Unsettled`] if more than `budget` scheduled events are
-///   processed before the netlist settles (a combinational cycle created
-///   via [`Netlist::rewire_input`], or a budget far too small).
-pub fn simulate_budgeted<M: DelayModel + ?Sized>(
-    netlist: &Netlist,
-    delay: &M,
-    prev_inputs: &[bool],
-    new_inputs: &[bool],
-    budget: usize,
-) -> Result<SimResult, SimError> {
-    simulate_core(netlist, delay, prev_inputs, new_inputs, None, budget)
-}
-
-/// Simulates with a [`FaultPlan`] overlay and an event budget.
+/// Simulates with a [`FaultPlan`] overlay.
 ///
 /// The plan transforms the observed value of faulted nets (stuck-at,
 /// transient bit-flip windows) and the scheduling delay of pushed gates;
 /// the netlist itself is untouched. An empty plan is bit-identical to
-/// [`simulate_budgeted`].
+/// [`simulate`].
 ///
 /// # Errors
 ///
 /// * [`SimError::InvalidFault`] if the plan references nets outside the
 ///   netlist;
-/// * [`SimError::InputArity`] / [`SimError::Unsettled`] as for
-///   [`simulate_budgeted`].
+/// * [`SimError::InputArity`] on input-slice length mismatch.
 pub fn simulate_with_faults<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
     prev_inputs: &[bool],
     new_inputs: &[bool],
     plan: &FaultPlan,
-    budget: usize,
 ) -> Result<SimResult, SimError> {
     plan.validate(netlist)?;
     let overlay = plan.compile(netlist.len());
-    simulate_core(netlist, delay, prev_inputs, new_inputs, Some(&overlay), budget)
+    simulate_core(netlist, delay, prev_inputs, new_inputs, Some(&overlay))
 }
 
 /// Convenience wrapper: simulate from the all-zero previous input vector
@@ -355,10 +309,9 @@ pub fn simulate_from_zero_with_faults<M: DelayModel + ?Sized>(
     delay: &M,
     new_inputs: &[bool],
     plan: &FaultPlan,
-    budget: usize,
 ) -> Result<SimResult, SimError> {
     let zeros = vec![false; netlist.inputs().len()];
-    simulate_with_faults(netlist, delay, &zeros, new_inputs, plan, budget)
+    simulate_with_faults(netlist, delay, &zeros, new_inputs, plan)
 }
 
 #[cfg(test)]
@@ -489,15 +442,8 @@ mod tests {
         let prev = vec![false; 6];
         let next = vec![true, false, true, true, false, true];
         let clean = simulate(&nl, &UnitDelay, &prev, &next);
-        let faulty = simulate_with_faults(
-            &nl,
-            &UnitDelay,
-            &prev,
-            &next,
-            &FaultPlan::new(),
-            default_event_budget(&nl),
-        )
-        .unwrap();
+        let faulty =
+            simulate_with_faults(&nl, &UnitDelay, &prev, &next, &FaultPlan::new()).unwrap();
         for net in nl.nets() {
             assert_eq!(clean.waveform(net), faulty.waveform(net));
             assert_eq!(clean.initial_value(net), faulty.initial_value(net));
@@ -513,8 +459,7 @@ mod tests {
         let plan = FaultPlan::new().stuck_at(out, true);
         // Even with all-zero inputs (fault-free output 0), the stuck net
         // reads 1 from the very start.
-        let res =
-            simulate_with_faults(&nl, &UnitDelay, &[false; 4], &[false; 4], &plan, 10_000).unwrap();
+        let res = simulate_with_faults(&nl, &UnitDelay, &[false; 4], &[false; 4], &plan).unwrap();
         assert!(res.initial_value(out));
         assert!(res.final_value(out));
         assert_eq!(res.event_count(), 0, "stuck net never transitions");
@@ -531,8 +476,7 @@ mod tests {
         nl.set_output("z", vec![z]);
         let plan = FaultPlan::new().stuck_at(m, true);
         let res =
-            simulate_with_faults(&nl, &UnitDelay, &[false, false], &[true, false], &plan, 10_000)
-                .unwrap();
+            simulate_with_faults(&nl, &UnitDelay, &[false, false], &[true, false], &plan).unwrap();
         assert!(res.initial_value(m) && !res.initial_value(z));
         assert!(!res.final_value(z), "downstream sees the stuck value");
     }
@@ -545,7 +489,7 @@ mod tests {
         let z = nl.not(a);
         nl.set_output("z", vec![z]);
         let plan = FaultPlan::new().transient(z, 5 * U, 2 * U);
-        let res = simulate_with_faults(&nl, &UnitDelay, &[false], &[false], &plan, 10_000).unwrap();
+        let res = simulate_with_faults(&nl, &UnitDelay, &[false], &[false], &plan).unwrap();
         assert!(res.final_value(z), "settled back after the upset");
         assert!(res.value_at(z, 5 * U - 1));
         assert!(!res.value_at(z, 5 * U), "flipped inside the window");
@@ -563,40 +507,21 @@ mod tests {
         next[0] = true;
         let clean = simulate(&nl, &UnitDelay, &prev, &next);
         let plan = FaultPlan::new().delay_push(out, 3 * U);
-        let slow = simulate_with_faults(&nl, &UnitDelay, &prev, &next, &plan, 100_000).unwrap();
+        let slow = simulate_with_faults(&nl, &UnitDelay, &prev, &next, &plan).unwrap();
         assert_eq!(slow.settle_time_of(&[out]), clean.settle_time_of(&[out]) + 3 * U);
         assert_eq!(slow.final_value(out), clean.final_value(out));
     }
 
     #[test]
-    fn cyclic_netlist_returns_unsettled() {
-        // Gated ring oscillator: n1 = NAND(a, n3), n2 = NOT(n1),
-        // n3 = NOT(n2) — built as a DAG, then rewired into a loop. With
-        // a = 1 the loop has three inversions and oscillates forever.
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.nand(a, a);
-        let n2 = nl.not(n1);
-        let n3 = nl.not(n2);
-        nl.set_output("z", vec![n3]);
-        nl.rewire_input(n1, 1, n3).unwrap();
-        let err = simulate_budgeted(&nl, &UnitDelay, &[false], &[true], 500).unwrap_err();
-        assert!(matches!(err, SimError::Unsettled { budget: 500, .. }), "{err}");
-        // The faulty path hits the same guard: an SEU kicks the (enabled)
-        // ring even without any input edge.
-        let plan = FaultPlan::new().transient(n2, 0, U);
-        let err2 = simulate_with_faults(&nl, &UnitDelay, &[true], &[true], &plan, 500).unwrap_err();
-        assert!(matches!(err2, SimError::Unsettled { .. }), "{err2}");
-    }
-
-    #[test]
     fn arity_and_fault_validation_errors_are_typed() {
         let nl = xor_chain(2);
-        let err = simulate_budgeted(&nl, &UnitDelay, &[false; 3], &[false; 2], 100).unwrap_err();
+        let err =
+            simulate_with_faults(&nl, &UnitDelay, &[false; 3], &[false; 2], &FaultPlan::new())
+                .unwrap_err();
         assert!(matches!(err, SimError::InputArity { expected: 3, got: 2 }));
         let plan = FaultPlan::new().stuck_at(NetId(999), false);
-        let err = simulate_with_faults(&nl, &UnitDelay, &[false; 3], &[false; 3], &plan, 100)
-            .unwrap_err();
+        let err =
+            simulate_with_faults(&nl, &UnitDelay, &[false; 3], &[false; 3], &plan).unwrap_err();
         assert!(matches!(
             err,
             SimError::InvalidFault(NetlistError::NetOutOfRange { index: 999, .. })

@@ -7,7 +7,7 @@
 //! bound and the *actual* settling times observed by the event-driven
 //! simulator is exactly the overclocking headroom the paper exploits.
 
-use crate::{DelayModel, NetId, Netlist, StaError};
+use crate::{DelayModel, NetId, Netlist};
 
 /// Worst-case arrival times for every net of a netlist.
 #[derive(Clone, Debug)]
@@ -57,12 +57,8 @@ impl TimingReport {
     }
 }
 
-/// Runs static timing analysis under a delay model.
-///
-/// Assumes the DAG-by-construction invariant holds; on a netlist rewired
-/// into a cycle (or mere back-reference) the forward pass silently ignores
-/// the back edges. Use [`try_analyze`] when the netlist may have been
-/// rewired.
+/// Runs static timing analysis under a delay model: one forward pass in
+/// net order, which the builder makes a topological order.
 #[must_use]
 pub fn analyze<M: DelayModel + ?Sized>(netlist: &Netlist, delay: &M) -> TimingReport {
     let mut arrival = vec![0u64; netlist.len()];
@@ -79,39 +75,6 @@ pub fn analyze<M: DelayModel + ?Sized>(netlist: &Netlist, delay: &M) -> TimingRe
         critical = critical.max(arrival[i]);
     }
     TimingReport { arrival, critical }
-}
-
-/// Checked variant of [`analyze`]: verifies the topological invariant
-/// before propagating, so the produced arrivals are trustworthy even for
-/// netlists that passed through [`Netlist::rewire_input`].
-///
-/// # Errors
-///
-/// [`StaError::NotTopological`] naming the first gate whose fanin
-/// references itself or a later net.
-pub fn try_analyze<M: DelayModel + ?Sized>(
-    netlist: &Netlist,
-    delay: &M,
-) -> Result<TimingReport, StaError> {
-    check_topological(netlist)?;
-    Ok(analyze(netlist, delay))
-}
-
-/// Verifies that every gate only reads nets created strictly before it —
-/// the precondition of every single-pass analysis in this module tree.
-///
-/// # Errors
-///
-/// [`StaError::NotTopological`] naming the first offending gate.
-pub fn check_topological(netlist: &Netlist) -> Result<(), StaError> {
-    for net in netlist.nets() {
-        if netlist.kind(net).is_logic()
-            && netlist.gate_inputs(net).iter().any(|inp| inp.index() >= net.index())
-        {
-            return Err(StaError::NotTopological { net });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -187,19 +150,5 @@ mod tests {
         let rep = analyze(&nl, &UnitDelay);
         assert_eq!(rep.critical_path(), 0);
         assert_eq!(rep.rated_frequency(), None, "no logic: no finite rated frequency");
-    }
-
-    #[test]
-    fn try_analyze_rejects_rewired_netlists() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.not(a);
-        let n2 = nl.not(n1);
-        nl.set_output("z", vec![n2]);
-        assert!(try_analyze(&nl, &UnitDelay).is_ok());
-        nl.rewire_input(n1, 0, n2).unwrap();
-        let err = try_analyze(&nl, &UnitDelay).unwrap_err();
-        assert_eq!(err, StaError::NotTopological { net: n1 });
-        assert!(err.to_string().contains("not topologically ordered"));
     }
 }

@@ -12,8 +12,8 @@
 //! every empirical error curve — a machine-checked bridge between the
 //! static and dynamic halves of the repo.
 
-use super::arrival::try_analyze;
-use crate::{DelayModel, NetId, Netlist, StaError};
+use super::arrival::analyze;
+use crate::{DelayModel, NetId, Netlist};
 
 /// Static verdict for one `(digit, Ts)` point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -132,23 +132,19 @@ impl CertificationReport {
 /// borrow-save digit is its `{plus, minus}` bit pair) against every period
 /// in `ts_grid`, under the worst-case structural arrivals of `delay`.
 ///
-/// # Errors
-///
-/// [`StaError::NotTopological`] if the netlist was rewired out of
-/// topological order (structural arrivals would be untrustworthy).
-///
 /// # Panics
 ///
 /// Panics if a digit references a net outside `netlist`.
+#[must_use]
 pub fn certify<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
     digits: &[Vec<NetId>],
     ts_grid: &[u64],
-) -> Result<CertificationReport, StaError> {
-    let report = try_analyze(netlist, delay)?;
+) -> CertificationReport {
+    let report = analyze(netlist, delay);
     let arrival = digits.iter().map(|nets| report.arrival_of(nets)).collect();
-    Ok(CertificationReport { ts: ts_grid.to_vec(), arrival })
+    CertificationReport { ts: ts_grid.to_vec(), arrival }
 }
 
 #[cfg(test)]
@@ -174,7 +170,7 @@ mod tests {
     fn statuses_follow_arrivals() {
         let (nl, digits) = two_digit_netlist();
         let ts = [0, U, 2 * U, 3 * U];
-        let rep = certify(&nl, &UnitDelay, &digits, &ts).unwrap();
+        let rep = certify(&nl, &UnitDelay, &digits, &ts);
         assert_eq!(rep.digits(), 2);
         assert_eq!(rep.ts_grid(), &ts);
         assert_eq!(rep.digit_arrival(0), U);
@@ -195,7 +191,7 @@ mod tests {
     #[test]
     fn error_bound_sums_at_risk_weights() {
         let (nl, digits) = two_digit_netlist();
-        let rep = certify(&nl, &UnitDelay, &digits, &[0, U, 3 * U]).unwrap();
+        let rep = certify(&nl, &UnitDelay, &digits, &[0, U, 3 * U]);
         let weights = [1.0, 0.25];
         assert!((rep.error_bound(0, &weights) - 1.25).abs() < 1e-12);
         assert!((rep.error_bound(1, &weights) - 0.25).abs() < 1e-12);
@@ -206,7 +202,7 @@ mod tests {
     #[should_panic(expected = "one weight per certified digit")]
     fn error_bound_checks_weight_arity() {
         let (nl, digits) = two_digit_netlist();
-        let rep = certify(&nl, &UnitDelay, &digits, &[U]).unwrap();
+        let rep = certify(&nl, &UnitDelay, &digits, &[U]);
         let _ = rep.error_bound(0, &[1.0]);
     }
 
@@ -219,21 +215,9 @@ mod tests {
         let m1 = nl.not(plus);
         let minus = nl.not(m1);
         nl.set_output("z", vec![plus, minus]);
-        let rep = certify(&nl, &UnitDelay, &[vec![plus, minus]], &[U, 3 * U]).unwrap();
+        let rep = certify(&nl, &UnitDelay, &[vec![plus, minus]], &[U, 3 * U]);
         assert_eq!(rep.digit_arrival(0), 3 * U, "digit settles when its last bit does");
         assert_eq!(rep.status(0, 0), DigitStatus::AtRisk);
         assert_eq!(rep.status(1, 0), DigitStatus::Certified);
-    }
-
-    #[test]
-    fn rewired_netlists_are_rejected() {
-        let (mut nl, digits) = two_digit_netlist();
-        let g = nl.net(2);
-        let later = nl.net(4);
-        nl.rewire_input(g, 0, later).unwrap();
-        assert!(matches!(
-            certify(&nl, &UnitDelay, &digits, &[U]),
-            Err(StaError::NotTopological { .. })
-        ));
     }
 }

@@ -1,59 +1,23 @@
-//! Structural netlist lint: static detection of combinational loops
-//! (including provably non-settling inverting feedback), dead logic,
-//! under-driven output ports, constant-foldable gates and suspicious
-//! fanout.
+//! Structural netlist lint: static detection of dead logic, under-driven
+//! output ports, constant-foldable gates and suspicious fanout.
 //!
-//! Today a combinational cycle is only caught *dynamically* — the
-//! event-driven simulator burns its event budget and reports
-//! [`SimError::Unsettled`](crate::SimError::Unsettled). The lint pass finds
-//! the same loop *statically* (and names the nets on it), alongside the
-//! quieter structural defects a generator can accumulate: floating nets,
-//! whole dead cones that feed no output, gates fed entirely by constants,
-//! and nets whose fanout is suspicious for a gate-level design.
+//! The builder refuses any fanin at or after the new net, so every netlist
+//! is a DAG and no loop can be built. The lint pass finds the quieter
+//! structural defects a generator can accumulate: unused inputs, floating
+//! nets, whole dead cones that feed no output, gates fed by constants, and
+//! nets whose fanout is suspicious for a gate-level design.
 //!
 //! [`prune_dead`] is the companion transform: it rebuilds a netlist
 //! keeping only the live cone (and every primary input, to preserve the
 //! evaluation interface), so generated datapaths can be shipped lint-clean.
 
-use super::arrival::check_topological;
-use crate::{GateKind, NetId, Netlist, StaError};
+use crate::{GateKind, NetId, Netlist};
 use std::fmt;
 
 /// One structural defect found by [`check`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LintIssue {
-    /// A combinational cycle: each net reads the previous one, and the
-    /// first reads the last. Event-driven simulation of this netlist can
-    /// oscillate forever; every single-pass analysis is unsound.
-    CombinationalLoop {
-        /// The nets on the cycle, in dataflow order.
-        cycle: Vec<NetId>,
-    },
-    /// A combinational cycle whose polarity around the loop is inverting
-    /// no matter what the off-cycle inputs hold — the shape of an online
-    /// digit-recurrence wired back into its *own* digit slot instead of
-    /// the next one. Unlike an even-polarity loop (which can latch into a
-    /// stable state), a sensitized inverting loop has no fixed point at
-    /// all: event-driven simulation oscillates until the event budget
-    /// trips [`SimError::Unsettled`](crate::SimError::Unsettled).
-    ///
-    /// Reported *in addition to* the loop's [`CombinationalLoop`] entry.
-    ///
-    /// [`CombinationalLoop`]: LintIssue::CombinationalLoop
-    NonSettlingFeedback {
-        /// The nets on the inverting cycle, in dataflow order.
-        cycle: Vec<NetId>,
-    },
-    /// A gate reads a net created at or after itself without closing a
-    /// cycle. Harmless to the event-driven simulator but rejected by every
-    /// single-pass analysis ([`StaError::NotTopological`]).
-    BackReference {
-        /// The gate holding the back-reference.
-        gate: NetId,
-        /// The later-created net it reads.
-        src: NetId,
-    },
     /// The netlist declares no output nets, so every gate is dead and
     /// nothing constrains timing.
     NoOutputs,
@@ -116,9 +80,6 @@ impl LintIssue {
     #[must_use]
     pub fn code(&self) -> &'static str {
         match self {
-            LintIssue::CombinationalLoop { .. } => "comb-loop",
-            LintIssue::NonSettlingFeedback { .. } => "non-settling-feedback",
-            LintIssue::BackReference { .. } => "back-reference",
             LintIssue::NoOutputs => "no-outputs",
             LintIssue::OutputWidthMismatch { .. } => "output-width-mismatch",
             LintIssue::UnusedInput { .. } => "unused-input",
@@ -133,19 +94,6 @@ impl LintIssue {
 impl fmt::Display for LintIssue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LintIssue::CombinationalLoop { cycle } => {
-                write!(f, "combinational loop through {} net(s): {cycle:?}", cycle.len())
-            }
-            LintIssue::NonSettlingFeedback { cycle } => {
-                write!(
-                    f,
-                    "inverting feedback through {} net(s) can never settle: {cycle:?}",
-                    cycle.len()
-                )
-            }
-            LintIssue::BackReference { gate, src } => {
-                write!(f, "gate {gate:?} reads later-created net {src:?} (no cycle)")
-            }
             LintIssue::NoOutputs => write!(f, "netlist declares no output nets"),
             LintIssue::OutputWidthMismatch { bus, declared, driven } => {
                 if *declared == 0 {
@@ -190,47 +138,20 @@ impl Default for LintOptions {
     }
 }
 
-/// Runs the full lint catalogue with default [`LintOptions`].
-///
-/// Unlike the timing analyses this never fails: a netlist rewired out of
-/// topological order is precisely what the loop/back-reference lints are
-/// for. An empty issue list means the netlist is lint-clean.
+/// Runs the full lint catalogue with default [`LintOptions`]. An empty
+/// issue list means the netlist is lint-clean.
 #[must_use]
 pub fn check(netlist: &Netlist) -> Vec<LintIssue> {
     check_with(netlist, &LintOptions::default())
 }
 
 /// Runs the full lint catalogue with explicit [`LintOptions`]. Issues are
-/// reported in a deterministic order: topology violations first (by gate
-/// id), then output/liveness defects, then local gate defects.
+/// reported in a deterministic order: output/liveness defects first, then
+/// local gate defects.
 #[must_use]
 pub fn check_with(netlist: &Netlist, opts: &LintOptions) -> Vec<LintIssue> {
     let n = netlist.len();
     let mut issues = Vec::new();
-
-    // --- Topology: back-edges, classified into loops vs. mere refs. ---
-    let mut fanout_lists: Option<Vec<Vec<NetId>>> = None;
-    for gate in netlist.nets() {
-        if !netlist.kind(gate).is_logic() {
-            continue;
-        }
-        for &src in netlist.gate_inputs(gate) {
-            if src.index() < gate.index() {
-                continue;
-            }
-            let lists = fanout_lists.get_or_insert_with(|| netlist.fanout_lists());
-            match trace_cycle(gate, src, lists, n) {
-                Some(cycle) => {
-                    let inverting = cycle_polarity(netlist, &cycle) == Some(true);
-                    issues.push(LintIssue::CombinationalLoop { cycle: cycle.clone() });
-                    if inverting {
-                        issues.push(LintIssue::NonSettlingFeedback { cycle });
-                    }
-                }
-                None => issues.push(LintIssue::BackReference { gate, src }),
-            }
-        }
-    }
 
     // --- Liveness. ---
     let mut is_output = vec![false; n];
@@ -322,14 +243,8 @@ pub fn check_with(netlist: &Netlist, opts: &LintOptions) -> Vec<LintIssue> {
 /// Net *ids* are remapped (the live cone is renumbered densely); callers
 /// holding `NetId`s into the old netlist must re-derive them from the
 /// returned netlist's buses.
-///
-/// # Errors
-///
-/// [`StaError::NotTopological`] if the netlist was rewired out of
-/// topological order (a single rebuild pass would drop the back edges
-/// silently).
-pub fn prune_dead(netlist: &Netlist) -> Result<Netlist, StaError> {
-    check_topological(netlist)?;
+#[must_use]
+pub fn prune_dead(netlist: &Netlist) -> Netlist {
     let n = netlist.len();
     let mut is_output = vec![false; n];
     for (_, nets) in netlist.outputs() {
@@ -369,11 +284,10 @@ pub fn prune_dead(netlist: &Netlist) -> Result<Netlist, StaError> {
             nets.iter().map(|p| map[p.index()].expect("output nets are live")).collect();
         out.set_output(bus, mapped);
     }
-    Ok(out)
+    out
 }
 
-/// Backward reachability from the output nets (cycle-safe: plain DFS with
-/// a visited set).
+/// Backward reachability from the output nets (DFS with a visited set).
 fn live_set(netlist: &Netlist, is_output: &[bool]) -> Vec<bool> {
     let mut live = vec![false; netlist.len()];
     let mut stack: Vec<NetId> = netlist.nets().filter(|net| is_output[net.index()]).collect();
@@ -386,84 +300,6 @@ fn live_set(netlist: &Netlist, is_output: &[bool]) -> Vec<bool> {
         }
     }
     live
-}
-
-/// Follows dataflow forward from `gate` looking for `src`; a hit means the
-/// back edge `src → gate` closes a combinational cycle, returned in
-/// dataflow order `[gate, …, src]`.
-fn trace_cycle(gate: NetId, src: NetId, fanout: &[Vec<NetId>], n: usize) -> Option<Vec<NetId>> {
-    if src == gate {
-        return Some(vec![gate]);
-    }
-    let mut pred: Vec<Option<NetId>> = vec![None; n];
-    let mut visited = vec![false; n];
-    visited[gate.index()] = true;
-    let mut stack = vec![gate];
-    while let Some(cur) = stack.pop() {
-        for &next in &fanout[cur.index()] {
-            if visited[next.index()] {
-                continue;
-            }
-            visited[next.index()] = true;
-            pred[next.index()] = Some(cur);
-            if next == src {
-                // Reconstruct gate → … → src.
-                let mut path = vec![src];
-                let mut at = src;
-                while let Some(p) = pred[at.index()] {
-                    path.push(p);
-                    at = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            stack.push(next);
-        }
-    }
-    None
-}
-
-/// `Some(true)` when the gate inverts the value arriving at input
-/// position `pos` regardless of its other inputs, `Some(false)` when it
-/// passes it through monotonically, `None` when the polarity depends on
-/// the off-path inputs (the xor family, a mux select).
-fn edge_polarity(kind: GateKind, pos: usize) -> Option<bool> {
-    match kind {
-        GateKind::Not | GateKind::Nand | GateKind::Nor => Some(true),
-        GateKind::And | GateKind::Or => Some(false),
-        GateKind::Mux if pos > 0 => Some(false),
-        GateKind::Mux | GateKind::Xor | GateKind::Xnor => None,
-        GateKind::Input | GateKind::Const => unreachable!("not a logic gate"),
-    }
-}
-
-/// Folds [`edge_polarity`] around a cycle (in dataflow order, as returned
-/// by [`trace_cycle`]): `Some(true)` means the loop inverts itself — no
-/// stable point exists when it is sensitized. `None` when any edge's
-/// polarity depends on off-cycle values, or the cycle re-enters a gate at
-/// positions of mixed polarity.
-fn cycle_polarity(netlist: &Netlist, cycle: &[NetId]) -> Option<bool> {
-    let mut inverting = false;
-    let k = cycle.len();
-    for i in 0..k {
-        let src = cycle[i];
-        let reader = cycle[(i + 1) % k];
-        let kind = netlist.kind(reader);
-        let mut edge: Option<bool> = None;
-        for (pos, &inp) in netlist.gate_inputs(reader).iter().enumerate() {
-            if inp != src {
-                continue;
-            }
-            let p = edge_polarity(kind, pos)?;
-            match edge {
-                None => edge = Some(p),
-                Some(prev) if prev == p => {}
-                Some(_) => return None,
-            }
-        }
-        inverting ^= edge?;
-    }
-    Some(inverting)
 }
 
 fn const_value(netlist: &Netlist, net: NetId) -> Option<bool> {
@@ -513,111 +349,6 @@ mod tests {
         let c = nl.and(a, b);
         nl.set_output("sum", vec![s, c]);
         assert!(check(&nl).is_empty());
-    }
-
-    #[test]
-    fn ring_oscillator_is_flagged_statically() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.not(a);
-        let n2 = nl.not(n1);
-        let n3 = nl.not(n2);
-        nl.set_output("z", vec![n3]);
-        // Close the ring: n1 now reads n3.
-        nl.rewire_input(n1, 0, n3).unwrap();
-        let issues = check(&nl);
-        let loops: Vec<_> = issues
-            .iter()
-            .filter_map(|i| match i {
-                LintIssue::CombinationalLoop { cycle } => Some(cycle.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(loops.len(), 1, "exactly one loop: {issues:?}");
-        assert_eq!(loops[0], vec![n1, n2, n3], "dataflow order around the ring");
-        assert!(issues[0].to_string().contains("combinational loop"));
-    }
-
-    #[test]
-    fn self_loop_is_a_one_net_cycle() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let g = nl.and(a, a);
-        nl.set_output("z", vec![g]);
-        nl.rewire_input(g, 1, g).unwrap();
-        let issues = check(&nl);
-        assert!(issues.contains(&LintIssue::CombinationalLoop { cycle: vec![g] }));
-    }
-
-    #[test]
-    fn acyclic_back_reference_is_distinguished_from_a_loop() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let n1 = nl.not(a);
-        let n2 = nl.not(a);
-        nl.set_output("z", vec![n1, n2]);
-        // n1 reads n2, but n2 does not depend on n1: no cycle.
-        nl.rewire_input(n1, 0, n2).unwrap();
-        let issues = check(&nl);
-        assert!(issues.contains(&LintIssue::BackReference { gate: n1, src: n2 }));
-        assert!(!codes(&issues).contains(&"comb-loop"));
-    }
-
-    #[test]
-    fn odd_inverting_feedback_is_non_settling_but_a_latch_is_not() {
-        // Three inverters closed into a ring: odd polarity, no fixed point.
-        let mut ring = Netlist::new();
-        let a = ring.input("a");
-        let n1 = ring.not(a);
-        let n2 = ring.not(n1);
-        let n3 = ring.not(n2);
-        ring.set_output("z", vec![n3]);
-        ring.rewire_input(n1, 0, n3).unwrap();
-        let issues = check(&ring);
-        assert!(issues.contains(&LintIssue::NonSettlingFeedback { cycle: vec![n1, n2, n3] }));
-        assert!(codes(&issues).contains(&"comb-loop"), "the loop itself is still reported");
-        assert!(
-            issues
-                .iter()
-                .any(|i| i.code() == "non-settling-feedback"
-                    && i.to_string().contains("never settle"))
-        );
-
-        // Two inverters: even polarity — a loop, but it can latch.
-        let mut latch = Netlist::new();
-        let a = latch.input("a");
-        let n1 = latch.not(a);
-        let n2 = latch.not(n1);
-        latch.set_output("z", vec![n2]);
-        latch.rewire_input(n1, 0, n2).unwrap();
-        let issues = check(&latch);
-        assert!(codes(&issues).contains(&"comb-loop"));
-        assert!(!codes(&issues).contains(&"non-settling-feedback"), "{issues:?}");
-
-        // A xor on the cycle: polarity depends on the side input — the
-        // lint stays silent rather than guessing.
-        let mut x = Netlist::new();
-        let a = x.input("a");
-        let b = x.input("b");
-        let n1 = x.not(a);
-        let g = x.xor(n1, b);
-        x.set_output("z", vec![g]);
-        x.rewire_input(n1, 0, g).unwrap();
-        let issues = check(&x);
-        assert!(codes(&issues).contains(&"comb-loop"));
-        assert!(!codes(&issues).contains(&"non-settling-feedback"), "{issues:?}");
-    }
-
-    #[test]
-    fn self_nand_is_the_smallest_non_settling_loop() {
-        let mut nl = Netlist::new();
-        let a = nl.input("a");
-        let g = nl.nand(a, a);
-        nl.set_output("z", vec![g]);
-        nl.rewire_input(g, 0, g).unwrap();
-        nl.rewire_input(g, 1, g).unwrap();
-        let issues = check(&nl);
-        assert!(issues.contains(&LintIssue::NonSettlingFeedback { cycle: vec![g] }));
     }
 
     #[test]
@@ -724,7 +455,7 @@ mod tests {
         let dead1 = nl.and(a, b);
         let _dead2 = nl.not(dead1);
         nl.set_output("z", vec![live]);
-        let pruned = prune_dead(&nl).unwrap();
+        let pruned = prune_dead(&nl);
         assert_eq!(pruned.len(), nl.len() - 2);
         assert_eq!(pruned.inputs().len(), 2, "inputs always survive");
         // Function on the outputs is preserved.
@@ -754,7 +485,7 @@ mod tests {
             dead = nl.not(dead);
         }
         nl.set_output("z", vec![cur]);
-        let pruned = prune_dead(&nl).unwrap();
+        let pruned = prune_dead(&nl);
         let before = analyze(&nl, &UnitDelay).arrival_of(nl.output("z"));
         let after = analyze(&pruned, &UnitDelay);
         assert_eq!(after.arrival_of(pruned.output("z")), before);
@@ -762,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_live_constants_and_rejects_rewired_netlists() {
+    fn prune_keeps_live_constants() {
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let t = nl.constant(true);
@@ -770,14 +501,8 @@ mod tests {
         let dead_const = nl.constant(false);
         let _ = dead_const;
         nl.set_output("z", vec![g]);
-        let pruned = prune_dead(&nl).unwrap();
+        let pruned = prune_dead(&nl);
         assert_eq!(pruned.len(), 3, "input + live const + gate; dead const dropped");
         assert!(pruned.eval(&[true])[pruned.output("z")[0].index()]);
-
-        let n1 = nl.not(a);
-        let n2 = nl.not(n1);
-        nl.set_output("z", vec![n2]);
-        nl.rewire_input(n1, 0, n2).unwrap();
-        assert!(matches!(prune_dead(&nl), Err(StaError::NotTopological { .. })));
     }
 }

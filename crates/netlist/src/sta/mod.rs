@@ -5,8 +5,8 @@
 //! clocked at a period `Ts`; this module answers *what must happen*, by
 //! structure alone:
 //!
-//! * [`arrival`] — forward worst-case arrival times ([`analyze`] /
-//!   [`try_analyze`]): the "rated" timing a synthesis tool would report;
+//! * [`arrival`] — forward worst-case arrival times ([`analyze`]): the
+//!   "rated" timing a synthesis tool would report;
 //! * [`slack`] — backward required-time propagation: per-net headroom (or
 //!   deficit) against a target period;
 //! * [`paths`] — top-K critical-path enumeration with named output-bus
@@ -14,15 +14,13 @@
 //! * [`mod@certify`] — per-digit settlement certification over a `Ts` grid,
 //!   with the analytic error bound `Σ_{at-risk k} w_k` that must dominate
 //!   every empirical error curve;
-//! * [`lint`] — structural defect detection (combinational loops found
-//!   statically, dead cones, constant-foldable gates, …) and
-//!   [`prune_dead`], which ships generated datapaths lint-clean.
+//! * [`lint`] — structural defect detection (dead cones, floating nets,
+//!   constant-foldable gates, …) and [`prune_dead`], which ships generated
+//!   datapaths lint-clean.
 //!
-//! All timing analyses require the DAG-by-construction invariant and
-//! return [`StaError::NotTopological`](crate::StaError::NotTopological)
-//! when [`Netlist::rewire_input`](crate::Netlist::rewire_input) broke it;
-//! the lint pass is the one analysis that accepts *any* netlist, because
-//! diagnosing that breakage is its job.
+//! Every analysis is a single forward or backward pass in net order: the
+//! builder only accepts fanins created before the gate, so net order is a
+//! topological order of every netlist.
 
 pub mod arrival;
 pub mod certify;
@@ -30,7 +28,7 @@ pub mod lint;
 pub mod paths;
 pub mod slack;
 
-pub use arrival::{analyze, check_topological, try_analyze, TimingReport};
+pub use arrival::{analyze, TimingReport};
 pub use certify::{certify, CertificationReport, DigitStatus};
 pub use lint::{prune_dead, LintIssue, LintOptions};
 pub use paths::{critical_paths, CriticalPath, PathStep};

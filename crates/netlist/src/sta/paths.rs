@@ -10,8 +10,7 @@
 //! longest suffix-disjoint path delays (with predecessor links), merged in
 //! topological order, so reconstruction is a simple backward walk.
 
-use super::arrival::check_topological;
-use crate::{DelayModel, GateKind, NetId, Netlist, StaError};
+use crate::{DelayModel, GateKind, NetId, Netlist};
 
 /// One gate (or source net) on a reported path, in source→endpoint order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,19 +69,14 @@ struct Cand {
 /// Enumerates the `k` longest structural paths ending at output-bus nets,
 /// globally ranked by total delay (ties broken by endpoint id then rank,
 /// so the order is deterministic).
-///
-/// # Errors
-///
-/// [`StaError::NotTopological`] if the netlist was rewired out of
-/// topological order (path enumeration on a cyclic graph is unbounded).
+#[must_use]
 pub fn critical_paths<M: DelayModel + ?Sized>(
     netlist: &Netlist,
     delay: &M,
     k: usize,
-) -> Result<Vec<CriticalPath>, StaError> {
-    check_topological(netlist)?;
+) -> Vec<CriticalPath> {
     if k == 0 || netlist.is_empty() {
-        return Ok(Vec::new());
+        return Vec::new();
     }
 
     // Forward DP: per net, the top-k path delays with predecessor links.
@@ -163,7 +157,7 @@ pub fn critical_paths<M: DelayModel + ?Sized>(
             steps,
         });
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -180,7 +174,7 @@ mod tests {
         let b = nl.not(a);
         let c = nl.not(b);
         nl.set_output("z", vec![c]);
-        let paths = critical_paths(&nl, &UnitDelay, 4).unwrap();
+        let paths = critical_paths(&nl, &UnitDelay, 4);
         // k=4 requested but only 1 simple path exists into z.
         assert_eq!(paths.len(), 1);
         let p = &paths[0];
@@ -204,7 +198,7 @@ mod tests {
         let d2 = nl.not(d1);
         let z = nl.and(a, d2);
         nl.set_output("z", vec![z]);
-        let paths = critical_paths(&nl, &UnitDelay, 2).unwrap();
+        let paths = critical_paths(&nl, &UnitDelay, 2);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].delay, 3 * U, "deep path first");
         assert_eq!(paths[1].delay, U, "direct a→z path second");
@@ -221,21 +215,19 @@ mod tests {
         let t = nl.not(s);
         nl.set_output("fast", vec![s]);
         nl.set_output("slow", vec![t]);
-        let paths = critical_paths(&nl, &UnitDelay, 10).unwrap();
+        let paths = critical_paths(&nl, &UnitDelay, 10);
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].endpoint_label, "slow[0]");
         assert_eq!(paths[1].endpoint_label, "fast[0]");
     }
 
     #[test]
-    fn k_zero_and_cycles_are_handled() {
+    fn k_zero_yields_no_paths() {
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let n1 = nl.not(a);
         let n2 = nl.not(n1);
         nl.set_output("z", vec![n2]);
-        assert!(critical_paths(&nl, &UnitDelay, 0).unwrap().is_empty());
-        nl.rewire_input(n1, 0, n2).unwrap();
-        assert!(matches!(critical_paths(&nl, &UnitDelay, 3), Err(StaError::NotTopological { .. })));
+        assert!(critical_paths(&nl, &UnitDelay, 0).is_empty());
     }
 }

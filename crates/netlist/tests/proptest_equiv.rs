@@ -139,7 +139,7 @@ proptest! {
     #[test]
     fn equivalent_transforms_always_prove(rs in recipes(), inputs in 2usize..7) {
         let a = build_random_netlist(inputs, &rs);
-        let pruned = prune_dead(&a).unwrap();
+        let pruned = prune_dead(&a);
         let v = check_equiv(&a, &pruned).unwrap();
         prop_assert!(v.is_equivalent() && v.is_proof(), "prune: {v:?}");
 

@@ -1,9 +1,11 @@
-//! Property-based tests of the lint pass ([`ola_netlist::sta::lint`]):
-//! seeded defects are always flagged, and [`prune_dead`] removes exactly
-//! the dead logic without changing any observable output.
+//! Property-based tests of the lint pass ([`ola_netlist::sta::lint`]) and
+//! of the builder invariant every analysis relies on: the builder refuses
+//! any fanin at or after the new net, so every netlist is a DAG in net
+//! order; seeded defects are always flagged; and [`prune_dead`] removes
+//! exactly the dead logic without changing any observable output.
 
 use ola_netlist::sta::lint::{check, prune_dead, LintIssue};
-use ola_netlist::{NetId, Netlist};
+use ola_netlist::{GateKind, NetId, Netlist, NetlistError};
 use proptest::prelude::*;
 
 /// A recipe for one random gate: (kind selector, input selectors).
@@ -45,32 +47,74 @@ fn has_code(issues: &[LintIssue], code: &str) -> bool {
     issues.iter().any(|i| i.code() == code)
 }
 
+/// One step of a random builder program: (kind selector, fanin
+/// selectors, forward-reference mask, forward offsets), one byte or 2-bit
+/// field per fanin. A fanin whose mask field is 0 references net
+/// `len() + offset`, where offset 0 is the id the new gate itself would
+/// get.
+type BuildStep = (u8, u32, u8, u8);
+
+fn build_steps() -> impl Strategy<Value = Vec<BuildStep>> {
+    prop::collection::vec((any::<u8>(), any::<u32>(), any::<u8>(), any::<u8>()), 1..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// An injected ring oscillator (three inverters closed into a cycle)
-    /// is always reported as a combinational loop — statically, with the
-    /// ring's nets named in the diagnostic.
+    /// Random builder programs, some of whose fanins name the gate's own
+    /// id or a later net: `try_gate` refuses every such reference with
+    /// `DanglingInput` and leaves the netlist unchanged, and every netlist
+    /// that gets built reads only nets created before each gate.
     #[test]
-    fn injected_ring_oscillator_is_always_flagged(rs in recipes(), tap in any::<u8>()) {
-        let mut nl = build_random_netlist(5, &rs);
-        let nets: Vec<NetId> = nl.nets().collect();
-        let seed = nets[tap as usize % nets.len()];
-        let r1 = nl.not(seed);
-        let r2 = nl.not(r1);
-        let r3 = nl.not(r2);
-        nl.rewire_input(r1, 0, r3).unwrap();
-        let issues = check(&nl);
-        let cycle = issues.iter().find_map(|i| match i {
-            LintIssue::CombinationalLoop { cycle } => Some(cycle.clone()),
-            _ => None,
-        });
-        let cycle = cycle.expect("ring oscillator must be diagnosed as a loop");
-        for ring_net in [r1, r2, r3] {
-            prop_assert!(cycle.contains(&ring_net), "{ring_net:?} missing from {cycle:?}");
+    fn builder_refuses_every_forward_fanin(steps in build_steps()) {
+        const KINDS: [GateKind; 8] = [
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Xor,
+            GateKind::Nand,
+            GateKind::Nor,
+            GateKind::Xnor,
+            GateKind::Mux,
+        ];
+        let mut nl = Netlist::new();
+        nl.input("i0");
+        for (kind, sels, mask, offsets) in steps {
+            if kind % 9 == 8 {
+                nl.input("i");
+                continue;
+            }
+            let kind = KINDS[kind as usize % 8];
+            let arity = match kind {
+                GateKind::Not => 1,
+                GateKind::Mux => 3,
+                _ => 2,
+            };
+            let len = nl.len();
+            let fanins: Vec<NetId> = (0..arity)
+                .map(|j| {
+                    if mask >> (2 * j) & 3 == 0 {
+                        NetId::from_index(len + (offsets >> (2 * j) & 3) as usize)
+                    } else {
+                        NetId::from_index((sels >> (8 * j) & 0xff) as usize % len)
+                    }
+                })
+                .collect();
+            let first_forward = fanins.iter().copied().find(|f| f.index() >= len);
+            match (nl.try_gate(kind, &fanins), first_forward) {
+                (Err(e), Some(net)) => {
+                    prop_assert_eq!(e, NetlistError::DanglingInput { net, len });
+                    prop_assert_eq!(nl.len(), len, "a refused gate must not be appended");
+                }
+                (Ok(id), None) => prop_assert_eq!(id.index(), len),
+                (res, fwd) => prop_assert!(false, "try_gate gave {res:?} for forward fanin {fwd:?}"),
+            }
         }
-        // Cyclic netlists must also be rejected by prune (it needs a DAG).
-        prop_assert!(prune_dead(&nl).is_err());
+        for g in nl.nets() {
+            for &f in nl.gate_inputs(g) {
+                prop_assert!(f.index() < g.index(), "{g:?} reads {f:?}");
+            }
+        }
     }
 
     /// Gates appended after the output bus is fixed can never be observed;
@@ -105,7 +149,7 @@ proptest! {
         for g in &appended {
             prop_assert!(dead.contains(g), "{g:?} missing from dead cone {dead:?}");
         }
-        let pruned = prune_dead(&nl).unwrap();
+        let pruned = prune_dead(&nl);
         let after = check(&pruned);
         prop_assert!(!has_code(&after, "dead-cone"), "prune left dead logic: {after:?}");
         prop_assert!(!has_code(&after, "floating-net"));
@@ -118,7 +162,7 @@ proptest! {
     fn prune_preserves_outputs_on_all_vectors(rs in recipes(), bits in any::<u32>()) {
         let inputs = 5;
         let nl = build_random_netlist(inputs, &rs);
-        let pruned = prune_dead(&nl).unwrap();
+        let pruned = prune_dead(&nl);
         prop_assert!(pruned.len() <= nl.len());
         let vals: Vec<bool> = (0..inputs).map(|i| bits >> i & 1 == 1).collect();
         let a = nl.eval(&vals);

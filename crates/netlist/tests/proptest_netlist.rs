@@ -16,8 +16,8 @@ use ola_netlist::batch::{
     BatchFaultSet, BatchInputs, BatchProgram, LaneBlock, LaneInputs, LaneWord,
 };
 use ola_netlist::{
-    analyze, area, default_event_budget, simulate, simulate_from_zero_with_faults, BatchError,
-    CancelToken, DelayModel, FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay,
+    analyze, area, simulate, simulate_from_zero_with_faults, BatchError, CancelToken, DelayModel,
+    FaultPlan, FpgaDelay, JitteredDelay, NetId, Netlist, UnitDelay,
 };
 use proptest::prelude::*;
 
@@ -392,10 +392,8 @@ proptest! {
         let fs = BatchFaultSet::compile(&plans, nl.len()).unwrap();
         let res = prog.run_with_faults(&prev, &new, &fs).unwrap();
 
-        let budget = default_event_budget(&nl);
         for (lane, (q, plan)) in new_vecs.iter().zip(&plans).enumerate() {
-            let ev =
-                simulate_from_zero_with_faults(&nl, delay.as_ref(), q, plan, budget).unwrap();
+            let ev = simulate_from_zero_with_faults(&nl, delay.as_ref(), q, plan).unwrap();
             let l = lane as u32;
             for net in nl.nets() {
                 let mut ts: Vec<u64> = ev.waveform(net).iter().map(|&(t, _)| t).collect();

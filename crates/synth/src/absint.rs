@@ -43,7 +43,7 @@
 
 use crate::elab::{PortShape, Style, SynthesizedDatapath};
 use crate::ir::{Dfg, NodeId, Op};
-use ola_netlist::{try_analyze, DelayModel, StaError};
+use ola_netlist::{analyze, DelayModel};
 use ola_redundant::Q;
 
 /// The abstract value of one IR node: an exact-semantics interval plus a
@@ -309,17 +309,13 @@ impl SamplingBounds {
 /// provably carries its settled value), the second is sound because any
 /// sampled bit pattern still decodes into the port's representable
 /// range.
-///
-/// # Errors
-///
-/// [`StaError::NotTopological`] if the netlist was rewired out of
-/// topological order (structural arrivals would be untrustworthy).
+#[must_use]
 pub fn sampling_bounds<M: DelayModel + ?Sized>(
     dp: &SynthesizedDatapath,
     delay: &M,
     ts_grid: &[u64],
-) -> Result<SamplingBounds, StaError> {
-    let report = try_analyze(&dp.netlist, delay)?;
+) -> SamplingBounds {
+    let report = analyze(&dp.netlist, delay);
     let mut per_port = Vec::with_capacity(dp.outputs.len());
     for port in &dp.outputs {
         // (arrival, weight) of every wire of this port.
@@ -362,7 +358,7 @@ pub fn sampling_bounds<M: DelayModel + ?Sized>(
         per_port.push(bounds);
     }
     ola_core::obs::registry().counter("ola.verify.sampling_bounds").add(1);
-    Ok(SamplingBounds { ts: ts_grid.to_vec(), per_port })
+    SamplingBounds { ts: ts_grid.to_vec(), per_port }
 }
 
 #[cfg(test)]
@@ -454,7 +450,7 @@ mod tests {
             let dp = elaborate(&filter(4), &ElabOptions::new(style));
             let critical = analyze(&dp.netlist, &delay).critical_path();
             let ts_grid: Vec<u64> = (1..=8u64).map(|i| (critical * i).div_ceil(8)).collect();
-            let bounds = sampling_bounds(&dp, &delay, &ts_grid).unwrap();
+            let bounds = sampling_bounds(&dp, &delay, &ts_grid);
             let (curve, _) =
                 variant_error_curve(&dp, &delay, &ts_grid, 24, 0xAB5, SimBackend::Auto);
             for (k, &measured) in curve.mean_abs_error.iter().enumerate() {
@@ -476,13 +472,13 @@ mod tests {
         let dp = elaborate(&filter(4), &ElabOptions::new(Style::Online));
         let critical = analyze(&dp.netlist, &delay).critical_path();
         let ts_grid: Vec<u64> = (1..=6u64).map(|i| (critical * i).div_ceil(6)).collect();
-        let bounds = sampling_bounds(&dp, &delay, &ts_grid).unwrap();
+        let bounds = sampling_bounds(&dp, &delay, &ts_grid);
 
         // Per-digit certification: digit k of the (single) online output
         // bus weighs 2·2^{−(m+k)} (a redundant digit can swing its full
         // range).
         let groups = dp.output_digit_groups();
-        let rep = certify(&dp.netlist, &delay, &groups, &ts_grid).unwrap();
+        let rep = certify(&dp.netlist, &delay, &groups, &ts_grid);
         let PortShape::Online { msd_pos, digits } = dp.outputs[0].shape else {
             panic!("online datapath has an online port");
         };
@@ -547,7 +543,7 @@ mod tests {
             let dp = elaborate(&mac_filter(4), &ElabOptions::new(style));
             let critical = analyze(&dp.netlist, &delay).critical_path();
             let ts_grid: Vec<u64> = (1..=8u64).map(|i| (critical * i).div_ceil(8)).collect();
-            let bounds = sampling_bounds(&dp, &delay, &ts_grid).unwrap();
+            let bounds = sampling_bounds(&dp, &delay, &ts_grid);
             let (curve, _) =
                 variant_error_curve(&dp, &delay, &ts_grid, 24, 0xAB6, SimBackend::Auto);
             for (k, &measured) in curve.mean_abs_error.iter().enumerate() {

@@ -677,8 +677,7 @@ impl Query {
                 let grid_span = critical.max(1);
                 let ts_grid = crate::explore::ts_grid(grid_span, *ts_points);
                 let digits = dp.output_digit_groups();
-                let cert = ola_core::memo::certification(&dp.netlist, &delay, &digits, &ts_grid)
-                    .map_err(|e| bad(format!("certification: {e}")))?;
+                let cert = ola_core::memo::certification(&dp.netlist, &delay, &digits, &ts_grid);
                 let rows: Vec<JsonValue> = ts_grid
                     .iter()
                     .enumerate()
@@ -772,8 +771,7 @@ impl Query {
                 } else {
                     let critical = analyze(&dp.netlist, &delay).critical_path().max(1);
                     let grid = crate::explore::ts_grid(critical, *ts_points);
-                    let bounds = crate::absint::sampling_bounds(&dp, &delay, &grid)
-                        .map_err(|e| bad(format!("sta: {e}")))?;
+                    let bounds = crate::absint::sampling_bounds(&dp, &delay, &grid);
                     let rows: Vec<JsonValue> =
                         (0..grid.len()).map(|i| JsonValue::F64(bounds.total_f64(i))).collect();
                     (grid, rows)

@@ -86,7 +86,7 @@ proptest! {
             let points = 6u64;
             let ts_grid: Vec<u64> =
                 (1..=points).map(|i| (critical * i).div_ceil(points).max(1)).collect();
-            let bounds = sampling_bounds(&dp, &delay, &ts_grid).unwrap();
+            let bounds = sampling_bounds(&dp, &delay, &ts_grid);
             let (curve, _) = variant_error_curve(
                 &dp,
                 &delay,
