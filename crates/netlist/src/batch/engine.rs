@@ -30,12 +30,18 @@
 //!   With one delay for every lane, a step's time is shifted by the gate's
 //!   `(base + push).max(1)` as it is emitted; per-lane delay pushes merge
 //!   the unshifted stream once per delay group instead.
-//! * **Transitions counted on emission.** Every waveform is built through
-//!   one sink that drops unchanged words and, while the step's words are
-//!   in registers, adds its masked transitions and ORs the lanes it
-//!   changed into a tally. An inverter flips on every fanin step, so it
-//!   inherits its fanin's tally and counts nothing, unless a sampled pass
-//!   clips it.
+//! * **Transitions counted once per waveform.** Every waveform is built
+//!   through one sink that only drops unchanged words and stores the
+//!   rest. A finished waveform whose tally a pass consumes is then counted
+//!   in one pass over its steps: the masked transitions are summed and the
+//!   lanes that changed are ORed into a tally. The sum adds the flip words
+//!   bit-sliced through a carry-save tree (Harley–Seal) and popcounts once
+//!   per 8 steps, not once per step, since a popcount is the dearest word
+//!   op on a target without a `popcnt` instruction. The unshifted stream
+//!   of a delay-pushed gate and the raw waveform under an observation
+//!   transform are never counted. An inverter flips on every fanin step,
+//!   so it inherits its fanin's tally and counts nothing, unless a sampled
+//!   pass clips it.
 //! * **A bounded retire scan.** Settle times come from a backward scan of
 //!   each waveform that retires every lane at its last change. It starts
 //!   from the active lanes that changed at all, so a lane that is quiet on
@@ -152,18 +158,79 @@ fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
     }
 }
 
-/// What a waveform's emitter tallied while the words were in registers:
-/// the masked transitions, and every lane that changed at all.
+/// What one waveform contributes to a pass's counters: its masked
+/// transitions, and every lane that changed at all.
 #[derive(Clone, Copy, Debug, Default)]
 struct Tally<B: LaneWord> {
     transitions: u64,
     changed: B,
 }
 
+/// One carry-save adder over lane words: the carry and sum bits of
+/// `a + b + c`, lane by lane.
+#[inline]
+fn csa<B: LaneWord>(a: B, b: B, c: B) -> (B, B) {
+    let u = a.xor(b);
+    (a.and(b).or(u.and(c)), u.xor(c))
+}
+
+impl<B: LaneWord> Tally<B> {
+    /// Counts a finished waveform under the active-lane `mask` in one pass
+    /// over its steps. `transitions` is the sum over the steps of the
+    /// popcount of `(word ⊕ previous) & mask`, and `changed` the OR of the
+    /// unmasked flips.
+    ///
+    /// The flip words are added Harley–Seal style: each chunk of 8 goes
+    /// through a bit-sliced carry-save tree into the per-lane counter
+    /// words `ones`, `twos` and `fours`, and only the chunk's carry out, of
+    /// weight 8, is popcounted. At the end the three counters are
+    /// popcounted with weights 4, 2 and 1, and the steps of the last
+    /// partial chunk one by one. The counters are per lane, so the mask is
+    /// applied to them and to the carries rather than to every step, and a
+    /// lane changed in the chunks exactly when its count there is nonzero:
+    /// when a counter holds it or it ever carried.
+    fn of(wave: &Wave<B>, mask: B) -> Tally<B> {
+        let mut prev = wave.initial;
+        let mut flips = |&(_, word): &(u64, B)| {
+            let f = word.xor(prev);
+            prev = word;
+            f
+        };
+        let (chunks, tail) = wave.steps.as_chunks::<8>();
+        let (mut ones, mut twos, mut fours, mut carried) = (B::ZERO, B::ZERO, B::ZERO, B::ZERO);
+        let mut eights = 0u64;
+        for chunk in chunks {
+            let x: [B; 8] = std::array::from_fn(|k| flips(&chunk[k]));
+            let (twos_a, o) = csa(ones, x[0], x[1]);
+            let (twos_b, o) = csa(o, x[2], x[3]);
+            let (fours_a, t) = csa(twos, twos_a, twos_b);
+            let (twos_a, o) = csa(o, x[4], x[5]);
+            let (twos_b, o) = csa(o, x[6], x[7]);
+            let (fours_b, t) = csa(t, twos_a, twos_b);
+            let (eight, f) = csa(fours, fours_a, fours_b);
+            (ones, twos, fours) = (o, t, f);
+            carried = carried.or(eight);
+            eights += u64::from(eight.and(mask).count_ones());
+        }
+        let mut tally = Tally { transitions: 0, changed: ones.or(twos).or(fours).or(carried) };
+        if !chunks.is_empty() {
+            let weighed = |w: B, weight: u64| weight * u64::from(w.and(mask).count_ones());
+            tally.transitions =
+                8 * eights + weighed(fours, 4) + weighed(twos, 2) + weighed(ones, 1);
+        }
+        for step in tail {
+            let f = flips(step);
+            tally.changed = tally.changed.or(f);
+            tally.transitions += u64::from(f.and(mask).count_ones());
+        }
+        tally
+    }
+}
+
 /// The sink every waveform is built through. A word equal to the last one
 /// is dropped (word-level change detection); a kept step is shifted by
-/// `delay` as it is stored and counted into the [`Tally`], so no later
-/// pass re-reads the waveform to count its transitions.
+/// `delay` and stored. Nothing is counted here: a waveform whose tally is
+/// consumed is counted once it is finished, by [`Tally::of`].
 ///
 /// The step vector starts at a caller's capacity hint, so most
 /// waveforms never reallocate, and grows by a quarter when full, so one
@@ -176,11 +243,9 @@ struct Tally<B: LaneWord> {
 /// that span. Steps after the last span are dropped.
 struct Emit<'s, B: LaneWord> {
     delay: u64,
-    mask: B,
     initial: B,
     last: B,
     steps: Vec<(u64, B)>,
-    tally: Tally<B>,
     /// The spans to keep, sorted and disjoint.
     clip: Clip<'s>,
     /// The first span not yet passed.
@@ -190,14 +255,12 @@ struct Emit<'s, B: LaneWord> {
 }
 
 impl<'s, B: LaneWord> Emit<'s, B> {
-    fn new(initial: B, delay: u64, mask: B, capacity: usize, clip: Clip<'s>) -> Self {
+    fn new(initial: B, delay: u64, capacity: usize, clip: Clip<'s>) -> Self {
         Emit {
             delay,
-            mask,
             initial,
             last: initial,
             steps: Vec::with_capacity(capacity),
-            tally: Tally::default(),
             clip,
             next: 0,
             pending: None,
@@ -232,11 +295,8 @@ impl<'s, B: LaneWord> Emit<'s, B> {
 
     #[inline]
     fn store(&mut self, t: u64, word: B) {
-        let flips = word.xor(self.last);
-        if !flips.is_zero() {
+        if word != self.last {
             self.last = word;
-            self.tally.transitions += u64::from(flips.and(self.mask).count_ones());
-            self.tally.changed = self.tally.changed.or(flips);
             if self.steps.len() == self.steps.capacity() {
                 self.steps.reserve_exact(self.steps.len() / 4 + 8);
             }
@@ -244,12 +304,12 @@ impl<'s, B: LaneWord> Emit<'s, B> {
         }
     }
 
-    fn finish(mut self) -> (Wave<B>, Tally<B>) {
+    fn finish(mut self) -> Wave<B> {
         // A held step always precedes a span, which it enters.
         if let Some((t, word)) = self.pending.take() {
             self.store(t, word);
         }
-        (Wave { initial: self.initial, steps: self.steps }, self.tally)
+        Wave { initial: self.initial, steps: self.steps }
     }
 }
 
@@ -259,7 +319,7 @@ type Clip<'s> = Option<&'s [(u64, u64)]>;
 /// An inverter's waveform: every fanin step, inverted and shifted by
 /// `delay`. Each fanin step differs from the one before it, so each one
 /// flips the output: the inverter's tally is its fanin's, and needs no
-/// counting.
+/// counting (see [`BatchProgram::net_wave`]).
 fn invert<B: LaneWord>(a: &Wave<B>, initial: B, delay: u64) -> Wave<B> {
     let steps = a.steps.iter().map(|&(t, w)| (t.saturating_add(delay), w.not())).collect();
     Wave { initial, steps }
@@ -322,25 +382,22 @@ fn mux<B: LaneWord>(ins: [&Wave<B>; 3], out: &mut Emit<B>) {
 }
 
 /// A gate's waveform with every lane shifted by `delay`, clipped to
-/// `clip`, and its tally. `fanin_tally` is the tally of the first fanin,
-/// which an unclipped inverter inherits. Each kind runs a kernel
-/// monomorphized for its function and arity. The capacity hint is the
-/// busiest fanin's step count: a gate's output usually changes about as
-/// often as that fanin.
+/// `clip`. Each kind runs a kernel monomorphized for its function and
+/// arity; an unclipped inverter copies its fanin's steps. The capacity
+/// hint is the busiest fanin's step count: a gate's output usually
+/// changes about as often as that fanin.
 fn kernel<B: LaneWord>(
     kind: GateKind,
     ins: &[&Wave<B>],
     init: B,
     delay: u64,
-    mask: B,
-    fanin_tally: Tally<B>,
     clip: Clip<'_>,
-) -> (Wave<B>, Tally<B>) {
+) -> Wave<B> {
     if let (GateKind::Not, &[a], None) = (kind, ins, clip) {
-        return (invert(a, init, delay), fanin_tally);
+        return invert(a, init, delay);
     }
     let hint = ins.iter().map(|w| w.steps.len()).max().unwrap_or(0);
-    let mut out = Emit::new(init, delay, mask, hint, clip);
+    let mut out = Emit::new(init, delay, hint, clip);
     match (kind, ins) {
         (GateKind::Not, &[a]) => a.steps.iter().for_each(|&(t, w)| out.push(t, w.not())),
         (GateKind::And, &[a, b]) => binary(a, b, B::and, &mut out),
@@ -357,14 +414,8 @@ fn kernel<B: LaneWord>(
 
 /// The input waveform: lanes switch from their previous to their new bit at
 /// their delay-push time (0 without faults). Groups are sorted by push.
-fn input_wave<B: LaneWord>(
-    prev: B,
-    new: B,
-    groups: &[(u64, B)],
-    mask: B,
-    clip: Clip<'_>,
-) -> (Wave<B>, Tally<B>) {
-    let mut out = Emit::new(prev, 0, mask, groups.len(), clip);
+fn input_wave<B: LaneWord>(prev: B, new: B, groups: &[(u64, B)], clip: Clip<'_>) -> Wave<B> {
+    let mut out = Emit::new(prev, 0, groups.len(), clip);
     let mut word = prev;
     let mut i = 0;
     while i < groups.len() {
@@ -393,29 +444,26 @@ fn effective_delay(base: u64, push: u64) -> u64 {
 /// is emitted already shifted by `(base + push).max(1)`. Per-lane delay
 /// pushes first build the unshifted function stream; each delay group `g`
 /// then shifts it by its own effective delay and contributes its lanes,
-/// and the group streams are k-way merged back into one waveform.
-#[allow(clippy::too_many_arguments)] // internal: one gate's whole context
+/// and the group streams are k-way merged back into one waveform. The
+/// unshifted stream is read once and never counted.
 fn gate_wave<B: LaneWord>(
     kind: GateKind,
     ins: &[&Wave<B>],
     init: B,
     base_delay: u64,
     groups: &[(u64, B)],
-    mask: B,
-    fanin_tally: Tally<B>,
     clip: Clip<'_>,
-) -> (Wave<B>, Tally<B>) {
+) -> Wave<B> {
     let delay = |push: u64| effective_delay(base_delay, push);
     if let [(push, _)] = groups {
-        return kernel(kind, ins, init, delay(*push), mask, fanin_tally, clip);
+        return kernel(kind, ins, init, delay(*push), clip);
     }
 
-    let (fstream, _) = kernel(kind, ins, init, 0, mask, fanin_tally, None);
-    let fstream = fstream.steps;
+    let fstream = kernel(kind, ins, init, 0, None).steps;
     let ds: Vec<u64> = groups.iter().map(|&(push, _)| delay(push)).collect();
     let mut cursors = vec![0usize; groups.len()];
     let mut words: Vec<B> = groups.iter().map(|&(_, lanes)| init.and(lanes)).collect();
-    let mut out = Emit::new(init, 0, mask, fstream.len(), clip);
+    let mut out = Emit::new(init, 0, fstream.len(), clip);
     loop {
         let mut t_next = u64::MAX;
         let mut any = false;
@@ -447,12 +495,7 @@ fn gate_wave<B: LaneWord>(
 /// windows) to a raw waveform, clipped to `clip`: candidate change times
 /// are the raw step times plus the window boundaries, and at each the
 /// observed word is `((raw ^ flips) & !stuck_mask) | stuck_vals`.
-fn observe_wave<B: LaneWord>(
-    raw: &Wave<B>,
-    f: &LaneFaults<B>,
-    mask: B,
-    clip: Clip<'_>,
-) -> (Wave<B>, Tally<B>) {
+fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, clip: Clip<'_>) -> Wave<B> {
     let init = f.observe_initial(raw.initial);
     let mut times: Vec<u64> = raw.steps.iter().map(|&(t, _)| t).collect();
     for &(start, end, _) in &f.windows {
@@ -462,7 +505,7 @@ fn observe_wave<B: LaneWord>(
     times.sort_unstable();
     times.dedup();
 
-    let mut out = Emit::new(init, 0, mask, times.len(), clip);
+    let mut out = Emit::new(init, 0, times.len(), clip);
     let mut cur_raw = raw.initial;
     let mut ci = 0usize;
     for &t in &times {
@@ -902,10 +945,14 @@ impl BatchProgram {
     }
 
     /// Net `i`'s waveform from its fanins' waveforms `ins`, clipped to
-    /// `clip`, together with the tally its emitter counted under the
-    /// active-lane `mask`. `fanin_tally` is the first fanin's tally, which
-    /// an inverter inherits. A gate's initial word is its function of its
-    /// fanins' initial words.
+    /// `clip`, together with its tally under the active-lane `mask`. A
+    /// gate's initial word is its function of its fanins' initial words.
+    ///
+    /// Only the waveform returned is counted, once it is finished: a raw
+    /// waveform under an observation transform is not. An unclipped
+    /// inverter with one delay group copies its fanin's steps, each of
+    /// which flips it, so it inherits `fanin_tally`, the first fanin's
+    /// tally, and counts nothing.
     fn net_wave<B: LaneWord>(
         &self,
         i: usize,
@@ -925,21 +972,28 @@ impl BatchProgram {
             }
             _ => &no_fault_groups,
         };
-        let (raw, tally) = match self.kinds[i] {
+        let raw = match self.kinds[i] {
             GateKind::Input => {
                 let slot = self.input_slot(i);
-                input_wave(stim.prev.words[slot], stim.new.words[slot], groups, mask, clip)
+                input_wave(stim.prev.words[slot], stim.new.words[slot], groups, clip)
             }
-            GateKind::Const => (Wave::constant(B::splat(self.const_ones[i])), Tally::default()),
+            GateKind::Const => Wave::constant(B::splat(self.const_ones[i])),
             kind => {
                 let init = |k: usize| ins.get(k).map_or(B::ZERO, |w| w.initial);
                 let raw_init = eval_word(kind, init(0), init(1), init(2));
-                gate_wave(kind, ins, raw_init, self.delays[i], groups, mask, fanin_tally, clip)
+                gate_wave(kind, ins, raw_init, self.delays[i], groups, clip)
             }
         };
+        let counted = |wave: Wave<B>| {
+            let tally = Tally::of(&wave, mask);
+            (wave, tally)
+        };
         match lane_faults {
-            Some(f) if !f.observe_is_identity() => observe_wave(&raw, f, mask, clip),
-            _ => (raw, tally),
+            Some(f) if !f.observe_is_identity() => counted(observe_wave(&raw, f, clip)),
+            _ if self.kinds[i] == GateKind::Not && groups.len() == 1 && clip.is_none() => {
+                (raw, fanin_tally)
+            }
+            _ => counted(raw),
         }
     }
 
@@ -1371,8 +1425,8 @@ struct Fold {
 }
 
 impl Fold {
-    /// Folds a freshly computed waveform: the transitions its emitter
-    /// counted, then a backward retire scan over the active lanes that
+    /// Folds a freshly computed waveform: the transitions of its tally,
+    /// then a backward retire scan over the active lanes that
     /// changed, which folds as it scans and stops at this worker's settle
     /// floor: the merged settle times are per-lane maxima, so they are at
     /// least this worker's. A [`Retain::Sampled`] pass reports no settle
@@ -2035,25 +2089,84 @@ mod tests {
         // span, though the next step lands past it.
         let spans = [(10, 20), (40, 50)];
         let stream = [(2, 1u64), (5, 3), (25, 7), (30, 6), (45, 4), (60, 5)];
-        let mut full = Emit::new(0u64, 0, u64::MAX, 0, None);
-        let mut clipped = Emit::new(0u64, 0, u64::MAX, 0, Some(&spans));
+        let mut full = Emit::new(0u64, 0, 0, None);
+        let mut clipped = Emit::new(0u64, 0, 0, Some(&spans));
         for (t, w) in stream {
             full.push(t, w);
             clipped.push(t, w);
         }
-        let ((full, _), (wave, tally)) = (full.finish(), clipped.finish());
+        let (full, wave) = (full.finish(), clipped.finish());
         assert_eq!(wave.steps, [(5, 3), (30, 6), (45, 4)]);
-        assert_eq!(tally.transitions, 2 + 2 + 1, "only kept steps count");
+        assert_eq!(Tally::of(&wave, u64::MAX).transitions, 2 + 2 + 1, "only kept steps count");
         for t in [10, 15, 20, 40, 44, 45, 50] {
             assert_eq!(wave.word_at(t), full.word_at(t), "t {t}");
         }
         // No span keeps nothing; a step equal to the last kept is dropped.
-        let mut none = Emit::new(0u64, 3, u64::MAX, 0, Some(&[]));
+        let mut none = Emit::new(0u64, 3, 0, Some(&[]));
         stream.iter().for_each(|&(t, w)| none.push(t, w));
-        assert!(none.finish().0.steps.is_empty());
-        let mut same = Emit::new(0u64, 0, u64::MAX, 0, Some(&spans));
+        assert!(none.finish().steps.is_empty());
+        let mut same = Emit::new(0u64, 0, 0, Some(&spans));
         [(5, 1), (8, 0), (12, 0)].iter().for_each(|&(t, w)| same.push(t, w));
-        assert!(same.finish().0.steps.is_empty());
+        assert!(same.finish().steps.is_empty());
+    }
+
+    /// The count [`Tally::of`] stands for: a popcount of every step's
+    /// masked flips, and the OR of its unmasked ones.
+    fn naive_tally<B: LaneWord>(wave: &Wave<B>, mask: B) -> (u64, B) {
+        let mut prev = wave.initial;
+        wave.steps.iter().fold((0, B::ZERO), |(n, changed), &(_, word)| {
+            let flips = word.xor(prev);
+            prev = word;
+            (n + u64::from(flips.and(mask).count_ones()), changed.or(flips))
+        })
+    }
+
+    /// Waves of 0 to 40 random steps, so every tail length and up to five
+    /// full carry-save chunks, built through an unclipped and a clipped
+    /// emitter, counted under full and partial masks.
+    fn assert_tally_is_naive<B: LaneWord>() {
+        let mut x = 2014u64;
+        let mut random = move || {
+            (0..B::LANES).fold(B::ZERO, |w, l| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if x >> 63 == 1 {
+                    w.or(B::lane_bit(l))
+                } else {
+                    w
+                }
+            })
+        };
+        let masks = [B::ONES, B::active_mask(B::LANES - 3), B::active_mask(5)];
+        let spans = [(12, 30), (45, 90)];
+        for len in 0..=40 {
+            let initial = random();
+            let mut full = Emit::new(initial, 0, 0, None);
+            let mut clipped = Emit::new(initial, 0, 0, Some(&spans));
+            for k in 0..len {
+                let word = random();
+                full.push(3 * k, word);
+                clipped.push(3 * k, word);
+            }
+            let (full, clipped) = (full.finish(), clipped.finish());
+            assert_eq!(full.steps.len(), len as usize);
+            for wave in [&full, &clipped] {
+                for mask in masks {
+                    let tally = Tally::of(wave, mask);
+                    let (transitions, changed) = naive_tally(wave, mask);
+                    let steps = wave.steps.len();
+                    assert_eq!(tally.transitions, transitions, "{steps} steps, mask {mask:?}");
+                    assert_eq!(tally.changed, changed, "{steps} steps");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tally_equals_a_popcount_per_step() {
+        assert_tally_is_naive::<u64>();
+        assert_tally_is_naive::<crate::batch::LaneBlock<4>>();
     }
 
     #[test]
