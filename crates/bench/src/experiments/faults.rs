@@ -12,6 +12,7 @@
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
+use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
 use ola_core::campaign::{
     array_fault_campaign_with_stats, online_fault_campaign_with_stats, CampaignConfig,
     CampaignReport, FaultClass,
@@ -22,29 +23,29 @@ use ola_netlist::UnitDelay;
 /// Runs the fault-sensitivity campaigns and renders the comparison tables.
 ///
 /// The campaigns run on the batch engine, which evaluates up to 256 fault
-/// scenarios per pass. A spot-check then re-judges a small campaign on the
-/// event-driven reference oracle as well and fails the experiment on any
-/// disagreement.
+/// scenarios per pass. The experiments' oracle tests (`oracle.rs`) hold
+/// small campaigns over the same circuits and configuration to the
+/// event-driven reference simulator.
 ///
 /// The first table's CSV lands in
 /// `results/fault_sensitivity_online_vs_conventional.csv`.
 ///
 /// # Errors
 ///
-/// If the batch/event spot-check campaigns disagree.
+/// Never fails on its own; the `Result` carries checkpoint-replay errors.
 pub fn faults(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
-    run.unit("campaigns", || faults_inner(scale))
+    run.unit("campaigns", || Ok(faults_inner(scale)))
 }
 
-fn faults_inner(scale: Scale) -> Result<Vec<Table>, String> {
+/// The campaigns' circuits, the online and the array multiplier at one
+/// operand width, and their batch-engine configuration.
+pub(super) fn campaign_inputs(
+    scale: Scale,
+) -> (OnlineMultiplierCircuit, ArrayMultiplierCircuit, CampaignConfig) {
     let (width, sites, samples) = match scale {
         Scale::Quick => (5usize, 24usize, 4usize),
         Scale::Full => (8, 64, 12),
     };
-    ola_core::obs::annotate(
-        "faults.campaign",
-        format_args!("width {width}, {sites} sites x {samples} samples/site"),
-    );
     let cfg = CampaignConfig {
         samples_per_site: samples,
         max_sites: Some(sites),
@@ -54,6 +55,20 @@ fn faults_inner(scale: Scale) -> Result<Vec<Table>, String> {
     };
     let om = ola_arith::synth::online_multiplier(width, 3);
     let am = ola_arith::synth::array_multiplier(width);
+    (om, am, cfg)
+}
+
+fn faults_inner(scale: Scale) -> Vec<Table> {
+    let (om, am, cfg) = campaign_inputs(scale);
+    let width = am.width;
+    ola_core::obs::annotate(
+        "faults.campaign",
+        format_args!(
+            "width {width}, {} sites x {} samples/site",
+            cfg.max_sites.unwrap_or(0),
+            cfg.samples_per_site
+        ),
+    );
 
     let mut t = Table::new(
         "Fault sensitivity online vs conventional",
@@ -89,7 +104,6 @@ fn faults_inner(scale: Scale) -> Result<Vec<Table>, String> {
         stats.merge(&s);
     }
     eprintln!("  [faults] {}", stats.summary());
-    spot_check(&om, &am, &cfg, scale)?;
     for r in &reports {
         t.push_row(vec![
             r.arch.clone(),
@@ -128,61 +142,7 @@ fn faults_inner(scale: Scale) -> Result<Vec<Table>, String> {
         if on < conv { "online wins" } else { "NO IMPROVEMENT" }
     );
 
-    Ok(vec![t, rank_table(&reports)])
-}
-
-/// Re-runs a shrunken campaign (transient class: the one whose fault plans
-/// consume per-sample randomness) on both engines and demands
-/// bit-identical reports.
-fn spot_check(
-    om: &ola_arith::synth::OnlineMultiplierCircuit,
-    am: &ola_arith::synth::ArrayMultiplierCircuit,
-    cfg: &CampaignConfig,
-    scale: Scale,
-) -> Result<(), String> {
-    let samples = scale.spot_check_samples().min(cfg.samples_per_site);
-    let small = |backend| CampaignConfig {
-        samples_per_site: samples,
-        max_sites: Some(6),
-        backend,
-        ..cfg.clone()
-    };
-    let (ev, _) = online_fault_campaign_with_stats(
-        om,
-        &UnitDelay,
-        InputModel::UniformDigits,
-        FaultClass::Transient,
-        &small(SimBackend::Event),
-    );
-    let (ba, _) = online_fault_campaign_with_stats(
-        om,
-        &UnitDelay,
-        InputModel::UniformDigits,
-        FaultClass::Transient,
-        &small(SimBackend::Batch),
-    );
-    if ev != ba {
-        return Err("faults: online batch/event spot-check mismatch".to_string());
-    }
-    let (ev, _) = array_fault_campaign_with_stats(
-        am,
-        &UnitDelay,
-        FaultClass::Transient,
-        &small(SimBackend::Event),
-    );
-    let (ba, _) = array_fault_campaign_with_stats(
-        am,
-        &UnitDelay,
-        FaultClass::Transient,
-        &small(SimBackend::Batch),
-    );
-    if ev != ba {
-        return Err("faults: array batch/event spot-check mismatch".to_string());
-    }
-    eprintln!(
-        "  [faults] event spot-check OK (transient campaign, {samples} samples x 6 sites, both archs)"
-    );
-    Ok(())
+    vec![t, rank_table(&reports)]
 }
 
 /// Per-significance-rank corruption profile for the stuck-at-1 class: how

@@ -4,16 +4,16 @@
 //!
 //! The gate-level sweep runs on the bit-parallel batch engine: the
 //! paper's jittered-delay emulation is a pure function of `(seed, net)`,
-//! so it compiles to an exact batch program for its placement. A
-//! spot-check then re-judges the first samples on the event-driven
-//! reference oracle as well.
+//! so it compiles to an exact batch program for its placement. The
+//! experiments' oracle tests (`oracle.rs`) hold the first samples of the
+//! same sweep to the event-driven reference simulator.
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
 use ola_arith::online::{Selection, DELTA};
-use ola_arith::synth::online_multiplier;
-use ola_core::empirical::om_gate_level_curve_with;
-use ola_core::{model, montecarlo, InputModel, SimBackend, StaGate};
+use ola_arith::synth::{online_multiplier, OnlineMultiplierCircuit};
+use ola_core::empirical::{om_gate_level_curve_with, GateLevelCurve};
+use ola_core::{model, montecarlo, BackendStats, InputModel, SimBackend, StaGate};
 use ola_netlist::{analyze, FpgaDelay, JitteredDelay};
 
 /// Runs the Figure-4 experiment. Returns one stage-domain table and one
@@ -22,14 +22,12 @@ use ola_netlist::{analyze, FpgaDelay, JitteredDelay};
 ///
 /// # Errors
 ///
-/// If the event-driven spot-check disagrees with the batch engine —
-/// which would mean the two simulation engines are no longer
-/// bit-identical.
+/// Never fails on its own; the `Result` carries checkpoint-replay errors.
 pub fn fig4(run: &crate::resume::ExperimentCtx, scale: Scale) -> Result<Vec<Table>, String> {
     let mut tables = Vec::new();
     for n in [8usize, 12] {
         tables.extend(run.unit(&format!("stage.n{n}"), || Ok(vec![stage_domain(n, scale)]))?);
-        tables.extend(run.unit(&format!("gate.n{n}"), || Ok(vec![gate_domain(n, scale)?]))?);
+        tables.extend(run.unit(&format!("gate.n{n}"), || Ok(vec![gate_domain(n, scale)]))?);
     }
     Ok(tables)
 }
@@ -72,47 +70,54 @@ fn calibrate_gamma(n: usize, mc_err: &[f64]) -> f64 {
     1.0
 }
 
-fn gate_domain(n: usize, scale: Scale) -> Result<Table, String> {
-    let circuit = online_multiplier(n, 3);
-    let delay = JitteredDelay::new(FpgaDelay::default(), 15, 2014);
-    let rated = analyze(&circuit.netlist, &delay).critical_path();
-    let points = scale.grid_points();
-    let ts: Vec<u64> = (1..=points).map(|k| rated * k as u64 / points as u64).collect();
-    ola_core::obs::annotate(
-        format!("fig4.n{n}.ts_grid"),
-        format_args!("{points} points, {}..={} (rated {rated})", ts[0], ts[points - 1]),
-    );
-    let (curve, stats) = om_gate_level_curve_with(
-        &circuit,
-        &delay,
-        InputModel::UniformDigits,
-        &ts,
-        scale.gate_samples(),
-        42,
-        SimBackend::Batch,
-        StaGate::On,
-    );
-    eprintln!("  [fig4] gate level N={n}: {}", stats.summary());
-    // Re-judge the first samples of the same deterministic stream on both
-    // engines; any disagreement poisons the experiment.
-    let spot = scale.spot_check_samples();
-    let run = |b| {
+/// The N-digit gate-level sweep's inputs: the multiplier, its jittered
+/// placement and the `Ts` grid up to the placement's rated period.
+pub(super) struct GateSweep {
+    circuit: OnlineMultiplierCircuit,
+    delay: JitteredDelay<FpgaDelay>,
+    rated: u64,
+    ts: Vec<u64>,
+}
+
+impl GateSweep {
+    pub(super) fn new(n: usize, scale: Scale) -> Self {
+        let circuit = online_multiplier(n, 3);
+        let delay = JitteredDelay::new(FpgaDelay::default(), 15, 2014);
+        let rated = analyze(&circuit.netlist, &delay).critical_path();
+        let points = scale.grid_points();
+        let ts = (1..=points).map(|k| rated * k as u64 / points as u64).collect();
+        GateSweep { circuit, delay, rated, ts }
+    }
+
+    /// The curve over the first `samples` samples of the sweep's
+    /// deterministic stream, on `backend`.
+    pub(super) fn curve(
+        &self,
+        samples: usize,
+        backend: SimBackend,
+    ) -> (GateLevelCurve, BackendStats) {
         om_gate_level_curve_with(
-            &circuit,
-            &delay,
+            &self.circuit,
+            &self.delay,
             InputModel::UniformDigits,
-            &ts,
-            spot,
+            &self.ts,
+            samples,
             42,
-            b,
+            backend,
             StaGate::On,
         )
-        .0
-    };
-    if run(SimBackend::Event) != run(SimBackend::Batch) {
-        return Err(format!("fig4 N={n}: batch/event spot-check mismatch over {spot} samples"));
     }
-    eprintln!("  [fig4] gate level N={n}: event spot-check of {spot} samples OK");
+}
+
+fn gate_domain(n: usize, scale: Scale) -> Table {
+    let sweep = GateSweep::new(n, scale);
+    let (ts, points) = (&sweep.ts, sweep.ts.len());
+    ola_core::obs::annotate(
+        format!("fig4.n{n}.ts_grid"),
+        format_args!("{points} points, {}..={} (rated {})", ts[0], ts[points - 1], sweep.rated),
+    );
+    let (curve, stats) = sweep.curve(scale.gate_samples(), SimBackend::Batch);
+    eprintln!("  [fig4] gate level N={n}: {}", stats.summary());
     let mut t = Table::new(
         format!("Fig4 gate level N={n} (jittered-delay netlist)"),
         &["Ts", "Ts/rated", "mean |error|", "violation rate"],
@@ -120,5 +125,5 @@ fn gate_domain(n: usize, scale: Scale) -> Result<Table, String> {
     for (ts, norm, err, viol) in curve.points() {
         t.push_row(vec![ts.to_string(), format!("{norm:.3}"), fmt_f(err), fmt_f(viol)]);
     }
-    Ok(t)
+    t
 }

@@ -10,6 +10,8 @@ mod faults;
 mod fig4;
 mod fig5;
 mod lint;
+#[cfg(test)]
+mod oracle;
 mod sta;
 mod synth;
 mod table4;
@@ -84,17 +86,6 @@ impl Scale {
         match self {
             Scale::Quick => 10,
             Scale::Full => 20,
-        }
-    }
-
-    /// Sample count for the event-driven spot-check that cross-validates
-    /// batch-engine results (the first `N` samples of the same
-    /// deterministic stream are re-judged on both engines).
-    #[must_use]
-    pub fn spot_check_samples(self) -> usize {
-        match self {
-            Scale::Quick => 16,
-            Scale::Full => 64,
         }
     }
 }

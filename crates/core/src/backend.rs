@@ -12,8 +12,9 @@
 //!
 //! The event-driven simulator ([`ola_netlist::simulate`]), one vector per
 //! run, stays as the **reference oracle**: [`SimBackend::Event`] selects
-//! it for the equivalence tests and the `repro` cross-checks, which hold
-//! the two engines to bit-identical results. The engine is one field
+//! it for the equivalence tests, including the `ola-bench` oracle tests of
+//! what the `repro` experiments measure, which hold the two engines to
+//! bit-identical results. The engine is one field
 //! (`Engine`) of the group pass a sweep or campaign runs, so both engines
 //! share one sampling loop and one draw stream.
 //! [`BackendStats`] carries the cheap counters each experiment accumulates

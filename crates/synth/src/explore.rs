@@ -344,7 +344,9 @@ pub fn explore_mac(cfg: &ExploreConfig, lens: &[usize]) -> ExploreResult {
 /// the explorer's exact sampling discipline — same draw encoding, same
 /// judge — and therefore produce curves comparable to explorer rows.
 /// `backend` is the batch engine for every production caller;
-/// [`SimBackend::Event`] runs the event-driven reference oracle.
+/// [`SimBackend::Event`] runs the event-driven reference oracle, which
+/// only tests select (the `ola-bench` oracle tests sweep every `repro dsp`
+/// variant on it).
 ///
 /// # Panics
 ///
