@@ -167,12 +167,6 @@ fn run_guarded(budget: Duration, ctx: ExperimentCtx, job: Job) -> Outcome {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    // Default the content-cache disk tier so back-to-back `repro`
-    // invocations warm-hit across processes (an explicit OLA_CACHE_DIR,
-    // including empty-for-disabled, wins). Set before any thread spawns.
-    if std::env::var_os("OLA_CACHE_DIR").is_none() {
-        std::env::set_var("OLA_CACHE_DIR", "results/cache");
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut all = false;

@@ -29,9 +29,10 @@
 //! dominance claim — and unless every bounds check is sound. Two CSVs:
 //! `dsp_fused_vs_unfused_online_macs.csv` (one row per variant) and
 //! `dsp_fused_dominance_by_width.csv` (one row per triple). All columns
-//! are simulation-domain counts — no wall-clock figures — so cached
-//! replays and recomputations render bit-identical tables; engine
-//! *throughput* comparisons live in the `dsp_gate` binary instead.
+//! are simulation-domain counts — no wall-clock figures — so every
+//! recomputation, and every checkpoint replay, renders bit-identical
+//! tables at any thread count; engine *throughput* comparisons live in
+//! the `dsp_gate` binary instead.
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
@@ -104,17 +105,6 @@ pub(super) fn samples(scale: Scale) -> usize {
         Scale::Quick => 24,
         Scale::Full => 64,
     }
-}
-
-/// Canonical text whose SHA-256 is the sweep's content address.
-fn canonical(scale: Scale) -> String {
-    let work: Vec<String> =
-        pack(scale).iter().map(|(k, widths)| format!("{}:{:?}", k.label(), widths)).collect();
-    format!(
-        "repro-dsp/v2 pack={work:?} ts={} samples={} seed={SEED:#x}",
-        scale.grid_points(),
-        samples(scale),
-    )
 }
 
 /// One elaborated `(kernel, width, fusion)` variant and the seed its
@@ -212,10 +202,6 @@ fn dsp_inner(scale: Scale) -> Result<Vec<Table>, String> {
             samples(scale)
         ),
     );
-    super::cached_tables("dsp", &canonical(scale), || sweep_and_render(scale))
-}
-
-fn sweep_and_render(scale: Scale) -> Result<Vec<Table>, String> {
     let delay = FpgaDelay::default();
     let samples = samples(scale);
     let points = scale.grid_points();
@@ -307,7 +293,6 @@ fn sweep_and_render(scale: Scale) -> Result<Vec<Table>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_core::CacheKey;
 
     #[test]
     fn quick_pack_shows_fused_dominance_everywhere() {
@@ -331,36 +316,6 @@ mod tests {
             fir[2].parse::<u64>().unwrap() < fir[3].parse::<u64>().unwrap(),
             "fir latency row: {fir:?}"
         );
-    }
-
-    #[test]
-    fn second_pack_warm_hits_the_content_cache() {
-        let hits = || {
-            ola_core::obs::registry()
-                .snapshot()
-                .counters
-                .get("ola.cache.hits")
-                .copied()
-                .unwrap_or(0)
-        };
-        let run = || dsp(&crate::resume::ExperimentCtx::ephemeral("dsp"), Scale::Quick).unwrap();
-        let cold = run();
-        let before = hits();
-        let warm = run();
-        assert!(hits() > before, "second identical pack must warm-hit the cache");
-        assert_eq!(cold[0].rows, warm[0].rows, "cached rows are bit-identical");
-    }
-
-    #[test]
-    fn canonical_keys_separate_scales() {
-        let a = CacheKey::of(canonical(Scale::Quick).as_bytes());
-        let b = CacheKey::of(canonical(Scale::Quick).as_bytes());
-        let c = CacheKey::of(canonical(Scale::Full).as_bytes());
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        // v2 dropped the `engines_identical` column: v1 entries in a disk
-        // cache must miss rather than replay the old table shape.
-        assert!(canonical(Scale::Full).starts_with("repro-dsp/v2 "));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The reproduction experiments: one module per paper artifact family.
 //!
-//! Every function returns [`Table`]s that the `repro` binary prints and
-//! saves as CSV; `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! Every function returns [`Table`](crate::report::Table)s that the
+//! `repro` binary prints and saves as CSV; `EXPERIMENTS.md` records the
+//! paper-vs-measured comparison.
 
 mod casestudy;
 mod dsp;
@@ -26,12 +27,6 @@ pub use lint::lint;
 pub use sta::{om_certification, om_digit_weights, sta};
 pub use synth::synth;
 pub use table4::table4;
-
-use crate::report::Table;
-use ola_core::obs::json::{self, JsonValue};
-use ola_core::{CacheConfig, CacheKey, ContentCache};
-use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// Experiment scale: `quick` shrinks sample counts and image sizes for CI;
 /// `full` approaches the paper's statistical depth.
@@ -110,56 +105,4 @@ pub fn master_seeds(name: &str) -> Vec<(String, u64)> {
         "dsp" => mk(&[("pack", dsp::SEED)]),
         _ => Vec::new(),
     }
-}
-
-/// The process-wide result cache `repro synth` and `repro dsp` run
-/// through — the same [`ContentCache`] `ola-serve` uses, so a repeated run
-/// at the same scale warm-hits instead of recomputing. The disk tier
-/// activates when `OLA_CACHE_DIR` names a directory (`repro` defaults it
-/// to `results/cache`, so back-to-back CLI invocations hit across
-/// processes); unset or empty keeps the cache memory-only.
-fn result_cache() -> &'static ContentCache {
-    static CACHE: OnceLock<ContentCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let disk_dir =
-            std::env::var("OLA_CACHE_DIR").ok().filter(|d| !d.is_empty()).map(PathBuf::from);
-        ContentCache::new(CacheConfig { capacity: 64, disk_dir })
-    })
-}
-
-/// Runs `compute` through the result cache under the SHA-256 of
-/// `canonical`, storing its tables as JSON. Records the lookup as the
-/// `<name>.cache` annotation and says so on stderr when it was a hit.
-///
-/// A failing `compute` is never cached, so any validation inside it also
-/// holds for every warm hit.
-///
-/// # Errors
-///
-/// `compute`'s error, or a cached entry that does not decode to tables.
-fn cached_tables(
-    name: &str,
-    canonical: &str,
-    compute: impl FnOnce() -> Result<Vec<Table>, String>,
-) -> Result<Vec<Table>, String> {
-    let key = CacheKey::of(canonical.as_bytes());
-    let (bytes, lookup) = result_cache().get_or_compute(&key, || {
-        let tables = compute()?;
-        let doc = JsonValue::Array(tables.iter().map(Table::to_json).collect());
-        Ok::<_, String>(doc.render().into_bytes())
-    })?;
-    ola_core::obs::annotate(
-        format!("{name}.cache"),
-        format_args!("{} {}", lookup.label(), key.hex()),
-    );
-    if lookup.is_hit() {
-        eprintln!("  [{name}] warm {} for key {}", lookup.label(), &key.hex()[..12]);
-    }
-    let text = std::str::from_utf8(&bytes).map_err(|_| "cached sweep is not utf-8".to_string())?;
-    let doc = json::parse(text).map_err(|e| format!("cached sweep unparseable: {e}"))?;
-    doc.as_array()
-        .ok_or_else(|| "cached sweep is not an array".to_string())?
-        .iter()
-        .map(|t| Table::from_json(t).ok_or_else(|| "cached table malformed".to_string()))
-        .collect()
 }

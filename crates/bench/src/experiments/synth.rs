@@ -37,22 +37,6 @@ fn widths(scale: Scale) -> Vec<usize> {
 /// experiment so the verification gate covers the explored kernel).
 pub(crate) const EXPR: &str = "y = a * 0.25 + b * 0.5 + c * 0.25";
 
-/// The canonical text whose SHA-256 is the sweep's content address: every
-/// input that can change a row is spelled out, so semantically identical
-/// invocations share a key and any config drift misses.
-fn canonical(cfg: &ExploreConfig) -> String {
-    format!(
-        "repro-synth/v2 expr={EXPR:?} widths={:?} styles={:?} allocations={:?} frac={} ts={} samples={} seed={:#x}",
-        cfg.widths,
-        cfg.styles.iter().map(|s| s.name()).collect::<Vec<_>>(),
-        cfg.allocations.iter().map(|a| a.name()).collect::<Vec<_>>(),
-        cfg.frac_digits,
-        cfg.ts_points,
-        cfg.samples,
-        cfg.seed,
-    )
-}
-
 /// Runs the synthesis Pareto sweep and renders one row per design point.
 ///
 /// The sweep is one checkpoint unit: the explorer's shared Ts grid
@@ -94,17 +78,9 @@ fn synth_inner(scale: Scale) -> Result<Vec<Table>, String> {
         ),
     );
 
-    // Content-addressed: the whole sweep dedupes through the same cache
-    // `ola-serve` uses. The frontier validation runs inside the fill, so
-    // a failing sweep is never cached; a warm hit replays rows that
-    // already passed it.
-    super::cached_tables("synth", &canonical(&cfg), || explore_and_render(&cfg))
-}
-
-fn explore_and_render(cfg: &ExploreConfig) -> Result<Vec<Table>, String> {
     let dfg = ola_synth::parse_dfg(EXPR, InputFmt { msd_pos: 1, digits: 8 })
         .map_err(|e| format!("convolution program failed to parse: {e}"))?;
-    let result = explore(&dfg, cfg);
+    let result = explore(&dfg, &cfg);
 
     let mut t = Table::new(
         "Synth Pareto online vs conventional",
@@ -159,7 +135,6 @@ fn explore_and_render(cfg: &ExploreConfig) -> Result<Vec<Table>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_core::CacheKey;
 
     #[test]
     fn quick_sweep_emits_a_nondegenerate_frontier() {
@@ -176,44 +151,6 @@ mod tests {
         assert!(t.rows.iter().any(|r| r[0] == "online"));
         assert!(t.rows.iter().any(|r| r[0] == "conventional"));
         assert!(t.rows.iter().all(|r| r[3].parse::<u64>().is_ok()));
-    }
-
-    #[test]
-    fn second_sweep_warm_hits_the_content_cache() {
-        let hits = || {
-            ola_core::obs::registry()
-                .snapshot()
-                .counters
-                .get("ola.cache.hits")
-                .copied()
-                .unwrap_or(0)
-        };
-        let run =
-            || synth(&crate::resume::ExperimentCtx::ephemeral("synth"), Scale::Quick).unwrap();
-        let cold = run();
-        let before = hits();
-        let warm = run();
-        assert!(hits() > before, "second identical sweep must warm-hit the cache");
-        // A warm hit replays the exact rows the cold sweep produced.
-        assert_eq!(cold[0].rows, warm[0].rows, "cached rows are bit-identical");
-    }
-
-    #[test]
-    fn canonical_keys_separate_configs_and_stay_stable() {
-        let cfg = |samples| ExploreConfig {
-            widths: vec![4, 6],
-            styles: vec![Style::Online, Style::Conventional],
-            allocations: vec![AdderStructure::LinearChain],
-            frac_digits: 3,
-            ts_points: 4,
-            samples,
-            seed: SEED,
-        };
-        let a = CacheKey::of(canonical(&cfg(8)).as_bytes());
-        let b = CacheKey::of(canonical(&cfg(8)).as_bytes());
-        let c = CacheKey::of(canonical(&cfg(16)).as_bytes());
-        assert_eq!(a, b, "identical configs share a content address");
-        assert_ne!(a, c, "any config drift changes the key");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Content-addressed result cache with single-flight fills.
 //!
-//! The dedupe substrate for the `ola-serve` analysis service and the
-//! `repro synth` CLI sweeps: analysis results are pure functions of their
-//! query, so a result can be stored and served under the SHA-256 of the
+//! The dedupe substrate for the `ola-serve` analysis service: analysis
+//! results are pure functions of their query, so a result can be stored and served under the SHA-256 of the
 //! query's canonical serialization ([`sha256`]). Three properties matter
 //! and are all enforced here:
 //!
@@ -21,11 +20,11 @@
 //!   end.
 //! * **Bounded memory** — the in-memory tier evicts least-recently-used
 //!   entries past a configured capacity (`ola.cache.evictions`). The
-//!   optional disk tier (used by `repro synth` and `repro dsp` so repeated
-//!   CLI runs warm-hit across processes) is append-only and
-//!   content-addressed:
-//!   `<dir>/<key>.entry` holds the payload digest on its first line and
-//!   the payload after it, written atomically.
+//!   optional disk tier (used only by `ola-serve --cache-dir`, so a
+//!   restarted server warm-hits what an earlier one computed) is
+//!   append-only, unbounded and content-addressed: `<dir>/<key>.entry`
+//!   holds the payload digest on its first line and the payload after it,
+//!   written atomically.
 //!
 //! Metrics (process-global [`crate::obs::registry()`], `ola.cache.*`):
 //! `hits`, `misses`, `fills`, `coalesced`, `evictions`, `disk_hits`,
@@ -33,12 +32,10 @@
 //! simulation-domain metrics they depend on request interleaving, so they
 //! are exempt from the cross-thread-count bit-identity contract (they
 //! never appear in experiment manifest deltas asserted by the determinism
-//! suite; `ola.cache.hits` from the single-threaded `repro synth` warm
-//! path *is* deterministic and is asserted by its test). Every cache
-//! counts its traffic. The compile memo ([`crate::memo`]), whose hits
-//! depend on what ran earlier in the process, uses the same LRU table as
-//! the memory tier here but no `ContentCache`, so it moves none of these
-//! counters.
+//! suite). Every cache counts its traffic. The compile memo
+//! ([`crate::memo`]), whose hits depend on what ran earlier in the
+//! process, uses the same LRU table as the memory tier here but no
+//! `ContentCache`, so it moves none of these counters.
 
 use crate::obs::sha256;
 use crate::resilience::atomic_write;

@@ -25,8 +25,8 @@
 //!   ([`obs::RunManifest`]) with SHA-256-certified outputs;
 //! * [`cache`] — the content-addressed result cache ([`ContentCache`]):
 //!   SHA-256-keyed, single-flight, LRU-bounded, integrity-verified on
-//!   every read, with an optional on-disk tier — the dedupe substrate for
-//!   `ola-serve` and warm `repro synth` re-runs;
+//!   every read, with an optional on-disk tier (`ola-serve --cache-dir`) —
+//!   the dedupe substrate for `ola-serve`;
 //! * [`parallel`] — deterministic parallel Monte-Carlo accumulation and
 //!   the `OLA_THREADS` resolution ([`parallel::thread_config`]) recorded
 //!   in manifests;

@@ -28,7 +28,7 @@ use super::{chaos, retry_io, ResilienceError};
 use crate::obs::json::{self, JsonValue};
 use crate::obs::sha256::Sha256;
 use std::fs;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Frame magic: "OLA Checkpoint".
@@ -237,19 +237,6 @@ pub fn open_resumable(path: &Path) -> Result<(ReadOutcome, CheckpointWriter), Re
     retry_io("seeking checkpoint end", || file.seek(SeekFrom::End(0)).map(|_| ()))?;
     let frames = outcome.frames.len() as u64;
     Ok((outcome, CheckpointWriter { file, path: path.to_path_buf(), frames }))
-}
-
-/// Reads the raw bytes of `path` (test/tooling helper for tamper
-/// scenarios).
-///
-/// # Errors
-///
-/// [`ResilienceError::Io`] if the file cannot be read.
-pub fn raw_bytes(path: &Path) -> Result<Vec<u8>, ResilienceError> {
-    let mut buf = Vec::new();
-    let mut f = retry_io("opening checkpoint", || fs::File::open(path))?;
-    retry_io("reading checkpoint", || f.read_to_end(&mut buf).map(|_| ()))?;
-    Ok(buf)
 }
 
 #[cfg(test)]

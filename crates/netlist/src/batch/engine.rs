@@ -143,8 +143,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 /// large enough that the atomic load is invisible in profiles.
 const NET_CHECK_INTERVAL: usize = 256;
 
-/// Word-parallel gate evaluation: every bit position is one lane.
-fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
+/// Word-parallel gate evaluation: every bit position is one lane. Also the
+/// equivalence checker's table, at `u64`; written apart from the bool
+/// table behind [`Netlist::eval`](crate::Netlist::eval) on purpose.
+pub(crate) fn eval_word<B: LaneWord>(kind: GateKind, a: B, b: B, c: B) -> B {
     match kind {
         GateKind::Not => a.not(),
         GateKind::And => a.and(b),

@@ -78,6 +78,7 @@ mod sampler;
 mod wave;
 
 pub use block::{LaneBlock, LaneWord};
+pub(crate) use engine::eval_word;
 pub use engine::{BatchSimResult, LaneBusResult, LaneBusSamples, LaneSimResult, WideSimResult};
 pub use fault::{BatchFaultSet, LaneFaultSet, WideFaultSet};
 pub use program::{BatchInputs, BatchProgram, LaneInputs, WideInputs};

@@ -2,11 +2,6 @@
 
 use crate::{NetId, Netlist};
 
-/// Builds a half adder; returns `(sum, carry)`.
-pub fn half_adder(nl: &mut Netlist, a: NetId, b: NetId) -> (NetId, NetId) {
-    (nl.xor(a, b), nl.and(a, b))
-}
-
 /// Builds a full adder; returns `(sum, carry)`.
 ///
 /// Structure: `sum = a ⊕ b ⊕ c`, `carry = ab + c(a ⊕ b)` — two XORs on the
@@ -106,21 +101,6 @@ mod tests {
             let (s, cy) = eval3(full_adder, a, b, c);
             let total = u8::from(a) + u8::from(b) + u8::from(c);
             assert_eq!(u8::from(s) + 2 * u8::from(cy), total);
-        }
-    }
-
-    #[test]
-    fn half_adder_truth_table() {
-        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut nl = Netlist::new();
-            let ia = nl.input("a");
-            let ib = nl.input("b");
-            let (s, c) = half_adder(&mut nl, ia, ib);
-            let vals = nl.eval(&[a, b]);
-            assert_eq!(
-                u8::from(vals[s.index()]) + 2 * u8::from(vals[c.index()]),
-                u8::from(a) + u8::from(b)
-            );
         }
     }
 

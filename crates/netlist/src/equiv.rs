@@ -38,6 +38,7 @@
 //! output bus/bit and both observed values) that replays through
 //! [`Netlist::eval`] on either side.
 
+use crate::batch::{eval_word, LaneWord};
 use crate::netlist::{GateKind, NetId, Netlist};
 use std::collections::HashMap;
 use std::fmt;
@@ -634,36 +635,24 @@ fn bdd_compare(
 // ---------------------------------------------------------------------------
 
 /// Evaluates every net 64 lanes at a time: `words[i]` carries input `i`'s
-/// value across 64 vectors, bit `l` = lane `l`. Same bit-slicing as the
-/// batch engine, but functional (settled values only) and local.
+/// value across 64 vectors, bit `l` = lane `l`. Same bit-slicing and
+/// gate table ([`eval_word`]) as the batch engine, but functional
+/// (settled values only).
 fn eval_words(nl: &Netlist, const_vals: &[bool], words: &[u64]) -> Vec<u64> {
     let mut vals = vec![0u64; nl.len()];
     let mut next_input = 0;
     for net in nl.nets() {
         let i = net.index();
         let ins = nl.gate_inputs(net);
-        let v = |k: usize| vals[ins[k].index()];
+        let v = |k: usize| ins.get(k).map_or(0, |p| vals[p.index()]);
         vals[i] = match nl.kind(net) {
             GateKind::Input => {
                 let w = words[next_input];
                 next_input += 1;
                 w
             }
-            GateKind::Const => {
-                if const_vals[i] {
-                    !0
-                } else {
-                    0
-                }
-            }
-            GateKind::Not => !v(0),
-            GateKind::And => v(0) & v(1),
-            GateKind::Or => v(0) | v(1),
-            GateKind::Xor => v(0) ^ v(1),
-            GateKind::Nand => !(v(0) & v(1)),
-            GateKind::Nor => !(v(0) | v(1)),
-            GateKind::Xnor => !(v(0) ^ v(1)),
-            GateKind::Mux => (v(0) & v(1)) | (!v(0) & v(2)),
+            GateKind::Const => u64::splat(const_vals[i]),
+            kind => eval_word::<u64>(kind, v(0), v(1), v(2)),
         };
     }
     vals

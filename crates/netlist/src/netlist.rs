@@ -418,7 +418,7 @@ impl Netlist {
                     v
                 }
                 GateKind::Const => g.const_value,
-                _ => eval_gate(g.kind, g.input_slice(), &vals),
+                _ => eval_gate(g.kind, |k| vals[g.input_slice()[k].index()]),
             };
         }
         Ok(vals)
@@ -517,8 +517,11 @@ impl Netlist {
     }
 }
 
-pub(crate) fn eval_gate(kind: GateKind, inputs: &[NetId], vals: &[bool]) -> bool {
-    let v = |i: usize| vals[inputs[i].index()];
+/// The bool truth table of a logic gate, with `v(k)` the value of fanin
+/// `k`: the one behind [`Netlist::eval`], the event simulator and lint's
+/// constant folding. The batch engine's word table is written apart from
+/// it on purpose, so holding one engine to the other tests both tables.
+pub(crate) fn eval_gate(kind: GateKind, v: impl Fn(usize) -> bool) -> bool {
     match kind {
         GateKind::Not => !v(0),
         GateKind::And => v(0) & v(1),

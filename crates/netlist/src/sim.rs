@@ -116,7 +116,7 @@ fn eval_with_overlay(
                 v
             }
             GateKind::Const => g.const_value,
-            _ => eval_gate(g.kind, g.input_slice(), &observed),
+            _ => eval_gate(g.kind, |k| observed[g.input_slice()[k].index()]),
         };
         raw[i] = r;
         observed[i] = overlay.observe(i, None, r);
@@ -231,7 +231,8 @@ fn simulate_core<M: DelayModel + ?Sized>(
             let gid = NetId(g);
             let kind = netlist.kind(gid);
             debug_assert!(kind.is_logic(), "inputs/constants have no fanin");
-            let newv = eval_gate(kind, netlist.gate_inputs(gid), &current);
+            let ins = netlist.gate_inputs(gid);
+            let newv = eval_gate(kind, |k| current[ins[k].index()]);
             let push = overlay.map_or(0, |ov| ov.push(g as usize));
             let d = (delay.gate_delay(kind, gid) + push).max(1) as usize;
             schedule(&mut buckets, &mut pending, t + d, (g, Some(newv)));

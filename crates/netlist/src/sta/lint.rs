@@ -11,6 +11,7 @@
 //! keeping only the live cone (and every primary input, to preserve the
 //! evaluation interface), so generated datapaths can be shipped lint-clean.
 
+use crate::netlist::eval_gate;
 use crate::{GateKind, NetId, Netlist};
 use std::fmt;
 
@@ -217,8 +218,7 @@ pub fn check_with(netlist: &Netlist, opts: &LintOptions) -> Vec<LintIssue> {
         let consts: Vec<Option<bool>> = inputs.iter().map(|&i| const_value(netlist, i)).collect();
         if consts.iter().any(Option::is_some) {
             let value = if consts.iter().all(Option::is_some) {
-                let vals: Vec<bool> = consts.iter().map(|c| c.expect("all const")).collect();
-                Some(eval_const_gate(netlist.kind(net), &vals))
+                Some(eval_gate(netlist.kind(net), |k| consts[k].expect("all const")))
             } else {
                 None
             };
@@ -308,26 +308,6 @@ fn const_value(netlist: &Netlist, net: NetId) -> Option<bool> {
         Some(node.const_value)
     } else {
         None
-    }
-}
-
-fn eval_const_gate(kind: GateKind, v: &[bool]) -> bool {
-    match kind {
-        GateKind::Not => !v[0],
-        GateKind::And => v[0] & v[1],
-        GateKind::Or => v[0] | v[1],
-        GateKind::Xor => v[0] ^ v[1],
-        GateKind::Nand => !(v[0] & v[1]),
-        GateKind::Nor => !(v[0] | v[1]),
-        GateKind::Xnor => !(v[0] ^ v[1]),
-        GateKind::Mux => {
-            if v[0] {
-                v[1]
-            } else {
-                v[2]
-            }
-        }
-        GateKind::Input | GateKind::Const => unreachable!("not a logic gate"),
     }
 }
 
