@@ -19,7 +19,7 @@ use crate::synth::conventional::array_multiplier_core;
 use crate::synth::online::online_multiplier_core;
 use ola_netlist::sta::prune_dead;
 use ola_netlist::{NetId, Netlist};
-use ola_redundant::{Digit, SdNumber, Q};
+use ola_redundant::{SdNumber, Q};
 
 /// A synthesized online (signed-digit) constant-coefficient dot product.
 #[derive(Clone, Debug)]
@@ -206,13 +206,6 @@ pub fn decode_planes_value(msd_pos: i32, p: &[bool], n: &[bool]) -> Q {
         v.set_bits(msd_pos + i as i32, p, n);
     }
     v.value()
-}
-
-/// Decodes a sampled online-MAC digit plane pair into digits (helper for
-/// callers that want the digit view rather than the value).
-#[must_use]
-pub fn decode_digit_planes(sump: &[bool], sumn: &[bool]) -> Vec<Digit> {
-    sump.iter().zip(sumn).map(|(&p, &n)| Digit::from_bits(p, n)).collect()
 }
 
 #[cfg(test)]

@@ -21,8 +21,7 @@ pub use conventional::{
 };
 pub use fused_mac::{fused_mac_gates, fused_online_mac, FusedMacCircuit};
 pub use mac::{
-    decode_digit_planes, decode_planes_value, online_mac, traditional_mac, OnlineMacCircuit,
-    TraditionalMacCircuit,
+    decode_planes_value, online_mac, traditional_mac, OnlineMacCircuit, TraditionalMacCircuit,
 };
 pub use online::{
     online_adder, online_multiplier, online_multiplier_core, OnlineAdderCircuit,

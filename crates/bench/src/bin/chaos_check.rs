@@ -10,8 +10,9 @@
 //!    (exit 86) resumes with `--resume` and produces CSVs *bit-identical*
 //!    to an uninterrupted run;
 //! 2. **torn frame** — a process killed mid-append leaves half a frame;
-//!    resume quarantines the damaged tail (`repro.ckpt.quarantined`) and
-//!    still completes bit-identically;
+//!    resume quarantines the damaged tail (`repro.ckpt.quarantined`),
+//!    records it in every manifest of the resumed run
+//!    (`resilience.quarantined`), and still completes bit-identically;
 //! 3. **tamper** — a flipped byte inside a committed frame fails its
 //!    SHA-256 check; the damaged suffix is quarantined, never replayed;
 //! 4. **panic** — an injected panic inside one experiment yields partial
@@ -90,6 +91,19 @@ fn read_csvs(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         }
     }
     out
+}
+
+/// True when `dir` holds run manifests and each carries annotation `key`.
+fn manifests_annotate(dir: &Path, key: &str) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir.join("results").join("manifests")) else {
+        return false;
+    };
+    let annotated = |path: &Path| {
+        let doc = ola_core::obs::json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+        doc.get("annotations")?.get(key).map(|_| ())
+    };
+    let paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    !paths.is_empty() && paths.iter().all(|p| annotated(p).is_some())
 }
 
 fn ckpt(dir: &Path) -> PathBuf {
@@ -222,6 +236,8 @@ fn main() {
         h.check("torn: resume exit 0", resumed.code == 0);
         let quarantined = ola_core::resilience::checkpoint::quarantine_path(&ckpt(&dir)).exists();
         h.check("torn: damaged tail quarantined", quarantined);
+        let recorded = manifests_annotate(&dir, "resilience.quarantined");
+        h.check("torn: resumed manifests record the quarantine", recorded);
         let ok = identical("torn", &resumed.csvs, &baseline.csvs);
         h.check("torn: resumed CSVs bit-identical to baseline", ok);
     }

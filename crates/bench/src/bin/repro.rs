@@ -33,7 +33,7 @@
 use ola_bench::experiments::{self, CaseStudyContext, Scale};
 use ola_bench::report::Table;
 use ola_bench::resume::{ExperimentCtx, RunHeader, RunState};
-use ola_core::obs::{self, OutputRecord, RunManifest, TraceMode};
+use ola_core::obs::{self, AnnotationScope, OutputRecord, RunManifest, TraceMode};
 use ola_core::resilience::{chaos, is_cancel_payload};
 use ola_netlist::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,17 +135,20 @@ fn decode(
 ///
 /// The worker installs a deadline [`CancelToken`] as its ambient token, so
 /// every simulation loop underneath polls it (and `ola_core::parallel`
-/// propagates it into its own worker pool). On timeout the driver cancels
+/// propagates it into its own worker pool), and `scope` as its annotation
+/// sink, which the pool propagates too: even after a timeout, the worker
+/// records only into this experiment's scope. On timeout the driver cancels
 /// the token and waits [`CANCEL_GRACE`] for the worker to unwind — a
 /// responsive worker checkpoints its completed units and frees its cores;
 /// only a worker stuck outside any polling loop is left detached (the
 /// process still terminates when `main` returns).
-fn run_guarded(budget: Duration, ctx: ExperimentCtx, job: Job) -> Outcome {
+fn run_guarded(budget: Duration, ctx: ExperimentCtx, scope: AnnotationScope, job: Job) -> Outcome {
     let token = CancelToken::with_deadline(budget);
     let worker_token = token.clone();
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let _ambient = ola_core::resilience::install_ambient(worker_token);
+        let _scope = scope.install();
         let result = catch_unwind(AssertUnwindSafe(move || job(&ctx)));
         let _ = tx.send(result);
     });
@@ -259,11 +262,18 @@ fn main() {
     // splicing tables from different sample counts.
     let ckpt_path = out_dir.join("checkpoints").join("repro.ckpt");
     let header = RunHeader { scale: if quick { "quick".into() } else { "full".into() }, all };
-    let state = if resume {
-        RunState::resume(&ckpt_path, &header)
-    } else {
-        RunState::fresh(&ckpt_path, &header)
+    // What opening the checkpoint records (a quarantined tail) goes into
+    // every manifest of the run.
+    let run_scope = AnnotationScope::new();
+    let state = {
+        let _scope = run_scope.install();
+        if resume {
+            RunState::resume(&ckpt_path, &header)
+        } else {
+            RunState::fresh(&ckpt_path, &header)
+        }
     };
+    let run_annotations = run_scope.drain();
 
     // Per-experiment wall-clock safety net; generous enough that only a
     // genuinely wedged experiment trips it.
@@ -359,20 +369,20 @@ fn main() {
     let total = jobs.len();
     let mut failures: Vec<(String, String)> = Vec::new();
     for (name, job) in jobs {
-        // Attribute registry deltas, spans, annotations and noted output
-        // files to this experiment: snapshot + drain before, diff after.
-        // (Shared case-study context work is attributed to the first
-        // experiment that touches it — noted in the manifest itself.)
+        // Attribute registry deltas and spans to this experiment: snapshot
+        // + drain before, diff after; annotations and noted outputs land
+        // in its own scope. (Shared case-study context work is attributed
+        // to the first experiment that touches it.)
         let before = obs::registry().snapshot();
         let _ = obs::drain_spans();
-        let _ = obs::take_annotations();
-        let _ = obs::take_noted_outputs();
+        let scope = AnnotationScope::new();
 
         let start = Instant::now();
         let tables = if state.is_done(name) {
             // The experiment's `done` frame landed in a previous run: its
             // tables (and output-file registrations) come straight from
             // the checkpoint, bit-identical — nothing recomputes.
+            let _scope = scope.install();
             let unit = state.replay_done(name);
             for (label, path) in unit.noted {
                 obs::note_output(label, path);
@@ -387,7 +397,8 @@ fn main() {
                 job
             };
             let span = obs::span(format!("experiment.{name}"));
-            let outcome = run_guarded(budget, ExperimentCtx::new(name, state.clone()), job);
+            let outcome =
+                run_guarded(budget, ExperimentCtx::new(name, state.clone()), scope.clone(), job);
             drop(span);
             match outcome {
                 Outcome::Ok(t) => {
@@ -439,9 +450,7 @@ fn main() {
             }
         }
         // Files the experiment wrote itself (fig7's PGM images).
-        for (label, path) in obs::take_noted_outputs() {
-            emitted.push((label, path));
-        }
+        emitted.extend(scope.drain_outputs());
 
         let mut outputs: Vec<OutputRecord> = Vec::new();
         for (label, path) in &emitted {
@@ -465,7 +474,7 @@ fn main() {
             seeds: experiments::master_seeds(name),
             ola_threads: ola_core::parallel::thread_config().record(),
             trace: obs::mode().label().to_string(),
-            annotations: obs::take_annotations(),
+            annotations: run_annotations.iter().cloned().chain(scope.drain()).collect(),
             spans: obs::drain_spans(),
             metrics,
             outputs,

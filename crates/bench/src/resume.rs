@@ -25,6 +25,7 @@
 
 use crate::report::Table;
 use ola_core::obs::json::JsonValue;
+use ola_core::obs::AnnotationScope;
 use ola_core::resilience::checkpoint::{open_resumable, CheckpointWriter};
 use ola_core::resilience::ResilienceError;
 use std::collections::{BTreeSet, HashMap};
@@ -111,14 +112,7 @@ impl RunState {
                 None
             }
         };
-        Arc::new(RunState {
-            inner: Mutex::new(Inner {
-                writer,
-                units: HashMap::new(),
-                unit_order: Vec::new(),
-                done: BTreeSet::new(),
-            }),
-        })
+        RunState::from_writer(writer)
     }
 
     /// Opens `path` for resumption: quarantines a damaged tail, replays
@@ -136,21 +130,15 @@ impl RunState {
             }
         };
         let recorded = outcome.frames.first().and_then(RunHeader::from_json);
-        if outcome.frames.is_empty() {
-            // Nothing to resume; reuse the writer for a header + fresh run.
-            let mut writer = writer;
-            if let Err(e) = writer.append(&header.to_json()) {
-                eprintln!("[resume] checkpointing disabled: {e}");
-                return RunState::fresh(path, header);
-            }
-            return RunState::from_writer(writer);
-        }
         if recorded.as_ref() != Some(header) {
-            eprintln!(
-                "[resume] checkpoint {} was written by a run with different \
-                 parameters ({recorded:?} vs {header:?}); starting fresh",
-                path.display()
-            );
+            // Nothing to resume, or a run with other parameters.
+            if !outcome.frames.is_empty() {
+                eprintln!(
+                    "[resume] checkpoint {} was written by a run with different \
+                     parameters ({recorded:?} vs {header:?}); starting fresh",
+                    path.display()
+                );
+            }
             drop(writer);
             return RunState::fresh(path, header);
         }
@@ -192,10 +180,11 @@ impl RunState {
         })
     }
 
-    fn from_writer(writer: CheckpointWriter) -> Arc<RunState> {
+    /// A state with nothing to replay, appending to `writer` if any.
+    fn from_writer(writer: Option<CheckpointWriter>) -> Arc<RunState> {
         Arc::new(RunState {
             inner: Mutex::new(Inner {
-                writer: Some(writer),
+                writer,
                 units: HashMap::new(),
                 unit_order: Vec::new(),
                 done: BTreeSet::new(),
@@ -321,17 +310,7 @@ impl ExperimentCtx {
     /// callers that invoke experiments directly.
     #[must_use]
     pub fn ephemeral(experiment: impl Into<String>) -> ExperimentCtx {
-        ExperimentCtx {
-            experiment: experiment.into(),
-            state: Arc::new(RunState {
-                inner: Mutex::new(Inner {
-                    writer: None,
-                    units: HashMap::new(),
-                    unit_order: Vec::new(),
-                    done: BTreeSet::new(),
-                }),
-            }),
-        }
+        ExperimentCtx { experiment: experiment.into(), state: RunState::from_writer(None) }
     }
 
     /// The experiment this context belongs to.
@@ -345,9 +324,11 @@ impl ExperimentCtx {
     /// computing and its noted outputs are re-registered; otherwise `f`
     /// runs, and on success the unit is appended to the checkpoint.
     ///
-    /// Output files `f` registers via [`ola_core::obs::note_output`] are
-    /// attributed to this unit and recorded in its frame, so replays keep
-    /// the run manifest's output hashes complete.
+    /// `f` runs under its own [`AnnotationScope`]: the output files it
+    /// registers via [`ola_core::obs::note_output`] are recorded in the
+    /// unit's frame, so replays keep the run manifest's output hashes
+    /// complete, and its annotations and outputs are then re-recorded in
+    /// the enclosing scope.
     ///
     /// # Errors
     ///
@@ -366,14 +347,19 @@ impl ExperimentCtx {
             return Ok(unit.tables);
         }
         ola_core::resilience::check_cancelled();
-        // Attribute note_output calls to this unit: experiments run one at
-        // a time, so the pending queue belongs to the current experiment's
-        // earlier units — hold it aside and restore the order afterwards.
-        let earlier = ola_core::obs::take_noted_outputs();
-        let result = f();
-        let noted = ola_core::obs::take_noted_outputs();
-        for (l, p) in earlier.into_iter().chain(noted.iter().cloned()) {
-            ola_core::obs::note_output(l, p);
+        // The unit's own scope attributes its noted outputs to this frame;
+        // everything it captured then passes on to the enclosing scope.
+        let scope = AnnotationScope::new();
+        let result = {
+            let _guard = scope.install();
+            f()
+        };
+        for (k, v) in scope.drain() {
+            ola_core::obs::annotate(k, v);
+        }
+        let noted = scope.drain_outputs();
+        for (l, p) in &noted {
+            ola_core::obs::note_output(l.clone(), p);
         }
         let tables = result?;
         ola_core::obs::registry().counter("ola.resilience.units_computed").inc();
@@ -498,23 +484,34 @@ mod tests {
 
     #[test]
     fn noted_outputs_are_recorded_in_the_unit_frame() {
-        // Asserted through the checkpoint frame rather than the global
-        // noted-output queue: the queue is process-global and other tests
-        // in this binary drain it concurrently.
         let path = tmp("noted");
         let state = RunState::fresh(&path, &header());
-        ExperimentCtx::new("demo", state.clone())
-            .unit("u1", || {
-                ola_core::obs::note_output("results/x.pgm", "/tmp/x.pgm");
-                Ok(vec![table("u1")])
-            })
-            .unwrap();
+        let experiment = AnnotationScope::new();
+        {
+            let _guard = experiment.install();
+            ExperimentCtx::new("demo", state.clone())
+                .unit("u1", || {
+                    ola_core::obs::note_output("results/x.pgm", "/tmp/x.pgm");
+                    ola_core::obs::annotate("demo.key", 1);
+                    Ok(vec![table("u1")])
+                })
+                .unwrap();
+        }
         state.mark_done("demo");
         drop(state);
+        let x = vec![("results/x.pgm".to_owned(), PathBuf::from("/tmp/x.pgm"))];
+        assert_eq!(experiment.drain_outputs(), x, "the enclosing scope gets the output");
+        assert_eq!(experiment.drain(), vec![("demo.key".to_owned(), "1".to_owned())]);
 
         let resumed = RunState::resume(&path, &header());
-        let done = resumed.replay_done("demo");
-        assert_eq!(done.noted, vec![("results/x.pgm".to_owned(), PathBuf::from("/tmp/x.pgm"))]);
+        assert_eq!(resumed.replay_done("demo").noted, x);
+        // A replayed unit re-registers its outputs in the enclosing scope.
+        let replay = AnnotationScope::new();
+        {
+            let _guard = replay.install();
+            ExperimentCtx::new("demo", resumed).unit("u1", || Err("replays".into())).unwrap();
+        }
+        assert_eq!(replay.drain_outputs(), x);
         std::fs::remove_file(&path).unwrap();
     }
 

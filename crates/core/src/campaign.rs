@@ -36,8 +36,10 @@
 //! its delays, so the batch engine computes it in one zero-delay pass per
 //! group ([`BatchProgram::settled_bus`]) and runs no clean timed pass.
 //! [`CampaignConfig::backend`] selects the event-driven reference oracle
-//! instead for tests and the `repro` cross-check; it simulates a group's
-//! samples across the worker budget and folds them in sample order.
+//! instead; only tests select it (the `ola-bench` oracle tests hold
+//! `repro`'s campaigns to it, and `repro` itself runs the batch engine
+//! only). It simulates a group's samples across the worker budget and
+//! folds them in sample order.
 //!
 //! [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
 //! [`BatchProgram::settled_bus`]: ola_netlist::batch::BatchProgram::settled_bus
@@ -130,8 +132,8 @@ pub struct CampaignConfig {
     pub delay_push: u64,
     /// Which simulation engine evaluates the samples: the batch engine
     /// ([`SimBackend::Auto`] and [`SimBackend::Batch`] alike) or the
-    /// event-driven oracle ([`SimBackend::Event`]). Results are
-    /// bit-identical across engines.
+    /// event-driven oracle ([`SimBackend::Event`]), which only tests
+    /// select. Results are bit-identical across engines.
     pub backend: SimBackend,
 }
 
@@ -435,10 +437,7 @@ where
     let engine = if cfg.backend == SimBackend::Event {
         Engine::Event { netlist, delay }
     } else {
-        Engine::Batch(crate::memo::batch_program(netlist, delay).expect(
-            "generator netlists are acyclic, and lint rejects cycles, \
-             so every campaign netlist compiles to a batch program",
-        ))
+        Engine::Batch(crate::memo::batch_program(netlist, delay))
     };
     let pass = SitePass { engine, wires, t_main, t_shadow, record: &record };
     let started = Instant::now();

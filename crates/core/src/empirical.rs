@@ -19,9 +19,10 @@
 //! and the netlists swept here are acyclic, so compilation cannot fail.
 //!
 //! [`SimBackend::Event`] selects the event-driven simulator (one vector
-//! per run) as the reference oracle for tests and the `repro`
-//! cross-checks; it simulates a group's samples across the worker budget
-//! and folds them in sample order. An ambient [`crate::CancelToken`] (see
+//! per run) as the reference oracle; only tests select it (the
+//! `ola-bench` oracle tests hold `repro`'s sweeps to it, and `repro`
+//! itself runs the batch engine only). It simulates a group's samples
+//! across the worker budget and folds them in sample order. An ambient [`crate::CancelToken`] (see
 //! [`crate::resilience::install_ambient`]) is honored per group, per
 //! event-simulated sample and inside the batch engine's settling loop.
 //!
@@ -263,10 +264,7 @@ where
         Engine::Event { netlist, delay }
     } else {
         let _s = crate::obs::span("empirical.batch_compile");
-        Engine::Batch(crate::memo::batch_program(netlist, delay).expect(
-            "generator and elaborate netlists are acyclic, and lint rejects cycles, \
-             so every swept netlist compiles to a batch program",
-        ))
+        Engine::Batch(crate::memo::batch_program(netlist, delay))
     };
     // Captured once here and used by the sampling loop on worker threads:
     // in-run cancellation polls must not depend on each worker's own

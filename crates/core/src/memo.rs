@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ola_netlist::batch::BatchProgram;
 use ola_netlist::sta::{certify, CertificationReport};
-use ola_netlist::{BatchError, DelayModel, NetId, Netlist};
+use ola_netlist::{DelayModel, NetId, Netlist};
 
 use crate::cache::{CacheKey, Store};
 
@@ -157,16 +157,15 @@ fn replay_compile_observation(program: &BatchProgram) {
 /// equal — and therefore waveform-identical — to a fresh compile, and
 /// replays the compile's observer effect so metric snapshots cannot
 /// distinguish warm from cold caches.
-///
-/// # Errors
-///
-/// Propagates [`BatchProgram::compile`] errors; failed compiles are never
-/// cached.
-pub fn batch_program<M: DelayModel + ?Sized>(
-    netlist: &Netlist,
-    delay: &M,
-) -> Result<Arc<BatchProgram>, BatchError> {
+#[must_use]
+pub fn batch_program<M: DelayModel + ?Sized>(netlist: &Netlist, delay: &M) -> Arc<BatchProgram> {
     memo().batch_program(netlist, delay)
+}
+
+/// [`BatchProgram::compile`], whose `Result` has no error path: every
+/// netlist the builder can make compiles.
+fn compile<M: DelayModel + ?Sized>(netlist: &Netlist, delay: &M) -> Arc<BatchProgram> {
+    Arc::new(BatchProgram::compile(netlist, delay).expect("every netlist compiles"))
 }
 
 /// Certifies `digits` against `ts_grid`, memoizing the per-digit arrival
@@ -214,23 +213,23 @@ impl Memo {
         &self,
         netlist: &Netlist,
         delay: &M,
-    ) -> Result<Arc<BatchProgram>, BatchError> {
+    ) -> Arc<BatchProgram> {
         crate::obs::registry().counter("ola.memo.program_requests").inc();
         let Some(delay_key) = delay.cache_key() else {
             self.program_uncached.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(BatchProgram::compile(netlist, delay)?));
+            return compile(netlist, delay);
         };
         let key = program_key(netlist, &delay_key);
         let hit = lock(&self.programs).get(key.hex()).map(Arc::clone);
         if let Some(program) = hit {
             self.program_hits.fetch_add(1, Ordering::Relaxed);
             replay_compile_observation(&program);
-            return Ok(program);
+            return program;
         }
-        let program = Arc::new(BatchProgram::compile(netlist, delay)?);
+        let program = compile(netlist, delay);
         self.program_misses.fetch_add(1, Ordering::Relaxed);
         lock(&self.programs).insert(key.hex().to_owned(), Arc::clone(&program));
-        Ok(program)
+        program
     }
 
     fn certification<M: DelayModel + ?Sized>(
@@ -283,8 +282,8 @@ mod tests {
     fn memo_hit_equals_a_fresh_compile() {
         let (nl, _outs) = sample_netlist(11);
         let fresh = BatchProgram::compile(&nl, &UnitDelay).unwrap();
-        let first = batch_program(&nl, &UnitDelay).unwrap();
-        let second = batch_program(&nl, &UnitDelay).unwrap();
+        let first = batch_program(&nl, &UnitDelay);
+        let second = batch_program(&nl, &UnitDelay);
         assert_eq!(*first, fresh);
         assert_eq!(*second, fresh);
 
@@ -303,8 +302,8 @@ mod tests {
         let (nl1, _o1) = sample_netlist(12);
         let (nl2, _o2) = sample_netlist(13);
         assert_ne!(nl1.canonical_bytes(), nl2.canonical_bytes());
-        let unit = batch_program(&nl1, &UnitDelay).unwrap();
-        let fpga = batch_program(&nl1, &FpgaDelay::default()).unwrap();
+        let unit = batch_program(&nl1, &UnitDelay);
+        let fpga = batch_program(&nl1, &FpgaDelay::default());
         assert_ne!(unit, fpga, "delay key must split the memo");
     }
 
@@ -313,16 +312,16 @@ mod tests {
         let (nl, _outs) = sample_netlist(14);
         let placement = JitteredDelay::new(UnitDelay, 5, 7);
         let before = stats();
-        let first = batch_program(&nl, &placement).unwrap();
+        let first = batch_program(&nl, &placement);
         // The same placement is a memo hit: the very same shared program.
-        let again = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 7)).unwrap();
+        let again = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 7));
         let after = stats();
         assert!(Arc::ptr_eq(&first, &again), "same placement must hit the memo");
         assert!(after.program_hits > before.program_hits);
         assert_eq!(*first, BatchProgram::compile(&nl, &placement).unwrap());
         // Another seed or amplitude is another placement: another program.
-        let reseeded = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 8)).unwrap();
-        let wider = batch_program(&nl, &JitteredDelay::new(UnitDelay, 40, 7)).unwrap();
+        let reseeded = batch_program(&nl, &JitteredDelay::new(UnitDelay, 5, 8));
+        let wider = batch_program(&nl, &JitteredDelay::new(UnitDelay, 40, 7));
         assert_ne!(reseeded, first);
         assert_ne!(wider, first);
     }
@@ -368,19 +367,19 @@ mod tests {
         let memo = Memo::new(3);
         let netlists: Vec<Netlist> = (20..24).map(|tag| sample_netlist(tag).0).collect();
         let filled: Vec<Arc<BatchProgram>> =
-            netlists.iter().map(|nl| memo.batch_program(nl, &UnitDelay).unwrap()).collect();
+            netlists.iter().map(|nl| memo.batch_program(nl, &UnitDelay)).collect();
         assert_eq!(lock(&memo.programs).len(), 3, "the table holds its capacity");
         assert_eq!(memo.stats().program_misses, 4);
 
         // The most recent program is still held: a hit on the same Arc.
-        let recent = memo.batch_program(&netlists[3], &UnitDelay).unwrap();
+        let recent = memo.batch_program(&netlists[3], &UnitDelay);
         assert!(Arc::ptr_eq(&filled[3], &recent));
         let stats = memo.stats();
         assert_eq!((stats.program_hits, stats.program_misses), (1, 4));
 
         // The least recently used program was evicted: asking again
         // recompiles it, to a program equal to a fresh compile.
-        let again = memo.batch_program(&netlists[0], &UnitDelay).unwrap();
+        let again = memo.batch_program(&netlists[0], &UnitDelay);
         assert!(!Arc::ptr_eq(&filled[0], &again), "an evicted program is compiled anew");
         assert_eq!(*again, BatchProgram::compile(&netlists[0], &UnitDelay).unwrap());
         let stats = memo.stats();

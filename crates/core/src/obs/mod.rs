@@ -108,26 +108,32 @@ pub fn init() {
     let _ = registry();
 }
 
-static ANNOTATIONS: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-static NOTED_OUTPUTS: Mutex<Vec<(String, PathBuf)>> = Mutex::new(Vec::new());
-
 thread_local! {
     /// Stack of installed annotation scopes; the innermost wins. Mirrors
     /// the ambient-cancellation stack in [`crate::resilience`]: a stack so
     /// nested scopes restore the outer one on drop, a thread-local so
-    /// concurrent requests cannot capture each other's annotations.
+    /// concurrent requests cannot capture each other's provenance.
     static SCOPES: std::cell::RefCell<Vec<AnnotationScope>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// A private annotation sink for one logical unit of work (one `ola-serve`
-/// request, say). While installed on a thread ([`AnnotationScope::install`])
-/// — and on any [`crate::parallel`] workers spawned from it — every
-/// [`annotate`] call lands here instead of in the process-global queue, so
-/// concurrent requests build independent manifests. Clones share the sink.
+/// What one scope has captured, each list in recording order.
+#[derive(Default)]
+struct Provenance {
+    annotations: Vec<(String, String)>,
+    outputs: Vec<(String, PathBuf)>,
+}
+
+/// The provenance sink of one logical unit of work: one `repro`
+/// experiment, one checkpoint work unit, one `ola-serve` request. While
+/// installed on a thread ([`AnnotationScope::install`]) — and on any
+/// [`crate::parallel`] workers spawned from it — every [`annotate`] and
+/// [`note_output`] call lands here, so concurrent or abandoned work never
+/// writes into another unit's manifest. With no scope installed, both
+/// record nothing. Clones share the sink.
 #[derive(Clone, Default)]
 pub struct AnnotationScope {
-    sink: std::sync::Arc<Mutex<Vec<(String, String)>>>,
+    sink: Arc<Mutex<Provenance>>,
 }
 
 /// RAII guard returned by [`AnnotationScope::install`]; uninstalls on drop.
@@ -156,16 +162,20 @@ impl AnnotationScope {
         ScopeGuard { _not_send: std::marker::PhantomData }
     }
 
-    /// Drains every annotation captured so far (insertion order).
+    /// Drains every annotation captured so far (recording order).
     #[must_use]
     pub fn drain(&self) -> Vec<(String, String)> {
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *sink)
+        std::mem::take(&mut self.lock().annotations)
     }
 
-    fn push(&self, key: String, value: String) {
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.push((key, value));
+    /// Drains every output file noted so far (recording order).
+    #[must_use]
+    pub fn drain_outputs(&self) -> Vec<(String, PathBuf)> {
+        std::mem::take(&mut self.lock().outputs)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Provenance> {
+        self.sink.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -178,45 +188,24 @@ pub fn current_scope() -> Option<AnnotationScope> {
 }
 
 /// Records a free-form `key = value` annotation for the current
-/// experiment's manifest (Ts grids, sweep shapes, input models, …).
-/// Lands in the thread's installed [`AnnotationScope`] when one exists,
-/// else in the process-global queue that [`take_annotations`] drains.
+/// experiment's manifest (Ts grids, sweep shapes, input models, …) in the
+/// thread's installed [`AnnotationScope`]; without one it records nothing.
 pub fn annotate(key: impl Into<String>, value: impl std::fmt::Display) {
     if let Some(scope) = current_scope() {
-        scope.push(key.into(), value.to_string());
-        return;
+        scope.lock().annotations.push((key.into(), value.to_string()));
     }
-    let mut slot = ANNOTATIONS.lock().unwrap_or_else(PoisonError::into_inner);
-    slot.push((key.into(), value.to_string()));
-}
-
-/// Drains every pending annotation (insertion order).
-#[must_use]
-pub fn take_annotations() -> Vec<(String, String)> {
-    let mut slot = ANNOTATIONS.lock().unwrap_or_else(PoisonError::into_inner);
-    std::mem::take(&mut *slot)
 }
 
 /// Registers a results file the current experiment emitted (e.g. a PGM
-/// written deep inside an experiment), so the manifest writer can hash it.
-/// `label` is the path as it should appear in the manifest.
+/// written deep inside an experiment) in the thread's installed
+/// [`AnnotationScope`], so the manifest writer can hash it; without a
+/// scope it records nothing. `label` is the path as it should appear in
+/// the manifest.
 pub fn note_output(label: impl Into<String>, path: impl AsRef<Path>) {
-    let mut slot = NOTED_OUTPUTS.lock().unwrap_or_else(PoisonError::into_inner);
-    slot.push((label.into(), path.as_ref().to_path_buf()));
+    if let Some(scope) = current_scope() {
+        scope.lock().outputs.push((label.into(), path.as_ref().to_path_buf()));
+    }
 }
-
-/// Drains every pending noted output (insertion order).
-#[must_use]
-pub fn take_noted_outputs() -> Vec<(String, PathBuf)> {
-    let mut slot = NOTED_OUTPUTS.lock().unwrap_or_else(PoisonError::into_inner);
-    std::mem::take(&mut *slot)
-}
-
-/// Serializes tests that drain the process-global annotation and
-/// noted-output queues: drains are destructive and global, so two such
-/// tests racing would steal each other's entries.
-#[cfg(test)]
-pub(crate) static ANNOTATIONS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -265,73 +254,54 @@ mod tests {
     }
 
     #[test]
-    fn annotations_and_noted_outputs_drain_in_order() {
-        let _lock = ANNOTATIONS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        // Drain anything left over from other tests first.
-        let _ = take_annotations();
-        let _ = take_noted_outputs();
-        annotate("ts_grid", "10..=200");
-        annotate("lanes", 64);
-        assert_eq!(
-            take_annotations(),
-            vec![("ts_grid".into(), "10..=200".into()), ("lanes".into(), "64".into())]
-        );
-        assert!(take_annotations().is_empty());
-
-        note_output("results/a.pgm", "/tmp/a.pgm");
-        let noted = take_noted_outputs();
-        assert_eq!(noted.len(), 1);
-        assert_eq!(noted[0].0, "results/a.pgm");
-        assert!(take_noted_outputs().is_empty());
-    }
-
-    #[test]
-    fn annotation_scopes_capture_instead_of_the_global_queue() {
-        let _lock = ANNOTATIONS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = take_annotations();
+    fn scopes_are_the_only_provenance_sink() {
+        // Without a scope, nothing is recorded: a scope installed later
+        // starts empty.
+        assert!(current_scope().is_none());
+        annotate("orphan.key", 1);
+        note_output("results/orphan.pgm", "/tmp/orphan.pgm");
 
         let scope = AnnotationScope::new();
-        assert!(current_scope().is_none());
         {
             let _g = scope.install();
-            assert!(current_scope().is_some());
+            assert!(scope.drain().is_empty() && scope.drain_outputs().is_empty());
             annotate("req.width", 8);
+            note_output("results/a.pgm", "/tmp/a.pgm");
             {
-                // Nested scope wins while installed.
+                // A nested scope captures while installed, then hands the
+                // thread back to the outer one.
                 let inner = AnnotationScope::new();
                 let _g2 = inner.install();
                 annotate("inner.only", "x");
+                note_output("results/inner.pgm", "/tmp/inner.pgm");
                 assert_eq!(inner.drain(), vec![("inner.only".into(), "x".into())]);
+                assert_eq!(
+                    inner.drain_outputs(),
+                    vec![("results/inner.pgm".into(), PathBuf::from("/tmp/inner.pgm"))]
+                );
             }
+            // Pool workers feed the scope installed on the caller.
+            let _ = crate::parallel::parallel_map(&[1u64, 2, 3, 4], |_, &x| {
+                annotate(format!("worker.{x}"), x);
+                note_output(format!("results/w{x}.pgm"), format!("/tmp/w{x}.pgm"));
+            });
             annotate("req.style", "online");
+            note_output("results/b.pgm", "/tmp/b.pgm");
         }
         assert!(current_scope().is_none());
-        assert_eq!(
-            scope.drain(),
-            vec![("req.width".into(), "8".into()), ("req.style".into(), "online".into())]
-        );
-        assert!(scope.drain().is_empty(), "drain is destructive");
-        assert!(take_annotations().is_empty(), "nothing leaked to the global queue");
 
-        // Without a scope, annotate falls back to the global queue.
-        annotate("global.key", 1);
-        assert_eq!(take_annotations(), vec![("global.key".into(), "1".into())]);
-    }
-
-    #[test]
-    fn scopes_propagate_into_parallel_workers() {
-        let scope = AnnotationScope::new();
-        let _g = scope.install();
-        let n = crate::parallel::parallel_map(&[1u64, 2, 3, 4], |_, &x| {
-            annotate(format!("worker.{x}"), x);
-            x
-        })
-        .len();
-        assert_eq!(n, 4);
-        let mut notes = scope.drain();
-        notes.sort();
-        assert_eq!(notes.len(), 4);
-        assert_eq!(notes[0], ("worker.1".into(), "1".into()));
-        assert_eq!(notes[3], ("worker.4".into(), "4".into()));
+        let notes = scope.drain();
+        assert_eq!(notes.len(), 6);
+        assert_eq!(notes[0], ("req.width".into(), "8".into()));
+        assert_eq!(notes[5], ("req.style".into(), "online".into()));
+        let mut workers = notes[1..5].to_vec();
+        workers.sort();
+        assert_eq!(workers[0], ("worker.1".into(), "1".into()));
+        assert_eq!(workers[3], ("worker.4".into(), "4".into()));
+        let outputs = scope.drain_outputs();
+        assert_eq!(outputs.len(), 6);
+        assert_eq!(outputs[0].0, "results/a.pgm");
+        assert_eq!(outputs[5].0, "results/b.pgm");
+        assert!(scope.drain().is_empty() && scope.drain_outputs().is_empty(), "drains empty");
     }
 }

@@ -22,7 +22,8 @@
 //! * **Chaos hooks** — the [`chaos`] submodule reads `OLA_CHAOS_*`
 //!   environment variables so the `chaos_check` harness can inject
 //!   deterministic failures (torn frames, aborts, panics, cache rot) into
-//!   an otherwise-unmodified binary.
+//!   an otherwise-unmodified binary. Its boolean switches, and
+//!   `OLA_PROVE_REWRITES`, share one grammar: [`env_flag`].
 
 pub mod checkpoint;
 
@@ -215,6 +216,35 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
+// Boolean environment switches
+
+/// Reads the boolean switch `var`: `1` or `true` is on; `0`, `false`,
+/// empty or unset is off (case and surrounding whitespace ignored). Any
+/// other value warns once per variable on stderr and counts as off, so a
+/// misspelt switch is neither armed nor silently ignored.
+#[must_use]
+pub fn env_flag(var: &str) -> bool {
+    static WARNED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+    let raw = std::env::var_os(var).unwrap_or_default();
+    match raw.to_str().map(str::trim) {
+        Some("1") => true,
+        Some("0" | "") => false,
+        Some(v) if v.eq_ignore_ascii_case("true") => true,
+        Some(v) if v.eq_ignore_ascii_case("false") => false,
+        _ => {
+            let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            if !warned.iter().any(|w| w == var) {
+                warned.push(var.to_owned());
+                eprintln!(
+                    "[ola] warning: {var}={raw:?} is not one of 1|true|0|false; it stays off"
+                );
+            }
+            false
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Chaos hooks
 
 /// Deterministic failure injection for the chaos harness, driven by
@@ -233,18 +263,14 @@ pub mod chaos {
     /// Names an experiment that must panic at its start — a synthetic
     /// crash inside experiment code.
     pub const PANIC: &str = "OLA_CHAOS_PANIC";
-    /// Makes every `ola-serve` worker panic mid-request (set non-empty,
-    /// ≠ `0`) — the request must become a 500 and the server must stay
-    /// up.
+    /// Makes every `ola-serve` worker panic mid-request (set to `1`, see
+    /// [`env_flag`](super::env_flag)) — the request must become a 500 and
+    /// the server must stay up.
     pub const SERVE_PANIC: &str = "OLA_CHAOS_SERVE_PANIC";
     /// Makes the content-addressed cache flip one byte of every payload
-    /// it *stores* (set non-empty, ≠ `0`) — reads must detect the digest
-    /// mismatch and recompute, never serve rot.
+    /// it *stores* (set to `1`, see [`env_flag`](super::env_flag)) — reads
+    /// must detect the digest mismatch and recompute, never serve rot.
     pub const CACHE_TAMPER: &str = "OLA_CHAOS_CACHE_TAMPER";
-
-    fn flag(var: &str) -> bool {
-        std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0")
-    }
 
     fn num(var: &str) -> Option<u64> {
         std::env::var(var).ok()?.trim().parse().ok()
@@ -268,22 +294,48 @@ pub mod chaos {
         std::env::var(PANIC).ok().filter(|v| !v.is_empty())
     }
 
-    /// True when [`SERVE_PANIC`] is set.
+    /// True when [`SERVE_PANIC`] is on.
     #[must_use]
     pub fn serve_panic_forced() -> bool {
-        flag(SERVE_PANIC)
+        super::env_flag(SERVE_PANIC)
     }
 
-    /// True when [`CACHE_TAMPER`] is set.
+    /// True when [`CACHE_TAMPER`] is on.
     #[must_use]
     pub fn cache_tamper_forced() -> bool {
-        flag(CACHE_TAMPER)
+        super::env_flag(CACHE_TAMPER)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn boolean_switches_share_one_grammar() {
+        for (value, want) in [
+            ("1", true),
+            ("true", true),
+            ("TRUE", true),
+            (" 1 ", true),
+            ("0", false),
+            ("false", false),
+            ("False", false),
+            ("", false),
+            // Anything else warns and counts as off.
+            ("on", false),
+            ("off", false),
+            ("yes", false),
+            ("2", false),
+        ] {
+            // Through a variable only this test sets.
+            let var = "OLA_TEST_FLAG_GRAMMAR";
+            std::env::set_var(var, value);
+            assert_eq!(env_flag(var), want, "{var}={value:?}");
+            std::env::remove_var(var);
+            assert!(!env_flag(var), "unset is off");
+        }
+    }
 
     #[test]
     fn ambient_tokens_nest_and_uninstall() {

@@ -4,8 +4,9 @@
 //! The original engine hard-coded `u64` lane words (64 lanes). Everything
 //! the engine does with a word is a handful of bitwise primitives, so the
 //! engine is generic over [`LaneWord`] and the word width is a type
-//! parameter: `u64` keeps the legacy 64-lane path bit-for-bit (it is the
-//! `W = 1` case in spirit and in codegen), and [`LaneBlock<W>`] packs `W`
+//! parameter: `u64` is the 64-lane word (the `W = 1` case in spirit and
+//! in codegen, and the word every group of 64 samples or fewer runs on),
+//! and [`LaneBlock<W>`] packs `W`
 //! `u64` words into one `64·W`-lane block — `LaneBlock<4>` is 256 lanes,
 //! `LaneBlock<8>` is 512. Wider blocks amortize the per-step bookkeeping
 //! (merge cursors, step allocation, time comparisons) over more lanes; the
@@ -14,8 +15,7 @@
 
 /// A fixed-width word of simulation lanes: bit `l` belongs to lane `l`.
 ///
-/// Implementations are plain bit vectors — `u64` (64 lanes, the legacy
-/// batch path) and [`LaneBlock<W>`] (`64·W` lanes). The engine only ever
+/// Implementations are plain bit vectors — `u64` (64 lanes) and [`LaneBlock<W>`] (`64·W` lanes). The engine only ever
 /// needs these bitwise primitives, so waveforms, fault sets, inputs, and
 /// results are all generic over the word type.
 pub trait LaneWord:

@@ -9,9 +9,9 @@
 //! fanins, produces the exact waveform of every net. Word-level change
 //! detection (a step is recorded only when some lane's bit changes) is the
 //! batch counterpart of the event simulator's schedule-equal-value
-//! cancellation. The word type is any [`LaneWord`]: `u64` is the legacy
-//! 64-lane path, [`LaneBlock<W>`](crate::batch::LaneBlock) runs `64·W`
-//! lanes per pass.
+//! cancellation. The word type is any [`LaneWord`]: `u64` runs 64 lanes
+//! per pass, [`LaneBlock<W>`](crate::batch::LaneBlock) runs `64·W`; the
+//! sampling loops pick `u64` for every group of 64 samples or fewer.
 //!
 //! With faults ([`BatchProgram::run_with_faults`]) each lane may carry a
 //! *different* [`FaultPlan`](crate::FaultPlan): stuck bits and transient
@@ -128,7 +128,7 @@
 //! Setting `OLA_BATCH_CHECK_INCREMENTAL=1` cross-checks every sampled pass
 //! and every settled-bus evaluation against a full pass.
 
-use crate::batch::block::{LaneBlock, LaneWord};
+use crate::batch::block::LaneWord;
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
 use crate::batch::program::{BatchProgram, LaneInputs};
 use crate::batch::sampler::{sorted_distinct, LaneBusWaves, LaneTsSweep};
@@ -532,12 +532,28 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, clip: Clip<'_>) -
 
 /// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every sampled pass and
 /// every settled-bus evaluation to be cross-checked against a full pass.
+/// Read once, under `ola_core::resilience::env_flag`'s grammar (this
+/// crate cannot depend on `ola-core`).
 fn cross_check_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("OLA_BATCH_CHECK_INCREMENTAL")
-            .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-    })
+    const VAR: &str = "OLA_BATCH_CHECK_INCREMENTAL";
+    *ENABLED.get_or_init(|| parse_flag(VAR, std::env::var_os(VAR)))
+}
+
+/// `1`/`true` is on; `0`/`false`/empty/unset is off (case and surrounding
+/// whitespace ignored); anything else warns on stderr and is off.
+fn parse_flag(var: &str, raw: Option<std::ffi::OsString>) -> bool {
+    let raw = raw.unwrap_or_default();
+    match raw.to_str().map(str::trim) {
+        Some("1") => true,
+        Some("0" | "") => false,
+        Some(v) if v.eq_ignore_ascii_case("true") => true,
+        Some(v) if v.eq_ignore_ascii_case("false") => false,
+        _ => {
+            eprintln!("[ola] warning: {var}={raw:?} is not one of 1|true|0|false; it stays off");
+            false
+        }
+    }
 }
 
 /// The settling history of one batch run: lane-word waveforms for every
@@ -556,12 +572,6 @@ pub struct LaneSimResult<B: LaneWord = u64> {
     word_steps: u64,
     lane_transitions: u64,
 }
-
-/// The legacy 64-lane simulation result.
-pub type BatchSimResult = LaneSimResult<u64>;
-
-/// A multi-word simulation result carrying `64·W` lanes.
-pub type WideSimResult<const W: usize> = LaneSimResult<LaneBlock<W>>;
 
 impl<B: LaneWord> LaneSimResult<B> {
     /// Number of active lanes (input vectors).
@@ -1576,8 +1586,31 @@ fn retire_scan<B: LaneWord>(w: &Wave<B>, lanes: B, floor: u64, mut retire: impl 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchFaultSet, BatchInputs, WideFaultSet, WideInputs};
+    use crate::batch::{BatchFaultSet, BatchInputs, LaneBlock, WideInputs};
     use crate::{simulate_with_faults, FaultPlan, FpgaDelay, Netlist, UnitDelay};
+
+    #[test]
+    fn cross_check_switch_follows_the_boolean_grammar() {
+        for (value, want) in [
+            ("1", true),
+            ("true", true),
+            ("TRUE", true),
+            (" 1 ", true),
+            ("0", false),
+            ("false", false),
+            ("False", false),
+            ("", false),
+            // Anything else warns and counts as off.
+            ("on", false),
+            ("off", false),
+            ("yes", false),
+            ("2", false),
+        ] {
+            let on = parse_flag("OLA_BATCH_CHECK_INCREMENTAL", Some(value.into()));
+            assert_eq!(on, want, "{value:?}");
+        }
+        assert!(!parse_flag("OLA_BATCH_CHECK_INCREMENTAL", None), "unset is off");
+    }
 
     const U: u64 = UnitDelay::UNIT;
 
@@ -1647,7 +1680,7 @@ mod tests {
         prev_vecs: &[Vec<bool>],
         new_vecs: &[Vec<bool>],
         plans: &[FaultPlan],
-    ) -> BatchSimResult {
+    ) -> LaneSimResult {
         assert_equiv_generic::<u64, M>(nl, delay, prev_vecs, new_vecs, plans)
     }
 
@@ -2033,7 +2066,7 @@ mod tests {
         let prog = BatchProgram::compile(&nl, &UnitDelay).unwrap();
         let (prev, new) =
             (WideInputs::<2>::pack(&prevs).unwrap(), WideInputs::<2>::pack(&news).unwrap());
-        let fs = WideFaultSet::<2>::compile(&plans, nl.len()).unwrap();
+        let fs = LaneFaultSet::<LaneBlock<2>>::compile(&plans, nl.len()).unwrap();
         let wide = prog.run_with_faults(&prev, &new, &fs).unwrap();
         assert_eq!(wide.settle_times(), clean.settle_times());
         assert_eq!(wide.lane_transitions(), clean.lane_transitions());

@@ -7,14 +7,14 @@
 //! *different* fault scenarios in one pass over the netlist, which is what
 //! turns fault campaigns from `sites × vectors` event-driven runs into
 //! `sites × vectors / lanes` batch runs. [`BatchFaultSet`]
-//! (= `LaneFaultSet<u64>`) carries up to 64 plans, [`WideFaultSet<W>`] up
-//! to `64·W`.
+//! (= `LaneFaultSet<u64>`) carries up to 64 plans, `LaneFaultSet<LaneBlock<W>>`
+//! up to `64·W`.
 //!
 //! The merge semantics per lane are exactly those of
 //! [`FaultPlan`]'s overlay: later stuck-at / transient entries on the same
 //! net replace earlier ones, delay pushes accumulate (saturating).
 
-use crate::batch::block::{LaneBlock, LaneWord};
+use crate::batch::block::LaneWord;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::{BatchError, NetlistError};
 use std::collections::BTreeMap;
@@ -95,11 +95,8 @@ pub struct LaneFaultSet<B: LaneWord = u64> {
     any: bool,
 }
 
-/// The legacy 64-lane fault set (up to 64 plans).
+/// The 64-lane fault set (up to 64 plans).
 pub type BatchFaultSet = LaneFaultSet<u64>;
-
-/// A multi-word fault set carrying up to `64·W` plans.
-pub type WideFaultSet<const W: usize> = LaneFaultSet<LaneBlock<W>>;
 
 impl<B: LaneWord> LaneFaultSet<B> {
     /// Compiles one plan per lane against a netlist with `num_nets` nets.
@@ -241,7 +238,7 @@ mod tests {
         let z = NetId(1);
         let mut plans = vec![FaultPlan::new(); 70];
         plans[69] = FaultPlan::new().stuck_at(z, true);
-        let fs = WideFaultSet::<2>::compile(&plans, 2).unwrap();
+        let fs = LaneFaultSet::<crate::batch::LaneBlock<2>>::compile(&plans, 2).unwrap();
         assert_eq!(fs.lanes(), 70);
         assert!(!fs.is_identity());
         assert!(fs.nets[1].stuck_mask.bit(69));

@@ -28,8 +28,7 @@
 //!    ([`LaneBusResult`]), and it can shard one pass across several
 //!    worker threads;
 //! 4. [`BatchProgram::run_with_faults`] additionally diverges lanes at
-//!    [`FaultPlan`](crate::FaultPlan) sites ([`BatchFaultSet`],
-//!    [`WideFaultSet`]), so a whole lane word of *different* fault
+//!    [`FaultPlan`](crate::FaultPlan) sites ([`LaneFaultSet`]), so a whole lane word of *different* fault
 //!    scenarios shares one pass;
 //! 5. [`BatchProgram::run_bus_at`] answers the question for a few fixed
 //!    sample times only, as a fault campaign's main and shadow registers
@@ -79,12 +78,8 @@ mod wave;
 
 pub use block::{LaneBlock, LaneWord};
 pub(crate) use engine::eval_word;
-pub use engine::{BatchSimResult, LaneBusResult, LaneBusSamples, LaneSimResult, WideSimResult};
-pub use fault::{BatchFaultSet, LaneFaultSet, WideFaultSet};
+pub use engine::{LaneBusResult, LaneBusSamples, LaneSimResult};
+pub use fault::{BatchFaultSet, LaneFaultSet};
 pub use program::{BatchInputs, BatchProgram, LaneInputs, WideInputs};
-pub use sampler::{BatchBusWaves, LaneBusWaves, LaneTsSweep, TsSweep, WideBusWaves, WideTsSweep};
-pub use wave::{LaneWave, Wave, WideWave};
-
-/// Number of vectors one legacy `u64` lane word carries; `LaneBlock<W>`
-/// words carry `64·W` (see [`LaneWord::LANES`]).
-pub const MAX_LANES: u32 = 64;
+pub use sampler::{LaneBusWaves, LaneTsSweep};
+pub use wave::Wave;

@@ -9,7 +9,7 @@
 //! [`LaneInputs`] packs input vectors into lane words:
 //! bit `l` of word `i` is input `i` of vector `l`. The word type decides
 //! the batch width — [`BatchInputs`] (= `LaneInputs<u64>`) carries up to
-//! [`MAX_LANES`] vectors, [`WideInputs<W>`] carries up to `64·W`.
+//! 64 vectors, [`WideInputs<W>`] carries up to `64·W`.
 //!
 //! A compiled program is width-agnostic: the same [`BatchProgram`] runs
 //! 64-lane and 512-lane batches, so compile-once memoization (keyed by the
@@ -205,7 +205,7 @@ pub struct LaneInputs<B: LaneWord = u64> {
     pub(crate) lanes: u32,
 }
 
-/// The legacy 64-lane input batch (up to [`MAX_LANES`](super::MAX_LANES) vectors).
+/// The 64-lane input batch (up to 64 vectors).
 pub type BatchInputs = LaneInputs<u64>;
 
 /// A multi-word input batch carrying up to `64·W` vectors.

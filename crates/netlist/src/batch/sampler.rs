@@ -16,7 +16,7 @@
 //! *producers* should deduplicate; `try_sweep` is the backstop that turns
 //! the remaining cases into a typed error instead of a wrong statistic.
 
-use crate::batch::block::{LaneBlock, LaneWord};
+use crate::batch::block::LaneWord;
 use crate::batch::engine::LaneSimResult;
 use crate::{BatchError, NetId, NetlistError};
 
@@ -26,12 +26,6 @@ pub struct LaneBusWaves<B: LaneWord = u64> {
     pub(crate) lanes: u32,
     pub(crate) waves: Vec<crate::batch::Wave<B>>,
 }
-
-/// The legacy 64-lane bus view.
-pub type BatchBusWaves = LaneBusWaves<u64>;
-
-/// A multi-word bus view carrying `64·W` lanes.
-pub type WideBusWaves<const W: usize> = LaneBusWaves<LaneBlock<W>>;
 
 impl<B: LaneWord> LaneSimResult<B> {
     /// Detaches the waveforms of a bus (in the given net order) for
@@ -159,12 +153,6 @@ pub struct LaneTsSweep<B: LaneWord = u64> {
     words: Vec<B>,
 }
 
-/// The legacy 64-lane sweep result.
-pub type TsSweep = LaneTsSweep<u64>;
-
-/// A multi-word sweep result carrying `64·W` lanes.
-pub type WideTsSweep<const W: usize> = LaneTsSweep<LaneBlock<W>>;
-
 impl<B: LaneWord> LaneTsSweep<B> {
     /// The sampled grid.
     #[must_use]
@@ -200,10 +188,10 @@ impl<B: LaneWord> LaneTsSweep<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchInputs, BatchProgram, BatchSimResult, WideInputs};
+    use crate::batch::{BatchInputs, BatchProgram, LaneSimResult, WideInputs};
     use crate::{Netlist, UnitDelay};
 
-    fn run() -> (Netlist, BatchSimResult) {
+    fn run() -> (Netlist, LaneSimResult) {
         let mut nl = Netlist::new();
         let a = nl.input("a");
         let b = nl.input("b");

@@ -7,10 +7,10 @@
 //! predecessor — the batch counterpart of the event-driven simulator's
 //! per-net `Vec<(u64, bool)>` transition list.
 //!
-//! The word type is any [`LaneWord`]: [`LaneWave`] (= `Wave<u64>`) is the
-//! legacy 64-lane waveform, `Wave<LaneBlock<W>>` carries `64·W` lanes.
+//! The word type is any [`LaneWord`]: `Wave<u64>` (the default) is the
+//! 64-lane waveform, `Wave<LaneBlock<W>>` carries `64·W` lanes.
 
-use crate::batch::block::{LaneBlock, LaneWord};
+use crate::batch::block::LaneWord;
 
 /// The settling waveform of one net across one lane word of vectors.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -21,12 +21,6 @@ pub struct Wave<B: LaneWord = u64> {
     /// the one before it.
     pub(crate) steps: Vec<(u64, B)>,
 }
-
-/// The legacy 64-lane waveform: one `u64` word per step.
-pub type LaneWave = Wave<u64>;
-
-/// A multi-word waveform carrying `64·W` lanes per step.
-pub type WideWave<const W: usize> = Wave<LaneBlock<W>>;
 
 impl<B: LaneWord> Wave<B> {
     /// A constant waveform.
@@ -97,8 +91,8 @@ impl<B: LaneWord> Wave<B> {
 mod tests {
     use super::*;
 
-    fn wave() -> LaneWave {
-        LaneWave { initial: 0b01, steps: vec![(10, 0b11), (20, 0b10), (35, 0b00)] }
+    fn wave() -> Wave {
+        Wave { initial: 0b01, steps: vec![(10, 0b11), (20, 0b10), (35, 0b00)] }
     }
 
     #[test]
@@ -126,7 +120,7 @@ mod tests {
 
     #[test]
     fn constant_wave_never_steps() {
-        let w = LaneWave::constant(0xFF);
+        let w = Wave::constant(0xFF);
         assert_eq!(w.word_at(12345), 0xFF);
         assert_eq!(w.final_word(), 0xFF);
         assert_eq!(w.last_change(), None);
@@ -137,7 +131,10 @@ mod tests {
     fn wide_waves_track_lanes_past_word_boundaries() {
         use crate::batch::block::LaneBlock;
         let hi = |l: u32| <LaneBlock<2> as LaneWord>::lane_bit(l);
-        let w = WideWave::<2> { initial: hi(70), steps: vec![(5, hi(70).or(hi(3))), (9, hi(3))] };
+        let w = Wave::<LaneBlock<2>> {
+            initial: hi(70),
+            steps: vec![(5, hi(70).or(hi(3))), (9, hi(3))],
+        };
         assert_eq!(w.lane_waveform(70), vec![(9, false)]);
         assert_eq!(w.lane_waveform(3), vec![(5, true)]);
         assert!(w.lane_value_at(70, 0));

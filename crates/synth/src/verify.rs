@@ -27,14 +27,14 @@ use crate::elab::{elaborate, ElabOptions, PortShape, Style};
 use crate::ir::{Dfg, Op};
 use ola_netlist::{check_equiv, EquivVerdict, Netlist};
 
-/// Environment variable enabling the prove-after-rewrite gates
-/// (non-empty and not `"0"` = on).
+/// Environment variable enabling the prove-after-rewrite gates (`1` or
+/// `true` = on, see [`ola_core::resilience::env_flag`]).
 pub const PROVE_REWRITES: &str = "OLA_PROVE_REWRITES";
 
 /// True when [`PROVE_REWRITES`] requests prove-after-rewrite gates.
 #[must_use]
 pub fn prove_gate_enabled() -> bool {
-    std::env::var(PROVE_REWRITES).is_ok_and(|v| !v.is_empty() && v != "0")
+    ola_core::resilience::env_flag(PROVE_REWRITES)
 }
 
 /// True when `dfg` fits the conventional lowering's width caps
