@@ -41,6 +41,14 @@
 //! only). It simulates a group's samples across the worker budget and
 //! folds them in sample order.
 //!
+//! Setting `OLA_BATCH_CHECK_INCREMENTAL=1` (read once per campaign, under
+//! [`env_flag`](crate::resilience::env_flag)'s grammar) holds both batch
+//! evaluations to full passes: every group's settled words to a full clean
+//! pass's final words, and its sampled words to a full faulty pass's at the
+//! same times. Any difference panics. Unlike the engine's property tests,
+//! which draw random netlists, this checks the campaign's own netlists in
+//! every fault class.
+//!
 //! [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
 //! [`BatchProgram::settled_bus`]: ola_netlist::batch::BatchProgram::settled_bus
 
@@ -49,7 +57,7 @@ use crate::montecarlo::InputModel;
 use crate::parallel::{parallel_accumulate_batched, parallel_map};
 use ola_arith::online::digits_value;
 use ola_arith::synth::{ArrayMultiplierCircuit, OnlineMultiplierCircuit};
-use ola_netlist::batch::{LaneFaultSet, LaneInputs, LaneWord};
+use ola_netlist::batch::{BatchProgram, LaneFaultSet, LaneInputs, LaneWord};
 use ola_netlist::fault::logic_fault_sites;
 use ola_netlist::{
     analyze, simulate_from_zero, simulate_from_zero_with_faults, DelayModel, FaultPlan, NetId,
@@ -289,8 +297,9 @@ type RecordFn<'a> = dyn Fn(&mut Acc, &[bool], &[bool], &[bool]) + Sync + 'a;
 /// pass keeps only the steps of each net that can still reach a register
 /// at those times while its words equal a full faulty pass's (the
 /// engine's property tests pin both down), so the campaign report cannot
-/// depend on which path produced it. On the event oracle each sample takes
-/// a clean and a faulty simulation of its own.
+/// depend on which path produced it. With `cross_check` set, every batch
+/// group is also held to full passes ([`cross_check_group`]). On the event
+/// oracle each sample takes a clean and a faulty simulation of its own.
 ///
 /// [`BatchProgram::settled_bus`]: ola_netlist::batch::BatchProgram::settled_bus
 /// [`BatchProgram::run_bus_at`]: ola_netlist::batch::BatchProgram::run_bus_at
@@ -299,7 +308,43 @@ struct SitePass<'a, M> {
     wires: &'a [NetId],
     t_main: u64,
     t_shadow: u64,
+    cross_check: bool,
     record: &'a RecordFn<'a>,
+}
+
+/// The `OLA_BATCH_CHECK_INCREMENTAL` cross-check of one batch group, from
+/// all-zero previous inputs to `new`: the `settled` words the group
+/// observed ([`BatchProgram::settled_bus`]) must equal a full clean pass's
+/// final bus words, and its `sampled` words at each of `times`
+/// ([`BatchProgram::run_bus_at`] under `faults`) must equal a full faulty
+/// pass's bus words at the same time.
+///
+/// # Panics
+///
+/// Panics on any difference.
+fn cross_check_group<B: LaneWord>(
+    prog: &BatchProgram,
+    new: &LaneInputs<B>,
+    faults: &LaneFaultSet<B>,
+    wires: &[NetId],
+    times: [u64; 2],
+    settled: &[B],
+    sampled: [&[B]; 2],
+) {
+    let prev = LaneInputs::<B>::zeros(prog.num_inputs(), new.lanes())
+        .expect("the group fits the lane word");
+    let clean = prog.run(&prev, new).expect("the packed inputs fit the program");
+    let want: Vec<B> = wires.iter().map(|&net| clean.wave(net).final_word()).collect();
+    assert!(settled == want, "settled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
+    let full =
+        prog.run_with_faults(&prev, new, faults).expect("fault set compiled for this program");
+    let want = full.bus_waves(wires).expect("bus nets exist").sweep(&times);
+    for (ti, words) in sampled.into_iter().enumerate() {
+        assert!(
+            words == want.words_at(ti),
+            "sampled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)"
+        );
+    }
 }
 
 impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
@@ -326,6 +371,10 @@ impl<M: DelayModel + Sync> GroupPass for SitePass<'_, M> {
                     .run_bus_at(&prev, &new, Some(&faults), self.wires, &times)
                     .expect("fault set compiled for this program, bus nets exist, times distinct");
                 let sampled = faulty.sweep();
+                if self.cross_check {
+                    let words = [sampled.words_at(0), sampled.words_at(1)];
+                    cross_check_group(prog, &new, &faults, self.wires, times, &settled, words);
+                }
                 for lane in 0..lanes {
                     let correct: Vec<bool> = settled.iter().map(|w| w.bit(lane)).collect();
                     (self.record)(
@@ -439,7 +488,8 @@ where
     } else {
         Engine::Batch(crate::memo::batch_program(netlist, delay))
     };
-    let pass = SitePass { engine, wires, t_main, t_shadow, record: &record };
+    let cross_check = crate::resilience::env_flag("OLA_BATCH_CHECK_INCREMENTAL");
+    let pass = SitePass { engine, wires, t_main, t_shadow, cross_check, record: &record };
     let started = Instant::now();
 
     let per_site: Vec<Acc> = parallel_map(&sites, |site_idx, &site| {
@@ -513,28 +563,13 @@ fn online_full_scale(digits: usize) -> f64 {
 }
 
 /// Runs a single-fault campaign over a synthesized online (MSD-first)
-/// multiplier.
+/// multiplier, and returns its report with the backend's observability
+/// counters.
 ///
 /// Errors are normalized by the representable output range (all output
 /// digits at `+1`), so the worst possible single-digit corruption —
 /// flipping the most-significant digit `z_{−δ}` by two units — is about
 /// half of full scale.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_site` is zero.
-#[must_use]
-pub fn online_fault_campaign<M: DelayModel + Sync>(
-    circuit: &OnlineMultiplierCircuit,
-    delay: &M,
-    model: InputModel,
-    class: FaultClass,
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    online_fault_campaign_with_stats(circuit, delay, model, class, cfg).0
-}
-
-/// [`online_fault_campaign`] plus the backend's observability counters.
 ///
 /// # Panics
 ///
@@ -577,26 +612,12 @@ pub fn online_fault_campaign_with_stats<M: DelayModel + Sync>(
 }
 
 /// Runs a single-fault campaign over a synthesized two's-complement array
-/// multiplier.
+/// multiplier, and returns its report with the backend's observability
+/// counters.
 ///
 /// Errors are normalized by the representable product range `2^(2w−1)`, so
 /// a corrupted sign bit is exactly full scale — the conventional encoding's
 /// catastrophic failure mode.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_site` is zero.
-#[must_use]
-pub fn array_fault_campaign<M: DelayModel + Sync>(
-    circuit: &ArrayMultiplierCircuit,
-    delay: &M,
-    class: FaultClass,
-    cfg: &CampaignConfig,
-) -> CampaignReport {
-    array_fault_campaign_with_stats(circuit, delay, class, cfg).0
-}
-
-/// [`array_fault_campaign`] plus the backend's observability counters.
 ///
 /// # Panics
 ///
@@ -638,6 +659,15 @@ mod tests {
     use ola_arith::synth::{array_multiplier, online_multiplier};
     use ola_netlist::UnitDelay;
 
+    /// A campaign over `om` under unit delays and digit-uniform inputs.
+    fn online(
+        om: &OnlineMultiplierCircuit,
+        class: FaultClass,
+        cfg: &CampaignConfig,
+    ) -> (CampaignReport, BackendStats) {
+        online_fault_campaign_with_stats(om, &UnitDelay, InputModel::UniformDigits, class, cfg)
+    }
+
     fn quick_cfg() -> CampaignConfig {
         CampaignConfig {
             samples_per_site: 4,
@@ -650,30 +680,14 @@ mod tests {
     #[test]
     fn campaigns_are_seed_reproducible() {
         let om = online_multiplier(4, 3);
-        let run = || {
-            online_fault_campaign(
-                &om,
-                &UnitDelay,
-                InputModel::UniformDigits,
-                FaultClass::StuckAt1,
-                &quick_cfg(),
-            )
-        };
+        let run = || online(&om, FaultClass::StuckAt1, &quick_cfg()).0;
         assert_eq!(run(), run());
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let om = online_multiplier(4, 3);
-        let run = || {
-            online_fault_campaign(
-                &om,
-                &UnitDelay,
-                InputModel::UniformDigits,
-                FaultClass::Transient,
-                &quick_cfg(),
-            )
-        };
+        let run = || online(&om, FaultClass::Transient, &quick_cfg()).0;
         let _env =
             crate::parallel::ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         std::env::set_var("OLA_THREADS", "1");
@@ -712,13 +726,7 @@ mod tests {
                 StaGate::Off,
             );
             assert_eq!((stats.backend, stats.event_runs), ("event", 200));
-            let report = online_fault_campaign(
-                &om,
-                &UnitDelay,
-                InputModel::UniformDigits,
-                FaultClass::Transient,
-                &cfg,
-            );
+            let report = online(&om, FaultClass::Transient, &cfg).0;
             (curve, report)
         };
         let _env =
@@ -740,8 +748,8 @@ mod tests {
         let mut worst_on: f64 = 0.0;
         let mut worst_conv: f64 = 0.0;
         for class in [FaultClass::StuckAt0, FaultClass::StuckAt1] {
-            let on = online_fault_campaign(&om, &UnitDelay, InputModel::UniformDigits, class, &cfg);
-            let conv = array_fault_campaign(&am, &UnitDelay, class, &cfg);
+            let on = online(&om, class, &cfg).0;
+            let conv = array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg).0;
             assert!(on.error_rate > 0.0 && conv.error_rate > 0.0);
             worst_on = worst_on.max(on.worst_error);
             worst_conv = worst_conv.max(conv.worst_error);
@@ -758,13 +766,7 @@ mod tests {
     fn report_shapes_are_consistent() {
         let om = online_multiplier(4, 3);
         let cfg = quick_cfg();
-        let rep = online_fault_campaign(
-            &om,
-            &UnitDelay,
-            InputModel::UniformDigits,
-            FaultClass::Transient,
-            &cfg,
-        );
+        let rep = online(&om, FaultClass::Transient, &cfg).0;
         assert_eq!(rep.sites, rep.site_reports.len());
         assert!(rep.sites <= 10);
         assert_eq!(rep.rank_profile.len(), om.n + 3);
@@ -778,13 +780,7 @@ mod tests {
         let om = online_multiplier(3, 3);
         let n_all = logic_fault_sites(&om.netlist).len();
         let cfg = CampaignConfig { max_sites: None, samples_per_site: 2, ..quick_cfg() };
-        let rep = online_fault_campaign(
-            &om,
-            &UnitDelay,
-            InputModel::UniformDigits,
-            FaultClass::StuckAt0,
-            &cfg,
-        );
+        let rep = online(&om, FaultClass::StuckAt0, &cfg).0;
         assert_eq!(rep.sites, n_all);
     }
 
@@ -797,26 +793,14 @@ mod tests {
         for class in FaultClass::ALL {
             let cfg_ev = CampaignConfig { backend: SimBackend::Event, ..quick_cfg() };
             let cfg_ba = CampaignConfig { backend: SimBackend::Batch, ..quick_cfg() };
-            let (ev, ev_stats) = online_fault_campaign_with_stats(
-                &om,
-                &UnitDelay,
-                InputModel::UniformDigits,
-                class,
-                &cfg_ev,
-            );
-            let (ba, ba_stats) = online_fault_campaign_with_stats(
-                &om,
-                &UnitDelay,
-                InputModel::UniformDigits,
-                class,
-                &cfg_ba,
-            );
+            let (ev, ev_stats) = online(&om, class, &cfg_ev);
+            let (ba, ba_stats) = online(&om, class, &cfg_ba);
             assert_eq!(ev, ba, "online {class:?} reports must match");
             assert_eq!(ev_stats.backend, "event");
             assert_eq!(ba_stats.backend, "batch");
             assert_eq!(ev_stats.vectors, ba_stats.vectors);
-            let ev = array_fault_campaign(&am, &UnitDelay, class, &cfg_ev);
-            let ba = array_fault_campaign(&am, &UnitDelay, class, &cfg_ba);
+            let ev = array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg_ev).0;
+            let ba = array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg_ba).0;
             assert_eq!(ev, ba, "array {class:?} reports must match");
         }
     }
@@ -838,24 +822,16 @@ mod tests {
                     backend,
                     ..quick_cfg()
                 };
-                let online = |backend| {
-                    online_fault_campaign_with_stats(
-                        &om,
-                        &UnitDelay,
-                        InputModel::UniformDigits,
-                        class,
-                        &cfg(backend),
-                    )
-                };
-                let (ev, _) = online(SimBackend::Event);
-                let (ba, stats) = online(SimBackend::Batch);
+                let (cfg_ev, cfg_ba) = (cfg(SimBackend::Event), cfg(SimBackend::Batch));
+                let (ev, _) = online(&om, class, &cfg_ev);
+                let (ba, stats) = online(&om, class, &cfg_ba);
                 assert_eq!(ev, ba, "online {class:?} at {samples} samples");
                 assert_eq!(stats.lane_capacity, capacity, "{samples} samples");
                 // Two sites, one faulty pass per group.
                 assert_eq!(stats.lanes_used, 2 * samples as u64);
                 assert_eq!(stats.lane_slots, 2 * slots_per_site);
-                let ev = array_fault_campaign(&am, &UnitDelay, class, &cfg(SimBackend::Event));
-                let ba = array_fault_campaign(&am, &UnitDelay, class, &cfg(SimBackend::Batch));
+                let ev = array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg_ev).0;
+                let ba = array_fault_campaign_with_stats(&am, &UnitDelay, class, &cfg_ba).0;
                 assert_eq!(ev, ba, "array {class:?} at {samples} samples");
             }
         }
@@ -866,7 +842,6 @@ mod tests {
     /// counts no pass, word step or transition.
     #[test]
     fn batch_campaigns_run_one_faulty_pass_per_group() {
-        use ola_netlist::batch::BatchProgram;
         use rand::SeedableRng;
         let am = array_multiplier(4);
         let class = FaultClass::Transient;
@@ -913,6 +888,53 @@ mod tests {
         assert_eq!((stats.word_steps, stats.lane_transitions), (word_steps, lane_transitions));
     }
 
+    /// Hands `cross_check_group` one transient group of a 4-bit array
+    /// multiplier as a campaign observes it, after `tamper` edits the
+    /// settled and sampled words.
+    fn cross_check_tampered(tamper: impl FnOnce(&mut [u64], &mut [Vec<u64>; 2])) {
+        use rand::SeedableRng;
+        let am = array_multiplier(4);
+        let cfg = quick_cfg();
+        let prog = BatchProgram::compile(&am.netlist, &UnitDelay).unwrap();
+        let wires = am.netlist.output("product").to_vec();
+        let period = analyze(&am.netlist, &UnitDelay).critical_path();
+        let site = select_sites(&am.netlist, &cfg)[0];
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let (vectors, plans): (Vec<_>, Vec<_>) = (0..16)
+            .map(|i| {
+                let plan = FaultClass::Transient.plan(site, &mut rng, period, &cfg);
+                (am.encode_inputs(i - 8, 7 - i), plan)
+            })
+            .unzip();
+        let prev = LaneInputs::<u64>::zeros(prog.num_inputs(), 16).unwrap();
+        let new = LaneInputs::pack(&vectors).unwrap();
+        let faults = LaneFaultSet::compile(&plans, prog.num_nets()).unwrap();
+        let times = register_times(period, &cfg);
+        let mut settled = prog.settled_bus(&new, &wires).unwrap();
+        let pass = prog.run_bus_at(&prev, &new, Some(&faults), &wires, &times).unwrap();
+        let mut sampled = [0, 1].map(|ti| pass.sweep().words_at(ti).to_vec());
+        tamper(&mut settled, &mut sampled);
+        let [main, shadow] = &sampled;
+        cross_check_group(&prog, &new, &faults, &wires, times, &settled, [main, shadow]);
+    }
+
+    #[test]
+    fn cross_check_accepts_the_words_a_group_observed() {
+        cross_check_tampered(|_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "settled/full divergence")]
+    fn cross_check_catches_one_flipped_settled_bit() {
+        cross_check_tampered(|settled, _| settled[2] ^= 1 << 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled/full divergence")]
+    fn cross_check_catches_one_flipped_sampled_bit() {
+        cross_check_tampered(|_, sampled| sampled[1][3] ^= 1 << 9);
+    }
+
     #[test]
     fn jittered_campaigns_run_on_batch_bit_identically() {
         use ola_netlist::JitteredDelay;
@@ -941,13 +963,7 @@ mod tests {
         // multiplier — settling finishes well before the structural bound.
         let om = online_multiplier(5, 3);
         let cfg = quick_cfg();
-        let rep = online_fault_campaign(
-            &om,
-            &UnitDelay,
-            InputModel::UniformDigits,
-            FaultClass::DelayPush,
-            &cfg,
-        );
+        let rep = online(&om, FaultClass::DelayPush, &cfg).0;
         assert!(rep.error_rate <= 0.5, "delay pushes should be mostly absorbed");
     }
 }

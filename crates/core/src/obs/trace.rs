@@ -17,10 +17,9 @@
 //! Overhead discipline: spans are placed at *run* granularity (a sweep, a
 //! campaign, a batch compile) — never per sample or per event — so the
 //! cost with `OLA_TRACE=off` is two `Instant::now` calls and one short
-//! mutex-guarded ring push per span. `OLA_OBS=off` (or
-//! [`set_recording(false)`](set_recording)) turns even that off, leaving a
-//! depth-counter-only guard; the CI overhead smoke holds the difference
-//! under the documented budget.
+//! mutex-guarded ring push per span. [`set_recording(false)`](set_recording)
+//! turns even that off, leaving a depth-counter-only guard; the CI overhead
+//! smoke holds the difference under the documented budget.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -67,7 +66,6 @@ impl TraceMode {
 const MODE_UNSET: u8 = u8::MAX;
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 static RECORDING: AtomicBool = AtomicBool::new(true);
-static RECORDING_INIT: std::sync::Once = std::sync::Once::new();
 
 fn encode(mode: TraceMode) -> u8 {
     match mode {
@@ -112,23 +110,8 @@ pub fn set_mode(mode: TraceMode) {
     MODE.store(encode(mode), Ordering::Relaxed);
 }
 
-/// Whether spans are recorded at all; reads `OLA_OBS` once (`off`/`0`
-/// disables recording).
-fn recording() -> bool {
-    RECORDING_INIT.call_once(|| {
-        if let Ok(v) = std::env::var("OLA_OBS") {
-            let v = v.trim();
-            if v == "off" || v == "0" {
-                RECORDING.store(false, Ordering::Relaxed);
-            }
-        }
-    });
-    RECORDING.load(Ordering::Relaxed)
-}
-
-/// Enables or disables span recording entirely (the `OLA_OBS` switch).
+/// Enables or disables span recording entirely (on by default).
 pub fn set_recording(on: bool) {
-    RECORDING_INIT.call_once(|| {});
     RECORDING.store(on, Ordering::Relaxed);
 }
 
@@ -190,7 +173,7 @@ pub struct Span {
 /// Opens a span. The guard must be held for the duration of the timed
 /// region (bind it to `_span`, not `_`).
 pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
-    let recorded = recording();
+    let recorded = RECORDING.load(Ordering::Relaxed);
     let depth = DEPTH.with(|d| {
         let v = d.get();
         d.set(v + 1);

@@ -22,8 +22,10 @@
 //! * **Chaos hooks** — the [`chaos`] submodule reads `OLA_CHAOS_*`
 //!   environment variables so the `chaos_check` harness can inject
 //!   deterministic failures (torn frames, aborts, panics, cache rot) into
-//!   an otherwise-unmodified binary. Its boolean switches, and
-//!   `OLA_PROVE_REWRITES`, share one grammar: [`env_flag`].
+//!   an otherwise-unmodified binary. Its boolean switches,
+//!   `OLA_PROVE_REWRITES` and `OLA_BATCH_CHECK_INCREMENTAL` (the fault
+//!   campaigns' cross-check, see [`crate::campaign`]) share one grammar:
+//!   [`env_flag`]. A malformed frame count warns the same way.
 
 pub mod checkpoint;
 
@@ -224,7 +226,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// misspelt switch is neither armed nor silently ignored.
 #[must_use]
 pub fn env_flag(var: &str) -> bool {
-    static WARNED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
     let raw = std::env::var_os(var).unwrap_or_default();
     match raw.to_str().map(str::trim) {
         Some("1") => true,
@@ -232,15 +233,20 @@ pub fn env_flag(var: &str) -> bool {
         Some(v) if v.eq_ignore_ascii_case("true") => true,
         Some(v) if v.eq_ignore_ascii_case("false") => false,
         _ => {
-            let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if !warned.iter().any(|w| w == var) {
-                warned.push(var.to_owned());
-                eprintln!(
-                    "[ola] warning: {var}={raw:?} is not one of 1|true|0|false; it stays off"
-                );
-            }
+            warn_once(var, &raw, "one of 1|true|0|false; it stays off");
             false
         }
+    }
+}
+
+/// Warns on stderr, the first time only for each `var`, that its value
+/// `raw` is not `expected`.
+fn warn_once(var: &str, raw: &std::ffi::OsStr, expected: &str) {
+    static WARNED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+    let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if !warned.iter().any(|w| w == var) {
+        warned.push(var.to_owned());
+        eprintln!("[ola] warning: {var}={raw:?} is not {expected}");
     }
 }
 
@@ -273,7 +279,19 @@ pub mod chaos {
     pub const CACHE_TAMPER: &str = "OLA_CHAOS_CACHE_TAMPER";
 
     fn num(var: &str) -> Option<u64> {
-        std::env::var(var).ok()?.trim().parse().ok()
+        parse_num(var, &std::env::var_os(var)?)
+    }
+
+    /// A frame count: a non-negative integer (surrounding whitespace
+    /// ignored). Empty is unset; anything else warns once, like
+    /// [`env_flag`](super::env_flag), and leaves the hook off.
+    pub(super) fn parse_num(var: &str, raw: &std::ffi::OsStr) -> Option<u64> {
+        let v = raw.to_str().map(str::trim);
+        let n = v.and_then(|v| v.parse().ok());
+        if n.is_none() && v != Some("") {
+            super::warn_once(var, raw, "a non-negative integer; the hook stays off");
+        }
+        n
     }
 
     /// The [`ABORT_AFTER_FRAMES`] threshold, if set.
@@ -334,6 +352,24 @@ mod tests {
             assert_eq!(env_flag(var), want, "{var}={value:?}");
             std::env::remove_var(var);
             assert!(!env_flag(var), "unset is off");
+        }
+    }
+
+    #[test]
+    fn frame_counts_parse_or_warn() {
+        for (raw, want) in [
+            ("0", Some(0)),
+            ("2", Some(2)),
+            (" 17 ", Some(17)),
+            ("", None),
+            ("  ", None),
+            // Anything else warns and leaves the hook off.
+            ("-1", None),
+            ("1.5", None),
+            ("two", None),
+            ("2x", None),
+        ] {
+            assert_eq!(chaos::parse_num(chaos::TORN_FRAME, raw.as_ref()), want, "{raw:?}");
         }
     }
 

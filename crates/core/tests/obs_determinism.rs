@@ -18,7 +18,7 @@
 
 use ola_arith::online::Selection;
 use ola_arith::synth::online_multiplier;
-use ola_core::campaign::{online_fault_campaign, CampaignConfig, FaultClass};
+use ola_core::campaign::{online_fault_campaign_with_stats, CampaignConfig, FaultClass};
 use ola_core::empirical::{om_gate_level_curve_with, GateLevelCurve};
 use ola_core::obs::MetricSnapshot;
 use ola_core::{montecarlo, obs, InputModel, SimBackend, StaGate};
@@ -92,7 +92,7 @@ fn workload() -> GateLevelCurve {
         seed: 99,
         ..CampaignConfig::default()
     };
-    let _ = online_fault_campaign(
+    let _ = online_fault_campaign_with_stats(
         &circuit,
         &FpgaDelay::default(),
         InputModel::UniformDigits,
@@ -165,10 +165,10 @@ fn metric_snapshots_are_bit_identical_across_thread_counts() {
     assert_eq!(single_curve, quad_curve, "a 256-lane pass must not depend on its workers");
 }
 
-/// The `OLA_OBS` kill switch must make span recording close to free: with
-/// recording off, the Monte-Carlo sweep may cost at most a few percent
-/// more than with it on (the per-sweep span is constant work, so at this
-/// sample count the difference should vanish into noise).
+/// Span recording must be close to free: with it on, the Monte-Carlo
+/// sweep may cost at most a few percent more than with it off
+/// ([`obs::set_recording`]); the per-sweep span is constant work, so at
+/// this sample count the difference should vanish into noise.
 ///
 /// Wall-clock comparisons are inherently jittery, so this is an opt-in
 /// smoke test (`--ignored`); CI runs it in the observability job where a

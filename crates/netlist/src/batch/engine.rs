@@ -124,9 +124,6 @@
 //! its delays. [`BatchProgram::settled_bus`] computes it in one zero-delay
 //! pass in net order, one word operation per net, with no waveform; a fault
 //! campaign judges its sampled faulty pass against it.
-//!
-//! Setting `OLA_BATCH_CHECK_INCREMENTAL=1` cross-checks every sampled pass
-//! and every settled-bus evaluation against a full pass.
 
 use crate::batch::block::LaneWord;
 use crate::batch::fault::{LaneFaultSet, LaneFaults};
@@ -530,32 +527,6 @@ fn observe_wave<B: LaneWord>(raw: &Wave<B>, f: &LaneFaults<B>, clip: Clip<'_>) -
     out.finish()
 }
 
-/// True when `OLA_BATCH_CHECK_INCREMENTAL=1` asks every sampled pass and
-/// every settled-bus evaluation to be cross-checked against a full pass.
-/// Read once, under `ola_core::resilience::env_flag`'s grammar (this
-/// crate cannot depend on `ola-core`).
-fn cross_check_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    const VAR: &str = "OLA_BATCH_CHECK_INCREMENTAL";
-    *ENABLED.get_or_init(|| parse_flag(VAR, std::env::var_os(VAR)))
-}
-
-/// `1`/`true` is on; `0`/`false`/empty/unset is off (case and surrounding
-/// whitespace ignored); anything else warns on stderr and is off.
-fn parse_flag(var: &str, raw: Option<std::ffi::OsString>) -> bool {
-    let raw = raw.unwrap_or_default();
-    match raw.to_str().map(str::trim) {
-        Some("1") => true,
-        Some("0" | "") => false,
-        Some(v) if v.eq_ignore_ascii_case("true") => true,
-        Some(v) if v.eq_ignore_ascii_case("false") => false,
-        _ => {
-            eprintln!("[ola] warning: {var}={raw:?} is not one of 1|true|0|false; it stays off");
-            false
-        }
-    }
-}
-
 /// The settling history of one batch run: lane-word waveforms for every
 /// net, per-lane settle times, and engine-work counters.
 ///
@@ -824,8 +795,8 @@ impl BatchProgram {
     /// delay to the bus over every lane delay group. So the pass stores
     /// far fewer steps than [`BatchProgram::run_bus`] does. The words equal
     /// `run_with_faults(…).bus_waves(bus).try_sweep(times)` —
-    /// property-tested, and cross-checked on every call when
-    /// `OLA_BATCH_CHECK_INCREMENTAL=1`. The pass runs on the calling
+    /// property-tested, and `ola-core`'s fault campaigns can cross-check
+    /// every call on their own netlists. The pass runs on the calling
     /// thread.
     ///
     /// Its word steps and lane transitions count the steps it kept, not
@@ -854,11 +825,6 @@ impl BatchProgram {
         let word_steps = pass.fold.word_steps;
         let lane_transitions = pass.fold.lane_transitions;
         let sweep = pass.into_bus_result(bus).bus.sweep(times);
-        if cross_check_enabled() {
-            let full = self.run_inner(prev, new, faults)?;
-            let want = full.bus_waves(bus).expect("bus validated above").sweep(times);
-            assert!(sweep == want, "sampled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
-        }
         Ok(LaneBusSamples { sweep, word_steps, lane_transitions })
     }
 
@@ -868,9 +834,9 @@ impl BatchProgram {
     /// lane, and a gate its function of its fanins' words. A combinational
     /// DAG settles to a function of its inputs alone, so the words equal
     /// the final bus words of [`BatchProgram::run`] for any `prev` and any
-    /// delay model — property-tested, and cross-checked against a full
-    /// clean pass on every call when `OLA_BATCH_CHECK_INCREMENTAL=1`. The
-    /// pass costs one word operation per net and builds no waveform.
+    /// delay model — property-tested, and `ola-core`'s fault campaigns can
+    /// cross-check every call against a full clean pass. The pass costs one
+    /// word operation per net and builds no waveform.
     ///
     /// # Errors
     ///
@@ -899,14 +865,7 @@ impl BatchProgram {
             };
             words.push(word);
         }
-        let settled: Vec<B> = bus.iter().map(|net| words[net.index()]).collect();
-        if cross_check_enabled() {
-            let prev = LaneInputs::zeros(expected, new.lanes)?;
-            let full = self.run_inner(&prev, new, None)?;
-            let want: Vec<B> = bus.iter().map(|net| full.waves[net.index()].final_word()).collect();
-            assert!(settled == want, "settled/full divergence (OLA_BATCH_CHECK_INCREMENTAL)");
-        }
-        Ok(settled)
+        Ok(bus.iter().map(|net| words[net.index()]).collect())
     }
 
     /// Flags the nets of `bus` for a [`Retain::Bus`] or [`Retain::Sampled`]
@@ -1588,29 +1547,6 @@ mod tests {
     use super::*;
     use crate::batch::{BatchFaultSet, BatchInputs, LaneBlock, WideInputs};
     use crate::{simulate_with_faults, FaultPlan, FpgaDelay, Netlist, UnitDelay};
-
-    #[test]
-    fn cross_check_switch_follows_the_boolean_grammar() {
-        for (value, want) in [
-            ("1", true),
-            ("true", true),
-            ("TRUE", true),
-            (" 1 ", true),
-            ("0", false),
-            ("false", false),
-            ("False", false),
-            ("", false),
-            // Anything else warns and counts as off.
-            ("on", false),
-            ("off", false),
-            ("yes", false),
-            ("2", false),
-        ] {
-            let on = parse_flag("OLA_BATCH_CHECK_INCREMENTAL", Some(value.into()));
-            assert_eq!(on, want, "{value:?}");
-        }
-        assert!(!parse_flag("OLA_BATCH_CHECK_INCREMENTAL", None), "unset is off");
-    }
 
     const U: u64 = UnitDelay::UNIT;
 

@@ -12,8 +12,8 @@
 //!
 //! The gates are off by default (a BDD proof per pass invocation is not
 //! free) and enabled by setting [`PROVE_REWRITES`] (`OLA_PROVE_REWRITES`)
-//! to anything non-empty except `0` — CI's `verify` job and the `repro
-//! equiv` experiment run with it on. A failed proof panics with the
+//! to `1` or `true` ([`ola_core::resilience::env_flag`]'s grammar) — CI's
+//! `verify` job and the `repro equiv` experiment run with it on. A failed proof panics with the
 //! replayable counterexample: a pass that miscompiles must never limp
 //! on.
 //!
