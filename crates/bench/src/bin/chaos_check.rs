@@ -25,7 +25,9 @@
 //!    recomputed, and the served *result* matches the pre-rot answer —
 //!    rot is never served.
 //!
-//! Exit 0 when every scenario holds, 1 otherwise. CI runs this after the
+//! Exit 0 when every scenario holds, 1 otherwise. The scratch root,
+//! `$TMPDIR/ola_chaos_<pid>`, is removed on every exit, a panic included;
+//! `repro`'s inherited output is the transcript. CI runs this after the
 //! test suite; it needs no network (the serve scenarios bind loopback)
 //! and about as long as a handful of `repro --quick sta` runs.
 
@@ -35,7 +37,7 @@ use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, ExitCode};
 
 /// A completed `repro` invocation: exit code plus every `results/*.csv`.
 struct RunResult {
@@ -193,8 +195,16 @@ impl Harness {
     }
 }
 
+/// The scratch root goes on every exit: a pass, a failed check, or a
+/// panicking scenario.
+impl Drop for Harness {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
 #[allow(clippy::too_many_lines)]
-fn main() {
+fn main() -> ExitCode {
     let root = std::env::temp_dir().join(format!("ola_chaos_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut h = Harness { root, failures: Vec::new() };
@@ -337,13 +347,12 @@ fn main() {
 
     if h.failures.is_empty() {
         eprintln!("[chaos] all scenarios passed");
-        let _ = std::fs::remove_dir_all(&h.root);
+        ExitCode::SUCCESS
     } else {
         eprintln!("[chaos] {} scenario check(s) FAILED:", h.failures.len());
         for f in &h.failures {
             eprintln!("  {f}");
         }
-        eprintln!("[chaos] scratch dirs kept at {}", h.root.display());
-        std::process::exit(1);
+        ExitCode::FAILURE
     }
 }

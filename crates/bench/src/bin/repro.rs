@@ -368,6 +368,7 @@ fn main() {
     let git = obs::git_describe();
     let total = jobs.len();
     let mut failures: Vec<(String, String)> = Vec::new();
+    let panic_target = chaos::panic_target(&EXPERIMENTS.map(|(name, _)| name));
     for (name, job) in jobs {
         // Attribute registry deltas and spans to this experiment: snapshot
         // + drain before, diff after; annotations and noted outputs land
@@ -391,7 +392,7 @@ fn main() {
             eprintln!("[{name}] replayed from checkpoint");
             unit.tables
         } else {
-            let job: Job = if chaos::panic_target().as_deref() == Some(name) {
+            let job: Job = if panic_target == Some(name) {
                 Box::new(|_| panic!("injected by OLA_CHAOS_PANIC"))
             } else {
                 job

@@ -31,8 +31,8 @@
 //! `dsp_fused_dominance_by_width.csv` (one row per triple). All columns
 //! are simulation-domain counts — no wall-clock figures — so every
 //! recomputation, and every checkpoint replay, renders bit-identical
-//! tables at any thread count; engine *throughput* comparisons live in
-//! the `dsp_gate` binary instead.
+//! tables at any thread count. The benchmark's `dsp_pack` workload
+//! times the pack.
 
 use super::Scale;
 use crate::report::{fmt_f, Table};
@@ -78,7 +78,7 @@ impl Kernel {
 }
 
 /// The swept `(kernel, widths)` pack per scale. Full scale includes the
-/// 16-tap / 16-digit FIR the `dsp_gate` acceptance benchmark pins.
+/// 16-tap / 16-digit FIR, the largest variant.
 pub(super) fn pack(scale: Scale) -> Vec<(Kernel, Vec<usize>)> {
     let fir = |size| Kernel { kind: "fir", size, rows: 0 };
     let conv = |size| Kernel { kind: "conv2d", size, rows: 0 };

@@ -14,7 +14,10 @@
 //!
 //! The quick-scale tests run by default. The full-scale ones are ignored,
 //! since the event simulator takes minutes on them; run them with
-//! `cargo test --release -p ola-bench oracle -- --ignored`.
+//! `cargo test --release -p ola-bench oracle -- --ignored`. One of them
+//! gates merges all the same: CI's dsp job runs
+//! `dsp_full_variants_match_the_event_oracle`, the full pack with its
+//! 16-tap / 16-digit FIR, on every change.
 
 use super::{dsp, faults, fig4, Scale};
 use ola_core::campaign::{

@@ -232,14 +232,12 @@ pub fn thread_config() -> ThreadConfig {
         Some(t) => match t.parse::<usize>() {
             Ok(n) if n > 0 => ThreadConfig { raw, resolved: n, fallback: false },
             _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
                 let resolved = hw();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "[ola] warning: OLA_THREADS={t:?} is not a positive integer; \
-                         using the hardware default ({resolved})"
-                    );
-                });
+                crate::resilience::warn_once(
+                    "OLA_THREADS",
+                    t.as_ref(),
+                    &format!("a positive integer; using the hardware default ({resolved})"),
+                );
                 ThreadConfig { raw, resolved, fallback: true }
             }
         },

@@ -25,7 +25,8 @@
 //!   an otherwise-unmodified binary. Its boolean switches,
 //!   `OLA_PROVE_REWRITES` and `OLA_BATCH_CHECK_INCREMENTAL` (the fault
 //!   campaigns' cross-check, see [`crate::campaign`]) share one grammar:
-//!   [`env_flag`]. A malformed frame count warns the same way.
+//!   [`env_flag`]. A malformed frame count, and an `OLA_CHAOS_PANIC`
+//!   that names no experiment, warn the same way.
 
 pub mod checkpoint;
 
@@ -241,7 +242,7 @@ pub fn env_flag(var: &str) -> bool {
 
 /// Warns on stderr, the first time only for each `var`, that its value
 /// `raw` is not `expected`.
-fn warn_once(var: &str, raw: &std::ffi::OsStr, expected: &str) {
+pub(crate) fn warn_once(var: &str, raw: &std::ffi::OsStr, expected: &str) {
     static WARNED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
     let mut warned = WARNED.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     if !warned.iter().any(|w| w == var) {
@@ -306,10 +307,25 @@ pub mod chaos {
         num(TORN_FRAME)
     }
 
-    /// The experiment named by [`PANIC`], if set.
+    /// The experiment named by [`PANIC`], if set to one of `names`.
     #[must_use]
-    pub fn panic_target() -> Option<String> {
-        std::env::var(PANIC).ok().filter(|v| !v.is_empty())
+    pub fn panic_target<'a>(names: &[&'a str]) -> Option<&'a str> {
+        parse_panic_target(&std::env::var_os(PANIC)?, names)
+    }
+
+    /// An experiment name: one of `names` (surrounding whitespace
+    /// ignored). Empty is unset; anything else warns once, like
+    /// [`env_flag`](super::env_flag), and arms nothing.
+    pub(super) fn parse_panic_target<'a>(
+        raw: &std::ffi::OsStr,
+        names: &[&'a str],
+    ) -> Option<&'a str> {
+        let v = raw.to_str().map(str::trim);
+        let name = names.iter().copied().find(|n| v == Some(*n));
+        if name.is_none() && v != Some("") {
+            super::warn_once(PANIC, raw, "an experiment name; no experiment panics");
+        }
+        name
     }
 
     /// True when [`SERVE_PANIC`] is on.
@@ -370,6 +386,22 @@ mod tests {
             ("2x", None),
         ] {
             assert_eq!(chaos::parse_num(chaos::TORN_FRAME, raw.as_ref()), want, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn panic_targets_name_an_experiment_or_warn() {
+        let names = ["sta", "fig4"];
+        for (raw, want) in [
+            ("sta", Some("sta")),
+            (" fig4 ", Some("fig4")),
+            ("", None),
+            // Anything else warns and arms nothing.
+            ("nosuch", None),
+            ("STA", None),
+            ("sta fig4", None),
+        ] {
+            assert_eq!(chaos::parse_panic_target(raw.as_ref(), &names), want, "{raw:?}");
         }
     }
 

@@ -10,8 +10,8 @@
 //! `u64` words into one `64·W`-lane block — `LaneBlock<4>` is 256 lanes,
 //! `LaneBlock<8>` is 512. Wider blocks amortize the per-step bookkeeping
 //! (merge cursors, step allocation, time comparisons) over more lanes; the
-//! per-lane cost of a sweep drops accordingly (measured in
-//! `BENCH_batch.json`).
+//! per-lane cost of a sweep drops accordingly (EXPERIMENTS.md's
+//! "Wide-lane batch engine" table).
 
 /// A fixed-width word of simulation lanes: bit `l` belongs to lane `l`.
 ///
