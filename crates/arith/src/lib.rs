@@ -11,9 +11,11 @@
 //! * [`conventional`] — the two's-complement baselines the paper compares
 //!   against: ripple-carry addition and array multiplication, whose
 //!   LSB-first carry chains make overclocking errors land in the MSBs.
-//! * [`synth`] — netlist generators for all of the above, ready for
-//!   [`ola_netlist`]'s event-driven timing simulation, STA and area
-//!   estimation.
+//! * [`synth`] — netlist generators for all of the above and the fused
+//!   online inner product, ready for [`ola_netlist`]'s timing simulation,
+//!   STA and area estimation, plus the per-operator cores that
+//!   `ola-synth`'s elaborator composes into constant-coefficient
+//!   datapaths.
 //!
 //! # Example
 //!

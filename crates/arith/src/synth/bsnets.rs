@@ -3,7 +3,7 @@
 
 use ola_netlist::cells::{mmp_cell, ppm_cell};
 use ola_netlist::{NetId, Netlist};
-use ola_redundant::BsVector;
+use ola_redundant::{BsVector, Q};
 
 /// A borrow-save bus: one `(p, n)` net pair per weight position, mirroring
 /// [`BsVector`] exactly (position `pos` has weight `2^-pos`).
@@ -157,10 +157,21 @@ pub fn sdvm_gates(nl: &mut Netlist, dp: NetId, dn: NetId, v: &BsSignals) -> BsSi
     BsSignals { msd_pos: v.msd_pos(), p, n }
 }
 
+/// Decodes sampled `p`/`n` digit planes, MSD first at weight position
+/// `msd_pos`, into their exact value.
+#[must_use]
+pub fn decode_planes_value(msd_pos: i32, p: &[bool], n: &[bool]) -> Q {
+    let mut v = BsVector::zero(msd_pos, p.len());
+    for (i, (&p, &n)) in p.iter().zip(n).enumerate() {
+        v.set_bits(msd_pos + i as i32, p, n);
+    }
+    v.value()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ola_redundant::{Digit, SdNumber, Q};
+    use ola_redundant::{Digit, SdNumber};
 
     /// Builds input buses for an SD operand and returns (signals, encoder).
     fn operand_inputs(nl: &mut Netlist, name: &str, n: usize) -> BsSignals {

@@ -98,8 +98,7 @@ pub fn array_multiplier(width: usize) -> ArrayMultiplierCircuit {
 
 /// Emits the Baugh-Wooley array for arbitrary operand nets (inputs or
 /// constants); returns the `2·width` product bits, LSB first. Used by
-/// [`array_multiplier`], the constant-coefficient MAC builder, and the
-/// `ola-synth` elaborator.
+/// [`array_multiplier`] and the `ola-synth` elaborator.
 ///
 /// # Panics
 ///

@@ -115,8 +115,8 @@ pub fn online_multiplier(n: usize, frac_digits: i32) -> OnlineMultiplierCircuit 
 /// Emits the unrolled multiplier datapath for arbitrary operand signals
 /// (inputs, constants, or internal nets); returns the result digit planes
 /// `z_{−δ} ..= z_{n−1}` (MSD first; digit `z_j` has weight `2^{−(j+1)}`).
-/// Operands must occupy positions `1..=n`. Used by [`online_multiplier`],
-/// the constant-coefficient MAC builder, and the `ola-synth` elaborator.
+/// Operands must occupy positions `1..=n`. Used by [`online_multiplier`]
+/// and the `ola-synth` elaborator.
 ///
 /// The settled outputs are bit-exact against
 /// [`bittrue_mult_bits`](crate::online::bittrue_mult_bits) for *any*

@@ -4,9 +4,10 @@
 //! Three units, three CSVs:
 //!
 //! * **rewrites** (`equiv_pass_rewrites.csv`) — every variant of the lint
-//!   suite (hand-written operator families *and* every `ola-synth`
-//!   style × allocation variant of the 1×3 convolution kernel, same
-//!   widths as `repro lint`) is checked pass-before vs pass-after:
+//!   suite (the `ola-arith` generators, the 3-tap MAC kernel in both
+//!   styles, and every `ola-synth` style × allocation variant of the 1×3
+//!   convolution kernel, same widths as `repro lint`) is checked
+//!   pass-before vs pass-after:
 //!   [`prune_dead`](ola_netlist::sta::prune_dead) must preserve the
 //!   netlist bit-for-bit, and the optimizer pipeline
 //!   ([`ola_synth::optimize`]) must preserve the IR's exact values —
@@ -135,10 +136,14 @@ fn rewrites_unit(all: bool) -> Result<Vec<Table>, String> {
     }
 
     for &n in lint::widths(all) {
-        // Hand-written operator families: the generators prune themselves,
-        // so this re-proves idempotence (structural hit) — and would catch
-        // a prune_dead regression on every family shape.
+        // `ola-arith` generators: they prune themselves, so this re-proves
+        // idempotence (structural hit) — and would catch a prune_dead
+        // regression on every generator shape.
         for (name, nl) in lint::circuits(n) {
+            prune_row(&mut t, &mut bad, &opts, &name, &nl);
+        }
+        // The MAC kernel: prove the elaborator's prune, unpruned vs pruned.
+        for (name, nl) in lint::mac_kernel(n, false) {
             prune_row(&mut t, &mut bad, &opts, &name, &nl);
         }
         // Compiler-generated variants: prove the elaborator's prune for

@@ -7,11 +7,12 @@
 //! * **clean sweep** — every generator in the workspace must produce a
 //!   lint-clean netlist (the generators call
 //!   [`prune_dead`](ola_netlist::sta::prune_dead) themselves, so any issue
-//!   here is a regression). The sweep covers both the hand-written
-//!   operator families and every `ola-synth` style × adder-allocation
-//!   variant of the 1×3 convolution datapath. A non-empty issue list
-//!   fails the experiment, which is what lets CI run `repro lint --all`
-//!   as a gate.
+//!   here is a regression). The sweep covers the single-operator
+//!   generators and the fused online MAC, the 3-tap constant-coefficient
+//!   MAC kernel as `ola-synth` elaborates it in both styles, and every
+//!   `ola-synth` style × adder-allocation variant of the 1×3 convolution
+//!   datapath. A non-empty issue list fails the experiment, which is what
+//!   lets CI run `repro lint --all` as a gate.
 //! * **detector self-checks** — defects the builder API can make are
 //!   deliberately seeded into copies of generated circuits, and the lint
 //!   pass must flag each *statically*, with no simulation: an extra input
@@ -25,24 +26,26 @@
 
 use crate::report::Table;
 use ola_arith::synth::{
-    array_multiplier, carry_select_adder, fused_online_mac, online_adder, online_mac,
-    online_multiplier, ripple_carry_adder, traditional_mac,
+    array_multiplier, carry_select_adder, fused_online_mac, online_adder, online_multiplier,
+    ripple_carry_adder,
 };
 use ola_netlist::sta::lint::{check, LintIssue};
 use ola_netlist::{GateKind, Netlist};
 use ola_redundant::{SdNumber, Q};
 use ola_synth::{elaborate, optimize, AdderStructure, ElabOptions, InputFmt, Style};
 
-/// Fixed MAC taps, chosen to fit every linted width (≥ 4 bits).
-const TAPS: [i64; 3] = [5, -3, 7];
-
-/// Online taps of magnitude `v/16`: large enough that every operand digit
-/// influences the truncated output. (Taps near the representable minimum
-/// constant-fold away the trailing operand digits entirely, which the lint
-/// then — correctly — reports as unused inputs.)
+/// Fused-MAC taps `5/16, −3/16, 7/16`: large enough that every operand
+/// digit influences the output, and they fit every linted width (≥ 4
+/// digits). (Taps near the representable minimum constant-fold away the
+/// trailing operand digits entirely, which the lint then — correctly —
+/// reports as unused inputs.)
 fn online_taps(n: usize) -> Vec<SdNumber> {
-    TAPS.iter().map(|&v| SdNumber::from_value(Q::new(v.into(), 4), n).expect("taps fit")).collect()
+    [5, -3, 7].iter().map(|&v| SdNumber::from_value(Q::new(v, 4), n).expect("taps fit")).collect()
 }
+
+/// The same three taps as a constant-coefficient MAC kernel for
+/// `ola-synth`.
+const MAC_KERNEL: &str = "y = a * 0.3125 - b * 0.1875 + c * 0.4375";
 
 /// Operand widths linted per family: `--all` extends the sweep. Shared
 /// with the `equiv` experiment so the two gates cover the same variants.
@@ -54,24 +57,40 @@ pub(crate) fn widths(all: bool) -> &'static [usize] {
     }
 }
 
-/// Every generated circuit family at width `n`, by name.
+/// Every `ola-arith` generator at width `n`, by name.
 pub(crate) fn circuits(n: usize) -> Vec<(String, Netlist)> {
     vec![
         (format!("online adder N={n}"), online_adder(n).netlist),
         (format!("online mult N={n}"), online_multiplier(n, 3).netlist),
-        (format!("online mac N={n}"), online_mac(&online_taps(n), 3).netlist),
         (format!("fused online mac N={n}"), fused_online_mac(&online_taps(n)).netlist),
         (format!("ripple adder W={n}"), ripple_carry_adder(n).netlist),
         (format!("carry-select adder W={n}"), carry_select_adder(n, 4).netlist),
         (format!("array mult W={n}"), array_multiplier(n).netlist),
-        (format!("traditional mac W={n}"), traditional_mac(&TAPS, n).netlist),
     ]
 }
 
+/// The 3-tap MAC kernel at input width `n`, elaborated in each style with
+/// its products summed by a balanced adder tree; `prune` is the
+/// elaborator's dead-logic pruning. Shared with the `equiv` experiment,
+/// which proves the pruned netlist against the unpruned one.
+pub(crate) fn mac_kernel(n: usize, prune: bool) -> Vec<(String, Netlist)> {
+    let dfg = ola_synth::parse_dfg(MAC_KERNEL, InputFmt { msd_pos: 1, digits: n })
+        .expect("MAC kernel parses");
+    let opt = optimize(&dfg, AdderStructure::BalancedTree);
+    // The Baugh–Wooley operand cap, as in `synth_circuits`.
+    let styles: &[Style] =
+        if n >= 31 { &[Style::Online] } else { &[Style::Online, Style::Conventional] };
+    styles
+        .iter()
+        .map(|&style| {
+            let dp = elaborate(&opt, &ElabOptions::new(style).with_prune(prune));
+            (format!("synth mac {}/tree N={n}", style.name()), dp.netlist)
+        })
+        .collect()
+}
+
 /// Every `ola-synth` style × adder-allocation variant of the 1×3
-/// convolution datapath at input width `n` — the compiler-generated
-/// netlists the lint gate covers in addition to the hand-written operator
-/// families.
+/// convolution datapath at input width `n`.
 pub(crate) fn synth_circuits(n: usize) -> Vec<(String, Netlist)> {
     // The conventional style lowers an n-digit input to an (n+1)-bit
     // two's-complement operand, and the Baugh–Wooley array caps operands
@@ -125,7 +144,9 @@ fn lint_inner(all: bool) -> Result<Vec<Table>, String> {
         Table::new("Lint generated netlists", &["circuit", "nets", "issues", "codes", "details"]);
     let mut dirty: Vec<String> = Vec::new();
     for &n in widths(all) {
-        for (name, nl) in circuits(n).into_iter().chain(synth_circuits(n)) {
+        for (name, nl) in
+            circuits(n).into_iter().chain(mac_kernel(n, true)).chain(synth_circuits(n))
+        {
             let issues = check(&nl);
             let details = issues.first().map_or_else(String::new, ToString::to_string);
             t.push_row(vec![
@@ -239,8 +260,9 @@ mod tests {
         let tables = lint(&crate::resume::ExperimentCtx::ephemeral("lint"), false).unwrap();
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
-        // 2 widths × (8 families + 6 synth style/allocation variants)
-        // + the five seeded detector self-check rows.
+        // 2 widths × (6 generators + 2 MAC kernel styles + 6 synth
+        // style/allocation variants) + the five seeded detector
+        // self-check rows.
         assert_eq!(t.rows.len(), 33);
         let expected = [
             "unused-input",

@@ -64,14 +64,14 @@ pub enum LintIssue {
         /// `None` when only part of the fanin is constant.
         value: Option<bool>,
     },
-    /// A net read by more gates than the configured limit — in a
-    /// gate-level model usually a generator bug rather than a real design.
+    /// A net read by more gates than [`FANOUT_LIMIT`] — in a gate-level
+    /// model usually a generator bug rather than a real design.
     HighFanout {
         /// The heavily-loaded net.
         net: NetId,
         /// Its observed fanout.
         fanout: u32,
-        /// The configured limit it exceeded.
+        /// The limit it exceeded ([`FANOUT_LIMIT`]).
         limit: u32,
     },
 }
@@ -124,33 +124,16 @@ impl fmt::Display for LintIssue {
     }
 }
 
-/// Tunables for [`check_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct LintOptions {
-    /// Fanout above this is reported as [`LintIssue::HighFanout`]. The
-    /// default (512) sits far above anything the workspace generators
-    /// produce (their broadcast nets reach `2N` readers).
-    pub fanout_limit: u32,
-}
+/// Fanout above this is reported as [`LintIssue::HighFanout`]. It sits
+/// far above anything the workspace generators produce (their broadcast
+/// nets reach `2N` readers).
+pub const FANOUT_LIMIT: u32 = 512;
 
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions { fanout_limit: 512 }
-    }
-}
-
-/// Runs the full lint catalogue with default [`LintOptions`]. An empty
-/// issue list means the netlist is lint-clean.
+/// Runs the full lint catalogue. An empty issue list means the netlist is
+/// lint-clean. Issues are reported in a deterministic order:
+/// output/liveness defects first, then local gate defects.
 #[must_use]
 pub fn check(netlist: &Netlist) -> Vec<LintIssue> {
-    check_with(netlist, &LintOptions::default())
-}
-
-/// Runs the full lint catalogue with explicit [`LintOptions`]. Issues are
-/// reported in a deterministic order: output/liveness defects first, then
-/// local gate defects.
-#[must_use]
-pub fn check_with(netlist: &Netlist, opts: &LintOptions) -> Vec<LintIssue> {
     let n = netlist.len();
     let mut issues = Vec::new();
 
@@ -227,8 +210,8 @@ pub fn check_with(netlist: &Netlist, opts: &LintOptions) -> Vec<LintIssue> {
     }
     for net in netlist.nets() {
         let f = fanout[net.index()];
-        if f > opts.fanout_limit {
-            issues.push(LintIssue::HighFanout { net, fanout: f, limit: opts.fanout_limit });
+        if f > FANOUT_LIMIT {
+            issues.push(LintIssue::HighFanout { net, fanout: f, limit: FANOUT_LIMIT });
         }
     }
     issues
@@ -412,17 +395,19 @@ mod tests {
     }
 
     #[test]
-    fn high_fanout_respects_the_configured_limit() {
+    fn high_fanout_is_flagged_just_past_the_limit() {
         let mut nl = Netlist::new();
         let a = nl.input("a");
-        let mut outs = Vec::new();
-        for _ in 0..4 {
-            outs.push(nl.not(a));
-        }
+        let mut outs: Vec<NetId> = (0..FANOUT_LIMIT).map(|_| nl.not(a)).collect();
+        nl.set_output("z", outs.clone());
+        assert!(check(&nl).is_empty(), "exactly FANOUT_LIMIT readers is fine");
+        outs.push(nl.not(a));
         nl.set_output("z", outs);
-        assert!(check(&nl).is_empty(), "4 readers is fine at the default limit");
-        let issues = check_with(&nl, &LintOptions { fanout_limit: 3 });
-        assert_eq!(issues, vec![LintIssue::HighFanout { net: a, fanout: 4, limit: 3 }]);
+        let issues = check(&nl);
+        assert_eq!(
+            issues,
+            vec![LintIssue::HighFanout { net: a, fanout: FANOUT_LIMIT + 1, limit: FANOUT_LIMIT }]
+        );
         assert_eq!(issues[0].code(), "high-fanout");
     }
 

@@ -30,6 +30,6 @@ pub mod slack;
 
 pub use arrival::{analyze, TimingReport};
 pub use certify::{certify, CertificationReport, DigitStatus};
-pub use lint::{prune_dead, LintIssue, LintOptions};
+pub use lint::{prune_dead, LintIssue};
 pub use paths::{critical_paths, CriticalPath, PathStep};
 pub use slack::{analyze_slack, slack_from_arrival, SlackReport};

@@ -625,8 +625,10 @@ fn mul_tc(nl: &mut Netlist, a: &[NetId], fa: i32, b: &[NetId], fb: i32) -> TcSig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsp::{fir_bank, MacFusion};
     use crate::ir::InputFmt;
     use crate::parser::parse_dfg;
+    use crate::passes::{optimize, AdderStructure};
     use ola_redundant::SdNumber;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -853,6 +855,57 @@ mod tests {
         let pbits: Vec<bool> = pw.iter().map(|w| pv[w.index()]).collect();
         let ubits: Vec<bool> = uw.iter().map(|w| uv[w.index()]).collect();
         assert_eq!(pbits, ubits);
+    }
+
+    fn elaborate_src(src: &str, digits: usize, style: Style) -> Netlist {
+        let dfg = parse_dfg(src, InputFmt { msd_pos: 1, digits }).expect("valid program");
+        elaborate(&dfg, &ElabOptions::new(style)).netlist
+    }
+
+    fn unit_critical_path(nl: &Netlist) -> u64 {
+        ola_netlist::analyze(nl, &ola_netlist::UnitDelay).critical_path()
+    }
+
+    #[test]
+    fn constant_coefficients_shrink_the_multiplier() {
+        // Tying one operand to a constant lets the builder's folding
+        // specialize the array in both styles.
+        for style in [Style::Online, Style::Conventional] {
+            let constant = elaborate_src("y = a * 0.3125", 8, style).logic_gate_count();
+            let generic = elaborate_src("y = a * b", 8, style).logic_gate_count();
+            assert!(constant < generic, "{style:?}: constant {constant} vs generic {generic}");
+        }
+    }
+
+    #[test]
+    fn fused_fir_settles_faster_than_unfused() {
+        // No selection chains means the fused critical path is strictly
+        // shorter (about a tenth of the unfused one at these widths).
+        for n in [4usize, 8, 16] {
+            let fmt = InputFmt { msd_pos: 1, digits: n };
+            let cp = |fusion| {
+                let dfg = fir_bank(3, fusion, fmt);
+                unit_critical_path(&elaborate(&dfg, &ElabOptions::new(Style::Online)).netlist)
+            };
+            let (fused, unfused) = (cp(MacFusion::Fused), cp(MacFusion::Unfused));
+            assert!(fused < unfused, "n={n}: fused {fused} vs unfused {unfused}");
+        }
+    }
+
+    #[test]
+    fn balanced_mac_tree_adds_constant_depth() {
+        // Three products summed by a balanced online adder tree settle
+        // within a constant of one multiplier (+1000 at these widths).
+        for n in [4usize, 8, 16] {
+            let fmt = InputFmt { msd_pos: 1, digits: n };
+            let dfg =
+                parse_dfg("y = a * 0.3125 - b * 0.1875 + c * 0.4375", fmt).expect("valid program");
+            let opt = optimize(&dfg, AdderStructure::BalancedTree);
+            let mac =
+                unit_critical_path(&elaborate(&opt, &ElabOptions::new(Style::Online)).netlist);
+            let mul = unit_critical_path(&elaborate_src("y = a * b", n, Style::Online));
+            assert!(mac < mul + 3000, "n={n}: mac {mac} vs multiplier {mul}");
+        }
     }
 
     #[test]
